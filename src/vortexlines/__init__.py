@@ -31,7 +31,7 @@ from .catalog import (
     second_time_derivative,
     time_derivative,
 )
-from .polynomials import Monomial, PolynomialPrefactor
+from .polynomials import Poly3
 from .generate import generate_from_polynomial
 from .anatomy import (
     Contour,

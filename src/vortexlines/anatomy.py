@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (
-    SolutionSpec,
-    amplitude,
-    gradient,
-    laplacian,
-    time_derivative,
-)
+from .catalog import SolutionSpec
 from .constants import PhysicalConstants
 from .errors import (
     AmbiguousWindingError,
@@ -90,7 +84,8 @@ class LocalVortexData:
 
 def _field_of(spec_or_field, consts, t):
     if isinstance(spec_or_field, SolutionSpec):
-        return lambda pts: amplitude(spec_or_field, consts, pts, t)
+        snapshot = spec_or_field.at(consts, t)
+        return lambda pts: snapshot.on(pts).psi
     if callable(spec_or_field):
         return spec_or_field
     raise SpecValidationError("expected a solution spec or a callable field")
@@ -121,9 +116,8 @@ def flow_velocity(
     vector_potential=None,
 ) -> np.ndarray:
     """Hydrodynamic velocity v = (hbar/m) Im(psi* grad psi)/|psi|^2 - (e/m) A."""
-    r = np.asarray(r, dtype=float)
-    psi = amplitude(spec, consts, r, t)
-    grad = gradient(spec, consts, r, t)
+    field = spec.at(consts, t).on(r)
+    r, psi, grad = field.r, field.psi, field.grad
     scale = np.linalg.norm(grad, axis=-1) * spec.length_scale(consts)
     density = np.abs(psi) ** 2
     if np.any(np.abs(psi) <= CORE_FLOOR * scale):
@@ -254,9 +248,8 @@ def w_vector(
     spec: SolutionSpec, consts: PhysicalConstants, point_on_line, t: float
 ) -> LocalVortexData:
     """Amplitude gradient and derived local geometry at a certified line point."""
-    point = np.asarray(point_on_line, dtype=float)
-    psi = complex(amplitude(spec, consts, point, t))
-    w = np.asarray(gradient(spec, consts, point, t), dtype=complex)
+    field = spec.at(consts, t).on(point_on_line)
+    psi, w = complex(field.psi), field.grad
     scale = _on_line_scale(spec, consts, w)
     if abs(psi) > CORE_FLOOR * scale:
         raise NotOnLineError(
@@ -292,7 +285,7 @@ def line_velocity(
     The returned representative is orthogonal to the local tangent.
     """
     data = w_vector(spec, consts, point_on_line, t)
-    dpsi_dt = complex(time_derivative(spec, consts, np.asarray(point_on_line, float), t))
+    dpsi_dt = complex(spec.at(consts, t).on(point_on_line).dt)
     return _solve_line_velocity(
         np.asarray(data.w), np.asarray(data.tangent), dpsi_dt
     )
@@ -309,7 +302,7 @@ def line_velocity_from_laplacian(
         )
     point = np.asarray(point_on_line, dtype=float)
     data = w_vector(spec, consts, point, t)
-    lap = complex(laplacian(spec, consts, point, t))
+    lap = complex(spec.at(consts, t).on(point).lap)
     dpsi_dt = 1j * consts.hbar / (2.0 * consts.mass) * lap
     if spec.equation == "magnetic":
         w = np.asarray(data.w)

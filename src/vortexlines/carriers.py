@@ -1,87 +1,57 @@
-"""Carrier (generating) wave functions.
+"""Carrier (generating) wave functions, as exponents.
 
-Every carrier in the catalog is the exponential of a quadratic form,
+Every solution in the catalog is psi = P * exp(G): a polynomial prefactor P
+times a carrier exp(G) whose exponent is a quadratic with diagonal quadratic
+part,
 
-    C(r, t) = exp( sum_a m_a(t) x_a^2 + b(t).r + c(t) ),
+    G(r, t) = sum_a m_a(t) x_a^2 + b(t).r + c(t).
 
-with diagonal quadratic part.  Holding m, b, c as time-jets gives exact
-analytic gradients, Laplacians and first/second time derivatives.
+Each constructor here returns G as a `JetPoly` (m, b, c held as time-jets),
+which gives exact analytic gradients, Laplacians and first/second time
+derivatives of the carrier; the catalog's snapshot, `spec.at(consts, t)`,
+builds P and G once and evaluates psi and its derivatives from one exp(G).
+A bare carrier is the solution with P = 1.  The Gaussian packet is the lens
+image of the plane wave: with beta = 1 + i hbar t / (m l^2), its exponent is
+the plane wave's at (r / beta, t / beta) plus the window
+-r^2 / (2 l^2 beta) - (3/2) log beta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import PhysicalConstants
-from .polynomials import Jet
-
-
-@dataclass(frozen=True)
-class Carrier:
-    m_diag: tuple[Jet, Jet, Jet]
-    b: tuple[Jet, Jet, Jet]
-    c: Jet
-
-    def _exponent(self, points: np.ndarray) -> np.ndarray:
-        g = np.full(points.shape[:-1], self.c.f, dtype=complex)
-        for a in range(3):
-            xa = points[..., a]
-            g += self.m_diag[a].f * xa * xa + self.b[a].f * xa
-        return g
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        return np.exp(self._exponent(points))
-
-    def gradient_factor(self, points: np.ndarray) -> np.ndarray:
-        """grad C / C, shape (..., 3)."""
-        out = np.empty(points.shape[:-1] + (3,), dtype=complex)
-        for a in range(3):
-            out[..., a] = 2.0 * self.m_diag[a].f * points[..., a] + self.b[a].f
-        return out
-
-    def laplacian_factor(self, points: np.ndarray) -> np.ndarray:
-        """lap C / C."""
-        grad = self.gradient_factor(points)
-        trace = 2.0 * sum(m.f for m in self.m_diag)
-        return trace + np.sum(grad * grad, axis=-1)
-
-    def dt_factor(self, points: np.ndarray) -> np.ndarray:
-        """(dC/dt) / C."""
-        g = np.full(points.shape[:-1], self.c.df, dtype=complex)
-        for a in range(3):
-            xa = points[..., a]
-            g += self.m_diag[a].df * xa * xa + self.b[a].df * xa
-        return g
-
-    def d2t_factor(self, points: np.ndarray) -> np.ndarray:
-        """(d2C/dt2) / C."""
-        gt = self.dt_factor(points)
-        gtt = np.full(points.shape[:-1], self.c.d2f, dtype=complex)
-        for a in range(3):
-            xa = points[..., a]
-            gtt += self.m_diag[a].d2f * xa * xa + self.b[a].d2f * xa
-        return gtt + gt * gt
-
+from .polynomials import Jet, JetPoly
 
 _ZERO = Jet.const(0.0)
 
 
-def free_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> Carrier:
+def _quadratic(m_diag, b, c: Jet) -> JetPoly:
+    """G = sum_a m_a x_a^2 + b_a x_a + c, leaving out zero coefficients."""
+    terms = {(0, 0, 0): c}
+    for axis in range(3):
+        for power, jet in ((2, m_diag[axis]), (1, b[axis])):
+            if jet != _ZERO:
+                exps = [0, 0, 0]
+                exps[axis] = power
+                terms[tuple(exps)] = jet
+    return JetPoly(terms)
+
+
+def free_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> JetPoly:
     """exp(i k.r - i hbar k^2 t / 2m)."""
     k2 = float(k @ k)
     rate = -1j * consts.hbar * k2 / (2.0 * consts.mass)
-    return Carrier(
-        m_diag=(_ZERO, _ZERO, _ZERO),
-        b=tuple(Jet.const(1j * ka) for ka in k),
-        c=Jet(rate * t, rate, 0.0),
+    return _quadratic(
+        (_ZERO, _ZERO, _ZERO),
+        tuple(Jet.const(1j * ka) for ka in k),
+        Jet(rate * t, rate, 0.0),
     )
 
 
 def gaussian_packet(
     consts: PhysicalConstants, k: np.ndarray, width: float, t: float
-) -> Carrier:
+) -> JetPoly:
     """Spreading Gaussian envelope exp(-k^2 l^2/2) beta^{-3/2} exp(-(r - i k l^2)^2 / (2 l^2 beta))."""
     l2 = width * width
     beta = Jet(1.0 + 1j * consts.hbar * t / (consts.mass * l2),
@@ -91,12 +61,12 @@ def gaussian_packet(
     m_jet = (-0.5 / l2) * inv_beta
     b = tuple((1j * ka) * inv_beta for ka in k)
     c = (0.5 * k2 * l2) * inv_beta - 1.5 * beta.log() - Jet.const(0.5 * k2 * l2)
-    return Carrier(m_diag=(m_jet, m_jet, m_jet), b=b, c=c)
+    return _quadratic((m_jet, m_jet, m_jet), b, c)
 
 
 def magnetic_generator(
     consts: PhysicalConstants, k: np.ndarray, field_strength: float, t: float
-) -> Carrier:
+) -> JetPoly:
     """Landau ground-state Gaussian times the uniform-field generating phase.
 
     The z phase -i hbar kz^2/(2 e B) is constant in (r, t), so it only
@@ -118,12 +88,12 @@ def magnetic_generator(
         + (hbar * (kx * kx + ky * ky) / (2.0 * eB)) * (E - 1.0)
         + Jet.const(-1j * hbar * kz * kz / (2.0 * eB))
     )
-    return Carrier(m_diag=(m_perp, m_perp, _ZERO), b=b, c=c)
+    return _quadratic((m_perp, m_perp, _ZERO), b, c)
 
 
 def trap_generator(
     consts: PhysicalConstants, k: np.ndarray, omega: float, t: float
-) -> Carrier:
+) -> JetPoly:
     """Harmonic-trap ground state times exp(i e^{-i w t}(k.r - hbar k^2 sin(w t)/(2 m w)))."""
     hbar, mass = consts.hbar, consts.mass
     F = Jet.exp_i(-1j * omega, t)
@@ -136,16 +106,16 @@ def trap_generator(
         Jet(-1.5j * omega * t, -1.5j * omega, 0.0)
         + (-1j * hbar * k2 / (2.0 * mass * omega)) * (F * sin_jet)
     )
-    return Carrier(m_diag=(m_jet, m_jet, m_jet), b=b, c=c)
+    return _quadratic((m_jet, m_jet, m_jet), b, c)
 
 
-def rel_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> Carrier:
+def rel_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> JetPoly:
     """exp(i k.r - i omega_k t) with the Klein-Gordon dispersion."""
     omega_k = rel_dispersion(consts, k)
-    return Carrier(
-        m_diag=(_ZERO, _ZERO, _ZERO),
-        b=tuple(Jet.const(1j * float(ka)) for ka in k),
-        c=Jet(-1j * omega_k * t, -1j * omega_k, 0.0),
+    return _quadratic(
+        (_ZERO, _ZERO, _ZERO),
+        tuple(Jet.const(1j * float(ka)) for ka in k),
+        Jet(-1j * omega_k * t, -1j * omega_k, 0.0),
     )
 
 

@@ -1,20 +1,35 @@
 """The catalog of exact vortex-carrying wave functions.
 
-Each solution is a tagged spec (one dataclass per family) evaluating to
-prefactor(r, t) * carrier(r, t).  Amplitude, gradient, Laplacian and time
-derivatives are analytic; `pde_residual` certifies each family against its
-governing equation using those analytic derivatives only.
+Every family is psi = P * exp(G): a polynomial prefactor P times a carrier
+whose exponent G is a quadratic, both held as jet polynomials (`JetPoly`).
+Bare carriers are the families with P = 1.  Each family is a tagged spec (one
+dataclass); families on the same carrier share a base class:
+
+* plane-wave families write P as the image polynomial of the moving
+  coordinates r - v t and the time t;
+* Klein-Gordon families do the same on the relativistic plane wave;
+* Gaussian-carrier families are lens images of plane-wave prefactors,
+  P(r, t) = P_pw(r / beta, t / beta) with beta = 1 + i hbar t / (m l^2); the
+  same map takes the plane wave to the Gaussian packet, so each one equals
+  its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0.
+
+`spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
+gives psi, its gradient, Laplacian and first/second time derivatives at a
+point set from one exp(G), each formed by the product rule on first use.
+`amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
+certifies each family against its governing equation using those analytic
+derivatives only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .carriers import (
-    Carrier,
     free_plane_wave,
     gaussian_packet,
     magnetic_generator,
@@ -24,7 +39,7 @@ from .carriers import (
 )
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Jet, JetPoly, Monomial, PolynomialPrefactor
+from .polynomials import Jet, JetPoly, Poly3
 
 
 @dataclass(frozen=True)
@@ -60,38 +75,22 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
-def _free_velocity(consts: PhysicalConstants, k: WaveVector) -> np.ndarray:
-    return consts.hbar * k.as_array() / consts.mass
-
-
-def _rel_velocity(consts: PhysicalConstants, k: WaveVector) -> np.ndarray:
-    karr = k.as_array()
-    omega = rel_dispersion(consts, karr)
-    return consts.light_speed**2 * karr / omega
-
-
-def _shifted(velocity: np.ndarray, t: float) -> list[JetPoly]:
-    """x_a(t) = x_a - v_a t as jet polynomials."""
-    coords = []
-    for a in range(3):
-        va = float(velocity[a])
-        coords.append(
-            JetPoly.coordinate(a) + JetPoly.constant(Jet(-va * t, -va, 0.0))
-        )
-    return coords
+_ONE = JetPoly.constant(1.0)
 
 
 class SolutionSpec:
-    """Base class for the tagged union of analytic families."""
+    """Base class for the tagged union of analytic families: psi = P * exp(G)."""
 
     equation = "free"  # one of free / trap / magnetic / relativistic
-    is_bare = False    # bare carriers have no vortex prefactor
+    is_bare = False    # bare carriers have the prefactor P = 1
 
-    def carrier(self, consts: PhysicalConstants, t: float) -> Carrier:
+    def carrier(self, consts: PhysicalConstants, t: float) -> JetPoly:
+        """The carrier exponent G at time t."""
         raise NotImplementedError
 
-    def prefactor_jets(self, consts: PhysicalConstants, t: float) -> JetPoly | None:
-        return None
+    def prefactor_jets(self, consts: PhysicalConstants, t: float) -> JetPoly:
+        """The prefactor P at time t."""
+        return _ONE
 
     def classical_velocity(self, consts: PhysicalConstants) -> np.ndarray:
         return np.zeros(3)
@@ -99,15 +98,19 @@ class SolutionSpec:
     def length_scale(self, consts: PhysicalConstants) -> float:
         return 1.0
 
+    def at(self, consts: PhysicalConstants, t: float) -> "Snapshot":
+        """psi = P * exp(G) at time t, ready to evaluate at point sets."""
+        if not math.isfinite(t):
+            raise SpecValidationError("non-finite position or time")
+        return Snapshot(self.prefactor_jets(consts, t), self.carrier(consts, t))
 
-def _k_length(k: WaveVector) -> float:
-    return 1.0 / k.norm if k.norm > 0 else 1.0
 
+class _PlaneWaveCarrier(SolutionSpec):
+    """Families on the free plane wave exp(i k.r - i hbar k^2 t / 2m).
 
-@dataclass(frozen=True)
-class FreePlaneWave(SolutionSpec):
-    k: WaveVector = ZERO_K
-    is_bare = True
+    A family writes its prefactor as `image(consts, coords, tau)`, a
+    polynomial in the moving coordinates coords = r - v tau and the time tau.
+    """
 
     def __post_init__(self):
         object.__setattr__(self, "k", WaveVector.of(self.k))
@@ -115,87 +118,116 @@ class FreePlaneWave(SolutionSpec):
     def carrier(self, consts, t):
         return free_plane_wave(consts, self.k.as_array(), t)
 
+    def image(self, consts, coords: list[JetPoly], tau: Jet) -> JetPoly:
+        return _ONE
+
+    def prefactor_jets(self, consts, t):
+        return self._image_at(consts, Jet.const(1.0), Jet(t, 1.0, 0.0))
+
+    def _image_at(self, consts, scale: Jet, tau: Jet) -> JetPoly:
+        """The image polynomial at coordinates scale * r - v tau."""
+        v = self.classical_velocity(consts)
+        coords = [scale * JetPoly.coordinate(a) - float(v[a]) * tau for a in range(3)]
+        return self.image(consts, coords, tau)
+
     def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+        return consts.hbar * self.k.as_array() / consts.mass
 
     def length_scale(self, consts):
-        return _k_length(self.k)
+        return 1.0 / self.k.norm if self.k.norm > 0 else 1.0
+
+
+class _KleinGordonCarrier(_PlaneWaveCarrier):
+    """Families on the Klein-Gordon plane wave exp(i k.r - i omega_k t)."""
+
+    equation = "relativistic"
+
+    def carrier(self, consts, t):
+        return rel_plane_wave(consts, self.k.as_array(), t)
+
+    def classical_velocity(self, consts):
+        karr = self.k.as_array()
+        return consts.light_speed**2 * karr / rel_dispersion(consts, karr)
+
+
+class _GaussianCarrier(_PlaneWaveCarrier):
+    """Families on the spreading Gaussian packet of width l.
+
+    The prefactor is the lens image P_pw(r / beta, t / beta) of a plane-wave
+    prefactor, beta = 1 + i hbar t / (m l^2).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(self.l > 0, "l must be > 0")
+
+    def carrier(self, consts, t):
+        return gaussian_packet(consts, self.k.as_array(), self.l, t)
+
+    def prefactor_jets(self, consts, t):
+        rate = 1j * consts.hbar / (consts.mass * self.l**2)
+        inv_beta = Jet(1.0 + rate * t, rate, 0.0).inv()
+        return self._image_at(consts, inv_beta, Jet(t, 1.0, 0.0) * inv_beta)
+
+    def length_scale(self, consts):
+        return self.l
 
 
 @dataclass(frozen=True)
-class FreeLineVortex(SolutionSpec):
+class FreePlaneWave(_PlaneWaveCarrier):
+    k: WaveVector = ZERO_K
+    is_bare = True
+
+
+@dataclass(frozen=True)
+class FreeLineVortex(_PlaneWaveCarrier):
     chi: float = math.pi / 4
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(math.isfinite(self.chi), "chi must be finite")
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, _ = _shifted(self.classical_velocity(consts), t)
+    def image(self, consts, coords, tau):
+        x, y, _ = coords
         return math.cos(self.chi) * x + (1j * math.sin(self.chi)) * y
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
-
-    def length_scale(self, consts):
-        return _k_length(self.k)
 
 
 @dataclass(frozen=True)
-class FreeRingCylinder(SolutionSpec):
+class FreeRingCylinder(_PlaneWaveCarrier):
     R: float
     a: float
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.R > 0, "R must be > 0")
         _require(self.a != 0, "a must be nonzero")
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, z = _shifted(self.classical_velocity(consts), t)
-        quantum = Jet(2j * consts.hbar * t / consts.mass, 2j * consts.hbar / consts.mass, 0.0)
-        return x * x + y * y - self.R**2 + (1j * self.a) * z + JetPoly.constant(quantum)
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+    def image(self, consts, coords, tau):
+        x, y, z = coords
+        quantum = (2j * consts.hbar / consts.mass) * tau
+        return x * x + y * y - self.R**2 + (1j * self.a) * z + quantum
 
     def length_scale(self, consts):
         return self.R
 
 
 @dataclass(frozen=True)
-class FreeRingSphere(SolutionSpec):
+class FreeRingSphere(_PlaneWaveCarrier):
     R: float
     a: float
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.R > 0, "R must be > 0")
         _require(self.a != 0, "a must be nonzero")
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, z = _shifted(self.classical_velocity(consts), t)
-        quantum = Jet(3j * consts.hbar * t / consts.mass, 3j * consts.hbar / consts.mass, 0.0)
-        return (
-            x * x + y * y + z * z - self.R**2
-            + (1j * self.a) * z
-            + JetPoly.constant(quantum)
-        )
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+    def image(self, consts, coords, tau):
+        x, y, z = coords
+        quantum = (3j * consts.hbar / consts.mass) * tau
+        return x * x + y * y + z * z - self.R**2 + (1j * self.a) * z + quantum
 
     def length_scale(self, consts):
         return self.R
@@ -222,7 +254,7 @@ def _is_degenerate_w(w) -> bool:
 
 
 @dataclass(frozen=True)
-class FreeTwoLines(SolutionSpec):
+class FreeTwoLines(_PlaneWaveCarrier):
     w1: tuple[complex, complex, complex]
     r1: tuple[float, float, float]
     w2: tuple[complex, complex, complex]
@@ -230,7 +262,7 @@ class FreeTwoLines(SolutionSpec):
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         object.__setattr__(self, "w1", _complex_vec(self.w1))
         object.__setattr__(self, "w2", _complex_vec(self.w2))
         object.__setattr__(self, "r1", _real_vec(self.r1))
@@ -241,11 +273,7 @@ class FreeTwoLines(SolutionSpec):
                 f"{name} x conj({name}) vanishes: degenerate node sheet",
             )
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        coords = _shifted(self.classical_velocity(consts), t)
+    def image(self, consts, coords, tau):
         lin1 = sum(
             (self.w1[a] * coords[a] for a in range(3)),
             JetPoly.constant(-np.dot(self.w1, self.r1)),
@@ -255,12 +283,7 @@ class FreeTwoLines(SolutionSpec):
             JetPoly.constant(-np.dot(self.w2, self.r2)),
         )
         dot12 = complex(np.dot(self.w1, self.w2))
-        quantum = Jet(1j * consts.hbar * t / consts.mass * dot12,
-                      1j * consts.hbar / consts.mass * dot12, 0.0)
-        return lin1 * lin2 + JetPoly.constant(quantum)
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+        return lin1 * lin2 + (1j * consts.hbar / consts.mass * dot12) * tau
 
     def length_scale(self, consts):
         sep = np.linalg.norm(np.subtract(self.r1, self.r2))
@@ -268,29 +291,22 @@ class FreeTwoLines(SolutionSpec):
 
 
 @dataclass(frozen=True)
-class FreeTwoLinesSymmetric(SolutionSpec):
+class FreeTwoLinesSymmetric(_PlaneWaveCarrier):
     a: float
     varphi: float
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.a != 0, "a must be nonzero")
         _require(math.isfinite(self.varphi), "varphi must be finite")
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, z = _shifted(self.classical_velocity(consts), t)
+    def image(self, consts, coords, tau):
+        x, y, z = coords
         c, s = math.cos(self.varphi), math.sin(self.varphi)
-        w_upper = c * x + s * y + 1j * (z + JetPoly.constant(self.a))
-        w_lower = c * x - s * y + 1j * (z - JetPoly.constant(self.a))
-        rate = -2j * consts.hbar * s * s / consts.mass
-        return w_upper * w_lower + JetPoly.constant(Jet(rate * t, rate, 0.0))
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+        w_upper = c * x + s * y + 1j * (z + self.a)
+        w_lower = c * x - s * y + 1j * (z - self.a)
+        return w_upper * w_lower + (-2j * consts.hbar * s * s / consts.mass) * tau
 
     def length_scale(self, consts):
         return abs(self.a)
@@ -301,58 +317,27 @@ class FreeTwoLinesSymmetric(SolutionSpec):
 
 
 @dataclass(frozen=True)
-class GaussianPacket(SolutionSpec):
+class GaussianPacket(_GaussianCarrier):
     l: float
     k: WaveVector = ZERO_K
     is_bare = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
-        _require(self.l > 0, "l must be > 0")
-
-    def carrier(self, consts, t):
-        return gaussian_packet(consts, self.k.as_array(), self.l, t)
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
-
-    def length_scale(self, consts):
-        return self.l
-
-
-def _beta_jet(consts: PhysicalConstants, width: float, t: float) -> Jet:
-    rate = 1j * consts.hbar / (consts.mass * width * width)
-    return Jet(1.0 + rate * t, rate, 0.0)
-
 
 @dataclass(frozen=True)
-class GaussianLineVortex(SolutionSpec):
+class GaussianLineVortex(_GaussianCarrier):
+    """Lens image of the plane-wave offset line x - x0 + i y."""
+
     l: float
     x0: float
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
-        _require(self.l > 0, "l must be > 0")
+        super().__post_init__()
         _require(math.isfinite(self.x0), "x0 must be finite")
 
-    def carrier(self, consts, t):
-        return gaussian_packet(consts, self.k.as_array(), self.l, t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, _ = _shifted(self.classical_velocity(consts), t)
-        drift = consts.hbar * self.x0 / (consts.mass * self.l**2)
-        linear = (
-            x - JetPoly.constant(self.x0)
-            + 1j * (y - JetPoly.constant(Jet(drift * t, drift, 0.0)))
-        )
-        return linear * _beta_jet(consts, self.l, t).inv()
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
-
-    def length_scale(self, consts):
-        return self.l
+    def image(self, consts, coords, tau):
+        x, y, _ = coords
+        return x - self.x0 + 1j * y
 
 
 @dataclass(frozen=True)
@@ -467,62 +452,35 @@ class TrapRing(SolutionSpec):
 
 
 @dataclass(frozen=True)
-class RelPlaneWave(SolutionSpec):
+class RelPlaneWave(_KleinGordonCarrier):
     k: WaveVector = ZERO_K
-    equation = "relativistic"
     is_bare = True
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
-
-    def carrier(self, consts, t):
-        return rel_plane_wave(consts, self.k.as_array(), t)
-
-    def classical_velocity(self, consts):
-        return _rel_velocity(consts, self.k)
-
-    def length_scale(self, consts):
-        return _k_length(self.k)
-
 
 @dataclass(frozen=True)
-class RelLineVortex(SolutionSpec):
+class RelLineVortex(_KleinGordonCarrier):
     chi: float = math.pi / 4
     k: WaveVector = ZERO_K
-    equation = "relativistic"
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(math.isfinite(self.chi), "chi must be finite")
 
-    def carrier(self, consts, t):
-        return rel_plane_wave(consts, self.k.as_array(), t)
-
-    def prefactor_jets(self, consts, t):
-        x, y, _ = _shifted(self.classical_velocity(consts), t)
+    def image(self, consts, coords, tau):
+        x, y, _ = coords
         return math.cos(self.chi) * x + (1j * math.sin(self.chi)) * y
-
-    def classical_velocity(self, consts):
-        return _rel_velocity(consts, self.k)
-
-    def length_scale(self, consts):
-        return _k_length(self.k)
 
 
 @dataclass(frozen=True)
-class RelRingCylinder(SolutionSpec):
+class RelRingCylinder(_KleinGordonCarrier):
     R: float
     a: float
     k: WaveVector = ZERO_K
-    equation = "relativistic"
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.R > 0, "R must be > 0")
         _require(self.a != 0, "a must be nonzero")
-
-    def carrier(self, consts, t):
-        return rel_plane_wave(consts, self.k.as_array(), t)
 
     def axial_drift_speed(self, consts) -> float:
         """Quantum axial speed of the node ring (can exceed light_speed)."""
@@ -532,30 +490,24 @@ class RelRingCylinder(SolutionSpec):
         perp = c2 * (self.k.kx**2 + self.k.ky**2) / omega**2
         return (c2 / omega) * (2.0 - perp) / abs(self.a)
 
-    def prefactor_jets(self, consts, t):
+    def image(self, consts, coords, tau):
         # Exact image of x^2 + y^2 - R^2 + i a z under the relativistic
         # generating function; its k=0 limit agrees with the cylinder ring.
-        x, y, z = _shifted(self.classical_velocity(consts), t)
+        x, y, z = coords
         rate = 1j * abs(self.a) * self.axial_drift_speed(consts)
-        return (
-            x * x + y * y - self.R**2
-            + (1j * self.a) * z
-            + JetPoly.constant(Jet(rate * t, rate, 0.0))
-        )
-
-    def classical_velocity(self, consts):
-        return _rel_velocity(consts, self.k)
+        return x * x + y * y - self.R**2 + (1j * self.a) * z + rate * tau
 
     def length_scale(self, consts):
         return self.R
 
 
 @dataclass(frozen=True)
-class WindowedRingCylinder(SolutionSpec):
+class WindowedRingCylinder(_GaussianCarrier):
     """Cylinder-plane vortex ring riding on a normalizable Gaussian envelope.
 
-    This is the square-integrable variant used for split-step validation:
-    at t = 0 it equals the plane-wave cylinder ring times exp(-r^2/2l^2).
+    This is the square-integrable variant used for split-step validation: the
+    lens image of FreeRingCylinder, so at t = 0 it equals the plane-wave
+    cylinder ring times exp(-r^2/2l^2).
     """
 
     R: float
@@ -564,34 +516,21 @@ class WindowedRingCylinder(SolutionSpec):
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.R > 0, "R must be > 0")
         _require(self.a != 0, "a must be nonzero")
-        _require(self.l > 0, "l must be > 0")
 
-    def carrier(self, consts, t):
-        return gaussian_packet(consts, self.k.as_array(), self.l, t)
-
-    def prefactor_jets(self, consts, t):
-        inv_beta = _beta_jet(consts, self.l, t).inv()
-        x, y, z = (
-            coord * inv_beta
-            for coord in _shifted(self.classical_velocity(consts), t)
-        )
-        quantum = Jet(2j * consts.hbar * t / consts.mass,
-                      2j * consts.hbar / consts.mass, 0.0) * inv_beta
-        return x * x + y * y - self.R**2 + (1j * self.a) * z + JetPoly.constant(quantum)
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+    def image(self, consts, coords, tau):
+        return FreeRingCylinder(self.R, self.a, self.k).image(consts, coords, tau)
 
     def length_scale(self, consts):
         return self.R
 
 
 @dataclass(frozen=True)
-class WindowedTwoLinesSymmetric(SolutionSpec):
-    """Symmetric vortex pair riding on a normalizable Gaussian envelope."""
+class WindowedTwoLinesSymmetric(_GaussianCarrier):
+    """Symmetric vortex pair riding on a normalizable Gaussian envelope: the
+    lens image of FreeTwoLinesSymmetric."""
 
     a: float
     varphi: float
@@ -599,27 +538,12 @@ class WindowedTwoLinesSymmetric(SolutionSpec):
     k: WaveVector = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.a != 0, "a must be nonzero")
-        _require(self.l > 0, "l must be > 0")
 
-    def carrier(self, consts, t):
-        return gaussian_packet(consts, self.k.as_array(), self.l, t)
-
-    def prefactor_jets(self, consts, t):
-        inv_beta = _beta_jet(consts, self.l, t).inv()
-        x, y, z = (
-            coord * inv_beta
-            for coord in _shifted(self.classical_velocity(consts), t)
-        )
-        c, s = math.cos(self.varphi), math.sin(self.varphi)
-        w_upper = c * x + s * y + 1j * (z + JetPoly.constant(self.a))
-        w_lower = c * x - s * y + 1j * (z - JetPoly.constant(self.a))
-        rate = -2j * consts.hbar * s * s / consts.mass
-        return w_upper * w_lower + JetPoly.constant(Jet(rate * t, rate, 0.0) * inv_beta)
-
-    def classical_velocity(self, consts):
-        return _free_velocity(consts, self.k)
+    def image(self, consts, coords, tau):
+        pair = FreeTwoLinesSymmetric(self.a, self.varphi, self.k)
+        return pair.image(consts, coords, tau)
 
     def length_scale(self, consts):
         return abs(self.a)
@@ -656,99 +580,130 @@ CARRIER_FAMILIES = (
 )
 
 
-def _check_inputs(r: np.ndarray, t: float) -> np.ndarray:
+def _check_points(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape[-1] != 3:
         raise SpecValidationError(f"positions must have trailing length 3, got {r.shape}")
-    if not np.all(np.isfinite(r)) or not math.isfinite(t):
+    if not np.all(np.isfinite(r)):
         raise SpecValidationError("non-finite position or time")
     return r
 
 
+class Snapshot:
+    """psi = P * exp(G) at one time: P and G as plain polynomials, one per
+    time-derivative order."""
+
+    __slots__ = ("p", "g")
+
+    def __init__(self, prefactor_jets: JetPoly, exponent: JetPoly):
+        self.p = [prefactor_jets.order(n) for n in range(3)]
+        self.g = [exponent.order(n) for n in range(3)]
+
+    def on(self, r) -> "FieldValues":
+        """psi and its derivatives at positions r of shape (..., 3)."""
+        return FieldValues(self.p, self.g, _check_points(r))
+
+
+class FieldValues:
+    """psi, grad, lap, dt and d2t at one point set, each formed on first use
+    by the product rule on P * exp(G), all sharing one exp(G)."""
+
+    def __init__(self, p: list[Poly3], g: list[Poly3], r: np.ndarray):
+        self.p, self.g, self.r = p, g, r
+
+    @cached_property
+    def carrier(self) -> np.ndarray:
+        value = self.g[0].evaluate(self.r)
+        return np.exp(value, out=value)
+
+    @cached_property
+    def _p(self) -> np.ndarray:
+        return self.p[0].evaluate(self.r)
+
+    @cached_property
+    def _grad_p(self) -> list[np.ndarray]:
+        return [self.p[0].diff(a).evaluate(self.r) for a in range(3)]
+
+    @cached_property
+    def _grad_g(self) -> list[np.ndarray]:
+        return [self.g[0].diff(a).evaluate(self.r) for a in range(3)]
+
+    @cached_property
+    def _p_dt(self) -> np.ndarray:
+        return self.p[1].evaluate(self.r)
+
+    @cached_property
+    def _g_dt(self) -> np.ndarray:
+        return self.g[1].evaluate(self.r)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        # psi is allocated last, after P and exp(G).  Sampling a grid every
+        # frame is sensitive to this order: others let the C allocator trim
+        # and regrow the heap each frame (measured as minor page faults).
+        p = self._p
+        return p * self.carrier
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        out = np.empty(self.r.shape[:-1] + (3,), dtype=complex)
+        for a in range(3):
+            out[..., a] = (self._grad_p[a] + self._p * self._grad_g[a]) * self.carrier
+        return out
+
+    @cached_property
+    def lap(self) -> np.ndarray:
+        cross = sum(dp * dg for dp, dg in zip(self._grad_p, self._grad_g))
+        lap_g = self.g[0].laplacian().evaluate(self.r) + sum(dg * dg for dg in self._grad_g)
+        return (
+            self.p[0].laplacian().evaluate(self.r) + 2.0 * cross + self._p * lap_g
+        ) * self.carrier
+
+    @cached_property
+    def dt(self) -> np.ndarray:
+        return (self._p_dt + self._p * self._g_dt) * self.carrier
+
+    @cached_property
+    def d2t(self) -> np.ndarray:
+        g_d2t = self.g[2].evaluate(self.r) + self._g_dt * self._g_dt
+        return (
+            self.p[2].evaluate(self.r) + 2.0 * self._p_dt * self._g_dt + self._p * g_d2t
+        ) * self.carrier
+
+
 def amplitude(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Evaluate psi(r, t); r has shape (..., 3)."""
-    r = _check_inputs(r, t)
-    carrier = spec.carrier(consts, t)
-    value = carrier.value(r)
-    pre = spec.prefactor_jets(consts, t)
-    if pre is not None:
-        value = pre.order(0).evaluate(r) * value
-    return value
+    return spec.at(consts, t).on(r).psi
 
 
 def gradient(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Analytic grad psi, shape (..., 3)."""
-    r = _check_inputs(r, t)
-    carrier = spec.carrier(consts, t)
-    cval = carrier.value(r)
-    gfac = carrier.gradient_factor(r)
-    pre = spec.prefactor_jets(consts, t)
-    if pre is None:
-        return gfac * cval[..., None]
-    p0 = pre.order(0)
-    pval = p0.evaluate(r)
-    out = np.empty(r.shape[:-1] + (3,), dtype=complex)
-    for a in range(3):
-        out[..., a] = (p0.diff(a).evaluate(r) + pval * gfac[..., a]) * cval
-    return out
+    return spec.at(consts, t).on(r).grad
 
 
 def laplacian(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
-    r = _check_inputs(r, t)
-    carrier = spec.carrier(consts, t)
-    cval = carrier.value(r)
-    lfac = carrier.laplacian_factor(r)
-    pre = spec.prefactor_jets(consts, t)
-    if pre is None:
-        return lfac * cval
-    p0 = pre.order(0)
-    gfac = carrier.gradient_factor(r)
-    cross = sum(p0.diff(a).evaluate(r) * gfac[..., a] for a in range(3))
-    return (p0.laplacian().evaluate(r) + 2.0 * cross + p0.evaluate(r) * lfac) * cval
+    return spec.at(consts, t).on(r).lap
 
 
 def time_derivative(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
-    r = _check_inputs(r, t)
-    carrier = spec.carrier(consts, t)
-    cval = carrier.value(r)
-    dfac = carrier.dt_factor(r)
-    pre = spec.prefactor_jets(consts, t)
-    if pre is None:
-        return dfac * cval
-    return (pre.order(1).evaluate(r) + pre.order(0).evaluate(r) * dfac) * cval
+    return spec.at(consts, t).on(r).dt
 
 
 def second_time_derivative(
     spec: SolutionSpec, consts: PhysicalConstants, r, t: float
 ) -> np.ndarray:
-    r = _check_inputs(r, t)
-    carrier = spec.carrier(consts, t)
-    cval = carrier.value(r)
-    dfac = carrier.dt_factor(r)
-    d2fac = carrier.d2t_factor(r)
-    pre = spec.prefactor_jets(consts, t)
-    if pre is None:
-        return d2fac * cval
-    return (
-        pre.order(2).evaluate(r)
-        + 2.0 * pre.order(1).evaluate(r) * dfac
-        + pre.order(0).evaluate(r) * d2fac
-    ) * cval
+    return spec.at(consts, t).on(r).d2t
 
 
-def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> PolynomialPrefactor:
-    """The complex polynomial multiplying the carrier at time t."""
+def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> Poly3:
+    """The complex polynomial P multiplying the carrier at time t."""
     if not math.isfinite(t):
         raise SpecValidationError("non-finite time")
-    jets = spec.prefactor_jets(consts, t)
-    if jets is None:
+    if spec.is_bare:
         raise NoPrefactorError(
             f"{type(spec).__name__} is a bare carrier and has no vortex prefactor"
         )
-    poly = jets.order(0)
-    return PolynomialPrefactor(
-        [Monomial(c, *exps) for exps, c in poly.coeffs.items()]
-    )
+    return spec.prefactor_jets(consts, t).order(0)
 
 
 def _trap_potential(spec, consts, r):
@@ -758,32 +713,32 @@ def _trap_potential(spec, consts, r):
 
 def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Normalized residual of the governing equation, from analytic derivatives."""
-    r = _check_inputs(r, t)
+    field = spec.at(consts, t).on(r)
+    r = field.r
     hbar, mass = consts.hbar, consts.mass
     if spec.equation == "relativistic":
         c2 = consts.light_speed**2
         terms = [
-            second_time_derivative(spec, consts, r, t) / c2,
-            -laplacian(spec, consts, r, t),
-            (mass * consts.light_speed / hbar) ** 2 * amplitude(spec, consts, r, t),
+            field.d2t / c2,
+            -field.lap,
+            (mass * consts.light_speed / hbar) ** 2 * field.psi,
         ]
     else:
         terms = [
-            1j * hbar * time_derivative(spec, consts, r, t),
-            hbar**2 / (2.0 * mass) * laplacian(spec, consts, r, t),
+            1j * hbar * field.dt,
+            hbar**2 / (2.0 * mass) * field.lap,
         ]
         if spec.equation == "trap":
-            terms.append(-_trap_potential(spec, consts, r) * amplitude(spec, consts, r, t))
+            terms.append(-_trap_potential(spec, consts, r) * field.psi)
         elif spec.equation == "magnetic":
-            grad = gradient(spec, consts, r, t)
+            grad = field.grad
             eB = consts.charge * spec.B
             angular = r[..., 0] * grad[..., 1] - r[..., 1] * grad[..., 0]
             # The generating function satisfies the symmetric-gauge equation
             # with angular coefficient -i*hbar*e*B/(2m).
             terms.append((1j * hbar * eB / (2.0 * mass)) * angular)
-            psi = amplitude(spec, consts, r, t)
             terms.append(
-                -(eB**2 / (8.0 * mass)) * (r[..., 0] ** 2 + r[..., 1] ** 2) * psi
+                -(eB**2 / (8.0 * mass)) * (r[..., 0] ** 2 + r[..., 1] ** 2) * field.psi
             )
     total = sum(terms)
     scale = np.maximum.reduce([np.abs(term) for term in terms])

@@ -18,9 +18,12 @@ import numpy as np
 from .catalog import CARRIER_FAMILIES, SolutionSpec, WaveVector, amplitude
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
-from .polynomials import PolynomialPrefactor
+from .polynomials import Poly3
 
 K_STEP_FACTOR = 1e-2
+
+#: Highest prefactor degree the stencils are sized for.
+MAX_DEGREE = 4
 
 
 def fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
@@ -48,25 +51,28 @@ def _stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def generate_from_polynomial(
     carrier: SolutionSpec,
-    poly: PolynomialPrefactor,
+    poly: Poly3,
     consts: PhysicalConstants,
     r,
     t: float,
-    k_step: float | None = None,
 ) -> np.ndarray:
     """Apply P(-i d/dk) to the carrier numerically and evaluate at (r, t)."""
     if not isinstance(carrier, CARRIER_FAMILIES):
         raise SpecValidationError(
             f"{type(carrier).__name__} is not a supported generating carrier"
         )
+    if any(p < 0 for exps in poly.coeffs for p in exps):
+        raise SpecValidationError(f"negative exponent in {sorted(poly.coeffs)}")
+    if poly.degree() > MAX_DEGREE:
+        raise SpecValidationError(
+            f"prefactor degree {poly.degree()} exceeds maximum {MAX_DEGREE}"
+        )
     r = np.asarray(r, dtype=float)
-    if k_step is None:
-        k_step = K_STEP_FACTOR / carrier.length_scale(consts)
+    k_step = K_STEP_FACTOR / carrier.length_scale(consts)
     base_k = carrier.k.as_array()
 
     result = np.zeros(r.shape[:-1], dtype=complex)
-    for mono in poly:
-        exps = (mono.px, mono.py, mono.pz)
+    for exps, coeff in poly.coeffs.items():
         axes = [a for a in range(3) if exps[a] > 0]
         stencils = {a: _stencil(exps[a]) for a in axes}
         term = np.zeros(r.shape[:-1], dtype=complex)
@@ -77,7 +83,7 @@ def generate_from_polynomial(
             shifted = dataclasses.replace(carrier, k=WaveVector(*k))
             term += weight * amplitude(shifted, consts, r, t)
         total_order = sum(exps)
-        result += mono.cx * (-1j) ** total_order * term / k_step**total_order
+        result += coeff * (-1j) ** total_order * term / k_step**total_order
     return result
 
 

@@ -1,21 +1,25 @@
 """Complex polynomials in (x, y, z) and small time-jets of their coefficients.
 
-The analytic solutions all have the shape P(r, t) * carrier(r, t) where P is
-a polynomial in the spatial coordinates whose coefficients are smooth complex
-functions of time.  Coefficients are carried around as second-order jets
-(value plus first and second time derivative) so that exact d/dt and d2/dt2
-of the full wave function come out of plain product-rule algebra.
+Every analytic solution has the shape psi = P * exp(G), where the prefactor P
+and the exponent G are both polynomials in the spatial coordinates whose
+coefficients are smooth complex functions of time (G is a quadratic with
+diagonal quadratic part).  Both are held as `JetPoly`: each coefficient is a
+second-order jet (value plus first and second time derivative), so exact
+d/dt and d2/dt2 of psi come out of plain product-rule algebra.  Jets compose,
+so the lens map (r, t) -> (r / beta, t / beta) of the Gaussian-carrier
+families is a substitution of jet polynomials into a plane-wave prefactor.
+`Poly3` is the plain polynomial of one jet order: a catalog snapshot,
+`spec.at(consts, t)`, holds P and G as one `Poly3` per order and evaluates
+them at point sets.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecValidationError
 
 Exponents = tuple[int, int, int]
 
@@ -31,10 +35,6 @@ class Jet:
     @staticmethod
     def const(value) -> "Jet":
         return Jet(complex(value))
-
-    @staticmethod
-    def time(t: float) -> "Jet":
-        return Jet(complex(t), 1.0, 0.0)
 
     @staticmethod
     def exp_i(rate: complex, t: float) -> "Jet":
@@ -97,16 +97,18 @@ def _as_jet(value) -> Jet:
 
 
 class Poly3:
-    """Polynomial in (x, y, z) with plain complex coefficients."""
+    """Polynomial in (x, y, z) with plain complex coefficients.
+
+    Addition merges terms with equal exponents; terms whose coefficient is
+    zero are dropped.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[Exponents, complex] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                if c != 0:
-                    self.coeffs[exps] = self.coeffs.get(exps, 0.0) + complex(c)
+        self.coeffs: dict[Exponents, complex] = {
+            exps: complex(c) for exps, c in (coeffs or {}).items() if c != 0
+        }
 
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
@@ -137,17 +139,25 @@ class Poly3:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at positions of shape (..., 3)."""
         points = np.asarray(points, dtype=float)
-        x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        max_exp = [max((e[a] for e in self.coeffs), default=0) for a in range(3)]
+        # The result is allocated before the power tables it outlives.
+        result = np.zeros(points.shape[:-1], dtype=complex)
         pows = []
-        for axis, (coord, top) in enumerate(zip((x, y, z), max_exp)):
-            table = [np.ones_like(coord)]
-            for _ in range(top):
+        for axis in range(3):
+            coord = points[..., axis]
+            table = [None, coord]
+            for _ in range(max((e[axis] for e in self.coeffs), default=0) - 1):
                 table.append(table[-1] * coord)
             pows.append(table)
-        result = np.zeros(np.broadcast(x, y, z).shape, dtype=complex)
-        for (px, py, pz), c in self.coeffs.items():
-            result += c * (pows[0][px] * pows[1][py] * pows[2][pz])
+        for exps, c in self.coeffs.items():
+            # Zeroth powers are skipped, not multiplied in as arrays of ones.
+            factors = [pows[axis][p] for axis, p in enumerate(exps) if p]
+            if not factors:
+                result += c
+                continue
+            term = factors[0]
+            for factor in factors[1:]:
+                term = term * factor
+            result += c * term
         return result
 
 
@@ -216,61 +226,3 @@ class JetPoly:
         """Plain polynomial holding the n-th time derivative of every coefficient."""
         attr = ("f", "df", "d2f")[n]
         return Poly3({e: getattr(j, attr) for e, j in self.terms.items()})
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """One term of a vortex prefactor: cx * x**px * y**py * z**pz."""
-
-    cx: complex
-    px: int
-    py: int
-    pz: int
-
-
-class PolynomialPrefactor:
-    """The complex polynomial W_R + i*W_I whose zero set is the vortex locus."""
-
-    DEFAULT_MAX_DEGREE = 4
-
-    def __init__(self, monomials, max_degree: int = DEFAULT_MAX_DEGREE):
-        merged: dict[Exponents, complex] = {}
-        for mono in monomials:
-            if isinstance(mono, Monomial):
-                cx, exps = mono.cx, (mono.px, mono.py, mono.pz)
-            else:
-                cx, *rest = mono
-                exps = tuple(int(p) for p in rest)
-            if any(p < 0 for p in exps):
-                raise SpecValidationError(f"negative exponent in monomial {exps}")
-            merged[exps] = merged.get(exps, 0.0) + complex(cx)
-        self.monomials = tuple(
-            Monomial(c, *e) for e, c in sorted(merged.items()) if c != 0
-        )
-        self.max_degree = int(max_degree)
-        if self.degree() > self.max_degree:
-            raise SpecValidationError(
-                f"prefactor degree {self.degree()} exceeds maximum {self.max_degree}"
-            )
-
-    def degree(self) -> int:
-        return max((m.px + m.py + m.pz for m in self.monomials), default=0)
-
-    def as_poly(self) -> Poly3:
-        return Poly3({(m.px, m.py, m.pz): m.cx for m in self.monomials})
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self.as_poly().evaluate(points)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
-
-    def __repr__(self):
-        return f"PolynomialPrefactor({list(self.monomials)!r})"
-
-
-def magnitude(vec) -> float:
-    return math.sqrt(sum(abs(c) ** 2 for c in vec))

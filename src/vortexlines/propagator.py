@@ -109,8 +109,10 @@ def norm(a: SampledField) -> float:
 def l2_relative_error(a: SampledField, b: SampledField) -> float:
     """Relative L2 distance minimized over one global complex factor.
 
-    min over lambda of ||a - lambda b|| / ||a||; zero when the fields differ
-    only by an overall complex constant.
+    min over lambda of ||a - lambda b|| / ||a||, attained at
+    lambda = <b, a> / <b, b>; zero when the fields differ only by an overall
+    complex constant.  The residual is formed directly rather than as
+    sqrt(1 - overlap), which cancels to zero for errors below about 1e-8.
     """
     require_same_grid(a, b)
     va, vb = a.values.ravel(), b.values.ravel()
@@ -118,5 +120,5 @@ def l2_relative_error(a: SampledField, b: SampledField) -> float:
     nb2 = float(np.vdot(vb, vb).real)
     if na2 == 0.0 or nb2 == 0.0:
         return 0.0 if na2 == nb2 else 1.0
-    overlap = abs(np.vdot(vb, va)) ** 2 / (na2 * nb2)
-    return math.sqrt(max(0.0, 1.0 - overlap))
+    residual = va - (np.vdot(vb, va) / nb2) * vb
+    return math.sqrt(float(np.vdot(residual, residual).real) / na2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .catalog import SolutionSpec, amplitude, gradient
+from .catalog import SolutionSpec
 from .constants import PhysicalConstants
 from .errors import RefinementFailedError, SpecValidationError
 from .grids import Grid3, SampledField, sample
@@ -34,6 +34,9 @@ DEGENERACY_FLOOR = 1e-9
 #: treated as numerical noise and skipped: at that level the phase pattern is
 #: roundoff, not signal.
 NOISE_FLOOR = 1e-10
+
+#: Newton iterations allowed per refined crossing.
+NEWTON_MAX_ITERATIONS = 25
 
 #: Polyline matching cutoff, in cell diagonals.
 MATCH_CUTOFF_DIAGONALS = 3.0
@@ -158,13 +161,16 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
         right = cut(diffs[a2], lo1=False)
         total = bottom + right - top - left
         winding = np.rint(total / TWO_PI).astype(int)
-        edge_max = np.maximum.reduce(
-            [np.abs(bottom), np.abs(top), np.abs(left), np.abs(right)]
+        # Nested pairwise reductions: a list-based reduce would stack four
+        # copies of each face array.
+        edge_max = np.maximum(
+            np.maximum(np.abs(bottom), np.abs(top)),
+            np.maximum(np.abs(left), np.abs(right)),
         )
-        corners = [cut(amps, True, True), cut(amps, False, True),
-                   cut(amps, True, False), cut(amps, False, False)]
-        corner_min = np.minimum.reduce(corners)
-        corner_max = np.maximum.reduce(corners)
+        c00, c10 = cut(amps, True, True), cut(amps, False, True)
+        c01, c11 = cut(amps, True, False), cut(amps, False, False)
+        corner_min = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
+        corner_max = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
         # Faces whose corners all sit below the global noise floor carry no
         # usable phase information (roundoff tails) and are ignored outright.
         trusted = corner_max >= noise
@@ -248,24 +254,23 @@ def refine_point(
     t: float,
     seed,
     face_normal_axis: int,
-    max_iter: int = 25,
 ) -> np.ndarray:
     """Newton-refine a zero crossing within the plane normal to the given axis."""
     refined = _refine_batch(
-        spec, consts, t, np.asarray(seed, dtype=float).reshape(1, 3), face_normal_axis,
-        max_iter=max_iter,
+        spec, consts, t, np.asarray(seed, dtype=float).reshape(1, 3), face_normal_axis
     )
     return refined[0]
 
 
-def _refine_batch(spec, consts, t, seeds, axis, max_iter=25):
+def _refine_batch(spec, consts, t, seeds, axis):
     a1, a2 = (axis + 1) % 3, (axis + 2) % 3
     pts = np.array(seeds, dtype=float)
     scale = spec.length_scale(consts)
+    snapshot = spec.at(consts, t)
     active = np.ones(len(pts), dtype=bool)
-    for _ in range(max_iter):
-        psi = amplitude(spec, consts, pts[active], t)
-        grad = gradient(spec, consts, pts[active], t)
+    for _ in range(NEWTON_MAX_ITERATIONS):
+        field = snapshot.on(pts[active])
+        psi, grad = field.psi, field.grad
         gmag = np.linalg.norm(grad, axis=-1)
         done = np.abs(psi) <= 1e-12 * gmag * scale
         still = ~done
@@ -288,7 +293,7 @@ def _refine_batch(spec, consts, t, seeds, axis, max_iter=25):
         pts[sub, a1] -= du
         pts[sub, a2] -= dv
     raise RefinementFailedError(
-        f"no convergence in {max_iter} Newton iterations",
+        f"no convergence in {NEWTON_MAX_ITERATIONS} Newton iterations",
         last_iterate=pts[np.flatnonzero(active)[0]],
     )
 
@@ -369,11 +374,6 @@ def extract_lines(
                 for idx_del in sorted((i, j), reverse=True):
                     remaining.pop(idx_del)
 
-    def passes_positive(from_key, cell) -> bool:
-        """Does the chain cross `from_key` in the +axis direction into `cell`?"""
-        axis, idx = from_key
-        return cell == idx
-
     visited: set[tuple] = set()
     polylines: list[VortexPolyline] = []
 
@@ -424,7 +424,8 @@ def extract_lines(
             chain, closed = walk(key, candidates[0])
             if not closed and chain[0] == key:
                 # Started mid-chain: extend backwards through the other cell.
-                back = walk_backwards(key, candidates[1], walk, visited)
+                visited.discard(key)
+                back, _ = walk(key, candidates[1])
                 if len(back) > 1:
                     chain = back[::-1] + chain[1:]
         if len(chain) < 2:
@@ -432,7 +433,9 @@ def extract_lines(
             continue
         first = face_by_key[chain[0]]
         sign_cell = _shared_cell(chain[0], chain[1], links)
-        sign = 1 if passes_positive(chain[0], sign_cell) else -1
+        # The chain crosses its first face along +axis when it runs into
+        # the cell whose corner index is the face's own.
+        sign = 1 if sign_cell == chain[0][1] else -1
         polylines.append(
             VortexPolyline(
                 points=np.array([positions[k] for k in chain]),
@@ -442,13 +445,6 @@ def extract_lines(
             )
         )
     return polylines
-
-
-def walk_backwards(key, cell, walk, visited):
-    """Continue an open chain from `key` through its other bounding cell."""
-    visited.discard(key)
-    chain, _ = walk(key, cell)
-    return chain
 
 
 def _shared_cell(key_a, key_b, links):

@@ -102,10 +102,31 @@ def test_prefactor_times_carrier_equals_amplitude():
         if spec.is_bare:
             continue
         pre = vl.prefactor(spec, C, t).evaluate(pts)
-        bare = type(spec)  # noqa: F841 (documentation of intent)
-        carrier = spec.carrier(C, t)
+        carrier = np.exp(spec.carrier(C, t).order(0).evaluate(pts))
         full = vl.amplitude(spec, C, pts, t)
-        assert np.allclose(pre * carrier.value(pts), full, rtol=1e-12, atol=1e-12)
+        assert np.allclose(pre * carrier, full, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "windowed,plane_wave",
+    [
+        (
+            vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5, k=K),
+            vl.FreeRingCylinder(R=1.0, a=0.5, k=K),
+        ),
+        (
+            vl.WindowedTwoLinesSymmetric(a=1.0, varphi=0.7, l=3.0, k=K),
+            vl.FreeTwoLinesSymmetric(a=1.0, varphi=0.7, k=K),
+        ),
+    ],
+    ids=lambda s: type(s).__name__,
+)
+def test_windowed_family_is_plane_wave_times_window_at_t0(windowed, plane_wave):
+    pts = random_points(50, seed=13)
+    window = np.exp(-np.sum(pts * pts, axis=-1) / (2.0 * windowed.l**2))
+    expected = vl.amplitude(plane_wave, C, pts, 0.0) * window
+    got = vl.amplitude(windowed, C, pts, 0.0)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_prefactor_of_bare_carrier_raises():

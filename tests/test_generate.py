@@ -4,7 +4,7 @@ import pytest
 import vortexlines as vl
 from vortexlines.errors import SpecValidationError
 from vortexlines.generate import fd_weights, generate_from_polynomial
-from vortexlines.polynomials import PolynomialPrefactor
+from vortexlines.polynomials import Poly3
 
 C = vl.NATURAL_UNITS
 K = vl.WaveVector(0.3, -0.2, 0.4)
@@ -61,7 +61,7 @@ def test_generated_solution_matches_closed_form(target, carrier):
 
 def test_generation_with_explicit_polynomial():
     # x + i y applied to a plane wave is sqrt(2) times the chi = pi/4 vortex.
-    poly = PolynomialPrefactor([(1.0, 1, 0, 0), (1j, 0, 1, 0)])
+    poly = Poly3({(1, 0, 0): 1.0, (0, 1, 0): 1j})
     target = vl.FreeLineVortex(chi=np.pi / 4, k=K)
     pts = np.random.default_rng(23).uniform(-1.0, 1.0, size=(10, 3))
     t = 0.3
@@ -71,8 +71,18 @@ def test_generation_with_explicit_polynomial():
 
 
 def test_generation_rejects_non_carrier():
-    poly = PolynomialPrefactor([(1.0, 1, 0, 0)])
+    poly = Poly3({(1, 0, 0): 1.0})
     with pytest.raises(SpecValidationError):
         generate_from_polynomial(
             vl.FreeRingCylinder(R=1.0, a=0.5), poly, C, (0.1, 0.2, 0.3), 0.0
         )
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [Poly3({(3, 1, 1): 1.0}), Poly3({(-1, 0, 0): 1.0})],
+    ids=["degree-5", "negative-exponent"],
+)
+def test_generation_rejects_unsupported_polynomial(poly):
+    with pytest.raises(SpecValidationError):
+        generate_from_polynomial(vl.FreePlaneWave(k=K), poly, C, (0.1, 0.2, 0.3), 0.0)

@@ -3,15 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from vortexlines.errors import SpecValidationError
-from vortexlines.polynomials import (
-    Jet,
-    JetPoly,
-    Monomial,
-    Poly3,
-    PolynomialPrefactor,
-    magnitude,
-)
+from vortexlines.polynomials import Jet, JetPoly, Poly3
 
 H = 1e-4
 
@@ -94,16 +86,8 @@ def test_poly3_differentiation_and_evaluation():
     assert p.laplacian().coeffs == {(0, 0, 0): 2.0}
 
 
-def test_prefactor_merges_and_validates():
-    pre = PolynomialPrefactor([(1.0, 1, 0, 0), (2.0, 1, 0, 0), (0.0, 0, 2, 0)])
-    assert len(pre) == 1
-    assert pre.monomials[0] == Monomial(3.0, 1, 0, 0)
+def test_poly3_merges_and_drops_zero_terms():
+    pre = Poly3({(1, 0, 0): 1.0, (0, 2, 0): 0.0}) + Poly3({(1, 0, 0): 2.0})
+    assert pre.coeffs == {(1, 0, 0): 3.0}
     assert pre.degree() == 1
-    with pytest.raises(SpecValidationError):
-        PolynomialPrefactor([(1.0, 3, 1, 1)])  # degree 5 > default max 4
-    with pytest.raises(SpecValidationError):
-        PolynomialPrefactor([(1.0, -1, 0, 0)])
-
-
-def test_magnitude():
-    assert magnitude((3.0, 4.0j)) == pytest.approx(5.0)
+    assert (Poly3({(1, 0, 0): 1.0}) + Poly3({(1, 0, 0): -1.0})).coeffs == {}

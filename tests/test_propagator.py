@@ -91,8 +91,7 @@ def test_trap_ground_state_is_stationary():
         grid, dt=0.0005, steps=100, hamiltonian="harmonic", omega=omega
     )
     out = evolve(field, config)
-    # Residual after projecting out the global phase, computed directly
-    # (l2_relative_error loses precision below ~1e-8 to cancellation).
+    # Residual after projecting out the global phase, computed directly.
     va, vb = field.values.ravel(), out.values.ravel()
     lam = np.vdot(va, vb) / np.vdot(va, va)
     residual = np.linalg.norm(vb - lam * va) / np.linalg.norm(va)
@@ -124,3 +123,16 @@ def test_l2_error_ignores_global_phase():
     rotated = SampledField(grid, field.values * (0.7 - 1.9j), 0.0)
     assert l2_relative_error(field, rotated) < 1e-12
     assert l2_relative_error(field, field) == 0.0
+
+
+def test_l2_error_resolves_small_errors():
+    # A perturbation of 1e-9 relative, orthogonal to the field: the error is
+    # its size, far below where sqrt(1 - overlap) cancels to zero.
+    grid = periodic_grid(20.0, 24)
+    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, grid, 0.0)
+    va = field.values
+    w = va * np.cos(grid.points()[..., 0])
+    u = w - (np.vdot(va, w) / np.vdot(va, va)) * va
+    delta = 1e-9 * np.linalg.norm(va) / np.linalg.norm(u) * u
+    perturbed = SampledField(grid, va + delta, 0.0)
+    assert l2_relative_error(field, perturbed) == pytest.approx(1e-9, rel=1e-4)
