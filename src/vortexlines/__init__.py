@@ -55,7 +55,6 @@ from .tracker import (
     extract_lines,
     match_polylines,
     node_speeds,
-    refine_point,
     symmetric_hausdorff,
     track,
 )

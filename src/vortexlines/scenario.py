@@ -145,16 +145,9 @@ def run(config: ScenarioConfig, out_dir) -> ScenarioResult:
     t0, t1 = config.time_range
     times = np.linspace(t0, t1, config.n_frames + 1)
 
-    if config.n_frames >= 3:
-        frames, log = tracker.track(
-            config.spec, config.consts, config.grid, t0, t1, config.n_frames
-        )
-    else:
-        frames = [
-            tracker.extract(config.spec, config.consts, config.grid, float(t))
-            for t in times
-        ]
-        log = tracker.EventLog()
+    frames, log = tracker.track(
+        config.spec, config.consts, config.grid, t0, t1, config.n_frames
+    )
 
     artifacts = []
     lines_path = out / "polylines.jsonl"
@@ -473,7 +466,7 @@ def _expected_node_speed(spec, consts):
 def check_node_speed(config, frames, log, times) -> list[CheckResult]:
     spec, consts = config.spec, config.consts
     expected, window = _expected_node_speed(spec, consts)
-    speeds = tracker.node_speeds(frames, times)
+    speeds = tracker.node_speeds(frames)
     flat = np.concatenate([s for s in speeds if s.size]) if speeds else np.array([])
     if flat.size == 0:
         return [CheckResult("node_speed", False, math.nan, 0.0,

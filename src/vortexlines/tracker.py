@@ -1,11 +1,16 @@
 """Extract and track vortex lines in sampled complex fields.
 
 Detection certifies grid-face crossings by integer phase winding around each
-plaquette; crossings are refined either by Newton iteration on the analytic
-field (when a solution spec is available) or by a bilinear model of the four
-face corners (for purely numerical fields).  Lines are chained cell by cell,
-matched across frames, and creation / annihilation / reconnection events are
-reported as time brackets.
+plaquette (the counting rule of Berry & Dennis, Proc. R. Soc. A 456:2059,
+2000) and returns the pierced faces as one record array (`FACE_DTYPE`:
+axis, index, winding) in (axis, index) order.  Everything downstream runs on
+that array by face id: a vectorized clipped Newton iteration on each face's
+bilinear corner model seeds the crossings, which are refined by Newton
+iteration on the analytic field when a solution spec is available; each
+face's two cells get integer ids, from which the winding-flux balance is
+counted and a partner table pairs the faces inside every cell.  Walking that
+table chains the crossings into polylines, which are matched across frames;
+creation / annihilation / reconnection events are reported as time brackets.
 """
 
 from __future__ import annotations
@@ -45,27 +50,18 @@ MATCH_CUTOFF_DIAGONALS = 3.0
 EVENT_SIZE_DIAGONALS = 4.0
 
 
-@dataclass(frozen=True)
-class PiercedFace:
-    """A grid-cell face with nonzero phase winding around its edges.
-
-    The face is normal to `axis`, with `index` the grid index of its corner
-    of lowest coordinates; winding is measured right-handed about +axis.
-    """
-
-    axis: int
-    index: tuple[int, int, int]
-    winding: int
-
-
-#: Ambiguous-face records kept per detection (the count is always exact).
-MAX_AMBIGUOUS_RECORDS = 10000
+#: A pierced face: the face normal to `axis` whose corner of lowest
+#: coordinates is grid node `index`, with the phase winding around its edges
+#: measured right-handed about +axis.
+FACE_DTYPE = np.dtype(
+    [("axis", np.intp), ("index", np.intp, (3,)), ("winding", np.intp)]
+)
 
 
 @dataclass(frozen=True)
 class DetectionResult:
-    pierced: tuple[PiercedFace, ...]
-    ambiguous: tuple[tuple[int, tuple[int, int, int]], ...]
+    #: Pierced faces, a FACE_DTYPE record array in (axis, index) order.
+    pierced: np.recarray
     ambiguous_count: int = 0
     #: Winding crossings discarded because every corner sat below the noise
     #: floor; nonzero means lines may terminate inside the box by design.
@@ -130,136 +126,124 @@ class EventLog:
 
 
 def _wrap(phase: np.ndarray) -> np.ndarray:
-    return np.mod(phase + math.pi, TWO_PI) - math.pi
+    """Phase steps wrapped into [-pi, pi).  Floor, not rint: rint rounds the
+    tie at +pi to even and would keep +pi, and roundoff-level fields hold
+    phases of exactly 0 and +-pi."""
+    return phase - TWO_PI * np.floor(phase / TWO_PI + 0.5)
+
+
+def _pairs(reduce, arr: np.ndarray, axis: int) -> np.ndarray:
+    """reduce(arr[i], arr[i + 1]) for each neighbour pair along `axis`."""
+    lo = [slice(None)] * arr.ndim
+    hi = list(lo)
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    return reduce(arr[tuple(lo)], arr[tuple(hi)])
 
 
 def detect_pierced_faces(field: SampledField) -> DetectionResult:
     """Find every cell face whose edge phases wind by a nonzero multiple of 2pi."""
     phases = np.angle(field.values)
     amps = np.abs(field.values)
-    peak = float(np.max(amps))
-    noise = NOISE_FLOOR * peak
+    noise = NOISE_FLOOR * float(np.max(amps))
     diffs = [_wrap(np.diff(phases, axis=a)) for a in range(3)]
-    pierced: list[PiercedFace] = []
-    ambiguous: list[tuple[int, tuple[int, int, int]]] = []
-    ambiguous_count = 0
-    noise_count = 0
+    loud = [np.abs(d) > AMBIGUOUS_EDGE_FRACTION * math.pi for d in diffs]
+    pierced = []
+    ambiguous_count = noise_count = 0
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-
-        def cut(arr, lo1=None, lo2=None):
-            index = [slice(None)] * 3
-            if lo1 is not None:
-                index[a1] = slice(None, -1) if lo1 else slice(1, None)
-            if lo2 is not None:
-                index[a2] = slice(None, -1) if lo2 else slice(1, None)
-            return arr[tuple(index)]
-
-        bottom = cut(diffs[a1], lo2=True)
-        top = cut(diffs[a1], lo2=False)
-        left = cut(diffs[a2], lo1=True)
-        right = cut(diffs[a2], lo1=False)
-        total = bottom + right - top - left
-        winding = np.rint(total / TWO_PI).astype(int)
-        # Nested pairwise reductions: a list-based reduce would stack four
-        # copies of each face array.
-        edge_max = np.maximum(
-            np.maximum(np.abs(bottom), np.abs(top)),
-            np.maximum(np.abs(left), np.abs(right)),
-        )
-        c00, c10 = cut(amps, True, True), cut(amps, False, True)
-        c01, c11 = cut(amps, True, False), cut(amps, False, False)
-        corner_min = np.minimum(np.minimum(c00, c10), np.minimum(c01, c11))
-        corner_max = np.maximum(np.maximum(c00, c10), np.maximum(c01, c11))
+        # Wrapped steps sum to a multiple of 2pi around a face, up to roundoff.
+        circulation = np.diff(diffs[a2], axis=a1) - np.diff(diffs[a1], axis=a2)
+        crossed = np.abs(circulation) > math.pi
+        corner_min = _pairs(np.minimum, _pairs(np.minimum, amps, a1), a2)
+        corner_max = _pairs(np.maximum, _pairs(np.maximum, amps, a1), a2)
         # Faces whose corners all sit below the global noise floor carry no
         # usable phase information (roundoff tails) and are ignored outright.
         trusted = corner_max >= noise
         flagged = trusted & (
-            (edge_max > AMBIGUOUS_EDGE_FRACTION * math.pi)
+            _pairs(np.logical_or, loud[a1], a2)
+            | _pairs(np.logical_or, loud[a2], a1)
             | (corner_min < DEGENERACY_FLOOR * corner_max)
         )
-        for idx in np.argwhere((winding != 0) & trusted):
-            pierced.append(PiercedFace(axis, tuple(int(i) for i in idx),
-                                       int(winding[tuple(idx)])))
-        flagged_idx = np.argwhere(flagged & (winding == 0))
-        ambiguous_count += len(flagged_idx)
-        noise_count += int(np.count_nonzero((winding != 0) & ~trusted))
-        for idx in flagged_idx[: max(0, MAX_AMBIGUOUS_RECORDS - len(ambiguous))]:
-            ambiguous.append((axis, tuple(int(i) for i in idx)))
+        ambiguous_count += int(np.count_nonzero(flagged & ~crossed))
+        noise_count += int(np.count_nonzero(crossed & ~trusted))
+        at = np.nonzero(crossed & trusted)
+        faces = np.empty(len(at[0]), FACE_DTYPE)
+        faces["axis"] = axis
+        faces["index"] = np.stack(at, axis=1)
+        faces["winding"] = np.rint(circulation[at] / TWO_PI)
+        pierced.append(faces)
     return DetectionResult(
-        tuple(pierced), tuple(ambiguous), ambiguous_count, noise_count
+        np.concatenate(pierced).view(np.recarray), ambiguous_count, noise_count
     )
+
+
+def _face_cells(faces: np.recarray, dims) -> np.ndarray:
+    """Ids of each face's two cells, shape (n, 2): side 0 is the cell whose
+    lowest corner is the face's own index, side 1 the cell below it along the
+    face normal.  Cells are numbered in C order; -1 marks one outside the grid."""
+    shape = np.asarray(dims) - 1
+    cells = np.repeat(faces.index[:, None, :], 2, axis=1)
+    cells[np.arange(len(faces)), 1, faces.axis] -= 1
+    inside = np.all((cells >= 0) & (cells < shape), axis=-1)
+    ids = np.full(inside.shape, -1, dtype=np.intp)
+    ids[inside] = np.ravel_multi_index(tuple(cells[inside].T), tuple(shape))
+    return ids
 
 
 def cell_winding_balance(detection: DetectionResult, dims) -> int:
     """Max absolute net winding flux out of any grid cell (0 if lines are
     conserved: every line entering a cell also leaves it)."""
-    balance: dict[tuple[int, int, int], int] = {}
-    for face in detection.pierced:
-        upper = face.index
-        lower = list(face.index)
-        lower[face.axis] -= 1
-        for cell, sign in ((tuple(lower), 1), (upper, -1)):
-            if all(0 <= cell[a] <= dims[a] - 2 for a in range(3)):
-                balance[cell] = balance.get(cell, 0) + sign * face.winding
-    return max((abs(v) for v in balance.values()), default=0)
+    faces = detection.pierced
+    ids = _face_cells(faces, dims)
+    # A crossing enters its face's own cell and leaves the cell below.
+    flux = np.stack([-faces.winding, faces.winding], axis=1)
+    inside = ids >= 0
+    _, cell = np.unique(ids[inside], return_inverse=True)
+    net = np.bincount(cell, weights=flux[inside])
+    return int(np.max(np.abs(net), initial=0))
 
 
-def _face_corner_positions(grid: Grid3, face: PiercedFace):
-    axis, idx = face.axis, np.asarray(face.index, dtype=float)
-    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-    base = np.asarray(grid.origin) + np.asarray(grid.spacing) * idx
-    e1 = np.zeros(3)
-    e1[a1] = grid.spacing[a1]
-    e2 = np.zeros(3)
-    e2[a2] = grid.spacing[a2]
-    return base, e1, e2
+def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
+    """Zero of each face's bilinear corner model of psi, in world coords.
 
+    Clipped Newton iteration in the face's unit square from its centre, at
+    most 12 steps; a face stops once its step is below 1e-12 or its
+    Jacobian is singular.  The model's zero set can be a curve, so the
+    start point and the clipping decide which zero is returned.
+    """
+    rows = np.arange(len(faces))
+    a1, a2 = (faces.axis + 1) % 3, (faces.axis + 2) % 3
+    e1, e2 = np.eye(3, dtype=np.intp)[a1], np.eye(3, dtype=np.intp)[a2]
 
-def _bilinear_zero(field: SampledField, face: PiercedFace) -> np.ndarray:
-    """Zero of the bilinear corner model of psi on the face, in world coords."""
-    axis, (i, j, k) = face.axis, face.index
-    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-    corner = [i, j, k]
+    def corner(offset):
+        return field.values[tuple((faces.index + offset).T)]
 
-    def value(d1, d2):
-        idx = list(corner)
-        idx[a1] += d1
-        idx[a2] += d2
-        return field.values[tuple(idx)]
-
-    v00, v10, v01, v11 = value(0, 0), value(1, 0), value(0, 1), value(1, 1)
-    u = np.array([0.5, 0.5])
+    v00, v10, v01, v11 = corner(0), corner(e1), corner(e2), corner(e1 + e2)
+    u = np.full((len(faces), 2), 0.5)
+    live = rows
     for _ in range(12):
-        f = (v00 * (1 - u[0]) * (1 - u[1]) + v10 * u[0] * (1 - u[1])
-             + v01 * (1 - u[0]) * u[1] + v11 * u[0] * u[1])
-        fu = (v10 - v00) * (1 - u[1]) + (v11 - v01) * u[1]
-        fv = (v01 - v00) * (1 - u[0]) + (v11 - v10) * u[0]
-        jac = np.array([[fu.real, fv.real], [fu.imag, fv.imag]])
-        rhs = np.array([f.real, f.imag])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
+        c00, c10, c01, c11 = v00[live], v10[live], v01[live], v11[live]
+        p, q = u[live, 0], u[live, 1]
+        f = (c00 * (1 - p) * (1 - q) + c10 * p * (1 - q)
+             + c01 * (1 - p) * q + c11 * p * q)
+        fu = (c10 - c00) * (1 - q) + (c11 - c01) * q
+        fv = (c01 - c00) * (1 - p) + (c11 - c10) * p
+        # Cramer's rule for [[fu.re, fv.re], [fu.im, fv.im]] step = [f.re, f.im].
+        det = fu.real * fv.imag - fv.real * fu.imag
+        solvable = det != 0
+        f, fu, fv, det = f[solvable], fu[solvable], fv[solvable], det[solvable]
+        du = (f.real * fv.imag - fv.real * f.imag) / det
+        dv = (fu.real * f.imag - fu.imag * f.real) / det
+        live = live[solvable]
+        u[live] = np.clip(u[live] - np.stack([du, dv], axis=1), 0.0, 1.0)
+        live = live[np.sqrt(du * du + dv * dv) >= 1e-12]
+        if not len(live):
             break
-        u = np.clip(u - step, 0.0, 1.0)
-        if np.linalg.norm(step) < 1e-12:
-            break
-    base, e1, e2 = _face_corner_positions(field.grid, face)
-    return base + u[0] * e1 + u[1] * e2
-
-
-def refine_point(
-    spec: SolutionSpec,
-    consts: PhysicalConstants,
-    t: float,
-    seed,
-    face_normal_axis: int,
-) -> np.ndarray:
-    """Newton-refine a zero crossing within the plane normal to the given axis."""
-    refined = _refine_batch(
-        spec, consts, t, np.asarray(seed, dtype=float).reshape(1, 3), face_normal_axis
-    )
-    return refined[0]
+    spacing = np.asarray(field.grid.spacing)
+    points = np.asarray(field.grid.origin) + spacing * faces.index
+    points[rows, a1] += u[:, 0] * spacing[a1]
+    points[rows, a2] += u[:, 1] * spacing[a2]
+    return points
 
 
 def _refine_batch(spec, consts, t, seeds, axis):
@@ -307,6 +291,57 @@ def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, t: float):
     return refine
 
 
+def _partners(ids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """partner[f, side]: the face paired with face f inside its cell
+    ids[f, side], or -1.  A cell pierced twice pairs its two faces; one
+    pierced more often pairs its closest points first, in face order on ties."""
+    face, side = np.nonzero(ids >= 0)
+    order = np.argsort(ids[face, side], kind="stable")
+    face, side = face[order], side[order]
+    cell = ids[face, side]
+    starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    counts = np.diff(np.r_[starts, len(cell)])
+    partner = np.full(ids.shape, -1, dtype=np.intp)
+
+    def link(i, j):
+        partner[face[i], side[i]] = face[j]
+        partner[face[j], side[j]] = face[i]
+
+    two = starts[counts == 2]
+    link(two, two + 1)
+    for start, count in zip(starts[counts > 2], counts[counts > 2]):
+        members = np.arange(start, start + count)
+        pts = points[face[members]]
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+        dist[np.tril_indices(count)] = np.inf
+        for _ in range(count // 2):
+            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+            link(members[i], members[j])
+            dist[[i, j], :] = np.inf
+            dist[:, [i, j]] = np.inf
+    return partner
+
+
+def _walk(start: int, side: int, ids: list, partner: list, visited: list):
+    """Follow partners from face `start` out through its cell ids[start][side].
+
+    Returns the face chain and whether it closed back on `start`."""
+    chain = [start]
+    visited[start] = True
+    face = start
+    while True:
+        nxt = partner[face][side]
+        if nxt < 0 or visited[nxt]:
+            return chain, nxt == start and len(chain) > 2
+        chain.append(nxt)
+        visited[nxt] = True
+        # Leave the next face through the cell it was not entered by.
+        side = 1 if ids[nxt][0] == ids[face][side] else 0
+        face = nxt
+        if ids[face][side] < 0:
+            return chain, False
+
+
 def extract_lines(
     field: SampledField,
     detection: DetectionResult | None = None,
@@ -320,138 +355,47 @@ def extract_lines(
     """
     if detection is None:
         detection = detect_pierced_faces(field)
-    if not detection.pierced:
+    faces = detection.pierced
+    if not len(faces):
         return []
-    grid = field.grid
-    dims = grid.dims
-
-    positions: dict[tuple, np.ndarray] = {}
-    by_axis: dict[int, list[PiercedFace]] = {}
-    for face in detection.pierced:
-        by_axis.setdefault(face.axis, []).append(face)
-    for axis, faces in by_axis.items():
-        seeds = np.array([_bilinear_zero(field, f) for f in faces])
-        if refiner is not None:
-            seeds = refiner(seeds, axis)
-        for f, p in zip(faces, seeds):
-            positions[(f.axis, f.index)] = p
-
-    face_by_key = {(f.axis, f.index): f for f in detection.pierced}
-
-    # Group faces by the cells they bound.
-    cells: dict[tuple[int, int, int], list[tuple]] = {}
-    for key in face_by_key:
-        axis, idx = key
-        lower = list(idx)
-        lower[axis] -= 1
-        for cell in (idx, tuple(lower)):
-            if all(0 <= cell[a] <= dims[a] - 2 for a in range(3)):
-                cells.setdefault(cell, []).append(key)
-
-    # Pair faces within each cell (closest refined points first for 4+).
-    links: dict[tuple, list[tuple[tuple, tuple]]] = {}
-
-    def add_link(key_a, key_b, cell):
-        links.setdefault(key_a, []).append((key_b, cell))
-        links.setdefault(key_b, []).append((key_a, cell))
-
-    for cell, keys in cells.items():
-        if len(keys) == 2:
-            add_link(keys[0], keys[1], cell)
-        elif len(keys) > 2:
-            remaining = list(keys)
-            while len(remaining) >= 2:
-                best = None
-                for i in range(len(remaining)):
-                    for j in range(i + 1, len(remaining)):
-                        d = np.linalg.norm(
-                            positions[remaining[i]] - positions[remaining[j]]
-                        )
-                        if best is None or d < best[0]:
-                            best = (d, i, j)
-                _, i, j = best
-                add_link(remaining[i], remaining[j], cell)
-                for idx_del in sorted((i, j), reverse=True):
-                    remaining.pop(idx_del)
-
-    visited: set[tuple] = set()
+    points = _bilinear_zeros(field, faces)
+    if refiner is not None:
+        bounds = np.searchsorted(faces.axis, np.arange(4))
+        for axis in range(3):
+            lo, hi = bounds[axis], bounds[axis + 1]
+            if hi > lo:
+                points[lo:hi] = refiner(points[lo:hi], axis)
+    ids = _face_cells(faces, field.grid.dims)
+    partner = _partners(ids, points)
+    ids_list, partner_list = ids.tolist(), partner.tolist()
+    visited = [False] * len(faces)
     polylines: list[VortexPolyline] = []
-
-    def walk(start, first_cell):
-        chain = [start]
-        visited.add(start)
-        cell = first_cell
-        key = start
-        while True:
-            nxt = None
-            for other, via in links.get(key, ()):  # the pair face across `cell`
-                if via == cell and other not in visited:
-                    nxt = other
-                    break
-            if nxt is None:
-                # Either the chain closed or it reached the grid boundary.
-                closed = any(
-                    via == cell and other == start for other, via in links.get(key, ())
-                )
-                return chain, closed and len(chain) > 2
-            chain.append(nxt)
-            visited.add(nxt)
-            key = nxt
-            axis, idx = key
-            lower = list(idx)
-            lower[axis] -= 1
-            next_cell = tuple(lower) if cell == idx else idx
-            if not all(0 <= next_cell[a] <= dims[a] - 2 for a in range(3)):
-                return chain, False
-            cell = next_cell
-
-    def start_cells(key):
-        axis, idx = key
-        lower = list(idx)
-        lower[axis] -= 1
-        return [c for c in (idx, tuple(lower))
-                if all(0 <= c[a] <= dims[a] - 2 for a in range(3))]
-
-    # Open chains first (faces with a boundary side), then remaining cycles.
-    order = sorted(face_by_key, key=lambda k: (len(start_cells(k)), k))
-    for key in order:
-        if key in visited:
+    # Open chains first (faces with a side outside the grid), then cycles.
+    order = np.argsort(np.count_nonzero(ids >= 0, axis=1), kind="stable")
+    for start in order.tolist():
+        if visited[start]:
             continue
-        candidates = start_cells(key)
-        if len(candidates) == 1:
-            chain, closed = walk(key, candidates[0])
-        else:
-            chain, closed = walk(key, candidates[0])
-            if not closed and chain[0] == key:
-                # Started mid-chain: extend backwards through the other cell.
-                visited.discard(key)
-                back, _ = walk(key, candidates[1])
-                if len(back) > 1:
-                    chain = back[::-1] + chain[1:]
+        sides = [s for s in (0, 1) if ids_list[start][s] >= 0]
+        chain, closed = _walk(start, sides[0], ids_list, partner_list, visited)
+        if len(sides) == 2 and not closed:
+            # Started mid-chain: extend backwards through the other cell.
+            visited[start] = False
+            back, _ = _walk(start, sides[1], ids_list, partner_list, visited)
+            chain = back[::-1] + chain[1:]
         if len(chain) < 2:
-            visited.add(key)
             continue
-        first = face_by_key[chain[0]]
-        sign_cell = _shared_cell(chain[0], chain[1], links)
         # The chain crosses its first face along +axis when it runs into
         # the cell whose corner index is the face's own.
-        sign = 1 if sign_cell == chain[0][1] else -1
+        sign = 1 if partner_list[chain[0]][0] == chain[1] else -1
         polylines.append(
             VortexPolyline(
-                points=np.array([positions[k] for k in chain]),
+                points=points[chain],
                 closed=closed,
-                winding=sign * first.winding,
+                winding=sign * int(faces.winding[chain[0]]),
                 frame_time=field.time,
             )
         )
     return polylines
-
-
-def _shared_cell(key_a, key_b, links):
-    for other, via in links.get(key_a, ()):
-        if other == key_b:
-            return via
-    raise SpecValidationError("chain links are inconsistent")
 
 
 def extract(
@@ -519,8 +463,8 @@ def track(
     n_frames: int,
 ) -> tuple[list[list[VortexPolyline]], EventLog]:
     """Extract lines at n_frames+1 evenly spaced times and log topology events."""
-    if n_frames < 3:
-        raise SpecValidationError("tracking needs at least 3 frames")
+    if n_frames < 1:
+        raise SpecValidationError("tracking needs at least 1 frame")
     if not t_start < t_end:
         raise SpecValidationError("t_start must be < t_end")
     times = np.linspace(t_start, t_end, n_frames + 1)
@@ -690,37 +634,26 @@ def _emit_boundary_events(
         ))
 
 
-def node_speeds(
-    frames: list[list[VortexPolyline]],
-    times=None,
-    cutoff: float | None = None,
-) -> list[np.ndarray]:
+def node_speeds(frames: list[list[VortexPolyline]]) -> list[np.ndarray]:
     """Normal displacement speed of each matched line point between frames.
 
     Returns one array per frame pair, concatenating the per-point speeds of
-    all matched lines; unmatched lines are skipped.
+    all matched lines; unmatched lines are skipped.  Lines are matched within
+    the extent of the earlier frame (at least 1), and the time step is taken
+    from the lines' frame times.
     """
     speeds = []
-    for i in range(len(frames) - 1):
-        prev, curr = frames[i], frames[i + 1]
+    for prev, curr in zip(frames, frames[1:]):
         if not prev or not curr:
             speeds.append(np.array([]))
             continue
-        if times is not None:
-            dt = float(times[i + 1] - times[i])
-        else:
-            dt = curr[0].frame_time - prev[0].frame_time
-        if cutoff is None:
-            all_pts = np.concatenate([p.points for p in prev])
-            span = np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0))
-            pair_cutoff = max(span, 1.0)
-        else:
-            pair_cutoff = cutoff
-        matches = match_polylines(prev, curr, pair_cutoff)
-        per_pair = []
-        for a, b in matches:
-            dist = _distance_to_polyline(curr[b].points, prev[a])
-            per_pair.append(dist / dt)
+        dt = curr[0].frame_time - prev[0].frame_time
+        all_pts = np.concatenate([p.points for p in prev])
+        cutoff = max(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)), 1.0)
+        per_pair = [
+            _distance_to_polyline(curr[b].points, prev[a]) / dt
+            for a, b in match_polylines(prev, curr, cutoff)
+        ]
         speeds.append(np.concatenate(per_pair) if per_pair else np.array([]))
     return speeds
 

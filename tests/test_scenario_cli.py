@@ -180,3 +180,17 @@ def test_cli_reports_failing_check(tmp_path, capsys):
     )
     assert code == 1
     assert "FAIL locus" in capsys.readouterr().out
+
+
+def test_cli_run_tracks_events_with_two_frames(tmp_path, capsys):
+    # Two frames still bracket the pair's creation at t = -1 and its
+    # annihilation at t = +1: short runs are tracked like long ones.
+    code = main(
+        ["run", "--preset", "pair_annihilation", "--frames", "2",
+         "--out", str(tmp_path / "pair")]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("PASS events") == 2
+    events = json.loads((tmp_path / "pair" / "events.json").read_text())
+    assert [e["kind"] for e in events["events"]] == ["creation", "annihilation"]

@@ -8,11 +8,12 @@ from vortexlines.errors import RefinementFailedError, SpecValidationError
 from vortexlines.grids import Grid3, sample
 from vortexlines.tracker import (
     VortexPolyline,
+    analytic_refiner,
     detect_pierced_faces,
     extract,
+    extract_lines,
     match_polylines,
     node_speeds,
-    refine_point,
     symmetric_hausdorff,
     track,
 )
@@ -38,7 +39,7 @@ def test_detection_finds_axis_aligned_vortex():
 
 def test_refine_point_lands_on_the_zero():
     spec = vl.FreeLineVortex(chi=0.6)
-    refined = refine_point(spec, C, 0.0, (0.08, -0.06, 0.5), 2)
+    (refined,) = analytic_refiner(spec, C, 0.0)(np.array([[0.08, -0.06, 0.5]]), 2)
     assert refined == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
 
 
@@ -46,7 +47,7 @@ def test_refine_point_rejects_degenerate_jacobian():
     # A purely real prefactor has a rank-1 Jacobian in any face plane.
     spec = vl.FreeLineVortex(chi=0.0)
     with pytest.raises(RefinementFailedError) as info:
-        refine_point(spec, C, 0.0, (0.08, 0.06, 0.5), 2)
+        analytic_refiner(spec, C, 0.0)(np.array([[0.08, 0.06, 0.5]]), 2)
     assert info.value.last_iterate is not None
 
 
@@ -138,7 +139,7 @@ def test_track_requires_enough_frames():
     spec = vl.FreeLineVortex(chi=0.6)
     grid = Grid3.centered(OFF, 2.0, 8)
     with pytest.raises(SpecValidationError):
-        track(spec, C, grid, 0.0, 1.0, 2)
+        track(spec, C, grid, 0.0, 1.0, 0)
     with pytest.raises(SpecValidationError):
         track(spec, C, grid, 1.0, 0.0, 8)
 
@@ -147,8 +148,65 @@ def test_node_speeds_recover_ring_drift():
     spec = vl.FreeRingCylinder(R=1.0, a=0.5)
     grid = Grid3.centered(OFF, 4.0, 32)
     frames, _ = track(spec, C, grid, -0.2, 0.2, 8)
-    times = np.linspace(-0.2, 0.2, 9)
-    speeds = node_speeds(frames, times=times)
+    speeds = node_speeds(frames)
     flat = np.concatenate([np.ravel(s) for s in speeds])
     # The ring drifts rigidly along -z at 2 hbar / (m a).
     assert flat == pytest.approx(np.full_like(flat, 4.0), rel=1e-6)
+
+
+def _bilinear_zero_reference(values, grid, axis, index):
+    """Per-face clipped Newton iteration on the bilinear corner model, one
+    np.linalg.solve per step: the loop the tracker's seeding vectorizes."""
+    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+
+    def corner(d1, d2):
+        idx = list(index)
+        idx[a1] += d1
+        idx[a2] += d2
+        return values[tuple(idx)]
+
+    v00, v10, v01, v11 = corner(0, 0), corner(1, 0), corner(0, 1), corner(1, 1)
+    u = np.array([0.5, 0.5])
+    for _ in range(12):
+        f = (v00 * (1 - u[0]) * (1 - u[1]) + v10 * u[0] * (1 - u[1])
+             + v01 * (1 - u[0]) * u[1] + v11 * u[0] * u[1])
+        fu = (v10 - v00) * (1 - u[1]) + (v11 - v01) * u[1]
+        fv = (v01 - v00) * (1 - u[0]) + (v11 - v10) * u[0]
+        jac = np.array([[fu.real, fv.real], [fu.imag, fv.imag]])
+        try:
+            step = np.linalg.solve(jac, [f.real, f.imag])
+        except np.linalg.LinAlgError:
+            break
+        u = np.clip(u - step, 0.0, 1.0)
+        if np.linalg.norm(step) < 1e-12:
+            break
+    point = np.asarray(grid.origin) + np.asarray(grid.spacing) * np.asarray(index)
+    point[a1] += u[0] * grid.spacing[a1]
+    point[a2] += u[1] * grid.spacing[a2]
+    return point
+
+
+@pytest.mark.parametrize("spec, side, t", [
+    (vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0),
+    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1),
+    (vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 6.0, 1.0),
+])
+def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
+    grid = Grid3.centered(OFF, side, 24)
+    field = sample(spec, C, grid, t)
+    det = detect_pierced_faces(field)
+    # An identity refiner receives the seeds axis by axis, in face order.
+    seeds = []
+
+    def keep(points, axis):
+        seeds.append(points.copy())
+        return points
+
+    extract_lines(field, det, refiner=keep)
+    reference = [
+        _bilinear_zero_reference(field.values, grid, int(f.axis), tuple(f.index))
+        for f in det.pierced
+    ]
+    # Cramer's rule and LU round differently: allow 64 ulps of the box side.
+    assert np.allclose(np.concatenate(seeds), reference, rtol=0.0,
+                       atol=64 * np.finfo(float).eps * side)
