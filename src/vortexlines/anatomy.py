@@ -117,7 +117,7 @@ def flow_velocity(
 ) -> np.ndarray:
     """Hydrodynamic velocity v = (hbar/m) Im(psi* grad psi)/|psi|^2 - (e/m) A."""
     field = spec.at(consts, t).on(r)
-    r, psi, grad = field.r, field.psi, field.grad
+    psi, grad = field.psi, field.grad
     scale = np.linalg.norm(grad, axis=-1) * spec.length_scale(consts)
     density = np.abs(psi) ** 2
     if np.any(np.abs(psi) <= CORE_FLOOR * scale):
@@ -126,7 +126,8 @@ def flow_velocity(
     v /= density[..., None]
     vector_potential = _default_potential(spec, consts, vector_potential)
     if vector_potential is not None:
-        v = v - (consts.charge / consts.mass) * np.asarray(vector_potential(r))
+        potential = np.asarray(vector_potential(np.asarray(r, dtype=float)))
+        v = v - (consts.charge / consts.mass) * potential
     return v
 
 

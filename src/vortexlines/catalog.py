@@ -15,7 +15,11 @@ dataclass); families on the same carrier share a base class:
 
 `spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
 gives psi, its gradient, Laplacian and first/second time derivatives at a
-point set from one exp(G), each formed by the product rule on first use.
+point set (or `snapshot.on(x, y, z)` at coordinate arrays that broadcast
+together) from one exp(G), each formed by the product rule on first use.
+G has no cross terms, so exp(G) is kept as one factor per axis and
+multiplied into each result in place: on grid axes no full-size exp(G) is
+formed.
 `amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
 certifies each family against its governing equation using those analytic
 derivatives only.
@@ -39,7 +43,7 @@ from .carriers import (
 )
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Jet, JetPoly, Poly3
+from .polynomials import Jet, JetPoly, Poly3, coordinates
 
 
 @dataclass(frozen=True)
@@ -580,13 +584,15 @@ CARRIER_FAMILIES = (
 )
 
 
-def _check_points(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if r.shape[-1] != 3:
-        raise SpecValidationError(f"positions must have trailing length 3, got {r.shape}")
-    if not np.all(np.isfinite(r)):
+def _check_coords(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    arrays = [np.asarray(c, dtype=float) for c in r]
+    if len(arrays) == 1 and arrays[0].shape[-1:] != (3,):
+        raise SpecValidationError(
+            f"positions must have trailing length 3, got {arrays[0].shape}"
+        )
+    if not all(np.isfinite(a).all() for a in arrays):
         raise SpecValidationError("non-finite position or time")
-    return r
+    return coordinates(*arrays)
 
 
 class Snapshot:
@@ -599,76 +605,89 @@ class Snapshot:
         self.p = [prefactor_jets.order(n) for n in range(3)]
         self.g = [exponent.order(n) for n in range(3)]
 
-    def on(self, r) -> "FieldValues":
-        """psi and its derivatives at positions r of shape (..., 3)."""
-        return FieldValues(self.p, self.g, _check_points(r))
+    def on(self, *r) -> "FieldValues":
+        """psi and its derivatives at positions r of shape (..., 3), or at
+        three coordinate arrays x, y, z that broadcast together (grid axes
+        shaped (N, 1, 1), (1, N, 1), (1, 1, N) give the whole grid)."""
+        return FieldValues(self.p, self.g, _check_coords(r))
 
 
 class FieldValues:
     """psi, grad, lap, dt and d2t at one point set, each formed on first use
     by the product rule on P * exp(G), all sharing one exp(G)."""
 
-    def __init__(self, p: list[Poly3], g: list[Poly3], r: np.ndarray):
-        self.p, self.g, self.r = p, g, r
+    def __init__(self, p: list[Poly3], g: list[Poly3], coords):
+        self.p, self.g, self.coords = p, g, coords
+        self.shape = np.broadcast(*coords).shape
 
     @cached_property
-    def carrier(self) -> np.ndarray:
-        value = self.g[0].evaluate(self.r)
-        return np.exp(value, out=value)
+    def _carrier(self) -> list:
+        # G has no cross terms (carriers.py), so exp(G) factors by axis.
+        return self.g[0].exp_factors(*self.coords)
+
+    def _times_carrier(self, values: np.ndarray) -> np.ndarray:
+        """values * exp(G), formed in place: values is a new full-size array."""
+        for factor in self._carrier:
+            values *= factor
+        return values
 
     @cached_property
     def _p(self) -> np.ndarray:
-        return self.p[0].evaluate(self.r)
+        return self.p[0].evaluate(*self.coords)
 
     @cached_property
     def _grad_p(self) -> list[np.ndarray]:
-        return [self.p[0].diff(a).evaluate(self.r) for a in range(3)]
+        return [self.p[0].diff(a).evaluate(*self.coords) for a in range(3)]
 
     @cached_property
     def _grad_g(self) -> list[np.ndarray]:
-        return [self.g[0].diff(a).evaluate(self.r) for a in range(3)]
+        return [self.g[0].diff(a).evaluate(*self.coords) for a in range(3)]
 
     @cached_property
     def _p_dt(self) -> np.ndarray:
-        return self.p[1].evaluate(self.r)
+        return self.p[1].evaluate(*self.coords)
 
     @cached_property
     def _g_dt(self) -> np.ndarray:
-        return self.g[1].evaluate(self.r)
+        return self.g[1].evaluate(*self.coords)
 
     @cached_property
     def psi(self) -> np.ndarray:
-        # psi is allocated last, after P and exp(G).  Sampling a grid every
-        # frame is sensitive to this order: others let the C allocator trim
-        # and regrow the heap each frame (measured as minor page faults).
-        p = self._p
-        return p * self.carrier
+        # psi is allocated last, after P and the factors of exp(G), and no
+        # full-size exp(G) is formed.  Sampling a grid every frame is
+        # sensitive to this order: others let the C allocator trim and regrow
+        # the heap each frame (measured as minor page faults).
+        p, _ = self._p, self._carrier
+        return self._times_carrier(p.copy())
 
     @cached_property
     def grad(self) -> np.ndarray:
-        out = np.empty(self.r.shape[:-1] + (3,), dtype=complex)
+        out = np.empty(self.shape + (3,), dtype=complex)
         for a in range(3):
-            out[..., a] = (self._grad_p[a] + self._p * self._grad_g[a]) * self.carrier
+            out[..., a] = self._times_carrier(
+                self._grad_p[a] + self._p * self._grad_g[a]
+            )
         return out
 
     @cached_property
     def lap(self) -> np.ndarray:
+        xyz = self.coords
         cross = sum(dp * dg for dp, dg in zip(self._grad_p, self._grad_g))
-        lap_g = self.g[0].laplacian().evaluate(self.r) + sum(dg * dg for dg in self._grad_g)
-        return (
-            self.p[0].laplacian().evaluate(self.r) + 2.0 * cross + self._p * lap_g
-        ) * self.carrier
+        lap_g = self.g[0].laplacian().evaluate(*xyz) + sum(dg * dg for dg in self._grad_g)
+        return self._times_carrier(
+            self.p[0].laplacian().evaluate(*xyz) + 2.0 * cross + self._p * lap_g
+        )
 
     @cached_property
     def dt(self) -> np.ndarray:
-        return (self._p_dt + self._p * self._g_dt) * self.carrier
+        return self._times_carrier(self._p_dt + self._p * self._g_dt)
 
     @cached_property
     def d2t(self) -> np.ndarray:
-        g_d2t = self.g[2].evaluate(self.r) + self._g_dt * self._g_dt
-        return (
-            self.p[2].evaluate(self.r) + 2.0 * self._p_dt * self._g_dt + self._p * g_d2t
-        ) * self.carrier
+        g_d2t = self.g[2].evaluate(*self.coords) + self._g_dt * self._g_dt
+        return self._times_carrier(
+            self.p[2].evaluate(*self.coords) + 2.0 * self._p_dt * self._g_dt + self._p * g_d2t
+        )
 
 
 def amplitude(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
@@ -706,15 +725,14 @@ def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> Poly3:
     return spec.prefactor_jets(consts, t).order(0)
 
 
-def _trap_potential(spec, consts, r):
-    r2 = np.sum(r * r, axis=-1)
-    return 0.5 * consts.mass * spec.omega**2 * r2
+def _trap_potential(spec, consts, x, y, z):
+    return 0.5 * consts.mass * spec.omega**2 * (x * x + y * y + z * z)
 
 
 def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Normalized residual of the governing equation, from analytic derivatives."""
     field = spec.at(consts, t).on(r)
-    r = field.r
+    x, y, z = field.coords
     hbar, mass = consts.hbar, consts.mass
     if spec.equation == "relativistic":
         c2 = consts.light_speed**2
@@ -729,16 +747,16 @@ def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> 
             hbar**2 / (2.0 * mass) * field.lap,
         ]
         if spec.equation == "trap":
-            terms.append(-_trap_potential(spec, consts, r) * field.psi)
+            terms.append(-_trap_potential(spec, consts, x, y, z) * field.psi)
         elif spec.equation == "magnetic":
             grad = field.grad
             eB = consts.charge * spec.B
-            angular = r[..., 0] * grad[..., 1] - r[..., 1] * grad[..., 0]
+            angular = x * grad[..., 1] - y * grad[..., 0]
             # The generating function satisfies the symmetric-gauge equation
             # with angular coefficient -i*hbar*e*B/(2m).
             terms.append((1j * hbar * eB / (2.0 * mass)) * angular)
             terms.append(
-                -(eB**2 / (8.0 * mass)) * (r[..., 0] ** 2 + r[..., 1] ** 2) * field.psi
+                -(eB**2 / (8.0 * mass)) * (x * x + y * y) * field.psi
             )
     total = sum(terms)
     scale = np.maximum.reduce([np.abs(term) for term in terms])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import SolutionSpec, amplitude
+from .catalog import SolutionSpec
 from .constants import PhysicalConstants
 from .errors import GridMismatchError, SpecValidationError
 
@@ -83,8 +83,19 @@ class SampledField:
 
 
 def sample(spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float) -> SampledField:
-    """Evaluate the analytic solution on every grid point."""
-    return SampledField(grid=grid, values=amplitude(spec, consts, grid.points(), t), time=float(t))
+    """Evaluate the analytic solution on every grid point.
+
+    The snapshot gets the three axis vectors shaped (N, 1, 1), (1, N, 1) and
+    (1, 1, N), never an array of all grid points: G has no cross terms, so
+    exp(G) is a product of three 1-D factors, and the terms of P are formed
+    on the axes they involve before they are broadcast to the grid.
+    """
+    axes = [
+        grid.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
+        for a in range(3)
+    ]
+    values = spec.at(consts, t).on(*axes).psi
+    return SampledField(grid=grid, values=values, time=float(t))
 
 
 def require_same_grid(a: SampledField, b: SampledField):

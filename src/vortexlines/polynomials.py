@@ -10,7 +10,9 @@ so the lens map (r, t) -> (r / beta, t / beta) of the Gaussian-carrier
 families is a substitution of jet polynomials into a plane-wave prefactor.
 `Poly3` is the plain polynomial of one jet order: a catalog snapshot,
 `spec.at(consts, t)`, holds P and G as one `Poly3` per order and evaluates
-them at point sets.
+them at point sets, or at coordinate arrays that broadcast together such as
+grid axes; exp(G) is formed as one factor per axis, since G has no cross
+terms.
 """
 
 from __future__ import annotations
@@ -136,29 +138,91 @@ class Poly3:
             out[exps] = out.get(exps, 0.0) + c
         return Poly3(out)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at positions of shape (..., 3)."""
-        points = np.asarray(points, dtype=float)
+    def evaluate(self, *coords) -> np.ndarray:
+        """Evaluate at positions of shape (..., 3), or at three coordinate
+        arrays x, y, z that broadcast together.
+
+        Each term is built from its lowest-dimensional factor up, and terms
+        on the same coordinates are summed before they are added into the
+        result: on grid axes shaped (N, 1, 1), (1, N, 1), (1, 1, N) only that
+        final sum costs N^3, once per set of coordinates the terms involve.
+        """
+        axes = x, y, z = coordinates(*coords)
+        shape = x.shape if x.shape == y.shape == z.shape else np.broadcast(x, y, z).shape
         # The result is allocated before the power tables it outlives.
-        result = np.zeros(points.shape[:-1], dtype=complex)
+        result = np.full(shape, self.coeffs.get((0, 0, 0), 0.0), dtype=complex)
         pows = []
-        for axis in range(3):
-            coord = points[..., axis]
+        for axis, coord in enumerate(axes):
             table = [None, coord]
             for _ in range(max((e[axis] for e in self.coeffs), default=0) - 1):
                 table.append(table[-1] * coord)
             pows.append(table)
+        groups: dict[tuple[int, ...], np.ndarray] = {}
         for exps, c in self.coeffs.items():
             # Zeroth powers are skipped, not multiplied in as arrays of ones.
-            factors = [pows[axis][p] for axis, p in enumerate(exps) if p]
-            if not factors:
-                result += c
+            used = [axis for axis in range(3) if exps[axis]]
+            if not used:
                 continue
-            term = factors[0]
+            factors = [pows[axis][exps[axis]] for axis in used]
+            if len(factors) > 1:
+                factors.sort(key=np.size)
+            term = c * factors[0]
             for factor in factors[1:]:
                 term = term * factor
-            result += c * term
+            key = tuple(used)
+            if key in groups:
+                groups[key] += term
+            else:
+                groups[key] = term
+        for term in groups.values():
+            result += term
         return result
+
+    def exp_factors(self, *coords) -> list:
+        """exp of a polynomial without cross terms, at the same positions as
+        `evaluate`, as factors whose product it is.
+
+        The axes are grouped while their broadcast stays smaller than the
+        positions' shape, and each group's terms take one `evaluate` and one
+        exp: on grid axes shaped (N, 1, 1), (1, N, 1), (1, 1, N) that is
+        exp(c + p_x + p_y) on (N, N, 1) and exp(p_z) on (1, 1, N), N^2 + N
+        exponentials instead of N^3; at a point set it is one exp(p).
+        """
+        if any(sum(1 for p in exps if p) > 1 for exps in self.coeffs):
+            raise ValueError("exp of a polynomial with cross terms does not factor by axis")
+        axes = coordinates(*coords)
+        size = np.broadcast(*axes).size
+        groups: list[list[int]] = [[]]
+        for axis in range(3):
+            if not any(exps[axis] for exps in self.coeffs):
+                continue
+            group = groups[-1]
+            if group and axes[axis].size < size:
+                in_group = [axes[a] for a in group]
+                merged = np.broadcast(*in_group, axes[axis]).size
+                if merged == size and np.broadcast(*in_group).size < size:
+                    group = []
+                    groups.append(group)
+            group.append(axis)
+        factors = []
+        for group in groups:
+            part = self if len(groups) == 1 else Poly3({
+                exps: c for exps, c in self.coeffs.items()
+                if any(exps[a] for a in group) or (group is groups[0] and not any(exps))
+            })
+            on_group = [axes[a] if a in group else 0.0 for a in range(3)]
+            factors.append(np.exp(part.evaluate(*on_group)))
+        return factors
+
+
+def coordinates(*coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) from one array of positions of shape (..., 3), or from three
+    coordinate arrays that broadcast together."""
+    if len(coords) == 1:
+        points = np.asarray(coords[0], dtype=float)
+        return points[..., 0], points[..., 1], points[..., 2]
+    x, y, z = coords
+    return np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
 
 
 class JetPoly:

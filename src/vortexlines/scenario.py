@@ -397,15 +397,18 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     spec, consts, grid = config.spec, config.consts, config.grid
     t0, t1 = config.time_range
     duration = t1 - t0
-    steps = max(50, config.n_frames * 10)
     if spec.equation == "trap":
+        # The Strang error scales with (omega dt)^2: 1000 steps per trap
+        # period, whatever the frame count.
+        steps = math.ceil(1000.0 * duration * spec.omega / (2.0 * math.pi))
         prop_config = propagator.PropagatorConfig(
             grid=grid, dt=duration / steps, steps=steps,
             hamiltonian="harmonic", omega=spec.omega,
         )
     else:
+        # With no potential the kinetic step is exact for any dt: one step.
         prop_config = propagator.PropagatorConfig(
-            grid=grid, dt=duration / steps, steps=steps, hamiltonian="free"
+            grid=grid, dt=duration, steps=1, hamiltonian="free"
         )
     initial = sample(spec, consts, grid, t0)
     evolved = propagator.evolve(initial, prop_config, consts)

@@ -40,6 +40,10 @@ DEGENERACY_FLOOR = 1e-9
 #: roundoff, not signal.
 NOISE_FLOOR = 1e-10
 
+#: Grid points per slab of detection's scratch arrays: a few MB of scratch,
+#: which stays in cache.
+SLAB_POINTS = 1 << 15
+
 #: Newton iterations allowed per refined crossing.
 NEWTON_MAX_ITERATIONS = 25
 
@@ -141,11 +145,39 @@ def _pairs(reduce, arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def detect_pierced_faces(field: SampledField) -> DetectionResult:
-    """Find every cell face whose edge phases wind by a nonzero multiple of 2pi."""
-    phases = np.angle(field.values)
-    amps = np.abs(field.values)
-    noise = NOISE_FLOOR * float(np.max(amps))
+    """Find every cell face whose edge phases wind by a nonzero multiple of 2pi.
+
+    The grid is read in slabs of whole x planes, each sharing its last plane
+    with the next, so the scratch arrays hold about `SLAB_POINTS` grid points
+    whatever the grid size: no full-size temporaries, and no heap growth and
+    trim per frame.  Every face is computed from the same values as on the
+    whole grid, so the result does not depend on the slab size.
+    """
+    values = field.values
+    n = values.shape[0]
+    step = max(1, SLAB_POINTS // values[0].size)
+    peak = max(float(np.abs(values[i:i + step]).max()) for i in range(0, n, step))
+    slabs = [
+        _detect_slab(values[start:start + step + 1], start, NOISE_FLOOR * peak,
+                     last=start + step >= n - 1)
+        for start in range(0, n - 1, step)
+    ]
+    return DetectionResult(
+        np.concatenate([faces[axis] for axis in range(3) for faces, _, _ in slabs])
+        .view(np.recarray),
+        sum(ambiguous for _, ambiguous, _ in slabs),
+        sum(noisy for _, _, noisy in slabs),
+    )
+
+
+def _detect_slab(slab: np.ndarray, start: int, noise: float, last: bool):
+    """Pierced faces per axis, ambiguous and noise counts of the planes
+    start, start + 1, ... held in slab.  Its last plane of x faces belongs to
+    the next slab unless this is the last one."""
+    phases = np.angle(slab)
+    amps = np.abs(slab)
     diffs = [_wrap(np.diff(phases, axis=a)) for a in range(3)]
+    del phases
     loud = [np.abs(d) > AMBIGUOUS_EDGE_FRACTION * math.pi for d in diffs]
     pierced = []
     ambiguous_count = noise_count = 0
@@ -164,17 +196,19 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
             | _pairs(np.logical_or, loud[a2], a1)
             | (corner_min < DEGENERACY_FLOOR * corner_max)
         )
+        if axis == 0 and not last:
+            circulation, crossed, trusted, flagged = (
+                a[:-1] for a in (circulation, crossed, trusted, flagged)
+            )
         ambiguous_count += int(np.count_nonzero(flagged & ~crossed))
         noise_count += int(np.count_nonzero(crossed & ~trusted))
         at = np.nonzero(crossed & trusted)
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
-        faces["index"] = np.stack(at, axis=1)
+        faces["index"] = np.stack(at, axis=1) + (start, 0, 0)
         faces["winding"] = np.rint(circulation[at] / TWO_PI)
         pierced.append(faces)
-    return DetectionResult(
-        np.concatenate(pierced).view(np.recarray), ambiguous_count, noise_count
-    )
+    return pierced, ambiguous_count, noise_count
 
 
 def _face_cells(faces: np.recarray, dims) -> np.ndarray:

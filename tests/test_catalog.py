@@ -5,6 +5,7 @@ import pytest
 
 import vortexlines as vl
 from vortexlines.errors import NoPrefactorError, SpecValidationError
+from vortexlines.grids import Grid3, sample
 
 C = vl.NATURAL_UNITS
 K = vl.WaveVector(0.3, -0.2, 0.4)
@@ -105,6 +106,27 @@ def test_prefactor_times_carrier_equals_amplitude():
         carrier = np.exp(spec.carrier(C, t).order(0).evaluate(pts))
         full = vl.amplitude(spec, C, pts, t)
         assert np.allclose(pre * carrier, full, rtol=1e-12, atol=1e-12)
+
+
+def test_grid_sample_equals_pointwise_amplitude():
+    # sample() evaluates on the three axis vectors; amplitude() on the array
+    # of all grid points.  An offset, anisotropic grid catches a swapped axis.
+    grid = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (6, 7, 9))
+    for spec in ALL_SPECS:
+        for t in (-0.7, 0.0, 0.45):
+            sampled = sample(spec, C, grid, t).values
+            pointwise = vl.amplitude(spec, C, grid.points(), t)
+            peak = float(np.max(np.abs(pointwise)))
+            assert float(np.max(np.abs(sampled - pointwise))) <= 1e-13 * peak, (spec, t)
+
+
+def test_no_carrier_exponent_has_cross_terms():
+    # exp(G) is evaluated as a product of one factor per axis, which holds
+    # only while G has no terms in two or more coordinates.
+    for spec in ALL_SPECS:
+        for t in (-0.7, 0.0, 0.45):
+            for exps in spec.carrier(C, t).terms:
+                assert sum(1 for p in exps if p) <= 1, (spec, exps)
 
 
 @pytest.mark.parametrize(

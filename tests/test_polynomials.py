@@ -91,3 +91,29 @@ def test_poly3_merges_and_drops_zero_terms():
     assert pre.coeffs == {(1, 0, 0): 3.0}
     assert pre.degree() == 1
     assert (Poly3({(1, 0, 0): 1.0}) + Poly3({(1, 0, 0): -1.0})).coeffs == {}
+
+
+def test_poly3_evaluates_on_broadcast_axes_like_on_points():
+    p = Poly3({(2, 0, 0): 1.0, (1, 1, 0): -0.5j, (1, 1, 1): 0.25, (0, 0, 1): 2.0, (0, 0, 0): 1.5})
+    x, y, z = np.linspace(-1, 1, 4), np.linspace(0, 2, 5), np.linspace(-3, 0, 6)
+    pts = np.stack(np.meshgrid(x, y, z, indexing="ij"), axis=-1)
+    on_axes = p.evaluate(x[:, None, None], y[None, :, None], z[None, None, :])
+    assert on_axes.shape == (4, 5, 6)
+    assert np.allclose(on_axes, p.evaluate(pts), rtol=1e-14, atol=1e-14)
+
+
+def test_poly3_exp_factors_multiply_to_exp():
+    g = Poly3({(2, 0, 0): -0.3, (0, 1, 0): 0.4j, (0, 0, 2): -0.1 + 0.2j, (0, 0, 0): 0.7})
+    x, y, z = np.linspace(-1, 1, 4), np.linspace(0, 2, 5), np.linspace(-3, 0, 6)
+    axes = (x[:, None, None], y[None, :, None], z[None, None, :])
+    product = np.ones((4, 5, 6), dtype=complex)
+    for factor in g.exp_factors(*axes):
+        product = product * factor
+    assert np.allclose(product, np.exp(g.evaluate(*axes)), rtol=1e-14, atol=0.0)
+    # On grid axes no factor is full-size, and a constant stays a scalar.
+    assert [np.shape(f) for f in g.exp_factors(*axes)] == [(4, 5, 1), (1, 1, 6)]
+    assert [np.shape(f) for f in Poly3({(0, 0, 0): 0.5}).exp_factors(*axes)] == [()]
+    pts = np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, 3)
+    assert len(g.exp_factors(pts)) == 1
+    with pytest.raises(ValueError):
+        Poly3({(1, 1, 0): 1.0}).exp_factors(pts)

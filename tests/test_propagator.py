@@ -136,3 +136,43 @@ def test_l2_error_resolves_small_errors():
     delta = 1e-9 * np.linalg.norm(va) / np.linalg.norm(u) * u
     perturbed = SampledField(grid, va + delta, 0.0)
     assert l2_relative_error(field, perturbed) == pytest.approx(1e-9, rel=1e-4)
+
+
+def _reference_strang(psi, grid, dt, steps, potential=None):
+    """Plain Strang loop on numpy.fft: half potential, kinetic, half potential
+    in every step, with the phases built on the full grid."""
+    k = [2.0 * math.pi * np.fft.fftfreq(grid.dims[a], d=grid.spacing[a]) for a in range(3)]
+    k2 = k[0][:, None, None] ** 2 + k[1][None, :, None] ** 2 + k[2][None, None, :] ** 2
+    kinetic = np.exp(-0.5j * k2 * dt)
+    half = None if potential is None else np.exp(-0.5j * potential * dt)
+    psi = psi.copy()
+    for _ in range(steps):
+        if half is not None:
+            psi = psi * half
+        psi = np.fft.ifftn(np.fft.fftn(psi) * kinetic)
+        if half is not None:
+            psi = psi * half
+    return psi
+
+
+def test_one_free_step_equals_many_reference_steps():
+    grid = periodic_grid(28.0, 32)
+    spec = vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=1.5)
+    field = sample(spec, C, grid, 0.0)
+    out = evolve(field, PropagatorConfig(grid, dt=0.5, steps=1))
+    reference = _reference_strang(field.values, grid, dt=0.01, steps=50)
+    peak = float(np.max(np.abs(reference)))
+    assert out.time == pytest.approx(0.5)
+    assert float(np.max(np.abs(out.values - reference))) < 1e-12 * peak
+
+
+def test_fused_harmonic_loop_equals_unfused_strang_loop():
+    grid = periodic_grid(18.0, 32)
+    omega = 1.0
+    field = sample(vl.TrapRing(omega=omega, R=1.0), C, grid, 0.0)
+    config = PropagatorConfig(grid, dt=0.02, steps=25, hamiltonian="harmonic", omega=omega)
+    out = evolve(field, config)
+    potential = 0.5 * omega**2 * np.sum(grid.points() ** 2, axis=-1)
+    reference = _reference_strang(field.values, grid, dt=0.02, steps=25, potential=potential)
+    peak = float(np.max(np.abs(reference)))
+    assert float(np.max(np.abs(out.values - reference))) < 1e-12 * peak

@@ -9,7 +9,7 @@ from vortexlines.cli import main
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3
 from vortexlines.presets import list_presets, preset
-from vortexlines.scenario import ScenarioConfig, run, validate
+from vortexlines.scenario import ScenarioConfig, check_oracle, run, validate
 from vortexlines.serialization import spec_from_dict, spec_to_dict
 
 OFF = (0.013, 0.011, 0.017)
@@ -194,3 +194,21 @@ def test_cli_run_tracks_events_with_two_frames(tmp_path, capsys):
     assert out.count("PASS events") == 2
     events = json.loads((tmp_path / "pair" / "events.json").read_text())
     assert [e["kind"] for e in events["events"]] == ["creation", "annihilation"]
+
+
+def test_trap_oracle_step_count_follows_the_trap_period():
+    # The harmonic oracle takes its Strang step count from the trap period,
+    # so it passes, with the same error, whatever the frame count.  A count
+    # of max(50, 10 * n_frames) steps fails at 2 and 4 frames (1.01e-5).
+    n, length = 48, 18.0
+    grid = Grid3(tuple(-0.5 * length + o for o in OFF), (length / n,) * 3, (n,) * 3)
+    errors = []
+    for n_frames in (2, 4, 8):
+        config = tiny_config(
+            spec=vl.TrapRing(omega=1.0, R=1.0), grid=grid, time_range=(0.0, 0.5),
+            n_frames=n_frames, checks=("oracle",),
+        )
+        results = check_oracle(config, [], None, None)
+        assert all(r.passed for r in results), (n_frames, results)
+        errors.append(results[0].measured)
+    assert errors[0] == errors[1] == errors[2]

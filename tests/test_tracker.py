@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
+from vortexlines import tracker
 from vortexlines.errors import RefinementFailedError, SpecValidationError
-from vortexlines.grids import Grid3, sample
+from vortexlines.grids import Grid3, SampledField, sample
 from vortexlines.tracker import (
     VortexPolyline,
     analytic_refiner,
@@ -210,3 +211,44 @@ def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
     # Cramer's rule and LU round differently: allow 64 ulps of the box side.
     assert np.allclose(np.concatenate(seeds), reference, rtol=0.0,
                        atol=64 * np.finfo(float).eps * side)
+
+
+@pytest.mark.parametrize("spec, side, t, noise", [
+    (vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0, 0.0),
+    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1, 0.0),
+    (vl.GaussianLineVortex(l=0.6, x0=0.3), 8.0, 0.0, 1e-13),
+])
+def test_detection_does_not_depend_on_the_slab_size(monkeypatch, spec, side, t, noise):
+    # One slab (the whole grid) against slabs of one, two and three planes
+    # of faces: the pierced faces and both counts must be identical.  Random
+    # roundoff-level noise on the Gaussian's far field gives ambiguous faces
+    # and faces below the noise floor, whose level is the global peak.
+    grid = Grid3.centered(OFF, side, (20, 13, 11))
+    values = sample(spec, C, grid, t).values
+    rng = np.random.default_rng(1)
+    values = values + noise * (
+        rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+    )
+    field = SampledField(grid, values, t)
+    monkeypatch.setattr(tracker, "SLAB_POINTS", 1 << 30)
+    whole = detect_pierced_faces(field)
+    for planes in (1, 2, 3):
+        monkeypatch.setattr(tracker, "SLAB_POINTS", planes * 13 * 11)
+        slabbed = detect_pierced_faces(field)
+        assert slabbed.pierced.tobytes() == whole.pierced.tobytes()
+        assert slabbed.ambiguous_count == whole.ambiguous_count
+        assert slabbed.noise_count == whole.noise_count
+    if noise:
+        assert whole.ambiguous_count > 0 and whole.noise_count > 0
+
+
+def test_slabbed_detection_finds_x_faces_on_every_plane(monkeypatch):
+    # A line along x pierces one x face in every x plane, the last included;
+    # the second line of the pair lies far outside the grid.
+    spec = vl.FreeTwoLines(w1=(0.0, 1.0, 1j), r1=(0.0, 0.0, 0.0),
+                           w2=(0.0, 1.0, 1j), r2=(0.0, 50.0, 0.0))
+    grid = Grid3.centered(OFF, 2.0, (11, 9, 9))
+    monkeypatch.setattr(tracker, "SLAB_POINTS", 2 * 9 * 9)
+    det = detect_pierced_faces(sample(spec, C, grid, 0.0))
+    assert all(f.axis == 0 for f in det.pierced)
+    assert sorted(f.index[0] for f in det.pierced) == list(range(grid.dims[0]))
