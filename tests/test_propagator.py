@@ -30,6 +30,8 @@ def test_config_validation():
         PropagatorConfig(grid, dt=0.0, steps=1)
     with pytest.raises(SpecValidationError):
         PropagatorConfig(grid, dt=0.1, steps=-1)
+    with pytest.raises(SpecValidationError, match="integer"):
+        PropagatorConfig(grid, dt=0.1, steps=2.5)
     with pytest.raises(SpecValidationError):
         PropagatorConfig(grid, dt=0.1, steps=1, hamiltonian="magnetic")
     with pytest.raises(SpecValidationError):
@@ -166,13 +168,44 @@ def test_one_free_step_equals_many_reference_steps():
     assert float(np.max(np.abs(out.values - reference))) < 1e-12 * peak
 
 
-def test_fused_harmonic_loop_equals_unfused_strang_loop():
-    grid = periodic_grid(18.0, 32)
+# Unequal dims and spacings, so a swapped axis cannot go unnoticed as it
+# would on a cubic grid.
+ANISOTROPIC = Grid3(
+    tuple(-0.5 * side + o for side, o in zip((19.0, 20.0, 21.0), OFF)),
+    (19.0 / 20, 20.0 / 24, 21.0 / 28),
+    (20, 24, 28),
+)
+
+
+@pytest.mark.parametrize(
+    "grid, hamiltonian, steps",
+    [
+        (periodic_grid(18.0, 32), "harmonic", 25),
+        (ANISOTROPIC, "harmonic", 25),
+        (ANISOTROPIC, "harmonic", 333),  # not a power of two
+        (ANISOTROPIC, "free", 1),
+    ],
+    ids=["cubic-harmonic-25", "anisotropic-harmonic-25", "anisotropic-harmonic-333",
+         "anisotropic-free-1"],
+)
+def test_operator_powers_equal_unfused_strang_loop(grid, hamiltonian, steps):
     omega = 1.0
     field = sample(vl.TrapRing(omega=omega, R=1.0), C, grid, 0.0)
-    config = PropagatorConfig(grid, dt=0.02, steps=25, hamiltonian="harmonic", omega=omega)
+    config = PropagatorConfig(grid, dt=0.02, steps=steps, hamiltonian=hamiltonian, omega=omega)
     out = evolve(field, config)
-    potential = 0.5 * omega**2 * np.sum(grid.points() ** 2, axis=-1)
-    reference = _reference_strang(field.values, grid, dt=0.02, steps=25, potential=potential)
+    potential = None
+    if hamiltonian == "harmonic":
+        potential = 0.5 * omega**2 * np.sum(grid.points() ** 2, axis=-1)
+    reference = _reference_strang(field.values, grid, dt=0.02, steps=steps, potential=potential)
     peak = float(np.max(np.abs(reference)))
     assert float(np.max(np.abs(out.values - reference))) < 1e-12 * peak
+
+
+@pytest.mark.parametrize("hamiltonian", ["free", "harmonic"])
+def test_evolve_leaves_the_input_untouched(hamiltonian):
+    grid = periodic_grid(18.0, 24)
+    field = sample(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
+    before = field.values.tobytes()
+    config = PropagatorConfig(grid, dt=0.02, steps=3, hamiltonian=hamiltonian, omega=1.0)
+    evolve(field, config)
+    assert field.values.tobytes() == before
