@@ -14,9 +14,10 @@ dataclass); families on the same carrier share a base class:
   its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0.
 
 `spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
-gives psi, its gradient, Laplacian and first/second time derivatives at a
-point set (or `snapshot.on(x, y, z)` at coordinate arrays that broadcast
-together) from one exp(G), each formed by the product rule on first use.
+gives psi, its gradient, Hessian, Laplacian, first/second time derivatives
+and the time derivative of its gradient at a point set (or
+`snapshot.on(x, y, z)` at coordinate arrays that broadcast together) from
+one exp(G), each formed by the product rule on first use.
 G has no cross terms, so exp(G) is kept as one factor per axis and
 multiplied into each result in place: on grid axes no full-size exp(G) is
 formed.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -471,8 +473,7 @@ class RelLineVortex(_KleinGordonCarrier):
         _require(math.isfinite(self.chi), "chi must be finite")
 
     def image(self, consts, coords, tau):
-        x, y, _ = coords
-        return math.cos(self.chi) * x + (1j * math.sin(self.chi)) * y
+        return FreeLineVortex(self.chi, self.k).image(consts, coords, tau)
 
 
 @dataclass(frozen=True)
@@ -613,8 +614,9 @@ class Snapshot:
 
 
 class FieldValues:
-    """psi, grad, lap, dt and d2t at one point set, each formed on first use
-    by the product rule on P * exp(G), all sharing one exp(G)."""
+    """psi, grad, hess, lap, dt, dt_grad and d2t at one point set, each
+    formed on first use by the product rule on P * exp(G), all sharing one
+    exp(G)."""
 
     def __init__(self, p: list[Poly3], g: list[Poly3], coords):
         self.p, self.g, self.coords = p, g, coords
@@ -679,8 +681,33 @@ class FieldValues:
         )
 
     @cached_property
+    def hess(self) -> np.ndarray:
+        """Spatial Hessian of psi, shape (..., 3, 3)."""
+        dp, dg = self._grad_p, self._grad_g
+        out = np.empty(self.shape + (3, 3), dtype=complex)
+        for a, b in combinations_with_replacement(range(3), 2):
+            p_ab, g_ab = (f[0].diff(a).diff(b).evaluate(*self.coords) for f in (self.p, self.g))
+            out[..., a, b] = out[..., b, a] = self._times_carrier(
+                p_ab + dp[a] * dg[b] + dp[b] * dg[a] + self._p * (g_ab + dg[a] * dg[b])
+            )
+        return out
+
+    @cached_property
     def dt(self) -> np.ndarray:
         return self._times_carrier(self._p_dt + self._p * self._g_dt)
+
+    @cached_property
+    def dt_grad(self) -> np.ndarray:
+        """d/dt of grad psi, shape (..., 3)."""
+        dt_over_carrier = self._p_dt + self._p * self._g_dt
+        out = np.empty(self.shape + (3,), dtype=complex)
+        for a in range(3):
+            p_ta, g_ta = (f[1].diff(a).evaluate(*self.coords) for f in (self.p, self.g))
+            out[..., a] = self._times_carrier(
+                p_ta + self._grad_p[a] * self._g_dt + self._p * g_ta
+                + dt_over_carrier * self._grad_g[a]
+            )
+        return out
 
     @cached_property
     def d2t(self) -> np.ndarray:

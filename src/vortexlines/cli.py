@@ -111,8 +111,9 @@ def main(argv=None) -> int:
             print(f"warning: {warning}")
         for event in result.event_log.events:
             print(
-                f"event: {event.kind} in t = [{event.t_lo:.6g}, {event.t_hi:.6g}] "
-                f"near {tuple(round(float(c), 3) for c in event.location)}"
+                f"event: {event.kind} at t = {event.t:.15g} in "
+                f"[{event.t_lo:.6g}, {event.t_hi:.6g}] "
+                f"at {tuple(round(float(c), 4) for c in event.location)}"
             )
         print(f"artifacts: {', '.join(result.artifacts)}")
         return result.exit_status

@@ -29,14 +29,6 @@ class AmbiguousWindingError(VortexLinesError):
     """Phase unwrapping failed to converge below the increment bound."""
 
 
-class RefinementFailedError(VortexLinesError):
-    """Newton refinement of a zero crossing did not converge."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-
-
 class BoundaryDecayError(VortexLinesError):
     """Initial data does not decay sufficiently at the periodic box wall."""
 

@@ -31,7 +31,7 @@ from .catalog import (
     prefactor,
 )
 from .constants import PhysicalConstants
-from .errors import SpecValidationError
+from .errors import NotOnLineError, SpecValidationError
 from .generate import generate_from_polynomial
 from .grids import Grid3, sample
 
@@ -228,7 +228,12 @@ def check_circulation(config, frames, log, times) -> list[CheckResult]:
                             "no vortex line found to probe")]
     i, line, point = probe
     t = float(times[i])
-    data = anatomy.w_vector(config.spec, config.consts, point, t)
+    try:
+        data = anatomy.w_vector(config.spec, config.consts, point, t)
+    except NotOnLineError as exc:
+        # Refinement left this point at its bilinear seed.
+        return [CheckResult("circulation", False, math.nan, CIRCULATION_TOLERANCE,
+                            f"probe point is not on a line: {exc}")]
     contour = anatomy.Contour(
         center=tuple(point), normal=data.tangent,
         radius=1.5 * config.grid.cell_diagonal, samples=256,

@@ -124,6 +124,7 @@ def write_polylines_csv(path, frames: list[list[VortexPolyline]], times) -> None
 def event_to_dict(event: Event) -> dict:
     return {
         "kind": event.kind,
+        "t": event.t,
         "t_lo": event.t_lo,
         "t_hi": event.t_hi,
         "location": [float(v) for v in event.location],

@@ -6,11 +6,18 @@ plaquette (the counting rule of Berry & Dennis, Proc. R. Soc. A 456:2059,
 axis, index, winding) in (axis, index) order.  Everything downstream runs on
 that array by face id: a vectorized clipped Newton iteration on each face's
 bilinear corner model seeds the crossings, which are refined by Newton
-iteration on the analytic field when a solution spec is available; each
-face's two cells get integer ids, from which the winding-flux balance is
-counted and a partner table pairs the faces inside every cell.  Walking that
-table chains the crossings into polylines, which are matched across frames;
-creation / annihilation / reconnection events are reported as time brackets.
+iteration on the analytic field when a solution spec is available (a
+crossing whose Newton iteration fails keeps its seed); each face's two cells
+get integer ids, from which the winding-flux balance is counted and a
+partner table pairs the faces inside every cell.  Walking that table chains
+the crossings into polylines, which are matched across frames.
+
+Events are critical points of t on the zero sheet of psi(r, t), where the
+vorticity omega = grad Re psi x grad Im psi vanishes (Nye & Berry, Proc. R.
+Soc. A 336:165, 1974): roots of (Re psi, Im psi, omega) in (x, y, z, t),
+seeded where the frame matching changes and classified by the signature of
+t's Hessian on the sheet (minimum: creation, maximum: annihilation, saddle:
+reconnection).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from scipy.spatial import cKDTree
 
 from .catalog import SolutionSpec
 from .constants import PhysicalConstants
-from .errors import RefinementFailedError, SpecValidationError
+from .errors import SpecValidationError
 from .grids import Grid3, SampledField, sample
 
 TWO_PI = 2.0 * math.pi
@@ -50,8 +57,13 @@ NEWTON_MAX_ITERATIONS = 25
 #: Polyline matching cutoff, in cell diagonals.
 MATCH_CUTOFF_DIAGONALS = 3.0
 
-#: A disappearing loop/pair within this many diagonals counts as an event.
-EVENT_SIZE_DIAGONALS = 4.0
+#: Gauss-Newton steps allowed per event root.
+EVENT_MAX_ITERATIONS = 40
+
+#: Event solves stop at steps below this fraction of a cell diagonal and of a
+#: frame step, with unit-free residuals below it; Hessian eigenvalues below
+#: this fraction of the largest count as zero.
+EVENT_TOLERANCE = 1e-10
 
 
 #: A pierced face: the face normal to `axis` whose corner of lowest
@@ -118,6 +130,8 @@ class Event:
     frame_lo: int
     frame_hi: int
     details: str = ""
+    #: The root time t*; [t_lo, t_hi] are the frame times around it.
+    t: float = field(kw_only=True)
 
 
 @dataclass
@@ -281,39 +295,31 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
 
 
 def _refine_batch(spec, consts, t, seeds, axis):
+    """Newton iteration in each seed's face plane on the exact field.  A
+    point that meets a singular Jacobian or does not converge keeps its
+    seed: one bad point never aborts an extraction."""
     a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-    pts = np.array(seeds, dtype=float)
+    seeds = np.asarray(seeds, dtype=float)
+    pts, done = seeds.copy(), np.zeros(len(seeds), dtype=bool)
     scale = spec.length_scale(consts)
     snapshot = spec.at(consts, t)
-    active = np.ones(len(pts), dtype=bool)
+    live = np.arange(len(pts))
     for _ in range(NEWTON_MAX_ITERATIONS):
-        field = snapshot.on(pts[active])
+        field = snapshot.on(pts[live])
         psi, grad = field.psi, field.grad
-        gmag = np.linalg.norm(grad, axis=-1)
-        done = np.abs(psi) <= 1e-12 * gmag * scale
-        still = ~done
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-        if not np.any(active):
-            return pts
-        sub = idx[still]
-        gu, gv = grad[still][:, a1], grad[still][:, a2]
+        hit = np.abs(psi) <= 1e-12 * np.linalg.norm(grad, axis=-1) * scale
+        done[live[hit]] = True
+        gu, gv = grad[:, a1], grad[:, a2]
         det = gu.real * gv.imag - gu.imag * gv.real
-        bad = np.abs(det) < 1e-300
-        if np.any(bad):
-            raise RefinementFailedError(
-                "degenerate Jacobian during Newton refinement",
-                last_iterate=pts[sub[bad][0]],
-            )
-        f = psi[still]
-        du = (f.real * gv.imag - f.imag * gv.real) / det
-        dv = (f.imag * gu.real - f.real * gu.imag) / det
-        pts[sub, a1] -= du
-        pts[sub, a2] -= dv
-    raise RefinementFailedError(
-        f"no convergence in {NEWTON_MAX_ITERATIONS} Newton iterations",
-        last_iterate=pts[np.flatnonzero(active)[0]],
-    )
+        # NaN compares false: a point whose iterate overflowed stops too.
+        step = ~hit & (np.abs(det) >= 1e-300)
+        live, f, gu, gv, det = (a[step] for a in (live, psi, gu, gv, det))
+        if not len(live):
+            break
+        pts[live, a1] -= (f.real * gv.imag - f.imag * gv.real) / det
+        pts[live, a2] -= (f.imag * gu.real - f.real * gu.imag) / det
+        live = live[np.all(np.isfinite(pts[live]), axis=1)]
+    return np.where(done[:, None], pts, seeds)
 
 
 def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, t: float):
@@ -468,24 +474,140 @@ def match_polylines(
     return matches
 
 
-def _endpoint_pairing_changed(previous, current, cutoff) -> bool:
-    """True when open-line endpoints persist but their partners swap."""
+def _repaired_lines(previous, current, cutoff) -> list[VortexPolyline]:
+    """Open lines of `previous` whose endpoints persist into `current` but
+    whose two ends now belong to different lines; empty when the endpoint
+    pairing is unchanged."""
     prev_open = [p for p in previous if not p.closed]
     curr_open = [p for p in current if not p.closed]
     if len(prev_open) != len(curr_open) or len(prev_open) < 2:
-        return False
+        return []
     prev_ends = np.concatenate([p.endpoints for p in prev_open])
     curr_ends = np.concatenate([p.endpoints for p in curr_open])
     tree = cKDTree(curr_ends)
     dist, assign = tree.query(prev_ends)
     if np.max(dist) > cutoff or len(set(assign.tolist())) != len(curr_ends):
-        return False
+        return []
     # Endpoint 2i and 2i+1 belong to previous line i; their images must
     # belong to a single current line for the topology to be unchanged.
-    for i in range(len(prev_open)):
-        if assign[2 * i] // 2 != assign[2 * i + 1] // 2:
-            return True
-    return False
+    return [
+        line for i, line in enumerate(prev_open)
+        if assign[2 * i] // 2 != assign[2 * i + 1] // 2
+    ]
+
+
+def _moved(spec, consts, line: VortexPolyline, t: float) -> np.ndarray:
+    """The line's centroid moved to time t by the mean node velocity, each
+    u . grad psi = -dpsi/dt at minimum norm."""
+    values = spec.at(consts, line.frame_time).on(line.points)
+    grad = np.stack([values.grad.real, values.grad.imag], axis=1)
+    dt = np.stack([values.dt.real, values.dt.imag], axis=1)[..., None]
+    velocity = -(np.linalg.pinv(grad) @ dt).mean(axis=0)[:, 0]
+    return line.centroid + velocity * (t - line.frame_time)
+
+
+def _event_root(spec, consts, seed, lo, hi, scale):
+    """Gauss-Newton root X* = (x, y, z, t) of (Re psi, Im psi, omega) from
+    `seed` clipped into the box lo <= X <= hi: (X*, field values, scaled
+    Jacobian), or None once an iterate leaves the box or the solve does not
+    converge.
+
+    X is measured in `scale`; rows are unit-free, psi / (g scale[0]) and
+    omega / g^2 with g = |grad psi| at the seed.  Each step solves the exact
+    5 x 4 Jacobian by least squares, at minimum norm on a curve of roots.
+    """
+    def at(x):
+        v = spec.at(consts, float(x[3])).on(x[:3])
+        return v, np.r_[v.psi.real, v.psi.imag, np.cross(v.grad.real, v.grad.imag)]
+
+    x = np.clip(seed, lo, hi)
+    values, residual = at(x)
+    g = float(np.linalg.norm(values.grad))
+    if not g > 0:
+        return None
+    rows = np.array([1.0 / (g * scale[0])] * 2 + [1.0 / g**2] * 3)
+    for _ in range(EVENT_MAX_ITERATIONS):
+        re, im = values.grad.real, values.grad.imag
+        d_grad = np.column_stack([values.hess, values.dt_grad])  # d grad psi / dX
+        jac = np.vstack([np.r_[re, values.dt.real], np.r_[im, values.dt.imag],
+                         (np.cross(d_grad.real.T, im) + np.cross(re, d_grad.imag.T)).T])
+        jac *= rows[:, None] * scale
+        step = np.linalg.lstsq(jac, rows * residual, rcond=None)[0]
+        x = x - step * scale
+        if np.max(np.abs(step)) <= EVENT_TOLERANCE:
+            done = np.max(np.abs(rows * residual)) <= EVENT_TOLERANCE
+            return (x, values, jac) if done else None
+        if not np.all((lo <= x) & (x <= hi)):
+            return None
+        values, residual = at(x)
+    return None
+
+
+def _classify(values):
+    """(kind, eigenvalues) of an event root from the signature of t's
+    Hessian on the zero sheet, or None if it vanishes.
+
+    There e_t = l1 grad4 Re psi + l2 grad4 Im psi in (x, y, z, t), and the
+    Hessian is -(l1 Re H + l2 Im H) on the plane normal to the common
+    direction of grad Re psi and grad Im psi: a minimum of t is a creation,
+    a maximum an annihilation, a saddle a reconnection.
+    """
+    grad, dt = values.grad, complex(values.dt)
+    gradients = np.stack([np.r_[grad.real, dt.real], np.r_[grad.imag, dt.imag]], 1)
+    l1, l2 = np.linalg.lstsq(gradients, np.eye(4)[3], rcond=None)[0]
+    plane = np.linalg.svd(np.stack([grad.real, grad.imag], 1))[0][:, 1:]
+    eig = np.linalg.eigvalsh(-plane.T @ (l1 * values.hess.real + l2 * values.hess.imag) @ plane)
+    zero = EVENT_TOLERANCE * np.max(np.abs(eig))
+    if zero == 0:
+        return None
+    if eig[0] >= -zero:
+        return "creation", eig
+    return ("annihilation" if eig[1] <= zero else "reconnection"), eig
+
+
+def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
+    """One event per distinct root, in time order, from (frame pair i, line)
+    candidates.  A solve starts at the pair's middle time from the line's
+    centroid moved there by its node velocity, and if that fails from the
+    centroid itself, unless the two are within a cell diagonal: a line seen
+    in one frame can sit halfway between two events, but next to an event
+    its nodes move too fast to extrapolate.  Roots are one event when they
+    have the same kind, t* within the solver tolerance, and positions within
+    a cell diagonal once the offset along the Jacobian's null direction (a
+    curve of roots) is removed.
+    """
+    diag, frame_step = grid.cell_diagonal, float(times[1] - times[0])
+    scale = np.array([diag, diag, diag, frame_step])
+    lo = np.append(grid.origin, times[0])
+    hi = np.append(np.add(grid.origin, grid.lengths), times[-1])
+    found: list[tuple[Event, np.ndarray]] = []
+    for i, line in candidates:
+        t_mid = 0.5 * (times[i] + times[i + 1])
+        moved = _moved(spec, consts, line, t_mid)
+        root = _event_root(spec, consts, np.append(moved, t_mid), lo, hi, scale)
+        if root is None and np.linalg.norm(moved - line.centroid) > diag:
+            root = _event_root(spec, consts, np.append(line.centroid, t_mid), lo, hi, scale)
+        classified = root and _classify(root[1])
+        if not classified:
+            continue
+        (x, _, jac), (kind, eig) = root, classified
+
+        def repeats(event, null):
+            offset = x[:3] - event.location
+            return (event.kind == kind and abs(event.t - x[3]) <= EVENT_TOLERANCE * frame_step
+                    and np.linalg.norm(offset - (offset @ null) * null) <= diag)
+
+        if any(repeats(*known) for known in found):
+            continue
+        _, sing, vt = np.linalg.svd(jac)
+        null = vt[-1, :3] if sing[-1] <= EVENT_TOLERANCE * sing[0] else np.zeros(3)
+        k = min(int(np.searchsorted(times, x[3], side="right")) - 1, len(times) - 2)
+        found.append((Event(
+            kind, float(times[k]), float(times[k + 1]), tuple(float(c) for c in x[:3]),
+            k, k + 1, t=float(x[3]), details=f"root of psi = omega = 0; Hessian of t on "
+            f"the zero sheet has eigenvalues {eig[0]:+.4g}, {eig[1]:+.4g}",
+        ), null / max(float(np.linalg.norm(null)), 1e-300)))
+    return sorted((event for event, _ in found), key=lambda e: e.t)
 
 
 def track(
@@ -496,7 +618,10 @@ def track(
     t_end: float,
     n_frames: int,
 ) -> tuple[list[list[VortexPolyline]], EventLog]:
-    """Extract lines at n_frames+1 evenly spaced times and log topology events."""
+    """Extract lines at n_frames+1 evenly spaced times and log topology
+    events: the roots inside the grid box and the time window, seeded at each
+    line of a frame pair whose matching is not a bijection or whose open
+    lines re-pair their endpoints."""
     if n_frames < 1:
         raise SpecValidationError("tracking needs at least 1 frame")
     if not t_start < t_end:
@@ -528,144 +653,17 @@ def track(
             f"cell winding flux imbalance on frames {imbalanced}"
         )
 
-    diag = grid.cell_diagonal
-    cutoff = MATCH_CUTOFF_DIAGONALS * diag
-    event_size = EVENT_SIZE_DIAGONALS * diag
-
-    # ancestry[i][j] = index in frame i-1 matched to line j of frame i
-    ancestry: list[dict[int, int]] = [dict()]
-    all_matches: list[list[tuple[int, int]]] = []
-    for i in range(len(frames) - 1):
-        matches = match_polylines(frames[i], frames[i + 1], cutoff)
-        all_matches.append(matches)
-        ancestry.append({j: a for a, j in matches})
-
-    def lineage_lengths(frame_idx: int, line_idx: int, depth: int) -> list[float]:
-        out = [frames[frame_idx][line_idx].length]
-        f, j = frame_idx, line_idx
-        for _ in range(depth):
-            if j not in ancestry[f]:
-                break
-            j = ancestry[f][j]
-            f -= 1
-            out.append(frames[f][j].length)
-        return out
-
-    descendants: list[dict[int, int]] = [
-        {a: j for a, j in m} for m in all_matches
-    ] + [dict()]
-
-    def future_lengths(frame_idx: int, line_idx: int, depth: int) -> list[float]:
-        out = [frames[frame_idx][line_idx].length]
-        f, j = frame_idx, line_idx
-        for _ in range(depth):
-            if j not in descendants[f]:
-                break
-            j = descendants[f][j]
-            f += 1
-            out.append(frames[f][j].length)
-        return out
-
-    pending: list[tuple[int, int, str]] = []
-    for i, matches in enumerate(all_matches):
-        matched_prev = {a for a, _ in matches}
-        matched_curr = {b for _, b in matches}
-        vanishing = [j for j in range(len(frames[i])) if j not in matched_prev]
-        appearing = [j for j in range(len(frames[i + 1])) if j not in matched_curr]
-        t_lo, t_hi = float(times[i]), float(times[i + 1])
-
-        _emit_boundary_events(
-            log, pending, "annihilation", frames[i], vanishing, i, i + 1,
-            t_lo, t_hi, event_size, lambda j: lineage_lengths(i, j, 3),
-        )
-        _emit_boundary_events(
-            log, pending, "creation", frames[i + 1], appearing, i, i + 1,
-            t_lo, t_hi, event_size, lambda j: future_lengths(i + 1, j, 3),
-        )
-        if (
-            not vanishing
-            and not appearing
-            and _endpoint_pairing_changed(frames[i], frames[i + 1], cutoff)
-        ) or (
-            vanishing
-            and appearing
-            and all(not frames[i][j].closed for j in vanishing)
-            and all(not frames[i + 1][j].closed for j in appearing)
-            and _endpoint_pairing_changed(
-                [frames[i][j] for j in vanishing],
-                [frames[i + 1][j] for j in appearing],
-                cutoff,
-            )
-        ):
-            center = np.mean(
-                [frames[i][j].centroid for j in range(len(frames[i]))], axis=0
-            )
-            log.events.append(
-                Event("reconnection", t_lo, t_hi, tuple(center), i, i + 1,
-                      details="open-line endpoint pairing changed")
-            )
-    # Drop creation/annihilation records that were really a reconnection.
-    recon_brackets = {(e.frame_lo, e.frame_hi) for e in log.of_kind("reconnection")}
-    log.events = [
-        e for e in log.events
-        if e.kind == "reconnection" or (e.frame_lo, e.frame_hi) not in recon_brackets
-    ]
-    log.warnings.extend(
-        msg for lo, hi, msg in pending if (lo, hi) not in recon_brackets
-    )
+    cutoff = MATCH_CUTOFF_DIAGONALS * grid.cell_diagonal
+    candidates = []
+    for i in range(n_frames):
+        prev, curr = frames[i], frames[i + 1]
+        matches = match_polylines(prev, curr, cutoff)
+        kept_prev, kept_curr = {a for a, _ in matches}, {b for _, b in matches}
+        unmatched = [line for j, line in enumerate(prev) if j not in kept_prev]
+        unmatched += [line for j, line in enumerate(curr) if j not in kept_curr]
+        candidates.extend((i, line) for line in unmatched or _repaired_lines(prev, curr, cutoff))
+    log.events = _events_at_roots(spec, consts, grid, times, candidates)
     return frames, log
-
-
-def _emit_boundary_events(
-    log, pending, kind, frame, indices, frame_lo, frame_hi, t_lo, t_hi,
-    event_size, history
-):
-    """Classify lines that appear or vanish across one frame step."""
-    loops = [j for j in indices if frame[j].closed]
-    opens = [j for j in indices if not frame[j].closed]
-    for j in loops:
-        lengths = history(j)
-        shrinking = all(
-            lengths[n] <= lengths[n + 1] + 1e-12 for n in range(len(lengths) - 1)
-        )
-        if (shrinking and len(lengths) >= 3) or lengths[0] < event_size:
-            log.events.append(
-                Event(kind, t_lo, t_hi, tuple(frame[j].centroid), frame_lo, frame_hi,
-                      details="closed loop shrank to a point")
-            )
-        else:
-            pending.append((
-                frame_lo, frame_hi,
-                f"{kind}? loop of length {lengths[0]:.3g} at frames "
-                f"{frame_lo}-{frame_hi} fails the size/monotonicity test",
-            ))
-    # Opposite-winding open lines that die (or are born) together in close
-    # proximity are a pair event.
-    remaining = list(opens)
-    while len(remaining) >= 2:
-        j = remaining.pop(0)
-        best = None
-        for other in remaining:
-            d = symmetric_hausdorff(frame[j].points, frame[other].points)
-            if best is None or d < best[0]:
-                best = (d, other)
-        if best is not None and best[0] < 2.0 * event_size:
-            remaining.remove(best[1])
-            center = 0.5 * (frame[j].centroid + frame[best[1]].centroid)
-            log.events.append(
-                Event(kind, t_lo, t_hi, tuple(center), frame_lo, frame_hi,
-                      details="vortex pair of opposite circulation")
-            )
-        else:
-            pending.append((
-                frame_lo, frame_hi,
-                f"unpaired open line {kind} candidate at frames {frame_lo}-{frame_hi}",
-            ))
-    if len(remaining) == 1:
-        pending.append((
-            frame_lo, frame_hi,
-            f"unpaired open line {kind} candidate at frames {frame_lo}-{frame_hi}",
-        ))
 
 
 def node_speeds(frames: list[list[VortexPolyline]]) -> list[np.ndarray]:

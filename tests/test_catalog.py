@@ -61,6 +61,16 @@ def test_gradient_matches_finite_differences(spec):
         ) / (2 * h)
         scale = np.maximum(np.abs(grad[:, axis]), np.abs(fd)) + 1e-12
         assert float(np.max(np.abs(grad[:, axis] - fd) / scale)) < 1e-7
+    # The Hessian against differences of the exact gradient, relative to
+    # each point's largest entry (off-diagonal entries can vanish).
+    hess = spec.at(C, t).on(pts).hess
+    assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+    peak = np.max(np.abs(hess), axis=(1, 2)) + 1e-12
+    for axis in range(3):
+        shift = np.zeros(3)
+        shift[axis] = h
+        fd = (vl.gradient(spec, C, pts + shift, t) - vl.gradient(spec, C, pts - shift, t)) / (2 * h)
+        assert float(np.max(np.abs(hess[:, :, axis] - fd) / peak[:, None])) < 1e-7
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -78,6 +88,10 @@ def test_laplacian_and_time_derivatives_match_finite_differences(spec):
     fd_lap /= h**2
     scale = np.maximum(np.abs(lap), np.abs(fd_lap)) + 1e-9
     assert float(np.max(np.abs(lap - fd_lap) / scale)) < 1e-5
+    hess = spec.at(C, t).on(pts).hess
+    trace = np.trace(hess, axis1=-2, axis2=-1)
+    peak = np.max(np.abs(hess), axis=(1, 2)) + 1e-300
+    assert float(np.max(np.abs(trace - lap) / peak)) < 1e-12
 
     dt = vl.time_derivative(spec, C, pts, t)
     fd_dt = (vl.amplitude(spec, C, pts, t + h) - vl.amplitude(spec, C, pts, t - h)) / (
@@ -85,6 +99,11 @@ def test_laplacian_and_time_derivatives_match_finite_differences(spec):
     )
     scale = np.maximum(np.abs(dt), np.abs(fd_dt)) + 1e-9
     assert float(np.max(np.abs(dt - fd_dt) / scale)) < 1e-6
+
+    dt_grad = spec.at(C, t).on(pts).dt_grad
+    fd_dt_grad = (vl.gradient(spec, C, pts, t + h) - vl.gradient(spec, C, pts, t - h)) / (2 * h)
+    peak = np.max(np.maximum(np.abs(dt_grad), np.abs(fd_dt_grad)), axis=1) + 1e-9
+    assert float(np.max(np.abs(dt_grad - fd_dt_grad) / peak[:, None])) < 1e-6
 
     d2t = vl.second_time_derivative(spec, C, pts, t)
     fd_d2t = (

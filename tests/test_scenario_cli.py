@@ -2,6 +2,7 @@ import filecmp
 import json
 import math
 
+import numpy as np
 import pytest
 
 import vortexlines as vl
@@ -9,7 +10,8 @@ from vortexlines.cli import main
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3
 from vortexlines.presets import list_presets, preset
-from vortexlines.scenario import ScenarioConfig, check_oracle, run, validate
+from vortexlines.scenario import ScenarioConfig, check_circulation, check_oracle, run, validate
+from vortexlines.tracker import VortexPolyline
 from vortexlines.serialization import spec_from_dict, spec_to_dict
 
 OFF = (0.013, 0.011, 0.017)
@@ -212,3 +214,38 @@ def test_trap_oracle_step_count_follows_the_trap_period():
         assert all(r.passed for r in results), (n_frames, results)
         errors.append(results[0].measured)
     assert errors[0] == errors[1] == errors[2]
+
+
+@pytest.mark.parametrize("preset_name, grid, frames, law", [
+    ("fig1", "56", "16", 1.0),
+    ("fig1", "40", "16", 1.0),
+    ("pair_annihilation", "48", "31", 1.0),
+    ("fig3", "24", "31", 0.32),
+])
+def test_cli_events_are_roots_at_the_law(tmp_path, capsys, preset_name, grid, frames, law):
+    # Coarse frames: the ring outgrows the match cutoff between frames, a
+    # bracket lies off the event, a Newton refinement fails to converge.
+    # Each event is solved as a root at the closed-form time -+law.
+    code = main(["run", "--preset", preset_name, "--grid", grid, "--frames", frames,
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    events = json.loads((tmp_path / "out" / "events.json").read_text())["events"]
+    expected = {"fig3": ["reconnection", "reconnection"]}.get(
+        preset_name, ["creation", "annihilation"])
+    assert [e["kind"] for e in events] == expected
+    for event, sign in zip(events, (-1, 1)):
+        assert abs(event["t"] - sign * law) <= 1e-9 * law
+        assert event["t_lo"] <= event["t"] <= event["t_hi"]
+    assert out.count("PASS events") == (1 if preset_name == "fig3" else 2)
+
+
+def test_circulation_fails_on_a_probe_left_at_its_seed():
+    # A crossing whose refinement failed keeps its bilinear seed, off the
+    # zero: the check reports that instead of raising.
+    config = tiny_config(checks=("circulation",))
+    seeds = VortexPolyline(np.array([[1.1, 0.0, 0.0], [1.1, 0.1, 0.0], [1.1, 0.2, 0.0]]),
+                           closed=False, winding=1, frame_time=0.0)
+    (result,) = check_circulation(config, [[seeds]], None, [0.0])
+    assert not result.passed
+    assert "not on a line" in result.detail

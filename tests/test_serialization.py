@@ -102,11 +102,13 @@ def test_polyline_writers(tmp_path):
 def test_event_log_serialization(tmp_path):
     log = EventLog()
     log.events.append(
-        Event("annihilation", 0.9, 1.0, (0.0, -0.9, 0.0), 18, 19, details="pair")
+        Event("annihilation", 0.9, 1.0, (0.0, -0.9, 0.0), 18, 19, details="pair",
+              t=0.95)
     )
     log.warnings.append("something noteworthy")
     data = event_log_to_dict(log)
     assert data["events"][0]["kind"] == "annihilation"
+    assert data["events"][0]["t"] == 0.95
     assert data["warnings"] == ["something noteworthy"]
     path = tmp_path / "events.json"
     write_events(path, log)

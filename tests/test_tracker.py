@@ -5,7 +5,7 @@ import pytest
 
 import vortexlines as vl
 from vortexlines import tracker
-from vortexlines.errors import RefinementFailedError, SpecValidationError
+from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
 from vortexlines.tracker import (
     VortexPolyline,
@@ -44,12 +44,12 @@ def test_refine_point_lands_on_the_zero():
     assert refined == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
 
 
-def test_refine_point_rejects_degenerate_jacobian():
+def test_refine_point_keeps_the_seed_on_a_degenerate_jacobian():
     # A purely real prefactor has a rank-1 Jacobian in any face plane.
     spec = vl.FreeLineVortex(chi=0.0)
-    with pytest.raises(RefinementFailedError) as info:
-        analytic_refiner(spec, C, 0.0)(np.array([[0.08, 0.06, 0.5]]), 2)
-    assert info.value.last_iterate is not None
+    seeds = np.array([[0.08, 0.06, 0.5], [0.08, -0.06, 0.5]])
+    refined = analytic_refiner(spec, C, 0.0)(seeds, 2)
+    assert np.array_equal(refined, seeds)
 
 
 def test_extract_closed_ring_geometry():
@@ -127,6 +127,25 @@ def test_track_reconnection_for_crossed_pair():
     _, log = track(spec, C, grid, -0.53, 0.47, 16)
     assert len(log.of_kind("reconnection")) >= 1
     assert not log.of_kind("creation") and not log.of_kind("annihilation")
+
+
+@pytest.mark.parametrize("varphi", [0.1 * math.pi, math.pi / 4, 0.49 * math.pi],
+                         ids=["0.1pi", "pi/4", "0.49pi"])
+def test_track_reconnection_roots_follow_the_law(varphi):
+    # At x = z = 0 the prefactor is -(s y + i a)^2 - 2i hbar s^2 t / m with
+    # s = sin(varphi): it vanishes at s y = +-a, t = -m a y / (hbar s), where
+    # both lines pass through one point.  So the reconnections are at
+    # t* = -+m a^2 / (hbar s^2), y* = +-a / s.
+    a, s = 0.4, math.sin(varphi)
+    t_r, y_r = C.mass * a**2 / (C.hbar * s**2), a / s
+    grid = Grid3.centered(OFF, 3.0 * y_r, 32)
+    spec = vl.FreeTwoLinesSymmetric(a=a, varphi=varphi)
+    _, log = track(spec, C, grid, -1.2 * t_r, 1.2 * t_r, 16)
+    assert [e.kind for e in log.events] == ["reconnection", "reconnection"]
+    for event, sign in zip(log.events, (-1, 1)):
+        assert abs(event.t - sign * t_r) <= 1e-9 * t_r
+        assert event.location == pytest.approx((0.0, -sign * y_r, 0.0), abs=1e-9 * y_r)
+        assert event.t_lo <= event.t <= event.t_hi
 
 
 def test_track_steady_parallel_pair_logs_nothing():

@@ -1,10 +1,15 @@
-"""Property sweep of the plaquette tracker over grid size and offset.
+"""Property sweeps of the plaquette tracker over grid size, offset, frame
+count and time window.
 
 Phase winding is conserved through every grid cell (Berry & Dennis, Proc. R.
 Soc. A 456:2059, 2000): the wrapped edge phase steps of a closed cell surface
 cancel, so unless noise-floor faces were dropped, no cell may leak winding
 flux, every pierced face must pair up inside each of its cells, and the
-chained polylines must use every pierced face exactly once.
+chained polylines must use every pierced face exactly once.  Newton
+refinement on the exact field must never abort: each crossing lands on a
+zero or keeps its seed.  Creation and annihilation are roots of psi = 0,
+omega = 0 in space-time, found at the closed-form times whatever the grid
+and the frames.
 """
 
 import math
@@ -15,7 +20,13 @@ from hypothesis import strategies as st
 
 import vortexlines as vl
 from vortexlines.grids import Grid3, sample
-from vortexlines.tracker import cell_winding_balance, detect_pierced_faces, extract_lines
+from vortexlines.tracker import (
+    analytic_refiner,
+    cell_winding_balance,
+    detect_pierced_faces,
+    extract_lines,
+    track,
+)
 
 C = vl.NATURAL_UNITS
 
@@ -66,3 +77,50 @@ def test_extraction_conserves_winding_and_uses_every_face(case, n, offset):
         if line.closed:
             steps = np.vstack([steps, line.points[0] - line.points[-1]])
         assert np.all(np.linalg.norm(steps, axis=1) <= reach)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=st.sampled_from(CASES), n=st.integers(10, 40), offset=offsets)
+def test_refinement_lands_on_a_zero_or_keeps_its_seed(case, n, offset):
+    spec, side, t = case
+    spacing = side / (n - 1)
+    grid = Grid3.centered(np.asarray(offset) * spacing, side, n)
+    refine = analytic_refiner(spec, C, t)
+    pairs = []
+
+    def record(seeds, axis):
+        refined = refine(seeds, axis)
+        pairs.append((seeds.copy(), refined))
+        return refined
+
+    extract_lines(sample(spec, C, grid, t), refiner=record)
+    scale = spec.length_scale(C)
+    for seeds, refined in pairs:
+        field = spec.at(C, t).on(refined)
+        on_zero = np.abs(field.psi) <= 1e-12 * np.linalg.norm(field.grad, axis=-1) * scale
+        kept = np.all(refined == seeds, axis=1)
+        assert np.all(on_zero | kept)
+
+
+#: Lines born at -t_a and gone at +t_a, as in the fig1 and pair_annihilation
+#: presets.
+LIFECYCLES = [
+    vl.FreeRingSphere(R=3.0, a=1.0),
+    vl.FreeTwoLinesSymmetric(a=1.0, varphi=math.pi / 2),
+]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=st.sampled_from(LIFECYCLES), n=st.integers(24, 48),
+       n_frames=st.integers(6, 32), shift=st.floats(0.0, 1.0, exclude_max=True))
+def test_events_are_found_at_the_law(spec, n, n_frames, shift):
+    t_a = spec.annihilation_time(C)
+    grid = Grid3.centered((0.013, 0.011, 0.017), 8.0, n)
+    t0, t1 = -2.03125, 1.96875
+    offset = shift * (t1 - t0) / n_frames
+    _, log = track(spec, C, grid, t0 + offset, t1 + offset, n_frames)
+    assert [e.kind for e in log.events] == ["creation", "annihilation"]
+    for event, expected in zip(log.events, (-t_a, t_a)):
+        assert abs(event.t - expected) <= 1e-9 * t_a
+        assert event.t_lo <= event.t <= event.t_hi
+        assert event.frame_hi == event.frame_lo + 1
