@@ -560,9 +560,10 @@ def _classify(values):
     zero = EVENT_TOLERANCE * np.max(np.abs(eig))
     if zero == 0:
         return None
-    if eig[0] >= -zero:
+    eig = np.where(np.abs(eig) <= zero, 0.0, eig)
+    if eig[0] >= 0:
         return "creation", eig
-    return ("annihilation" if eig[1] <= zero else "reconnection"), eig
+    return ("annihilation" if eig[1] <= 0 else "reconnection"), eig
 
 
 def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
