@@ -6,13 +6,13 @@ part,
 
     G(r, t) = sum_a m_a(t) x_a^2 + b(t).r + c(t).
 
-Each constructor here returns G as a `JetPoly` (m, b, c held as time-jets),
-which gives exact analytic gradients, Laplacians and first/second time
-derivatives of the carrier; the catalog's snapshot, `spec.at(consts, t)`,
-builds P and G once and evaluates psi and its derivatives from one exp(G).
-A bare carrier is the solution with P = 1.  The Gaussian packet is the lens
-image of the plane wave: with beta = 1 + i hbar t / (m l^2), its exponent is
-the plane wave's at (r / beta, t / beta) plus the window
+Each constructor here returns G as a `Poly3` with `Jet` coefficients (m, b,
+c with their first two time derivatives); the catalog's snapshot,
+`spec.at(consts, t)`, takes one plain polynomial per time order from it and
+from P, and forms every derivative of psi from the same two product-rule
+identities.  A bare carrier is the solution with P = 1.  The Gaussian packet
+is the lens image of the plane wave: with beta = 1 + i hbar t / (m l^2), its
+exponent is the plane wave's at (r / beta, t / beta) plus the window
 -r^2 / (2 l^2 beta) - (3/2) log beta.
 """
 
@@ -21,24 +21,23 @@ from __future__ import annotations
 import numpy as np
 
 from .constants import PhysicalConstants
-from .polynomials import Jet, JetPoly
+from .polynomials import Jet, Poly3
 
 _ZERO = Jet.const(0.0)
 
 
-def _quadratic(m_diag, b, c: Jet) -> JetPoly:
-    """G = sum_a m_a x_a^2 + b_a x_a + c, leaving out zero coefficients."""
+def _quadratic(m_diag, b, c: Jet) -> Poly3:
+    """G = sum_a m_a x_a^2 + b_a x_a + c (`Poly3.order` drops zero terms)."""
     terms = {(0, 0, 0): c}
     for axis in range(3):
         for power, jet in ((2, m_diag[axis]), (1, b[axis])):
-            if jet != _ZERO:
-                exps = [0, 0, 0]
-                exps[axis] = power
-                terms[tuple(exps)] = jet
-    return JetPoly(terms)
+            exps = [0, 0, 0]
+            exps[axis] = power
+            terms[tuple(exps)] = jet
+    return Poly3(terms)
 
 
-def free_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> JetPoly:
+def free_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> Poly3:
     """exp(i k.r - i hbar k^2 t / 2m)."""
     k2 = float(k @ k)
     rate = -1j * consts.hbar * k2 / (2.0 * consts.mass)
@@ -51,7 +50,7 @@ def free_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> JetPo
 
 def gaussian_packet(
     consts: PhysicalConstants, k: np.ndarray, width: float, t: float
-) -> JetPoly:
+) -> Poly3:
     """Spreading Gaussian envelope exp(-k^2 l^2/2) beta^{-3/2} exp(-(r - i k l^2)^2 / (2 l^2 beta))."""
     l2 = width * width
     beta = Jet(1.0 + 1j * consts.hbar * t / (consts.mass * l2),
@@ -66,7 +65,7 @@ def gaussian_packet(
 
 def magnetic_generator(
     consts: PhysicalConstants, k: np.ndarray, field_strength: float, t: float
-) -> JetPoly:
+) -> Poly3:
     """Landau ground-state Gaussian times the uniform-field generating phase.
 
     The z phase -i hbar kz^2/(2 e B) is constant in (r, t), so it only
@@ -93,7 +92,7 @@ def magnetic_generator(
 
 def trap_generator(
     consts: PhysicalConstants, k: np.ndarray, omega: float, t: float
-) -> JetPoly:
+) -> Poly3:
     """Harmonic-trap ground state times exp(i e^{-i w t}(k.r - hbar k^2 sin(w t)/(2 m w)))."""
     hbar, mass = consts.hbar, consts.mass
     F = Jet.exp_i(-1j * omega, t)
@@ -109,7 +108,7 @@ def trap_generator(
     return _quadratic((m_jet, m_jet, m_jet), b, c)
 
 
-def rel_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> JetPoly:
+def rel_plane_wave(consts: PhysicalConstants, k: np.ndarray, t: float) -> Poly3:
     """exp(i k.r - i omega_k t) with the Klein-Gordon dispersion."""
     omega_k = rel_dispersion(consts, k)
     return _quadratic(

@@ -1,9 +1,10 @@
 """The catalog of exact vortex-carrying wave functions.
 
 Every family is psi = P * exp(G): a polynomial prefactor P times a carrier
-whose exponent G is a quadratic, both held as jet polynomials (`JetPoly`).
-Bare carriers are the families with P = 1.  Each family is a tagged spec (one
-dataclass); families on the same carrier share a base class:
+whose exponent G is a quadratic, both held as polynomials with time-jet
+coefficients (`Poly3` of `Jet`s).  Bare carriers are the families with P = 1.
+Each family is a tagged spec (one dataclass); families on the same carrier
+share a base class:
 
 * plane-wave families write P as the image polynomial of the moving
   coordinates r - v t and the time t;
@@ -14,16 +15,20 @@ dataclass); families on the same carrier share a base class:
   its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0.
 
 `spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
-gives psi, its gradient, Hessian, Laplacian, first/second time derivatives
-and the time derivative of its gradient at a point set (or
-`snapshot.on(x, y, z)` at coordinate arrays that broadcast together) from
-one exp(G), each formed by the product rule on first use.
-G has no cross terms, so exp(G) is kept as one factor per axis and
-multiplied into each result in place: on grid axes no full-size exp(G) is
-formed.
-`amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
-certifies each family against its governing equation using those analytic
-derivatives only.
+gives psi and its first and second derivatives in u = (x, y, z, t) at a point
+set (or `snapshot.on(x, y, z)` at coordinate arrays that broadcast together).
+Every derivative is exp(G) times one of two identities,
+
+    d_i psi / exp(G)     = P_i + P G_i,
+    d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
+
+where a t index picks the jet order of P and G; the gradient, Hessian,
+Laplacian, first/second time derivatives and the time derivative of the
+gradient are views of them.  G has no cross terms, so exp(G) is kept as one
+factor per axis and multiplied into each result in place: on grid axes no
+full-size exp(G) is formed.  `amplitude`, `gradient`, ... are one-line views
+of it, and `pde_residual` certifies each family against its governing
+equation using those analytic derivatives only.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from .carriers import (
 )
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Jet, JetPoly, Poly3, coordinates
+from .polynomials import Jet, Poly3, coordinates
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
-_ONE = JetPoly.constant(1.0)
+_ONE = Poly3.constant(1.0)
 
 
 class SolutionSpec:
@@ -90,11 +94,11 @@ class SolutionSpec:
     equation = "free"  # one of free / trap / magnetic / relativistic
     is_bare = False    # bare carriers have the prefactor P = 1
 
-    def carrier(self, consts: PhysicalConstants, t: float) -> JetPoly:
+    def carrier(self, consts: PhysicalConstants, t: float) -> Poly3:
         """The carrier exponent G at time t."""
         raise NotImplementedError
 
-    def prefactor_jets(self, consts: PhysicalConstants, t: float) -> JetPoly:
+    def prefactor_jets(self, consts: PhysicalConstants, t: float) -> Poly3:
         """The prefactor P at time t."""
         return _ONE
 
@@ -124,16 +128,16 @@ class _PlaneWaveCarrier(SolutionSpec):
     def carrier(self, consts, t):
         return free_plane_wave(consts, self.k.as_array(), t)
 
-    def image(self, consts, coords: list[JetPoly], tau: Jet) -> JetPoly:
+    def image(self, consts, coords: list[Poly3], tau: Jet) -> Poly3:
         return _ONE
 
     def prefactor_jets(self, consts, t):
         return self._image_at(consts, Jet.const(1.0), Jet(t, 1.0, 0.0))
 
-    def _image_at(self, consts, scale: Jet, tau: Jet) -> JetPoly:
+    def _image_at(self, consts, scale: Jet, tau: Jet) -> Poly3:
         """The image polynomial at coordinates scale * r - v tau."""
         v = self.classical_velocity(consts)
-        coords = [scale * JetPoly.coordinate(a) - float(v[a]) * tau for a in range(3)]
+        coords = [scale * Poly3.coordinate(a) - float(v[a]) * tau for a in range(3)]
         return self.image(consts, coords, tau)
 
     def classical_velocity(self, consts):
@@ -282,11 +286,11 @@ class FreeTwoLines(_PlaneWaveCarrier):
     def image(self, consts, coords, tau):
         lin1 = sum(
             (self.w1[a] * coords[a] for a in range(3)),
-            JetPoly.constant(-np.dot(self.w1, self.r1)),
+            Poly3.constant(-np.dot(self.w1, self.r1)),
         )
         lin2 = sum(
             (self.w2[a] * coords[a] for a in range(3)),
-            JetPoly.constant(-np.dot(self.w2, self.r2)),
+            Poly3.constant(-np.dot(self.w2, self.r2)),
         )
         dot12 = complex(np.dot(self.w1, self.w2))
         return lin1 * lin2 + (1j * consts.hbar / consts.mass * dot12) * tau
@@ -382,14 +386,11 @@ class MagneticLine(SolutionSpec):
     def prefactor_jets(self, consts, t):
         omega_c = consts.cyclotron_frequency(self.B)
         E = Jet.exp_i(-1j * omega_c, t)
-        half = Jet.const(0.5)
-        x_img = JetPoly.linear(half * (E + 1.0), (0.5j) * (E - 1.0), 0.0)
-        y_img = JetPoly.linear((-0.5j) * (E - 1.0), half * (E + 1.0), 0.0)
+        x, y, z = (Poly3.coordinate(a) for a in range(3))
+        x_img = (0.5 * (E + 1.0)) * x + (0.5j * (E - 1.0)) * y
+        y_img = (-0.5j * (E - 1.0)) * x + (0.5 * (E + 1.0)) * y
         s, c = math.sin(self.varphi), math.cos(self.varphi)
-        return (
-            y_img - JetPoly.constant(self.a)
-            + 1j * ((-s) * x_img + c * JetPoly.coordinate(2))
-        )
+        return y_img - self.a + 1j * ((-s) * x_img + c * z)
 
     def length_scale(self, consts):
         return abs(self.a)
@@ -445,10 +446,10 @@ class TrapRing(SolutionSpec):
         osc_len2 = consts.hbar / (consts.mass * self.omega)
         E = Jet.exp_i(-1j * self.omega, t)
         E2 = E * E
-        x, y, z = (JetPoly.coordinate(a) for a in range(3))
+        x, y, z = (Poly3.coordinate(a) for a in range(3))
         return (
-            E2 * (x * x + y * y - JetPoly.constant(osc_len2))
-            + JetPoly.constant(osc_len2)
+            E2 * (x * x + y * y - osc_len2)
+            + osc_len2
             - E * (2.0 * self.R) * x
             + (1j * self.R) * E * z
         )
@@ -602,7 +603,7 @@ class Snapshot:
 
     __slots__ = ("p", "g")
 
-    def __init__(self, prefactor_jets: JetPoly, exponent: JetPoly):
+    def __init__(self, prefactor_jets: Poly3, exponent: Poly3):
         self.p = [prefactor_jets.order(n) for n in range(3)]
         self.g = [exponent.order(n) for n in range(3)]
 
@@ -614,13 +615,18 @@ class Snapshot:
 
 
 class FieldValues:
-    """psi, grad, hess, lap, dt, dt_grad and d2t at one point set, each
-    formed on first use by the product rule on P * exp(G), all sharing one
-    exp(G)."""
+    """psi and its derivatives in u = (x, y, z, t) at one point set, each
+    formed on first use from one of two product-rule identities on
+    P * exp(G), all sharing one exp(G).
+
+    Index 3 of u is t: a t index picks the jet order of P and G, a spatial
+    index differentiates the polynomial.
+    """
 
     def __init__(self, p: list[Poly3], g: list[Poly3], coords):
         self.p, self.g, self.coords = p, g, coords
         self.shape = np.broadcast(*coords).shape
+        self._derivs: dict = {}
 
     @cached_property
     def _carrier(self) -> list:
@@ -633,25 +639,31 @@ class FieldValues:
             values *= factor
         return values
 
-    @cached_property
-    def _p(self) -> np.ndarray:
-        return self.p[0].evaluate(*self.coords)
+    def _d(self, f: list[Poly3], idx: tuple[int, ...]) -> np.ndarray:
+        """The derivative of P or G (f = self.p or self.g) along the sorted
+        indices idx of u, at the coordinates."""
+        key = (f is self.p, idx)
+        if key not in self._derivs:
+            poly = f[idx.count(3)]
+            for axis in idx:
+                if axis < 3:
+                    poly = poly.diff(axis)
+            self._derivs[key] = poly.evaluate(*self.coords)
+        return self._derivs[key]
 
-    @cached_property
-    def _grad_p(self) -> list[np.ndarray]:
-        return [self.p[0].diff(a).evaluate(*self.coords) for a in range(3)]
+    def _first(self, i: int) -> np.ndarray:
+        """d_i psi / exp(G) = P_i + P G_i."""
+        return self._d(self.p, (i,)) + self._d(self.p, ()) * self._d(self.g, (i,))
 
-    @cached_property
-    def _grad_g(self) -> list[np.ndarray]:
-        return [self.g[0].diff(a).evaluate(*self.coords) for a in range(3)]
-
-    @cached_property
-    def _p_dt(self) -> np.ndarray:
-        return self.p[1].evaluate(*self.coords)
-
-    @cached_property
-    def _g_dt(self) -> np.ndarray:
-        return self.g[1].evaluate(*self.coords)
+    def _second(self, i: int, j: int) -> np.ndarray:
+        """d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
+        for i <= j."""
+        p, g = self.p, self.g
+        d = self._d
+        return (
+            d(p, (i, j)) + d(p, (i,)) * d(g, (j,)) + d(p, (j,)) * d(g, (i,))
+            + d(p, ()) * (d(g, (i, j)) + d(g, (i,)) * d(g, (j,)))
+        )
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -659,62 +671,44 @@ class FieldValues:
         # full-size exp(G) is formed.  Sampling a grid every frame is
         # sensitive to this order: others let the C allocator trim and regrow
         # the heap each frame (measured as minor page faults).
-        p, _ = self._p, self._carrier
+        p, _ = self._d(self.p, ()), self._carrier
         return self._times_carrier(p.copy())
 
     @cached_property
     def grad(self) -> np.ndarray:
         out = np.empty(self.shape + (3,), dtype=complex)
         for a in range(3):
-            out[..., a] = self._times_carrier(
-                self._grad_p[a] + self._p * self._grad_g[a]
-            )
+            out[..., a] = self._times_carrier(self._first(a))
         return out
-
-    @cached_property
-    def lap(self) -> np.ndarray:
-        xyz = self.coords
-        cross = sum(dp * dg for dp, dg in zip(self._grad_p, self._grad_g))
-        lap_g = self.g[0].laplacian().evaluate(*xyz) + sum(dg * dg for dg in self._grad_g)
-        return self._times_carrier(
-            self.p[0].laplacian().evaluate(*xyz) + 2.0 * cross + self._p * lap_g
-        )
 
     @cached_property
     def hess(self) -> np.ndarray:
         """Spatial Hessian of psi, shape (..., 3, 3)."""
-        dp, dg = self._grad_p, self._grad_g
         out = np.empty(self.shape + (3, 3), dtype=complex)
-        for a, b in combinations_with_replacement(range(3), 2):
-            p_ab, g_ab = (f[0].diff(a).diff(b).evaluate(*self.coords) for f in (self.p, self.g))
-            out[..., a, b] = out[..., b, a] = self._times_carrier(
-                p_ab + dp[a] * dg[b] + dp[b] * dg[a] + self._p * (g_ab + dg[a] * dg[b])
-            )
+        for a in range(3):
+            for b in range(a, 3):
+                out[..., a, b] = out[..., b, a] = self._times_carrier(self._second(a, b))
         return out
 
     @cached_property
+    def lap(self) -> np.ndarray:
+        return self._times_carrier(sum(self._second(a, a) for a in range(3)))
+
+    @cached_property
     def dt(self) -> np.ndarray:
-        return self._times_carrier(self._p_dt + self._p * self._g_dt)
+        return self._times_carrier(self._first(3))
 
     @cached_property
     def dt_grad(self) -> np.ndarray:
         """d/dt of grad psi, shape (..., 3)."""
-        dt_over_carrier = self._p_dt + self._p * self._g_dt
         out = np.empty(self.shape + (3,), dtype=complex)
         for a in range(3):
-            p_ta, g_ta = (f[1].diff(a).evaluate(*self.coords) for f in (self.p, self.g))
-            out[..., a] = self._times_carrier(
-                p_ta + self._grad_p[a] * self._g_dt + self._p * g_ta
-                + dt_over_carrier * self._grad_g[a]
-            )
+            out[..., a] = self._times_carrier(self._second(a, 3))
         return out
 
     @cached_property
     def d2t(self) -> np.ndarray:
-        g_d2t = self.g[2].evaluate(*self.coords) + self._g_dt * self._g_dt
-        return self._times_carrier(
-            self.p[2].evaluate(*self.coords) + 2.0 * self._p_dt * self._g_dt + self._p * g_d2t
-        )
+        return self._times_carrier(self._second(3, 3))
 
 
 def amplitude(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:

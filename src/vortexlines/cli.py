@@ -59,8 +59,12 @@ def _load_config(args) -> ScenarioConfig:
     if bool(args.config) == bool(args.preset):
         raise SpecValidationError("provide exactly one of --config or --preset")
     if args.config:
-        with open(args.config) as fh:
-            config = ScenarioConfig.from_dict(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SpecValidationError(f"cannot read config {args.config}: {exc}") from None
+        config = ScenarioConfig.from_dict(data)
     else:
         config = preset(args.preset)
     return _apply_overrides(config, args)

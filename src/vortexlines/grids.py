@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -25,9 +26,14 @@ class Grid3:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
+        if not np.shape(self.origin) == np.shape(self.spacing) == np.shape(self.dims) == (3,):
+            raise SpecValidationError("grid origin, spacing and dims must have 3 entries each")
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
         object.__setattr__(self, "spacing", tuple(float(v) for v in self.spacing))
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        try:
+            object.__setattr__(self, "dims", tuple(operator.index(v) for v in self.dims))
+        except TypeError:
+            raise SpecValidationError(f"grid dims must be integers, got {self.dims}") from None
         if any(not (s > 0) for s in self.spacing):
             raise SpecValidationError("grid spacing must be strictly positive")
         if any(d < 4 for d in self.dims):

@@ -1,18 +1,17 @@
-"""Complex polynomials in (x, y, z) and small time-jets of their coefficients.
+"""Complex polynomials in (x, y, z), with plain or time-jet coefficients.
 
 Every analytic solution has the shape psi = P * exp(G), where the prefactor P
 and the exponent G are both polynomials in the spatial coordinates whose
 coefficients are smooth complex functions of time (G is a quadratic with
-diagonal quadratic part).  Both are held as `JetPoly`: each coefficient is a
-second-order jet (value plus first and second time derivative), so exact
-d/dt and d2/dt2 of psi come out of plain product-rule algebra.  Jets compose,
-so the lens map (r, t) -> (r / beta, t / beta) of the Gaussian-carrier
-families is a substitution of jet polynomials into a plane-wave prefactor.
-`Poly3` is the plain polynomial of one jet order: a catalog snapshot,
-`spec.at(consts, t)`, holds P and G as one `Poly3` per order and evaluates
-them at point sets, or at coordinate arrays that broadcast together such as
-grid axes; exp(G) is formed as one factor per axis, since G has no cross
-terms.
+diagonal quadratic part).  `Poly3` holds either: while P and G are built,
+each coefficient is a second-order `Jet` (value plus first and second time
+derivative), and `order(n)` takes the plain polynomial of the n-th time
+derivative.  Jets compose, so the lens map (r, t) -> (r / beta, t / beta) of
+the Gaussian-carrier families is a substitution of jet polynomials into a
+plane-wave prefactor.  A catalog snapshot, `spec.at(consts, t)`, holds P and
+G as one plain `Poly3` per order and evaluates them at point sets, or at
+coordinate arrays that broadcast together such as grid axes; exp(G) is
+formed as one factor per axis, since G has no cross terms.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Jet:
         return Jet(value, rate * value, rate * rate * value)
 
     def __add__(self, other):
-        if isinstance(other, JetPoly):
+        if isinstance(other, Poly3):
             return NotImplemented
         other = _as_jet(other)
         return Jet(self.f + other.f, self.df + other.df, self.d2f + other.d2f)
@@ -53,7 +52,7 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, JetPoly):
+        if isinstance(other, Poly3):
             return NotImplemented
         other = _as_jet(other)
         return Jet(self.f - other.f, self.df - other.df, self.d2f - other.d2f)
@@ -65,7 +64,7 @@ class Jet:
         return Jet(-self.f, -self.df, -self.d2f)
 
     def __mul__(self, other):
-        if isinstance(other, JetPoly):
+        if isinstance(other, Poly3):
             return NotImplemented
         other = _as_jet(other)
         return Jet(
@@ -99,18 +98,35 @@ def _as_jet(value) -> Jet:
 
 
 class Poly3:
-    """Polynomial in (x, y, z) with plain complex coefficients.
+    """Polynomial in (x, y, z) whose coefficients are complex numbers or
+    `Jet`s.
 
-    Addition merges terms with equal exponents; terms whose coefficient is
-    zero are dropped.
+    Addition merges terms with equal exponents, and it and `order` drop the
+    terms whose coefficient is zero.  `constant` and `coordinate` start a jet
+    polynomial; `evaluate` and `exp_factors` need plain coefficients (see
+    `order`).
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[Exponents, complex] = {
-            exps: complex(c) for exps, c in (coeffs or {}).items() if c != 0
-        }
+        self.coeffs: dict[Exponents, complex | Jet] = dict(coeffs) if coeffs else {}
+
+    @staticmethod
+    def constant(value) -> "Poly3":
+        return Poly3({(0, 0, 0): _as_jet(value)})
+
+    @staticmethod
+    def coordinate(axis: int) -> "Poly3":
+        exps = [0, 0, 0]
+        exps[axis] = 1
+        return Poly3({tuple(exps): Jet.const(1.0)})
+
+    def order(self, n: int) -> "Poly3":
+        """Plain polynomial holding the n-th time derivative of every jet
+        coefficient."""
+        attr = ("f", "df", "d2f")[n]
+        return Poly3({e: c for e, j in self.coeffs.items() if (c := complex(getattr(j, attr)))})
 
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
@@ -126,17 +142,33 @@ class Poly3:
                 out[key] = out.get(key, 0.0) + p * c
         return Poly3(out)
 
-    def laplacian(self) -> "Poly3":
-        result = Poly3()
-        for axis in range(3):
-            result = result + self.diff(axis).diff(axis)
-        return result
-
-    def __add__(self, other: "Poly3") -> "Poly3":
+    def __add__(self, other) -> "Poly3":
+        if not isinstance(other, Poly3):
+            other = Poly3.constant(other)
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, 0.0) + c
+            out[exps] = out[exps] + c if exps in out else c
+        return Poly3({e: c for e, c in out.items() if c != 0})
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Poly3":
+        if not isinstance(other, Poly3):
+            other = Poly3.constant(other)
+        return self + Poly3({e: -c for e, c in other.coeffs.items()})
+
+    def __mul__(self, other) -> "Poly3":
+        if not isinstance(other, Poly3):
+            return Poly3({e: c * other for e, c in self.coeffs.items()})
+        out: dict[Exponents, complex | Jet] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+                prod = c1 * c2
+                out[key] = out[key] + prod if key in out else prod
         return Poly3(out)
+
+    __rmul__ = __mul__
 
     def evaluate(self, *coords) -> np.ndarray:
         """Evaluate at positions of shape (..., 3), or at three coordinate
@@ -166,7 +198,7 @@ class Poly3:
             factors = [pows[axis][exps[axis]] for axis in used]
             if len(factors) > 1:
                 factors.sort(key=np.size)
-            term = c * factors[0]
+            term = complex(c) * factors[0]
             for factor in factors[1:]:
                 term = term * factor
             key = tuple(used)
@@ -223,70 +255,3 @@ def coordinates(*coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return points[..., 0], points[..., 1], points[..., 2]
     x, y, z = coords
     return np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-
-
-class JetPoly:
-    """Polynomial in (x, y, z) with Jet coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Exponents, Jet] = dict(terms) if terms else {}
-
-    @staticmethod
-    def constant(value) -> "JetPoly":
-        return JetPoly({(0, 0, 0): _as_jet(value)})
-
-    @staticmethod
-    def coordinate(axis: int) -> "JetPoly":
-        exps = [0, 0, 0]
-        exps[axis] = 1
-        return JetPoly({tuple(exps): Jet.const(1.0)})
-
-    @staticmethod
-    def linear(coeff_x, coeff_y, coeff_z, const=0.0) -> "JetPoly":
-        terms = {}
-        for axis, c in enumerate((coeff_x, coeff_y, coeff_z)):
-            c = _as_jet(c)
-            if c.f != 0 or c.df != 0 or c.d2f != 0:
-                exps = [0, 0, 0]
-                exps[axis] = 1
-                terms[tuple(exps)] = c
-        const = _as_jet(const)
-        if const.f != 0 or const.df != 0 or const.d2f != 0:
-            terms[(0, 0, 0)] = const
-        return JetPoly(terms)
-
-    def __add__(self, other):
-        if not isinstance(other, JetPoly):
-            other = JetPoly.constant(other)
-        out = dict(self.terms)
-        for exps, jet in other.terms.items():
-            out[exps] = out[exps] + jet if exps in out else jet
-        return JetPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, JetPoly):
-            other = JetPoly.constant(other)
-        return self + JetPoly({e: -j for e, j in other.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, JetPoly):
-            out: dict[Exponents, Jet] = {}
-            for e1, j1 in self.terms.items():
-                for e2, j2 in other.terms.items():
-                    key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                    prod = j1 * j2
-                    out[key] = out[key] + prod if key in out else prod
-            return JetPoly(out)
-        jet = _as_jet(other)
-        return JetPoly({e: j * jet for e, j in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def order(self, n: int) -> Poly3:
-        """Plain polynomial holding the n-th time derivative of every coefficient."""
-        attr = ("f", "df", "d2f")[n]
-        return Poly3({e: getattr(j, attr) for e, j in self.terms.items()})

@@ -9,6 +9,7 @@ status) if any check fails, but artifacts are always written.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,16 @@ class ScenarioConfig:
     output_format: str = "text"  # text | table | svg
     seed: int = 0
 
+    def __post_init__(self):
+        if np.shape(self.time_range) != (2,):
+            raise SpecValidationError(f"time_range must be [start, end], got {self.time_range}")
+        for name in ("n_frames", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise SpecValidationError(f"{name} must be an integer, got {value!r}") from None
+
     def to_dict(self) -> dict:
         return {
             "spec": serialization.spec_to_dict(self.spec),
@@ -76,16 +87,23 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
-        return ScenarioConfig(
-            spec=serialization.spec_from_dict(data["spec"]),
-            consts=serialization.consts_from_dict(data.get("consts", {})),
-            grid=serialization.grid_from_dict(data["grid"]),
-            time_range=tuple(float(v) for v in data["time_range"]),
-            n_frames=int(data["n_frames"]),
-            checks=tuple(data.get("checks", ())),
-            output_format=data.get("output_format", "text"),
-            seed=int(data.get("seed", 0)),
-        )
+        try:
+            return ScenarioConfig(
+                spec=serialization.spec_from_dict(data["spec"]),
+                consts=serialization.consts_from_dict(data.get("consts", {})),
+                grid=serialization.grid_from_dict(data["grid"]),
+                time_range=tuple(float(v) for v in data["time_range"]),
+                n_frames=data["n_frames"],
+                checks=tuple(data.get("checks", ())),
+                output_format=data.get("output_format", "text"),
+                seed=data.get("seed", 0),
+            )
+        except SpecValidationError:
+            raise
+        except KeyError as exc:
+            raise SpecValidationError(f"config is missing the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SpecValidationError(f"malformed config: {exc}") from None
 
 
 def validate(config: ScenarioConfig) -> list[str]:

@@ -58,7 +58,10 @@ def spec_from_dict(data: dict) -> SolutionSpec:
             kwargs[name] = tuple(float(v) for v in value)
         else:
             kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise SpecValidationError(f"{family}: {exc}") from None
 
 
 def consts_to_dict(consts: PhysicalConstants) -> dict:

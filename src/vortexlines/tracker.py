@@ -509,8 +509,10 @@ def _moved(spec, consts, line: VortexPolyline, t: float) -> np.ndarray:
 def _event_root(spec, consts, seed, lo, hi, scale):
     """Gauss-Newton root X* = (x, y, z, t) of (Re psi, Im psi, omega) from
     `seed` clipped into the box lo <= X <= hi: (X*, field values, scaled
-    Jacobian), or None once an iterate leaves the box or the solve does not
-    converge.
+    Jacobian), or None if the solve does not converge.  An iterate that
+    leaves the box is projected back into it, and the solve ends at the
+    third step in a row that leaves it: a first step from a seed near the
+    box's edge may overshoot a root inside it.
 
     X is measured in `scale`; rows are unit-free, psi / (g scale[0]) and
     omega / g^2 with g = |grad psi| at the seed.  Each step solves the exact
@@ -526,6 +528,7 @@ def _event_root(spec, consts, seed, lo, hi, scale):
     if not g > 0:
         return None
     rows = np.array([1.0 / (g * scale[0])] * 2 + [1.0 / g**2] * 3)
+    clipped = 0
     for _ in range(EVENT_MAX_ITERATIONS):
         re, im = values.grad.real, values.grad.imag
         d_grad = np.column_stack([values.hess, values.dt_grad])  # d grad psi / dX
@@ -537,8 +540,11 @@ def _event_root(spec, consts, seed, lo, hi, scale):
         if np.max(np.abs(step)) <= EVENT_TOLERANCE:
             done = np.max(np.abs(rows * residual)) <= EVENT_TOLERANCE
             return (x, values, jac) if done else None
-        if not np.all((lo <= x) & (x <= hi)):
+        inside = np.clip(x, lo, hi)
+        clipped = clipped + 1 if np.any(inside != x) else 0
+        if clipped == 3:
             return None
+        x = inside
         values, residual = at(x)
     return None
 

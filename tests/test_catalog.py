@@ -144,7 +144,7 @@ def test_no_carrier_exponent_has_cross_terms():
     # only while G has no terms in two or more coordinates.
     for spec in ALL_SPECS:
         for t in (-0.7, 0.0, 0.45):
-            for exps in spec.carrier(C, t).terms:
+            for exps in spec.carrier(C, t).coeffs:
                 assert sum(1 for p in exps if p) <= 1, (spec, exps)
 
 

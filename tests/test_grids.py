@@ -35,6 +35,17 @@ def test_grid_validation():
         Grid3((0, 0, 0), (1.0, 1.0, 1.0), (3, 8, 8))
 
 
+@pytest.mark.parametrize("origin, spacing, dims", [
+    ((0, 0), (1, 1, 1), (4, 4, 4)),
+    ((0, 0, 0), (1, 1, 1, 1), (4, 4, 4)),
+    ((0, 0, 0), (1, 1, 1), (4, 4)),
+    ((0, 0, 0), (1, 1, 1), (4.5, 4, 4)),
+])
+def test_grid_rejects_axes_that_are_not_three_integers(origin, spacing, dims):
+    with pytest.raises(SpecValidationError):
+        Grid3(origin, spacing, dims)
+
+
 def test_sampled_field_validation():
     grid = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
     with pytest.raises(SpecValidationError):

@@ -68,6 +68,15 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert summary["config"]["n_frames"] == 4
 
 
+@pytest.mark.parametrize("name", ["fig3_parallel", "anatomy", "relativistic"])
+def test_presets_outside_the_benchmark_run_and_pass(tmp_path, name):
+    # The parallel pair, the Gaussian-packet line vortex and the only
+    # Klein-Gordon run: their checks read grad, dt, lap and d2t.
+    result = run(preset(name), tmp_path / name)
+    assert result.exit_status == 0
+    assert result.checks and all(c.passed for c in result.checks)
+
+
 def test_run_table_and_svg_formats(tmp_path):
     result = run(tiny_config(output_format="table"), tmp_path / "t")
     assert any(p.endswith("polylines.csv") for p in result.artifacts)
@@ -135,6 +144,36 @@ def test_cli_validate_verb(tmp_path, capsys):
     config_path.write_text(json.dumps(bad))
     assert main(["validate", "--config", str(config_path)]) == 1
     assert "n_frames" in capsys.readouterr().out
+
+
+def _edited(edit) -> str:
+    data = tiny_config().to_dict()
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"spec": {', id="invalid-json"),
+    pytest.param("[]", id="not-an-object"),
+    pytest.param(_edited(lambda d: d.pop("grid")), id="missing-grid"),
+    pytest.param(_edited(lambda d: d["spec"].pop("R")), id="missing-family-field"),
+    pytest.param(_edited(lambda d: d["consts"].update(planck=1.0)), id="unknown-constant"),
+    pytest.param(_edited(lambda d: d["grid"].update(origin=[0.0, 0.0])), id="grid-origin-of-2"),
+    pytest.param(_edited(lambda d: d.update(time_range=[-0.1, 0.0, 0.1])), id="time-range-of-3"),
+    pytest.param(_edited(lambda d: d.update(time_range=0.1)), id="scalar-time-range"),
+    pytest.param(_edited(lambda d: d.update(time_range=["a", "b"])), id="text-time-range"),
+    pytest.param(_edited(lambda d: d.update(n_frames=2.5)), id="fractional-n-frames"),
+    pytest.param(_edited(lambda d: d.update(seed=2.5)), id="fractional-seed"),
+])
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, verb):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    assert main([verb, "--config", str(config_path)] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_cli_run_with_config_and_overrides(tmp_path, capsys):

@@ -15,7 +15,7 @@ and the frames.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vortexlines as vl
@@ -113,6 +113,9 @@ LIFECYCLES = [
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(spec=st.sampled_from(LIFECYCLES), n=st.integers(24, 48),
        n_frames=st.integers(6, 32), shift=st.floats(0.0, 1.0, exclude_max=True))
+# The window starts 0.136 before the creation, and the first steps of its
+# solves leave the window.
+@example(spec=LIFECYCLES[1], n=23, n_frames=4, shift=0.895)
 def test_events_are_found_at_the_law(spec, n, n_frames, shift):
     t_a = spec.annihilation_time(C)
     grid = Grid3.centered((0.013, 0.011, 0.017), 8.0, n)
