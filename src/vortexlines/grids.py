@@ -44,7 +44,8 @@ class Grid3:
         """Grid spanning center +- lengths/2 with dims points per axis."""
         center = np.asarray(center, dtype=float)
         lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (3,))
-        dims = np.broadcast_to(np.asarray(dims, dtype=int), (3,))
+        # Uncast, so the constructor rejects dims that are not integers.
+        dims = np.broadcast_to(dims, (3,))
         spacing = lengths / (dims - 1)
         origin = center - lengths / 2.0
         return Grid3(tuple(origin), tuple(spacing), tuple(dims))
@@ -132,14 +133,22 @@ def save_checkpoint(field: SampledField, path):
 def load_checkpoint(path) -> SampledField:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
-        raw = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
+    if len(header) < _HEADER.size:
+        raise SpecValidationError(
+            f"checkpoint header has {len(header)} bytes, expected {_HEADER.size}"
+        )
     fields = _HEADER.unpack(header)
     magic, version = fields[0], fields[1]
     if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
         raise SpecValidationError(f"not a recognized checkpoint file: {magic!r} v{version}")
-    dims = tuple(int(d) for d in fields[2:5])
-    spacing = fields[5:8]
-    origin = fields[8:11]
-    time = fields[11]
+    grid = Grid3(fields[8:11], fields[5:8], fields[2:5])
+    dims, time = grid.dims, fields[11]
+    expected = 16 * dims[0] * dims[1] * dims[2]
+    if len(payload) != expected:
+        raise SpecValidationError(
+            f"checkpoint payload has {len(payload)} bytes, dims {dims} need {expected}"
+        )
+    raw = np.frombuffer(payload, dtype="<f8")
     values = (raw[0::2] + 1j * raw[1::2]).reshape(dims[::-1]).transpose(2, 1, 0)
-    return SampledField(Grid3(origin, spacing, dims), values, time)
+    return SampledField(grid, values, time)

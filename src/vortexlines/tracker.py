@@ -2,15 +2,18 @@
 
 Detection certifies grid-face crossings by integer phase winding around each
 plaquette (the counting rule of Berry & Dennis, Proc. R. Soc. A 456:2059,
-2000) and returns the pierced faces as one record array (`FACE_DTYPE`:
-axis, index, winding) in (axis, index) order.  Everything downstream runs on
-that array by face id: a vectorized clipped Newton iteration on each face's
-bilinear corner model seeds the crossings, which are refined by Newton
-iteration on the analytic field when a solution spec is available (a
-crossing whose Newton iteration fails keeps its seed); each face's two cells
-get integer ids, from which the winding-flux balance is counted and a
-partner table pairs the faces inside every cell.  Walking that table chains
-the crossings into polylines, which are matched across frames.
+2000).  A line is the zero set Re psi = Im psi = 0, so only a face over whose
+corners both parts change sign can wind: the winding, and the ambiguous and
+noise counts, are taken over those faces alone.  Detection returns the
+pierced faces as one record array (`FACE_DTYPE`: axis, index, winding) in
+(axis, index) order.  Everything downstream runs on that array by face id: a
+vectorized clipped Newton iteration on each face's bilinear corner model
+seeds the crossings, which are refined by Newton iteration on the analytic
+field when a solution spec is available (a crossing whose Newton iteration
+fails keeps its seed); each face's two cells get integer ids, from which the
+winding-flux balance is counted and a partner table pairs the faces inside
+every cell.  Walking that table chains the crossings into polylines, which
+are matched across frames.
 
 Events are critical points of t on the zero sheet of psi(r, t), where the
 vorticity omega = grad Re psi x grad Im psi vanishes (Nye & Berry, Proc. R.
@@ -39,17 +42,14 @@ TWO_PI = 2.0 * math.pi
 AMBIGUOUS_EDGE_FRACTION = 0.995
 
 #: A corner amplitude below this fraction of the face's strongest corner
-#: flags the face as near-degenerate.
+#: flags the face as near-degenerate; Re psi or Im psi counts as one-signed
+#: over a face only beyond this fraction of |psi| at every corner.
 DEGENERACY_FLOOR = 1e-9
 
 #: Faces whose strongest corner is below this fraction of the grid peak are
 #: treated as numerical noise and skipped: at that level the phase pattern is
 #: roundoff, not signal.
 NOISE_FLOOR = 1e-10
-
-#: Grid points per slab of detection's scratch arrays: a few MB of scratch,
-#: which stays in cache.
-SLAB_POINTS = 1 << 15
 
 #: Newton iterations allowed per refined crossing.
 NEWTON_MAX_ITERATIONS = 25
@@ -78,9 +78,13 @@ FACE_DTYPE = np.dtype(
 class DetectionResult:
     #: Pierced faces, a FACE_DTYPE record array in (axis, index) order.
     pierced: np.recarray
+    #: Candidate faces (both parts of psi change sign, a corner at or above
+    #: the noise floor) that are not crossed but have an edge phase step near
+    #: pi or a corner below DEGENERACY_FLOOR of their strongest.
     ambiguous_count: int = 0
-    #: Winding crossings discarded because every corner sat below the noise
-    #: floor; nonzero means lines may terminate inside the box by design.
+    #: Faces over which both parts of psi change sign but every corner sits
+    #: below the noise floor; they are skipped, so nonzero means lines may
+    #: terminate inside the box by design.
     noise_count: int = 0
 
 
@@ -158,71 +162,68 @@ def _pairs(reduce, arr: np.ndarray, axis: int) -> np.ndarray:
     return reduce(arr[tuple(lo)], arr[tuple(hi)])
 
 
+def _corners(values: np.ndarray, axis: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """psi at the corners i, i + e1, i + e2 and i + e1 + e2 of each face,
+    normal to axis[f] with lowest corner i = index[f], where (e1, e2) are the
+    unit steps along axis + 1 and axis + 2: shape (4, faces)."""
+    e1 = np.eye(3, dtype=np.intp)[(axis + 1) % 3]
+    e2 = np.eye(3, dtype=np.intp)[(axis + 2) % 3]
+    return np.stack([values[tuple((index + step).T)] for step in (0, e1, e2, e1 + e2)])
+
+
 def detect_pierced_faces(field: SampledField) -> DetectionResult:
     """Find every cell face whose edge phases wind by a nonzero multiple of 2pi.
 
-    The grid is read in slabs of whole x planes, each sharing its last plane
-    with the next, so the scratch arrays hold about `SLAB_POINTS` grid points
-    whatever the grid size: no full-size temporaries, and no heap growth and
-    trim per frame.  Every face is computed from the same values as on the
-    whole grid, so the result does not depend on the slab size.
+    A face can wind only if neither Re psi nor Im psi keeps one sign at all
+    four corners: corners in one open half-plane of C give exact wrapped
+    steps and zero winding.  A part counts as one-signed only where it
+    exceeds DEGENERACY_FLOOR |psi| at every corner, so a zero within roundoff
+    of a grid edge, whose wrapped steps roundoff decides, stays a candidate.
+    Masks over the whole grid pick these candidates, and the phase winding is
+    computed on their gathered corners only.
     """
     values = field.values
-    n = values.shape[0]
-    step = max(1, SLAB_POINTS // values[0].size)
-    peak = max(float(np.abs(values[i:i + step]).max()) for i in range(0, n, step))
-    slabs = [
-        _detect_slab(values[start:start + step + 1], start, NOISE_FLOOR * peak,
-                     last=start + step >= n - 1)
-        for start in range(0, n - 1, step)
-    ]
-    return DetectionResult(
-        np.concatenate([faces[axis] for axis in range(3) for faces, _, _ in slabs])
-        .view(np.recarray),
-        sum(ambiguous for _, ambiguous, _ in slabs),
-        sum(noisy for _, _, noisy in slabs),
-    )
-
-
-def _detect_slab(slab: np.ndarray, start: int, noise: float, last: bool):
-    """Pierced faces per axis, ambiguous and noise counts of the planes
-    start, start + 1, ... held in slab.  Its last plane of x faces belongs to
-    the next slab unless this is the last one."""
-    phases = np.angle(slab)
-    amps = np.abs(slab)
-    diffs = [_wrap(np.diff(phases, axis=a)) for a in range(3)]
-    del phases
-    loud = [np.abs(d) > AMBIGUOUS_EDGE_FRACTION * math.pi for d in diffs]
-    pierced = []
-    ambiguous_count = noise_count = 0
+    amps = np.abs(values)
+    # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
+    # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
+    # over a face's corners, a sign bit survives only where that part keeps
+    # its sign at all four, and bit 16 only where all four are below the
+    # floor: a face of code 0 is a candidate, one of code 16 a noise face.
+    code = (amps < NOISE_FLOOR * amps.max()) * np.uint8(16)
+    amps *= DEGENERACY_FLOOR
+    for bit, part in ((1, values.real), (4, values.imag)):
+        code |= (part > amps) * np.uint8(bit)
+    np.negative(amps, out=amps)
+    for bit, part in ((2, values.real), (8, values.imag)):
+        code |= (part < amps) * np.uint8(bit)
+    del amps
+    candidates, noise_count = [], 0
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-        # Wrapped steps sum to a multiple of 2pi around a face, up to roundoff.
-        circulation = np.diff(diffs[a2], axis=a1) - np.diff(diffs[a1], axis=a2)
-        crossed = np.abs(circulation) > math.pi
-        corner_min = _pairs(np.minimum, _pairs(np.minimum, amps, a1), a2)
-        corner_max = _pairs(np.maximum, _pairs(np.maximum, amps, a1), a2)
-        # Faces whose corners all sit below the global noise floor carry no
-        # usable phase information (roundoff tails) and are ignored outright.
-        trusted = corner_max >= noise
-        flagged = trusted & (
-            _pairs(np.logical_or, loud[a1], a2)
-            | _pairs(np.logical_or, loud[a2], a1)
-            | (corner_min < DEGENERACY_FLOOR * corner_max)
-        )
-        if axis == 0 and not last:
-            circulation, crossed, trusted, flagged = (
-                a[:-1] for a in (circulation, crossed, trusted, flagged)
-            )
-        ambiguous_count += int(np.count_nonzero(flagged & ~crossed))
-        noise_count += int(np.count_nonzero(crossed & ~trusted))
-        at = np.nonzero(crossed & trusted)
+        face = _pairs(np.bitwise_and, _pairs(np.bitwise_and, code, a1), a2)
+        noise_count += int(np.count_nonzero(face == 16))
+        at = np.nonzero(face == 0)
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
-        faces["index"] = np.stack(at, axis=1) + (start, 0, 0)
-        faces["winding"] = np.rint(circulation[at] / TWO_PI)
-        pierced.append(faces)
-    return pierced, ambiguous_count, noise_count
+        faces["index"] = np.stack(at, axis=1)
+        candidates.append(faces)
+    faces = np.concatenate(candidates).view(np.recarray)
+    corners = _corners(values, faces.axis, faces.index)
+    p00, p10, p01, p11 = np.angle(corners)
+    # Wrapped edge steps: along e1 at the low and high e2 side, then along e2.
+    steps = _wrap(np.stack([p10 - p00, p11 - p01, p01 - p00, p11 - p10]))
+    # Wrapped steps sum to a multiple of 2pi around a face, up to roundoff.
+    circulation = (steps[3] - steps[2]) - (steps[1] - steps[0])
+    crossed = np.abs(circulation) > math.pi
+    amps = np.abs(corners)
+    flagged = np.any(np.abs(steps) > AMBIGUOUS_EDGE_FRACTION * math.pi, axis=0) | (
+        amps.min(axis=0) < DEGENERACY_FLOOR * amps.max(axis=0)
+    )
+    pierced = faces[crossed]
+    pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
+    return DetectionResult(
+        pierced, int(np.count_nonzero(flagged & ~crossed)), noise_count
+    )
 
 
 def _face_cells(faces: np.recarray, dims) -> np.ndarray:
@@ -261,12 +262,7 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     """
     rows = np.arange(len(faces))
     a1, a2 = (faces.axis + 1) % 3, (faces.axis + 2) % 3
-    e1, e2 = np.eye(3, dtype=np.intp)[a1], np.eye(3, dtype=np.intp)[a2]
-
-    def corner(offset):
-        return field.values[tuple((faces.index + offset).T)]
-
-    v00, v10, v01, v11 = corner(0), corner(e1), corner(e2), corner(e1 + e2)
+    v00, v10, v01, v11 = _corners(field.values, faces.axis, faces.index)
     u = np.full((len(faces), 2), 0.5)
     live = rows
     for _ in range(12):

@@ -40,10 +40,15 @@ def test_grid_validation():
     ((0, 0, 0), (1, 1, 1, 1), (4, 4, 4)),
     ((0, 0, 0), (1, 1, 1), (4, 4)),
     ((0, 0, 0), (1, 1, 1), (4.5, 4, 4)),
+    # No spacing: Grid3.centered, which must not truncate 16.7 to 16.
+    pytest.param((0, 0, 0), None, 16.7, id="centered"),
 ])
 def test_grid_rejects_axes_that_are_not_three_integers(origin, spacing, dims):
     with pytest.raises(SpecValidationError):
-        Grid3(origin, spacing, dims)
+        if spacing is None:
+            Grid3.centered(origin, 4.0, dims)
+        else:
+            Grid3(origin, spacing, dims)
 
 
 def test_sampled_field_validation():
@@ -97,3 +102,11 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     path.write_bytes(b"NOPE" + bytes(100))
     with pytest.raises(SpecValidationError):
         load_checkpoint(path)
+    # Empty, a truncated header, and a payload one value short of its dims.
+    good = tmp_path / "good.vlf"
+    grid = Grid3((0, 0, 0), (1, 1, 1), (4, 5, 6))
+    save_checkpoint(SampledField(grid, np.zeros(grid.dims, complex), 0.0), good)
+    for data in (b"", good.read_bytes()[:10], good.read_bytes()[:-16]):
+        path.write_bytes(data)
+        with pytest.raises(SpecValidationError):
+            load_checkpoint(path)

@@ -23,6 +23,32 @@ C = vl.NATURAL_UNITS
 
 OFF = (0.013, 0.011, 0.017)  # keep lattice nodes off the zero lines
 
+K = vl.WaveVector(0.3, -0.2, 0.4)
+
+#: One instance of each family of the catalog.
+ALL_SPECS = [
+    vl.FreePlaneWave(k=K),
+    vl.FreeLineVortex(chi=0.6, k=K),
+    vl.FreeRingCylinder(R=2.0, a=0.7, k=K),
+    vl.FreeRingSphere(R=3.0, a=1.0, k=K),
+    vl.FreeTwoLines(
+        w1=(1.0, 0.5j, 1j), r1=(0.3, 0.0, 0.0),
+        w2=(0.2, 1.0, -1j), r2=(-0.3, 0.1, 0.0), k=K,
+    ),
+    vl.FreeTwoLinesSymmetric(a=1.0, varphi=0.7, k=K),
+    vl.GaussianPacket(l=1.5, k=K),
+    vl.GaussianLineVortex(l=1.5, x0=0.4, k=K),
+    vl.MagneticGenerator(B=1.3),
+    vl.MagneticLine(B=1.3, a=0.8, varphi=0.5),
+    vl.TrapGenerator(omega=0.9),
+    vl.TrapRing(omega=0.9, R=1.2),
+    vl.RelPlaneWave(k=K),
+    vl.RelLineVortex(chi=0.6, k=K),
+    vl.RelRingCylinder(R=2.0, a=0.7, k=K),
+    vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5, k=K),
+    vl.WindowedTwoLinesSymmetric(a=1.0, varphi=0.7, l=3.0, k=K),
+]
+
 
 def test_detection_finds_axis_aligned_vortex():
     spec = vl.FreeLineVortex(chi=0.6)
@@ -232,42 +258,111 @@ def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
                        atol=64 * np.finfo(float).eps * side)
 
 
-@pytest.mark.parametrize("spec, side, t, noise", [
-    (vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0, 0.0),
-    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1, 0.0),
-    (vl.GaussianLineVortex(l=0.6, x0=0.3), 8.0, 0.0, 1e-13),
-])
-def test_detection_does_not_depend_on_the_slab_size(monkeypatch, spec, side, t, noise):
-    # One slab (the whole grid) against slabs of one, two and three planes
-    # of faces: the pierced faces and both counts must be identical.  Random
-    # roundoff-level noise on the Gaussian's far field gives ambiguous faces
-    # and faces below the noise floor, whose level is the global peak.
-    grid = Grid3.centered(OFF, side, (20, 13, 11))
-    values = sample(spec, C, grid, t).values
+def _dense_reference(values):
+    """(pierced faces, ambiguous count, noise count) from the phase winding
+    on every face of the grid: np.angle, wrapped steps and circulation over
+    all 3 N (N - 1)^2 faces, the detector whose work detect_pierced_faces
+    restricts to the faces where Re psi and Im psi both change sign.  Over
+    those faces, the ambiguous faces are flagged but not crossed, and the
+    noise faces have every corner below the noise floor."""
+    phases = np.angle(values)
+    amps = np.abs(values)
+    noise = tracker.NOISE_FLOOR * amps.max()
+    margin = tracker.DEGENERACY_FLOOR * amps
+    diffs = [tracker._wrap(np.diff(phases, axis=a)) for a in range(3)]
+    loud = [np.abs(d) > tracker.AMBIGUOUS_EDGE_FRACTION * math.pi for d in diffs]
+
+    def pairs(reduce, arr, axis):
+        n = arr.shape[axis]
+        return reduce(arr.take(range(n - 1), axis), arr.take(range(1, n), axis))
+
+    def corners(arr, a1, a2):
+        n1, n2 = arr.shape[a1], arr.shape[a2]
+        return np.stack([
+            arr.take(range(d1, n1 - 1 + d1), a1).take(range(d2, n2 - 1 + d2), a2)
+            for d1 in (0, 1) for d2 in (0, 1)
+        ])
+
+    faces, ambiguous, noisy = [], 0, 0
+    for axis in range(3):
+        a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+        circulation = np.diff(diffs[a2], axis=a1) - np.diff(diffs[a1], axis=a2)
+        crossed = np.abs(circulation) > math.pi
+        corner_amps, corner_margin = corners(amps, a1, a2), corners(margin, a1, a2)
+        trusted = corner_amps.max(axis=0) >= noise
+        at = np.nonzero(crossed & trusted)
+        found = np.empty(len(at[0]), tracker.FACE_DTYPE)
+        found["axis"] = axis
+        found["index"] = np.stack(at, axis=1)
+        found["winding"] = np.rint(circulation[at] / tracker.TWO_PI)
+        faces.append(found)
+        sign_change = np.ones(crossed.shape, dtype=bool)
+        for part in (values.real, values.imag):
+            part = corners(part, a1, a2)
+            sign_change &= ~np.all(part > corner_margin, axis=0)
+            sign_change &= ~np.all(part < -corner_margin, axis=0)
+        flagged = (pairs(np.logical_or, loud[a1], a2) | pairs(np.logical_or, loud[a2], a1)
+                   | (corner_amps.min(axis=0)
+                      < tracker.DEGENERACY_FLOOR * corner_amps.max(axis=0)))
+        ambiguous += np.count_nonzero(sign_change & trusted & flagged & ~crossed)
+        noisy += np.count_nonzero(sign_change & ~trusted)
+    return np.concatenate(faces), ambiguous, noisy
+
+
+def _families_on_offset_grids():
+    """Each family of the catalog on grids at offset 0 and at random
+    offsets, at several sizes and times."""
+    assert {type(spec) for spec in ALL_SPECS} == set(vl.FAMILIES)
+    rng = np.random.default_rng(8)
+    for spec in ALL_SPECS:
+        for n, t in ((10, -0.4), (16, 0.0), (23, 0.5)):
+            side = 4.0 * spec.length_scale(C)
+            for offset in ((0.0, 0.0, 0.0), rng.uniform(-0.5, 0.5, 3) * side / (n - 1)):
+                grid = Grid3.centered(offset, side, n)
+                yield sample(spec, C, grid, t).values
+
+
+def _ring_in_a_grid_plane():
+    """A ring whose zero line lies in the grid plane z = -0.4 up to roundoff:
+    Im psi has roundoff size and random sign at the nodes of that plane."""
+    grid = Grid3.centered((0.0, 0.0, 0.0), 4.0, 16)
+    return sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.1).values
+
+
+def _noisy_gaussian():
+    """Random roundoff-level noise on a Gaussian's far field: faces below the
+    noise floor, and ambiguous faces."""
+    grid = Grid3.centered(OFF, 8.0, (20, 13, 11))
+    values = sample(vl.GaussianLineVortex(l=0.6, x0=0.3), C, grid, 0.0).values
     rng = np.random.default_rng(1)
-    values = values + noise * (
+    return values + 1e-13 * (
         rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
     )
-    field = SampledField(grid, values, t)
-    monkeypatch.setattr(tracker, "SLAB_POINTS", 1 << 30)
-    whole = detect_pierced_faces(field)
-    for planes in (1, 2, 3):
-        monkeypatch.setattr(tracker, "SLAB_POINTS", planes * 13 * 11)
-        slabbed = detect_pierced_faces(field)
-        assert slabbed.pierced.tobytes() == whole.pierced.tobytes()
-        assert slabbed.ambiguous_count == whole.ambiguous_count
-        assert slabbed.noise_count == whole.noise_count
-    if noise:
-        assert whole.ambiguous_count > 0 and whole.noise_count > 0
 
 
-def test_slabbed_detection_finds_x_faces_on_every_plane(monkeypatch):
-    # A line along x pierces one x face in every x plane, the last included;
-    # the second line of the pair lies far outside the grid.
-    spec = vl.FreeTwoLines(w1=(0.0, 1.0, 1j), r1=(0.0, 0.0, 0.0),
-                           w2=(0.0, 1.0, 1j), r2=(0.0, 50.0, 0.0))
-    grid = Grid3.centered(OFF, 2.0, (11, 9, 9))
-    monkeypatch.setattr(tracker, "SLAB_POINTS", 2 * 9 * 9)
-    det = detect_pierced_faces(sample(spec, C, grid, 0.0))
-    assert all(f.axis == 0 for f in det.pierced)
-    assert sorted(f.index[0] for f in det.pierced) == list(range(grid.dims[0]))
+def _evolved_oracle_field(name):
+    """The numerically evolved field that the oracle check extracts lines from."""
+    config = vl.preset(name)
+    t0, t1 = config.time_range
+    prop = vl.propagator.PropagatorConfig(
+        grid=config.grid, dt=t1 - t0, steps=1, hamiltonian="free"
+    )
+    return vl.propagator.evolve(sample(config.spec, C, config.grid, t0), prop, C).values
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param(_families_on_offset_grids, id="families"),
+    pytest.param(lambda: [_ring_in_a_grid_plane()], id="ring_in_a_grid_plane"),
+    pytest.param(lambda: [_noisy_gaussian()], id="noisy_gaussian"),
+    pytest.param(lambda: [_evolved_oracle_field("oracle_ring")], id="oracle_ring"),
+    pytest.param(lambda: [_evolved_oracle_field("oracle_pair")], id="oracle_pair"),
+])
+def test_detection_matches_the_dense_reference(fields):
+    # Only faces where Re psi and Im psi both change sign are examined; the
+    # pierced faces must be bit-identical to winding on every face.
+    for values in fields():
+        grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
+        det = detect_pierced_faces(SampledField(grid, values, 0.0))
+        pierced, ambiguous, noise = _dense_reference(values)
+        assert det.pierced.tobytes() == pierced.tobytes()
+        assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
