@@ -329,14 +329,19 @@ def _ring_in_a_grid_plane():
     return sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.1).values
 
 
+def _off_center_field(spec, side, t):
+    """spec sampled at time t on a 20 x 13 x 11 grid of the given side,
+    offset from the origin."""
+    return sample(spec, C, Grid3.centered(OFF, side, (20, 13, 11)), t).values
+
+
 def _noisy_gaussian():
     """Random roundoff-level noise on a Gaussian's far field: faces below the
     noise floor, and ambiguous faces."""
-    grid = Grid3.centered(OFF, 8.0, (20, 13, 11))
-    values = sample(vl.GaussianLineVortex(l=0.6, x0=0.3), C, grid, 0.0).values
+    values = _off_center_field(vl.GaussianLineVortex(l=0.6, x0=0.3), 8.0, 0.0)
     rng = np.random.default_rng(1)
     return values + 1e-13 * (
-        rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+        rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
     )
 
 
@@ -352,6 +357,11 @@ def _evolved_oracle_field(name):
 
 @pytest.mark.parametrize("fields", [
     pytest.param(_families_on_offset_grids, id="families"),
+    pytest.param(lambda: [_off_center_field(vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0)],
+                 id="free_ring_sphere"),
+    pytest.param(lambda: [_off_center_field(
+        vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1)],
+                 id="free_two_lines_symmetric"),
     pytest.param(lambda: [_ring_in_a_grid_plane()], id="ring_in_a_grid_plane"),
     pytest.param(lambda: [_noisy_gaussian()], id="noisy_gaussian"),
     pytest.param(lambda: [_evolved_oracle_field("oracle_ring")], id="oracle_ring"),
