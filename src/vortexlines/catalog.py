@@ -24,18 +24,25 @@ Every derivative is exp(G) times one of two identities,
 
 where a t index picks the jet order of P and G; the gradient, Hessian,
 Laplacian, first/second time derivatives and the time derivative of the
-gradient are views of them.  G has no cross terms, so exp(G) is kept as one
-factor per axis and multiplied into each result in place: on grid axes no
-full-size exp(G) is formed.  `amplitude`, `gradient`, ... are one-line views
-of it, and `pde_residual` certifies each family against its governing
-equation using those analytic derivatives only.
+gradient are views of them.  The snapshot compiles P and G once into one
+table (exponents, and coefficient columns for P, G and their first two time
+derivatives).  At a point set, the spatial derivatives come from that table
+by exponent shift: all derivatives up to first order are one batched matrix
+product whatever the number of terms, the second-order ones one more.  Grid
+axes, which would make that table one row per grid point, take the separable
+path instead: each derivative is a `Poly3.evaluate` of the plain polynomial,
+and since G has no cross terms, exp(G) is kept as one factor per axis and
+multiplied into each result in place, so no full-size exp(G) is formed.
+`amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
+certifies each family against its governing equation using those analytic
+derivatives only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -49,7 +56,7 @@ from .carriers import (
 )
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Jet, Poly3, coordinates
+from .polynomials import Exponents, Jet, Poly3, coordinates
 
 
 @dataclass(frozen=True)
@@ -586,7 +593,7 @@ CARRIER_FAMILIES = (
 )
 
 
-def _check_coords(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_coords(r) -> list[np.ndarray]:
     arrays = [np.asarray(c, dtype=float) for c in r]
     if len(arrays) == 1 and arrays[0].shape[-1:] != (3,):
         raise SpecValidationError(
@@ -594,24 +601,79 @@ def _check_coords(r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     if not all(np.isfinite(a).all() for a in arrays):
         raise SpecValidationError("non-finite position or time")
-    return coordinates(*arrays)
+    return arrays
+
+
+#: Column offsets of P and G in a snapshot's coefficient table.
+_P, _G = 0, 3
+_ZERO = Jet.const(0.0)
+
+#: The spatial derivative indices of P and G that the product rules use, in
+#: two parts, up to first order and second order: a point set evaluates each
+#: part in one batch.  _PART_OF[idx] is (part, position in it).
+_SPATIAL = ((), (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_PARTS = (slice(0, 4), slice(4, 10))
+_PART_OF = {idx: (0, n) if n < 4 else (1, n - 4) for n, idx in enumerate(_SPATIAL)}
+#: How often each index differentiates along x, y and z, shape (10, 1, 3).
+_SHIFTS = np.array([[idx.count(a) for a in range(3)] for idx in _SPATIAL])[:, None]
+
+
+@cache
+def _shifted(terms: tuple[Exponents, ...]) -> tuple[int, np.ndarray, np.ndarray]:
+    """(top, rows, weight) of `Snapshot.table` for terms with these exponents,
+    with weight[n, k] the factor that differentiating term k along index n
+    puts in front of it, shape (10, T, 1).  Differentiating shifts the
+    exponents down and multiplies by their falling factorials, zero where it
+    removes the term.  Cached, since a family has the same terms at every
+    time and parameter value (the 17 families have 8 distinct sets); the
+    arrays are read-only."""
+    exps = np.array(terms, dtype=np.intp).reshape(-1, 3)
+    top = int(exps.max(initial=0)) + 1
+    weight = np.where(_SHIFTS > 0, exps, 1) * np.where(_SHIFTS > 1, exps - 1, 1)
+    rows = np.moveaxis(np.maximum(exps - _SHIFTS, 0) + top * np.arange(3), -1, 0)
+    weight = weight.prod(axis=-1)[..., None]
+    rows.flags.writeable = weight.flags.writeable = False
+    return top, rows, weight
 
 
 class Snapshot:
-    """psi = P * exp(G) at one time: P and G as plain polynomials, one per
-    time-derivative order."""
+    """psi = P * exp(G) at one time.
 
-    __slots__ = ("p", "g")
+    Point sets read P and G from one table over the terms of either: their
+    exponents (T x 3) and coefficients (T x 6), whose columns are P, dP/dt,
+    d2P/dt2, G, dG/dt and d2G/dt2.  Grid axes read the same columns as plain
+    polynomials (`polys`).
+    """
 
     def __init__(self, prefactor_jets: Poly3, exponent: Poly3):
-        self.p = [prefactor_jets.order(n) for n in range(3)]
-        self.g = [exponent.order(n) for n in range(3)]
+        self._jets = (prefactor_jets, exponent)
+
+    @cached_property
+    def polys(self) -> list[Poly3]:
+        """The table's columns as plain polynomials."""
+        return [f.order(n) for f in self._jets for n in range(3)]
+
+    @cached_property
+    def table(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The table differentiated along each index n of `_SPATIAL`, as
+        (top, rows, coeffs): the derivative of the six columns is the sum
+        over the terms k of coeffs[n, k] times the product over the axes a
+        of powers[rows[a, n, k]], where powers holds x_a ** j in row
+        top * a + j (every exponent is below top)."""
+        p, g = (f.coeffs for f in self._jets)
+        terms = tuple(p | g)
+        top, rows, weight = _shifted(terms)
+        coeffs = np.array([
+            (a.f, a.df, a.d2f, b.f, b.df, b.d2f)
+            for a, b in ((p.get(e, _ZERO), g.get(e, _ZERO)) for e in terms)
+        ], dtype=complex).reshape(-1, 6)
+        return top, rows, weight * coeffs
 
     def on(self, *r) -> "FieldValues":
         """psi and its derivatives at positions r of shape (..., 3), or at
         three coordinate arrays x, y, z that broadcast together (grid axes
         shaped (N, 1, 1), (1, N, 1), (1, 1, N) give the whole grid)."""
-        return FieldValues(self.p, self.g, _check_coords(r))
+        return FieldValues(self, *_check_coords(r))
 
 
 class FieldValues:
@@ -620,18 +682,27 @@ class FieldValues:
     P * exp(G), all sharing one exp(G).
 
     Index 3 of u is t: a t index picks the jet order of P and G, a spatial
-    index differentiates the polynomial.
+    index differentiates the polynomial.  At a point set, all derivative
+    indices up to first order, and then all second-order ones, give every
+    table column at once: one batch of monomial matrices, differentiated by
+    exponent shift, times the snapshot's coefficients.  On coordinate arrays
+    each derivative is a separable `Poly3.evaluate`, which forms no
+    (points x terms) array.
     """
 
-    def __init__(self, p: list[Poly3], g: list[Poly3], coords):
-        self.p, self.g, self.coords = p, g, coords
-        self.shape = np.broadcast(*coords).shape
+    def __init__(self, snapshot: Snapshot, *r):
+        self.snapshot, self.coords = snapshot, coordinates(*r)
+        self.shape = np.broadcast(*self.coords).shape
+        self._points = r[0].reshape(-1, 3) if len(r) == 1 else None
         self._derivs: dict = {}
+        self._parts: list = [None, None]
 
     @cached_property
     def _carrier(self) -> list:
+        if self._points is not None:
+            return [np.exp(self._d(_G, ()))]
         # G has no cross terms (carriers.py), so exp(G) factors by axis.
-        return self.g[0].exp_factors(*self.coords)
+        return self.snapshot.polys[_G].exp_factors(*self.coords)
 
     def _times_carrier(self, values: np.ndarray) -> np.ndarray:
         """values * exp(G), formed in place: values is a new full-size array."""
@@ -639,30 +710,60 @@ class FieldValues:
             values *= factor
         return values
 
-    def _d(self, f: list[Poly3], idx: tuple[int, ...]) -> np.ndarray:
-        """The derivative of P or G (f = self.p or self.g) along the sorted
-        indices idx of u, at the coordinates."""
-        key = (f is self.p, idx)
+    def _d(self, f: int, idx: tuple[int, ...]) -> np.ndarray:
+        """The derivative of P or G (f = _P or _G) along the sorted indices
+        idx of u, at the coordinates."""
+        key = (f, idx)
         if key not in self._derivs:
-            poly = f[idx.count(3)]
-            for axis in idx:
-                if axis < 3:
+            # idx is sorted, so its t indices come last.
+            order = idx.count(3)
+            column, spatial = f + order, idx[:len(idx) - order]
+            if self._points is not None:
+                part, n = _PART_OF[spatial]
+                value = self._part(part)[n, :, column].reshape(self.shape)
+            else:
+                poly = self.snapshot.polys[column]
+                for axis in spatial:
                     poly = poly.diff(axis)
-            self._derivs[key] = poly.evaluate(*self.coords)
+                value = poly.evaluate(*self.coords)
+            self._derivs[key] = value
         return self._derivs[key]
+
+    @cached_property
+    def _powers(self) -> np.ndarray:
+        """x_a ** j at each point, row top * a + j for j < top."""
+        top, x = self.snapshot.table[0], self._points.T
+        powers = np.empty((3, top, len(self._points)))
+        powers[:, 0] = 1.0
+        for j in range(1, top):
+            np.multiply(powers[:, j - 1], x, out=powers[:, j])
+        return powers.reshape(3 * top, -1)
+
+    def _part(self, k: int) -> np.ndarray:
+        """All six columns differentiated along each index of part k of
+        `_SPATIAL`, shape (indices, points, 6)."""
+        if self._parts[k] is None:
+            _, rows, coeffs = self.snapshot.table
+            part, powers = _PARTS[k], self._powers
+            monomials = powers[rows[0, part]]
+            monomials *= powers[rows[1, part]]
+            monomials *= powers[rows[2, part]]
+            # Real monomials times interleaved (re, im) coefficient columns.
+            values = np.matmul(monomials.transpose(0, 2, 1), coeffs[part].view(float))
+            self._parts[k] = values.view(complex)
+        return self._parts[k]
 
     def _first(self, i: int) -> np.ndarray:
         """d_i psi / exp(G) = P_i + P G_i."""
-        return self._d(self.p, (i,)) + self._d(self.p, ()) * self._d(self.g, (i,))
+        return self._d(_P, (i,)) + self._d(_P, ()) * self._d(_G, (i,))
 
     def _second(self, i: int, j: int) -> np.ndarray:
         """d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
         for i <= j."""
-        p, g = self.p, self.g
         d = self._d
         return (
-            d(p, (i, j)) + d(p, (i,)) * d(g, (j,)) + d(p, (j,)) * d(g, (i,))
-            + d(p, ()) * (d(g, (i, j)) + d(g, (i,)) * d(g, (j,)))
+            d(_P, (i, j)) + d(_P, (i,)) * d(_G, (j,)) + d(_P, (j,)) * d(_G, (i,))
+            + d(_P, ()) * (d(_G, (i, j)) + d(_G, (i,)) * d(_G, (j,)))
         )
 
     @cached_property
@@ -671,7 +772,7 @@ class FieldValues:
         # full-size exp(G) is formed.  Sampling a grid every frame is
         # sensitive to this order: others let the C allocator trim and regrow
         # the heap each frame (measured as minor page faults).
-        p, _ = self._d(self.p, ()), self._carrier
+        p, _ = self._d(_P, ()), self._carrier
         return self._times_carrier(p.copy())
 
     @cached_property

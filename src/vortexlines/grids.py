@@ -34,6 +34,8 @@ class Grid3:
             object.__setattr__(self, "dims", tuple(operator.index(v) for v in self.dims))
         except TypeError:
             raise SpecValidationError(f"grid dims must be integers, got {self.dims}") from None
+        if not np.all(np.isfinite(self.origin + self.spacing)):
+            raise SpecValidationError("grid origin and spacing must be finite")
         if any(not (s > 0) for s in self.spacing):
             raise SpecValidationError("grid spacing must be strictly positive")
         if any(d < 4 for d in self.dims):

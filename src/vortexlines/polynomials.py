@@ -8,9 +8,10 @@ each coefficient is a second-order `Jet` (value plus first and second time
 derivative), and `order(n)` takes the plain polynomial of the n-th time
 derivative.  Jets compose, so the lens map (r, t) -> (r / beta, t / beta) of
 the Gaussian-carrier families is a substitution of jet polynomials into a
-plane-wave prefactor.  A catalog snapshot, `spec.at(consts, t)`, holds P and
-G as one plain `Poly3` per order and evaluates them at point sets, or at
-coordinate arrays that broadcast together such as grid axes; exp(G) is
+plane-wave prefactor.  A catalog snapshot, `spec.at(consts, t)`, evaluates
+P and G at point sets from one coefficient table of all their terms and
+orders.  At coordinate arrays that broadcast together, such as grid axes, it
+uses one plain `Poly3` per order with `evaluate` and `exp_factors`; exp(G) is
 formed as one factor per axis, since G has no cross terms.
 """
 

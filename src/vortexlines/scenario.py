@@ -66,6 +66,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if np.shape(self.time_range) != (2,):
             raise SpecValidationError(f"time_range must be [start, end], got {self.time_range}")
+        if not np.all(np.isfinite(self.time_range)):
+            raise SpecValidationError(f"time_range must be finite, got {self.time_range}")
         for name in ("n_frames", "seed"):
             value = getattr(self, name)
             try:

@@ -8,12 +8,12 @@ noise counts, are taken over those faces alone.  Detection returns the
 pierced faces as one record array (`FACE_DTYPE`: axis, index, winding) in
 (axis, index) order.  Everything downstream runs on that array by face id: a
 vectorized clipped Newton iteration on each face's bilinear corner model
-seeds the crossings, which are refined by Newton iteration on the analytic
-field when a solution spec is available (a crossing whose Newton iteration
-fails keeps its seed); each face's two cells get integer ids, from which the
-winding-flux balance is counted and a partner table pairs the faces inside
-every cell.  Walking that table chains the crossings into polylines, which
-are matched across frames.
+seeds the crossings, which are refined by one batched Newton iteration on
+the analytic field when a solution spec is available, each in its own face
+plane (a crossing whose Newton iteration fails keeps its seed); each face's
+two cells get integer ids, from which the winding-flux balance is counted
+and a partner table pairs the faces inside every cell.  Walking that table
+chains the crossings into polylines, which are matched across frames.
 
 Events are critical points of t on the zero sheet of psi(r, t), where the
 vorticity omega = grad Re psi x grad Im psi vanishes (Nye & Berry, Proc. R.
@@ -202,7 +202,7 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
         face = _pairs(np.bitwise_and, _pairs(np.bitwise_and, code, a1), a2)
         noise_count += int(np.count_nonzero(face == 16))
-        at = np.nonzero(face == 0)
+        at = np.unravel_index(np.flatnonzero(face == 0), face.shape)
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
         faces["index"] = np.stack(at, axis=1)
@@ -290,39 +290,47 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     return points
 
 
-def _refine_batch(spec, consts, t, seeds, axis):
-    """Newton iteration in each seed's face plane on the exact field.  A
-    point that meets a singular Jacobian or does not converge keeps its
-    seed: one bad point never aborts an extraction."""
-    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
+def _refine_batch(snapshot, scale, seeds, axis):
+    """Newton iteration in each seed's face plane, normal to axis (one per
+    seed, or one for all), on the exact field.  A point that meets a
+    singular Jacobian or does not converge keeps its seed: one bad point
+    never aborts an extraction."""
     seeds = np.asarray(seeds, dtype=float)
+    axis = np.broadcast_to(axis, len(seeds))
+    a1, a2 = (axis + 1) % 3, (axis + 2) % 3
     pts, done = seeds.copy(), np.zeros(len(seeds), dtype=bool)
-    scale = spec.length_scale(consts)
-    snapshot = spec.at(consts, t)
     live = np.arange(len(pts))
     for _ in range(NEWTON_MAX_ITERATIONS):
         field = snapshot.on(pts[live])
         psi, grad = field.psi, field.grad
         hit = np.abs(psi) <= 1e-12 * np.linalg.norm(grad, axis=-1) * scale
         done[live[hit]] = True
-        gu, gv = grad[:, a1], grad[:, a2]
+        u, v = a1[live], a2[live]
+        rows = np.arange(len(live))
+        gu, gv = grad[rows, u], grad[rows, v]
         det = gu.real * gv.imag - gu.imag * gv.real
         # NaN compares false: a point whose iterate overflowed stops too.
         step = ~hit & (np.abs(det) >= 1e-300)
-        live, f, gu, gv, det = (a[step] for a in (live, psi, gu, gv, det))
+        live, u, v, f, gu, gv, det = (a[step] for a in (live, u, v, psi, gu, gv, det))
         if not len(live):
             break
-        pts[live, a1] -= (f.real * gv.imag - f.imag * gv.real) / det
-        pts[live, a2] -= (f.imag * gu.real - f.real * gu.imag) / det
+        pts[live, u] -= (f.real * gv.imag - f.imag * gv.real) / det
+        pts[live, v] -= (f.imag * gu.real - f.real * gu.imag) / det
         live = live[np.all(np.isfinite(pts[live]), axis=1)]
     return np.where(done[:, None], pts, seeds)
 
 
 def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, t: float):
-    """A batched refiner closure over the exact field for extract_lines."""
+    """A batched refiner closure over the exact field at time t for
+    extract_lines.  The field's snapshot is built on the first call and
+    reused, so a frame without crossings builds none."""
+    snapshot = None
 
-    def refine(seeds: np.ndarray, axis: int) -> np.ndarray:
-        return _refine_batch(spec, consts, t, seeds, axis)
+    def refine(seeds: np.ndarray, axis) -> np.ndarray:
+        nonlocal snapshot
+        if snapshot is None:
+            snapshot = spec.at(consts, t)
+        return _refine_batch(snapshot, spec.length_scale(consts), seeds, axis)
 
     return refine
 
@@ -385,8 +393,9 @@ def extract_lines(
 ) -> list[VortexPolyline]:
     """Chain pierced faces into polylines of refined zero crossings.
 
-    `refiner(seeds, axis) -> positions` refines all crossings on faces normal
-    to `axis`; without one, the bilinear corner model is used (adequate for
+    `refiner(seeds, axes) -> positions` refines the crossings of all pierced
+    faces in one call, from their bilinear seeds, where axes[f] is the normal
+    of face f; without one, the bilinear corner model is used (adequate for
     numerical fields, sub-cell accurate).
     """
     if detection is None:
@@ -396,11 +405,7 @@ def extract_lines(
         return []
     points = _bilinear_zeros(field, faces)
     if refiner is not None:
-        bounds = np.searchsorted(faces.axis, np.arange(4))
-        for axis in range(3):
-            lo, hi = bounds[axis], bounds[axis + 1]
-            if hi > lo:
-                points[lo:hi] = refiner(points[lo:hi], axis)
+        points = refiner(points, faces.axis)
     ids = _face_cells(faces, field.grid.dims)
     partner = _partners(ids, points)
     ids_list, partner_list = ids.tolist(), partner.tolist()

@@ -127,6 +127,26 @@ def test_prefactor_times_carrier_equals_amplitude():
         assert np.allclose(pre * carrier, full, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_point_set_table_matches_the_separable_grid_path(spec):
+    # A point set reads P and G from the snapshot's coefficient table; grid
+    # axes differentiate each polynomial and evaluate it separably, which
+    # serves as the reference here.
+    grid = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (5, 6, 7))
+    axes = [
+        grid.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
+        for a in range(3)
+    ]
+    for t in (-0.7, 0.0, 0.45):
+        snapshot = spec.at(C, t)
+        on_points, on_axes = snapshot.on(grid.points()), snapshot.on(*axes)
+        for name in ("psi", "grad", "hess", "lap", "dt", "dt_grad", "d2t"):
+            got, ref = getattr(on_points, name), getattr(on_axes, name)
+            assert got.shape == ref.shape
+            peak = float(np.max(np.abs(ref)))
+            assert float(np.max(np.abs(got - ref))) <= 1e-14 * peak, (t, name)
+
+
 def test_grid_sample_equals_pointwise_amplitude():
     # sample() evaluates on the three axis vectors; amplitude() on the array
     # of all grid points.  An offset, anisotropic grid catches a swapped axis.

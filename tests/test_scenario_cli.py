@@ -162,6 +162,16 @@ def _edited(edit) -> str:
     pytest.param(_edited(lambda d: d.update(time_range=[-0.1, 0.0, 0.1])), id="time-range-of-3"),
     pytest.param(_edited(lambda d: d.update(time_range=0.1)), id="scalar-time-range"),
     pytest.param(_edited(lambda d: d.update(time_range=["a", "b"])), id="text-time-range"),
+    # Python's json parses Infinity and NaN.
+    pytest.param(_edited(lambda d: d["grid"]["origin"].__setitem__(0, math.inf)),
+                 id="infinite-grid-origin"),
+    pytest.param(_edited(lambda d: d["grid"]["origin"].__setitem__(2, math.nan)),
+                 id="nan-grid-origin"),
+    pytest.param(_edited(lambda d: d["grid"]["spacing"].__setitem__(2, math.inf)),
+                 id="infinite-grid-spacing"),
+    pytest.param(_edited(lambda d: d.update(time_range=[-math.inf, 0.1])),
+                 id="infinite-time-range"),
+    pytest.param(_edited(lambda d: d.update(time_range=[math.nan, 0.1])), id="nan-time-range"),
     pytest.param(_edited(lambda d: d.update(n_frames=2.5)), id="fractional-n-frames"),
     pytest.param(_edited(lambda d: d.update(seed=2.5)), id="fractional-seed"),
 ])

@@ -78,6 +78,33 @@ def test_refine_point_keeps_the_seed_on_a_degenerate_jacobian():
     assert np.array_equal(refined, seeds)
 
 
+def test_extract_builds_one_snapshot_and_refines_every_face_at_once(monkeypatch):
+    # A tilted line pierces faces normal to all three axes.
+    spec, t = vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 1.0
+    grid = Grid3.centered(OFF, 6.0, 24)
+    field = sample(spec, C, grid, t)
+    faces = detect_pierced_faces(field).pierced
+    assert set(faces.axis.tolist()) == {0, 1, 2}
+    # Refining all faces with their own axes agrees with refining axis by axis.
+    seeds = tracker._bilinear_zeros(field, faces)
+    refine = analytic_refiner(spec, C, t)
+    together = refine(seeds, faces.axis)
+    apart = np.concatenate([refine(seeds[faces.axis == a], a) for a in range(3)])
+    assert not np.array_equal(together, seeds)
+    assert np.max(np.abs(together - apart)) <= 1e-12 * grid.cell_diagonal
+    # One snapshot samples the frame and one refines all of its crossings.
+    calls = []
+    at = vl.SolutionSpec.at
+
+    def counted(self, consts, time):
+        calls.append(time)
+        return at(self, consts, time)
+
+    monkeypatch.setattr(vl.SolutionSpec, "at", counted)
+    assert extract(spec, C, grid, t)
+    assert len(calls) == 2
+
+
 def test_extract_closed_ring_geometry():
     spec = vl.FreeRingCylinder(R=1.0, a=0.5)
     grid = Grid3.centered(OFF, 4.0, 32)
@@ -241,7 +268,7 @@ def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
     grid = Grid3.centered(OFF, side, 24)
     field = sample(spec, C, grid, t)
     det = detect_pierced_faces(field)
-    # An identity refiner receives the seeds axis by axis, in face order.
+    # An identity refiner receives all the seeds at once, in face order.
     seeds = []
 
     def keep(points, axis):
