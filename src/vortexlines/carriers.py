@@ -8,12 +8,13 @@ part,
 
 Each constructor here returns G as a `Poly3` with `Jet` coefficients (m, b,
 c with their first two time derivatives); the catalog's snapshot,
-`spec.at(consts, t)`, takes one plain polynomial per time order from it and
-from P, and forms every derivative of psi from the same two product-rule
-identities.  A bare carrier is the solution with P = 1.  The Gaussian packet
-is the lens image of the plane wave: with beta = 1 + i hbar t / (m l^2), its
-exponent is the plane wave's at (r / beta, t / beta) plus the window
--r^2 / (2 l^2 beta) - (3/2) log beta.
+`spec.at(consts, t)`, compiles it and P into one coefficient table of their
+terms and time orders, and forms every derivative of psi from the same two
+product-rule identities.  Since G has no cross terms, exp(G) on a grid is one
+factor per axis.  A bare carrier is the solution with P = 1.  The Gaussian
+packet is the lens image of the plane wave: with beta = 1 + i hbar t /
+(m l^2), its exponent is the plane wave's at (r / beta, t / beta) plus the
+window -r^2 / (2 l^2 beta) - (3/2) log beta.
 """
 
 from __future__ import annotations

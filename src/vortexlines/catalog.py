@@ -16,8 +16,7 @@ share a base class:
 
 `spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
 gives psi and its first and second derivatives in u = (x, y, z, t) at a point
-set (or `snapshot.on(x, y, z)` at coordinate arrays that broadcast together).
-Every derivative is exp(G) times one of two identities,
+set.  Every derivative is exp(G) times one of two identities,
 
     d_i psi / exp(G)     = P_i + P G_i,
     d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
@@ -26,13 +25,12 @@ where a t index picks the jet order of P and G; the gradient, Hessian,
 Laplacian, first/second time derivatives and the time derivative of the
 gradient are views of them.  The snapshot compiles P and G once into one
 table (exponents, and coefficient columns for P, G and their first two time
-derivatives).  At a point set, the spatial derivatives come from that table
-by exponent shift: all derivatives up to first order are one batched matrix
-product whatever the number of terms, the second-order ones one more.  Grid
-axes, which would make that table one row per grid point, take the separable
-path instead: each derivative is a `Poly3.evaluate` of the plain polynomial,
-and since G has no cross terms, exp(G) is kept as one factor per axis and
-multiplied into each result in place, so no full-size exp(G) is formed.
+derivatives), and the spatial derivatives come from it by exponent shift:
+all derivatives up to first order are one batched matrix product whatever
+the number of terms, the second-order ones one more.  `snapshot.on_grid`
+reads psi on a grid of three axes from the same table: since G has no cross
+terms, exp(G) is one factor per axis, folded into that axis's monomial rows,
+so psi is one matrix product and no (points x terms) array is formed.
 `amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
 certifies each family against its governing equation using those analytic
 derivatives only.
@@ -41,7 +39,7 @@ derivatives only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
 
 import numpy as np
@@ -56,7 +54,7 @@ from .carriers import (
 )
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Exponents, Jet, Poly3, coordinates
+from .polynomials import Exponents, Jet, Poly3
 
 
 @dataclass(frozen=True)
@@ -101,6 +99,13 @@ class SolutionSpec:
     equation = "free"  # one of free / trap / magnetic / relativistic
     is_bare = False    # bare carriers have the prefactor P = 1
 
+    def __post_init__(self):
+        """Every parameter must be finite (a `WaveVector` checks its own)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, WaveVector) and not np.isfinite(value).all():
+                raise SpecValidationError(f"{f.name} must be finite, got {value!r}")
+
     def carrier(self, consts: PhysicalConstants, t: float) -> Poly3:
         """The carrier exponent G at time t."""
         raise NotImplementedError
@@ -131,6 +136,7 @@ class _PlaneWaveCarrier(SolutionSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
 
     def carrier(self, consts, t):
         return free_plane_wave(consts, self.k.as_array(), t)
@@ -200,10 +206,6 @@ class FreePlaneWave(_PlaneWaveCarrier):
 class FreeLineVortex(_PlaneWaveCarrier):
     chi: float = math.pi / 4
     k: WaveVector = ZERO_K
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(math.isfinite(self.chi), "chi must be finite")
 
     def image(self, consts, coords, tau):
         x, y, _ = coords
@@ -316,7 +318,6 @@ class FreeTwoLinesSymmetric(_PlaneWaveCarrier):
     def __post_init__(self):
         super().__post_init__()
         _require(self.a != 0, "a must be nonzero")
-        _require(math.isfinite(self.varphi), "varphi must be finite")
 
     def image(self, consts, coords, tau):
         x, y, z = coords
@@ -348,10 +349,6 @@ class GaussianLineVortex(_GaussianCarrier):
     x0: float
     k: WaveVector = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(math.isfinite(self.x0), "x0 must be finite")
-
     def image(self, consts, coords, tau):
         x, y, _ = coords
         return x - self.x0 + 1j * y
@@ -366,6 +363,7 @@ class MagneticGenerator(SolutionSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.B != 0, "B must be nonzero")
 
     def carrier(self, consts, t):
@@ -383,6 +381,7 @@ class MagneticLine(SolutionSpec):
     equation = "magnetic"
 
     def __post_init__(self):
+        super().__post_init__()
         _require(self.B != 0, "B must be nonzero")
         _require(self.a != 0, "a must be nonzero")
         _require(abs(math.cos(self.varphi)) > 1e-12, "varphi too close to pi/2")
@@ -427,6 +426,7 @@ class TrapGenerator(SolutionSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "k", WaveVector.of(self.k))
+        super().__post_init__()
         _require(self.omega > 0, "omega must be > 0")
 
     def carrier(self, consts, t):
@@ -443,6 +443,7 @@ class TrapRing(SolutionSpec):
     equation = "trap"
 
     def __post_init__(self):
+        super().__post_init__()
         _require(self.omega > 0, "omega must be > 0")
         _require(self.R > 0, "R must be > 0")
 
@@ -475,10 +476,6 @@ class RelPlaneWave(_KleinGordonCarrier):
 class RelLineVortex(_KleinGordonCarrier):
     chi: float = math.pi / 4
     k: WaveVector = ZERO_K
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(math.isfinite(self.chi), "chi must be finite")
 
     def image(self, consts, coords, tau):
         return FreeLineVortex(self.chi, self.k).image(consts, coords, tau)
@@ -593,15 +590,24 @@ CARRIER_FAMILIES = (
 )
 
 
-def _check_coords(r) -> list[np.ndarray]:
-    arrays = [np.asarray(c, dtype=float) for c in r]
-    if len(arrays) == 1 and arrays[0].shape[-1:] != (3,):
+def _check_points(r) -> np.ndarray:
+    points = np.asarray(r, dtype=float)
+    if points.shape[-1:] != (3,):
         raise SpecValidationError(
-            f"positions must have trailing length 3, got {arrays[0].shape}"
+            f"positions must have trailing length 3, got {points.shape}"
         )
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not np.isfinite(points).all():
         raise SpecValidationError("non-finite position or time")
-    return arrays
+    return points
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x ** j for j < top, stacked along a new first axis."""
+    powers = np.empty((top,) + x.shape)
+    powers[0] = 1.0
+    for j in range(1, top):
+        np.multiply(powers[j - 1], x, out=powers[j])
+    return powers
 
 
 #: Column offsets of P and G in a snapshot's coefficient table.
@@ -619,61 +625,79 @@ _SHIFTS = np.array([[idx.count(a) for a in range(3)] for idx in _SPATIAL])[:, No
 
 
 @cache
-def _shifted(terms: tuple[Exponents, ...]) -> tuple[int, np.ndarray, np.ndarray]:
-    """(top, rows, weight) of `Snapshot.table` for terms with these exponents,
-    with weight[n, k] the factor that differentiating term k along index n
-    puts in front of it, shape (10, T, 1).  Differentiating shifts the
-    exponents down and multiplies by their falling factorials, zero where it
-    removes the term.  Cached, since a family has the same terms at every
-    time and parameter value (the 17 families have 8 distinct sets); the
-    arrays are read-only."""
+def _shifted(terms: tuple[Exponents, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(top, exps, rows, weight) of `Snapshot.table` for terms with these
+    exponents (exps, shape (T, 3)), with weight[n, k] the factor that
+    differentiating term k along index n puts in front of it, shape
+    (10, T, 1).  Differentiating shifts the exponents down and multiplies by
+    their falling factorials, zero where it removes the term.  Cached, since
+    a family has the same terms at every time and parameter value (the 17
+    families have 8 distinct sets); the arrays are read-only."""
     exps = np.array(terms, dtype=np.intp).reshape(-1, 3)
     top = int(exps.max(initial=0)) + 1
     weight = np.where(_SHIFTS > 0, exps, 1) * np.where(_SHIFTS > 1, exps - 1, 1)
-    rows = np.moveaxis(np.maximum(exps - _SHIFTS, 0) + top * np.arange(3), -1, 0)
+    rows = np.moveaxis(3 * np.maximum(exps - _SHIFTS, 0) + np.arange(3), -1, 0)
     weight = weight.prod(axis=-1)[..., None]
-    rows.flags.writeable = weight.flags.writeable = False
-    return top, rows, weight
+    exps.flags.writeable = rows.flags.writeable = weight.flags.writeable = False
+    return top, exps, rows, weight
 
 
 class Snapshot:
     """psi = P * exp(G) at one time.
 
-    Point sets read P and G from one table over the terms of either: their
-    exponents (T x 3) and coefficients (T x 6), whose columns are P, dP/dt,
-    d2P/dt2, G, dG/dt and d2G/dt2.  Grid axes read the same columns as plain
-    polynomials (`polys`).
+    Point sets and grids read P and G from one table over the terms of
+    either: their exponents (T x 3) and coefficients (T x 6), whose columns
+    are P, dP/dt, d2P/dt2, G, dG/dt and d2G/dt2.
     """
 
     def __init__(self, prefactor_jets: Poly3, exponent: Poly3):
         self._jets = (prefactor_jets, exponent)
 
     @cached_property
-    def polys(self) -> list[Poly3]:
-        """The table's columns as plain polynomials."""
-        return [f.order(n) for f in self._jets for n in range(3)]
-
-    @cached_property
-    def table(self) -> tuple[int, np.ndarray, np.ndarray]:
+    def table(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """The table differentiated along each index n of `_SPATIAL`, as
-        (top, rows, coeffs): the derivative of the six columns is the sum
-        over the terms k of coeffs[n, k] times the product over the axes a
-        of powers[rows[a, n, k]], where powers holds x_a ** j in row
-        top * a + j (every exponent is below top)."""
+        (top, exps, rows, coeffs): the derivative of the six columns is the
+        sum over the terms k of coeffs[n, k] times the product over the axes
+        a of powers[rows[a, n, k]], where powers holds x_a ** j in row
+        3 * j + a (every exponent is below top)."""
         p, g = (f.coeffs for f in self._jets)
         terms = tuple(p | g)
-        top, rows, weight = _shifted(terms)
+        top, exps, rows, weight = _shifted(terms)
         coeffs = np.array([
             (a.f, a.df, a.d2f, b.f, b.df, b.d2f)
             for a, b in ((p.get(e, _ZERO), g.get(e, _ZERO)) for e in terms)
         ], dtype=complex).reshape(-1, 6)
-        return top, rows, weight * coeffs
+        return top, exps, rows, weight * coeffs
 
-    def on(self, *r) -> "FieldValues":
-        """psi and its derivatives at positions r of shape (..., 3), or at
-        three coordinate arrays x, y, z that broadcast together (grid axes
-        shaped (N, 1, 1), (1, N, 1), (1, 1, N) give the whole grid)."""
-        return FieldValues(self, *_check_coords(r))
+    def on(self, r) -> "FieldValues":
+        """psi and its derivatives at positions r of shape (..., 3)."""
+        return FieldValues(self, _check_points(r))
+
+    def on_grid(self, x, y, z) -> np.ndarray:
+        """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z).
+
+        G has no cross terms (carriers.py), so exp(G) is one factor per axis,
+        exp(c + g_x(x)) exp(g_y(y)) exp(g_z(z)) with G's constant c going
+        with x.  Each factor is folded into its axis's monomial rows
+        x_a ** j, and psi is one matrix product over the terms of P: the
+        (x, y) monomial plane, shape (T, N_x N_y), with P's coefficients
+        times the z rows.
+        """
+        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+        top, exps, _, coeffs = self.table
+        g = coeffs[0, :, _G]
+        if np.any((np.count_nonzero(exps, axis=1) > 1) & (g != 0)):
+            raise ValueError("exp of a polynomial with cross terms does not factor by axis")
+        axis_of = exps.argmax(axis=1)  # the constant term goes with x
+        rows = []
+        for a, coord in enumerate((x, y, z)):
+            powers, mine = _powers(coord, top), axis_of == a
+            rows.append(powers * np.exp(g[mine] @ powers[exps[mine, a]]))
+        p = coeffs[0, :, _P]
+        (ex, ey, ez), p = exps[p != 0].T, p[p != 0]
+        plane = (rows[0][ex, :, None] * rows[1][ey, None, :]).reshape(len(p), -1)
+        psi = plane.T @ (p[:, None] * rows[2][ez])
+        return psi.reshape(len(x), len(y), len(z))
 
 
 class FieldValues:
@@ -682,68 +706,49 @@ class FieldValues:
     P * exp(G), all sharing one exp(G).
 
     Index 3 of u is t: a t index picks the jet order of P and G, a spatial
-    index differentiates the polynomial.  At a point set, all derivative
-    indices up to first order, and then all second-order ones, give every
-    table column at once: one batch of monomial matrices, differentiated by
-    exponent shift, times the snapshot's coefficients.  On coordinate arrays
-    each derivative is a separable `Poly3.evaluate`, which forms no
-    (points x terms) array.
+    index differentiates the polynomial.  All derivative indices up to first
+    order, and then all second-order ones, give every table column at once:
+    one batch of monomial matrices, differentiated by exponent shift, times
+    the snapshot's coefficients.
     """
 
-    def __init__(self, snapshot: Snapshot, *r):
-        self.snapshot, self.coords = snapshot, coordinates(*r)
-        self.shape = np.broadcast(*self.coords).shape
-        self._points = r[0].reshape(-1, 3) if len(r) == 1 else None
+    def __init__(self, snapshot: Snapshot, points: np.ndarray):
+        self.snapshot, self.points = snapshot, points
+        self.shape = points.shape[:-1]
         self._derivs: dict = {}
         self._parts: list = [None, None]
 
     @cached_property
-    def _carrier(self) -> list:
-        if self._points is not None:
-            return [np.exp(self._d(_G, ()))]
-        # G has no cross terms (carriers.py), so exp(G) factors by axis.
-        return self.snapshot.polys[_G].exp_factors(*self.coords)
+    def _carrier(self) -> np.ndarray:
+        return np.exp(self._d(_G, ()))
 
     def _times_carrier(self, values: np.ndarray) -> np.ndarray:
-        """values * exp(G), formed in place: values is a new full-size array."""
-        for factor in self._carrier:
-            values *= factor
+        """values * exp(G), formed in place: values is a new array."""
+        values *= self._carrier
         return values
 
     def _d(self, f: int, idx: tuple[int, ...]) -> np.ndarray:
         """The derivative of P or G (f = _P or _G) along the sorted indices
-        idx of u, at the coordinates."""
+        idx of u, at the points."""
         key = (f, idx)
         if key not in self._derivs:
             # idx is sorted, so its t indices come last.
             order = idx.count(3)
-            column, spatial = f + order, idx[:len(idx) - order]
-            if self._points is not None:
-                part, n = _PART_OF[spatial]
-                value = self._part(part)[n, :, column].reshape(self.shape)
-            else:
-                poly = self.snapshot.polys[column]
-                for axis in spatial:
-                    poly = poly.diff(axis)
-                value = poly.evaluate(*self.coords)
-            self._derivs[key] = value
+            part, n = _PART_OF[idx[:len(idx) - order]]
+            self._derivs[key] = self._part(part)[n, :, f + order].reshape(self.shape)
         return self._derivs[key]
 
     @cached_property
     def _powers(self) -> np.ndarray:
-        """x_a ** j at each point, row top * a + j for j < top."""
-        top, x = self.snapshot.table[0], self._points.T
-        powers = np.empty((3, top, len(self._points)))
-        powers[:, 0] = 1.0
-        for j in range(1, top):
-            np.multiply(powers[:, j - 1], x, out=powers[:, j])
-        return powers.reshape(3 * top, -1)
+        """x_a ** j at each point, row 3 * j + a for j < top."""
+        top, x = self.snapshot.table[0], self.points.reshape(-1, 3).T
+        return _powers(x, top).reshape(3 * top, -1)
 
     def _part(self, k: int) -> np.ndarray:
         """All six columns differentiated along each index of part k of
         `_SPATIAL`, shape (indices, points, 6)."""
         if self._parts[k] is None:
-            _, rows, coeffs = self.snapshot.table
+            _, _, rows, coeffs = self.snapshot.table
             part, powers = _PARTS[k], self._powers
             monomials = powers[rows[0, part]]
             monomials *= powers[rows[1, part]]
@@ -768,12 +773,7 @@ class FieldValues:
 
     @cached_property
     def psi(self) -> np.ndarray:
-        # psi is allocated last, after P and the factors of exp(G), and no
-        # full-size exp(G) is formed.  Sampling a grid every frame is
-        # sensitive to this order: others let the C allocator trim and regrow
-        # the heap each frame (measured as minor page faults).
-        p, _ = self._d(_P, ()), self._carrier
-        return self._times_carrier(p.copy())
+        return self._d(_P, ()) * self._carrier
 
     @cached_property
     def grad(self) -> np.ndarray:
@@ -854,7 +854,7 @@ def _trap_potential(spec, consts, x, y, z):
 def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Normalized residual of the governing equation, from analytic derivatives."""
     field = spec.at(consts, t).on(r)
-    x, y, z = field.coords
+    x, y, z = np.moveaxis(field.points, -1, 0)
     hbar, mass = consts.hbar, consts.mass
     if spec.equation == "relativistic":
         c2 = consts.light_speed**2

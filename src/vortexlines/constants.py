@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import SpecValidationError
@@ -23,8 +24,8 @@ class PhysicalConstants:
     def __post_init__(self):
         for name in ("hbar", "mass", "charge", "light_speed"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise SpecValidationError(f"{name} must be > 0, got {value!r}")
+            if not (0.0 < value < math.inf):
+                raise SpecValidationError(f"{name} must be finite and > 0, got {value!r}")
 
     def cyclotron_frequency(self, field_strength: float) -> float:
         return self.charge * field_strength / self.mass

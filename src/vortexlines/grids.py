@@ -92,18 +92,9 @@ class SampledField:
 
 
 def sample(spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float) -> SampledField:
-    """Evaluate the analytic solution on every grid point.
-
-    The snapshot gets the three axis vectors shaped (N, 1, 1), (1, N, 1) and
-    (1, 1, N), never an array of all grid points: G has no cross terms, so
-    exp(G) is a product of three 1-D factors, and the terms of P are formed
-    on the axes they involve before they are broadcast to the grid.
-    """
-    axes = [
-        grid.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
-        for a in range(3)
-    ]
-    values = spec.at(consts, t).on(*axes).psi
+    """Evaluate the analytic solution on every grid point, from the grid's
+    three axis vectors (`Snapshot.on_grid`), never an array of all points."""
+    values = spec.at(consts, t).on_grid(*(grid.axis_coords(a) for a in range(3)))
     return SampledField(grid=grid, values=values, time=float(t))
 
 

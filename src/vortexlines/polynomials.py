@@ -9,10 +9,9 @@ derivative), and `order(n)` takes the plain polynomial of the n-th time
 derivative.  Jets compose, so the lens map (r, t) -> (r / beta, t / beta) of
 the Gaussian-carrier families is a substitution of jet polynomials into a
 plane-wave prefactor.  A catalog snapshot, `spec.at(consts, t)`, evaluates
-P and G at point sets from one coefficient table of all their terms and
-orders.  At coordinate arrays that broadcast together, such as grid axes, it
-uses one plain `Poly3` per order with `evaluate` and `exp_factors`; exp(G) is
-formed as one factor per axis, since G has no cross terms.
+P and G, at point sets and on grids, from one coefficient table of all their
+terms and orders; `evaluate` is the plain term-by-term sum, for a prefactor
+(`catalog.prefactor`) and as the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -104,8 +103,7 @@ class Poly3:
 
     Addition merges terms with equal exponents, and it and `order` drop the
     terms whose coefficient is zero.  `constant` and `coordinate` start a jet
-    polynomial; `evaluate` and `exp_factors` need plain coefficients (see
-    `order`).
+    polynomial; `evaluate` needs plain coefficients (see `order`).
     """
 
     __slots__ = ("coeffs",)
@@ -171,88 +169,12 @@ class Poly3:
 
     __rmul__ = __mul__
 
-    def evaluate(self, *coords) -> np.ndarray:
-        """Evaluate at positions of shape (..., 3), or at three coordinate
-        arrays x, y, z that broadcast together.
-
-        Each term is built from its lowest-dimensional factor up, and terms
-        on the same coordinates are summed before they are added into the
-        result: on grid axes shaped (N, 1, 1), (1, N, 1), (1, 1, N) only that
-        final sum costs N^3, once per set of coordinates the terms involve.
-        """
-        axes = x, y, z = coordinates(*coords)
-        shape = x.shape if x.shape == y.shape == z.shape else np.broadcast(x, y, z).shape
-        # The result is allocated before the power tables it outlives.
-        result = np.full(shape, self.coeffs.get((0, 0, 0), 0.0), dtype=complex)
-        pows = []
-        for axis, coord in enumerate(axes):
-            table = [None, coord]
-            for _ in range(max((e[axis] for e in self.coeffs), default=0) - 1):
-                table.append(table[-1] * coord)
-            pows.append(table)
-        groups: dict[tuple[int, ...], np.ndarray] = {}
-        for exps, c in self.coeffs.items():
-            # Zeroth powers are skipped, not multiplied in as arrays of ones.
-            used = [axis for axis in range(3) if exps[axis]]
-            if not used:
-                continue
-            factors = [pows[axis][exps[axis]] for axis in used]
-            if len(factors) > 1:
-                factors.sort(key=np.size)
-            term = complex(c) * factors[0]
-            for factor in factors[1:]:
-                term = term * factor
-            key = tuple(used)
-            if key in groups:
-                groups[key] += term
-            else:
-                groups[key] = term
-        for term in groups.values():
-            result += term
+    def evaluate(self, points) -> np.ndarray:
+        """Evaluate at positions of shape (..., 3), as a plain sum over the
+        terms."""
+        points = np.asarray(points, dtype=float)
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        result = np.zeros(points.shape[:-1], dtype=complex)
+        for (i, j, k), c in self.coeffs.items():
+            result += complex(c) * x**i * y**j * z**k
         return result
-
-    def exp_factors(self, *coords) -> list:
-        """exp of a polynomial without cross terms, at the same positions as
-        `evaluate`, as factors whose product it is.
-
-        The axes are grouped while their broadcast stays smaller than the
-        positions' shape, and each group's terms take one `evaluate` and one
-        exp: on grid axes shaped (N, 1, 1), (1, N, 1), (1, 1, N) that is
-        exp(c + p_x + p_y) on (N, N, 1) and exp(p_z) on (1, 1, N), N^2 + N
-        exponentials instead of N^3; at a point set it is one exp(p).
-        """
-        if any(sum(1 for p in exps if p) > 1 for exps in self.coeffs):
-            raise ValueError("exp of a polynomial with cross terms does not factor by axis")
-        axes = coordinates(*coords)
-        size = np.broadcast(*axes).size
-        groups: list[list[int]] = [[]]
-        for axis in range(3):
-            if not any(exps[axis] for exps in self.coeffs):
-                continue
-            group = groups[-1]
-            if group and axes[axis].size < size:
-                in_group = [axes[a] for a in group]
-                merged = np.broadcast(*in_group, axes[axis]).size
-                if merged == size and np.broadcast(*in_group).size < size:
-                    group = []
-                    groups.append(group)
-            group.append(axis)
-        factors = []
-        for group in groups:
-            part = self if len(groups) == 1 else Poly3({
-                exps: c for exps, c in self.coeffs.items()
-                if any(exps[a] for a in group) or (group is groups[0] and not any(exps))
-            })
-            on_group = [axes[a] if a in group else 0.0 for a in range(3)]
-            factors.append(np.exp(part.evaluate(*on_group)))
-        return factors
-
-
-def coordinates(*coords) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, z) from one array of positions of shape (..., 3), or from three
-    coordinate arrays that broadcast together."""
-    if len(coords) == 1:
-        points = np.asarray(coords[0], dtype=float)
-        return points[..., 0], points[..., 1], points[..., 2]
-    x, y, z = coords
-    return np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)

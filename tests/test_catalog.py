@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
+from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot
 from vortexlines.errors import NoPrefactorError, SpecValidationError
 from vortexlines.grids import Grid3, sample
+from vortexlines.polynomials import Poly3
 
 C = vl.NATURAL_UNITS
 K = vl.WaveVector(0.3, -0.2, 0.4)
@@ -127,24 +129,52 @@ def test_prefactor_times_carrier_equals_amplitude():
         assert np.allclose(pre * carrier, full, rtol=1e-12, atol=1e-12)
 
 
+#: An offset, anisotropic grid, so that a swapped axis shows.
+SMALL_GRID = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (5, 6, 7))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_table_columns_match_the_differentiated_polynomials(spec):
+    # Every column of the snapshot's table (P and G, jet orders 0-2) along
+    # every spatial index the product rules use, differentiated by exponent
+    # shift, against the jet polynomial's order differentiated with
+    # Poly3.diff and summed term by term.
+    points = SMALL_GRID.points()
+    for t in (-0.7, 0.0, 0.45):
+        field = spec.at(C, t).on(points)
+        for f, jets in ((_P, spec.prefactor_jets(C, t)), (_G, spec.carrier(C, t))):
+            for order in range(3):
+                for idx in _SPATIAL:
+                    poly = jets.order(order)
+                    for axis in idx:
+                        poly = poly.diff(axis)
+                    ref = poly.evaluate(points)
+                    got = field._d(f, idx + (3,) * order)
+                    assert got.shape == ref.shape
+                    peak = float(np.max(np.abs(ref)))
+                    assert float(np.max(np.abs(got - ref))) <= 1e-14 * peak, (t, f, order, idx)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_point_set_table_matches_the_separable_grid_path(spec):
-    # A point set reads P and G from the snapshot's coefficient table; grid
-    # axes differentiate each polynomial and evaluate it separably, which
-    # serves as the reference here.
-    grid = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (5, 6, 7))
-    axes = [
-        grid.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
-        for a in range(3)
-    ]
+    # Both read the snapshot's table: a point set as a (points x terms)
+    # monomial matrix, a grid as per-axis monomial rows with one exp(G)
+    # factor folded into each (`on_grid`).
+    axes = [SMALL_GRID.axis_coords(a) for a in range(3)]
     for t in (-0.7, 0.0, 0.45):
         snapshot = spec.at(C, t)
-        on_points, on_axes = snapshot.on(grid.points()), snapshot.on(*axes)
-        for name in ("psi", "grad", "hess", "lap", "dt", "dt_grad", "d2t"):
-            got, ref = getattr(on_points, name), getattr(on_axes, name)
-            assert got.shape == ref.shape
-            peak = float(np.max(np.abs(ref)))
-            assert float(np.max(np.abs(got - ref))) <= 1e-14 * peak, (t, name)
+        on_grid, on_points = snapshot.on_grid(*axes), snapshot.on(SMALL_GRID.points()).psi
+        assert on_grid.shape == SMALL_GRID.dims
+        peak = float(np.max(np.abs(on_points)))
+        assert float(np.max(np.abs(on_grid - on_points))) <= 1e-14 * peak, t
+
+
+def test_on_grid_rejects_a_carrier_with_cross_terms():
+    # exp(G) factors by axis only while G has no term in two coordinates.
+    x = np.linspace(-1.0, 1.0, 4)
+    exponent = Poly3.coordinate(0) * Poly3.coordinate(1)
+    with pytest.raises(ValueError):
+        Snapshot(Poly3.constant(1.0), exponent).on_grid(x, x, x)
 
 
 def test_grid_sample_equals_pointwise_amplitude():

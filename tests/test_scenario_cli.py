@@ -152,6 +152,11 @@ def _edited(edit) -> str:
     return json.dumps(data)
 
 
+def _with_spec(spec, **fields) -> str:
+    """The tiny config on another family, with some fields replaced."""
+    return _edited(lambda d: d.update(spec={**spec_to_dict(spec), **fields}))
+
+
 @pytest.mark.parametrize("text", [
     pytest.param('{"spec": {', id="invalid-json"),
     pytest.param("[]", id="not-an-object"),
@@ -172,6 +177,19 @@ def _edited(edit) -> str:
     pytest.param(_edited(lambda d: d.update(time_range=[-math.inf, 0.1])),
                  id="infinite-time-range"),
     pytest.param(_edited(lambda d: d.update(time_range=[math.nan, 0.1])), id="nan-time-range"),
+    pytest.param(_edited(lambda d: d["spec"].update(a=math.nan)), id="nan-ring-a"),
+    pytest.param(_edited(lambda d: d["spec"].update(a=math.inf)), id="infinite-ring-a"),
+    pytest.param(_with_spec(vl.FreeRingSphere(R=1.0, a=1.0), R=math.inf),
+                 id="infinite-sphere-R"),
+    pytest.param(_with_spec(vl.MagneticGenerator(B=1.0), B=math.nan), id="nan-field-B"),
+    pytest.param(_with_spec(vl.TrapRing(omega=1.0, R=1.0), omega=math.inf),
+                 id="infinite-trap-omega"),
+    pytest.param(_with_spec(vl.WindowedTwoLinesSymmetric(a=1.0, varphi=0.7, l=3.0),
+                            varphi=math.nan), id="nan-windowed-varphi"),
+    pytest.param(_with_spec(vl.FreeTwoLines(w1=(1.0, 1j, 0.0), r1=(0.3, 0.0, 0.0),
+                                            w2=(1.0, -1j, 0.0), r2=(-0.3, 0.0, 0.0)),
+                            r2=[-0.3, math.inf, 0.0]), id="infinite-line-r2"),
+    pytest.param(_edited(lambda d: d["consts"].update(mass=math.inf)), id="infinite-mass"),
     pytest.param(_edited(lambda d: d.update(n_frames=2.5)), id="fractional-n-frames"),
     pytest.param(_edited(lambda d: d.update(seed=2.5)), id="fractional-seed"),
 ])
