@@ -1,60 +1,61 @@
 """The catalog of exact vortex-carrying wave functions.
 
 Every family is psi = P * exp(G): a polynomial prefactor P times a carrier
-whose exponent G is a quadratic, both held as polynomials with time-jet
-coefficients (`Poly3` of `Jet`s).  Bare carriers are the families with P = 1.
-Each family is a tagged spec (one dataclass); families on the same carrier
-share a base class:
+whose exponent G is a quadratic.  Each carrier has a clock s(t), a phase
+phi(t) and a coordinate map (carriers.py), and P and G less phi are `Poly3`s
+in (x, y, z, s).  Bare carriers are the families with P = 1.  Each family is
+a tagged spec (one dataclass); families on the same carrier share a base
+class, which defines the clock, phase and map, and a family gives P only as
+its `image` polynomial of the moving map coordinates coords - v tau and the
+map time tau:
 
-* plane-wave families write P as the image polynomial of the moving
-  coordinates r - v t and the time t;
-* Klein-Gordon families do the same on the relativistic plane wave;
-* Gaussian-carrier families are lens images of plane-wave prefactors,
-  P(r, t) = P_pw(r / beta, t / beta) with beta = 1 + i hbar t / (m l^2); the
-  same map takes the plane wave to the Gaussian packet, so each one equals
-  its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0.
+* plane-wave and Klein-Gordon families: s = t, map (r, s);
+* Gaussian-carrier families: s = 1 / beta, beta = 1 + i hbar t / (m l^2),
+  lens map (s r, (1 - s) / rate) = (r / beta, t / beta); the same map takes
+  the plane wave to the Gaussian packet, so each one equals its plane-wave
+  counterpart times exp(-r^2 / 2 l^2) at t = 0;
+* trap families: s = e^{-i w t}, map (s r, (1 - s^2) / (2 i w)); TrapRing
+  is the cylinder ring FreeRingCylinder(R, a=R) displaced by R along x;
+* magnetic families: s = e^{-i w_c t}, the cyclotron rotation; MagneticLine
+  is the image of a straight line.
 
-`spec.at(consts, t)` builds P and G once as a `Snapshot`; `snapshot.on(r)`
-gives psi and its first and second derivatives in u = (x, y, z, t) at a point
-set.  Every derivative is exp(G) times one of two identities,
+Each spec is compiled once into a table over the (x, y, z) terms of P and G
+and the powers of s.  `spec.at(consts, t)` contracts it with the power jets
+[s^n, d/dt s^n, d2/dt2 s^n] at s(t) and adds phi's jet to G's constant term:
+a `Snapshot`, whose columns per term are P, G and their first two time
+derivatives.  `snapshot.on(r)` gives psi and its first and second
+derivatives in u = (x, y, z, t) at a point set.  Every derivative is exp(G)
+times one of two identities,
 
     d_i psi / exp(G)     = P_i + P G_i,
     d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
 
-where a t index picks the jet order of P and G; the gradient, Hessian,
+where a t index picks the time order of P and G; the gradient, Hessian,
 Laplacian, first/second time derivatives and the time derivative of the
-gradient are views of them.  The snapshot compiles P and G once into one
-table (exponents, and coefficient columns for P, G and their first two time
-derivatives), and the spatial derivatives come from it by exponent shift:
-all derivatives up to first order are one batched matrix product whatever
-the number of terms, the second-order ones one more.  `snapshot.on_grid`
-reads psi on a grid of three axes from the same table: since G has no cross
-terms, exp(G) is one factor per axis, folded into that axis's monomial rows,
-so psi is one matrix product and no (points x terms) array is formed.
-`amplitude`, `gradient`, ... are one-line views of it, and `pde_residual`
-certifies each family against its governing equation using those analytic
-derivatives only.
+gradient are views of them.  The spatial derivatives come from the table by
+exponent shift: all derivatives up to first order are one batched matrix
+product whatever the number of terms, the second-order ones one more.
+`snapshot.on_grid` reads psi on a grid of three axes from the same table:
+since G has no cross terms, exp(G) is one factor per axis, folded into that
+axis's monomial rows, so psi is one matrix product and no (points x terms)
+array is formed.  `amplitude`, `gradient`, ... are one-line views of it, and
+`pde_residual` certifies each family against its governing equation using
+those analytic derivatives only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from .carriers import (
-    free_plane_wave,
-    gaussian_packet,
-    magnetic_generator,
-    rel_dispersion,
-    rel_plane_wave,
-    trap_generator,
-)
+from . import carriers
+from .carriers import Map, TimeOrders, rel_dispersion
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
-from .polynomials import Exponents, Jet, Poly3
+from .polynomials import Exponents, Poly3
 
 
 @dataclass(frozen=True)
@@ -103,16 +104,37 @@ class SolutionSpec:
         """Every parameter must be finite (a `WaveVector` checks its own)."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, WaveVector) and not np.isfinite(value).all():
+            if f.name == "k":
+                object.__setattr__(self, "k", WaveVector.of(value))
+            elif not np.isfinite(value).all():
                 raise SpecValidationError(f"{f.name} must be finite, got {value!r}")
 
-    def carrier(self, consts: PhysicalConstants, t: float) -> Poly3:
-        """The carrier exponent G at time t."""
+    def carrier(self, consts: PhysicalConstants) -> Poly3:
+        """The carrier exponent G less its phase, in (x, y, z, s)."""
         raise NotImplementedError
 
-    def prefactor_jets(self, consts: PhysicalConstants, t: float) -> Poly3:
-        """The prefactor P at time t."""
+    def clock(self, consts: PhysicalConstants, t: float) -> tuple[TimeOrders, TimeOrders]:
+        """The carrier's clock s and phase phi at time t, each with its first
+        two time derivatives."""
+        raise NotImplementedError
+
+    def coordinate_map(self, consts: PhysicalConstants) -> Map:
+        """The carrier's image coordinates and time (coords, tau), in
+        (x, y, z, s)."""
+        raise NotImplementedError
+
+    def image(self, consts, coords: list[Poly3], tau: Poly3) -> Poly3:
+        """The prefactor P, a polynomial in the moving image coordinates
+        coords - v tau and the image time tau; 1 for a bare carrier."""
         return _ONE
+
+    def polynomials(self, consts: PhysicalConstants) -> tuple[Poly3, Poly3]:
+        """P and G less its phase, in (x, y, z, s): P is the image under the
+        carrier's coordinate map."""
+        coords, tau = self.coordinate_map(consts)
+        v = self.classical_velocity(consts)
+        moving = [c - float(v[a]) * tau for a, c in enumerate(coords)]
+        return self.image(consts, moving, tau), self.carrier(consts)
 
     def classical_velocity(self, consts: PhysicalConstants) -> np.ndarray:
         return np.zeros(3)
@@ -124,34 +146,26 @@ class SolutionSpec:
         """psi = P * exp(G) at time t, ready to evaluate at point sets."""
         if not math.isfinite(t):
             raise SpecValidationError("non-finite position or time")
-        return Snapshot(self.prefactor_jets(consts, t), self.carrier(consts, t))
+        terms, coeffs = _compiled(self, consts)
+        s, phase = self.clock(consts, t)
+        columns = (coeffs @ _power_jets(s, coeffs.shape[-1])).reshape(-1, 6)
+        columns[0, _G:] += phase
+        return Snapshot(terms, columns)
 
 
 class _PlaneWaveCarrier(SolutionSpec):
-    """Families on the free plane wave exp(i k.r - i hbar k^2 t / 2m).
+    """Families on the free plane wave exp(i k.r - i hbar k^2 t / 2m): clock
+    s = t, map (r, s), no phase.  A family's prefactor is its image
+    polynomial of the moving coordinates r - v t and the time t."""
 
-    A family writes its prefactor as `image(consts, coords, tau)`, a
-    polynomial in the moving coordinates coords = r - v tau and the time tau.
-    """
+    def carrier(self, consts):
+        return carriers.free_plane_wave(consts, self.k.as_array())
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
-        super().__post_init__()
+    def clock(self, consts, t):
+        return carriers.time_clock(t)
 
-    def carrier(self, consts, t):
-        return free_plane_wave(consts, self.k.as_array(), t)
-
-    def image(self, consts, coords: list[Poly3], tau: Jet) -> Poly3:
-        return _ONE
-
-    def prefactor_jets(self, consts, t):
-        return self._image_at(consts, Jet.const(1.0), Jet(t, 1.0, 0.0))
-
-    def _image_at(self, consts, scale: Jet, tau: Jet) -> Poly3:
-        """The image polynomial at coordinates scale * r - v tau."""
-        v = self.classical_velocity(consts)
-        coords = [scale * Poly3.coordinate(a) - float(v[a]) * tau for a in range(3)]
-        return self.image(consts, coords, tau)
+    def coordinate_map(self, consts):
+        return carriers.time_map()
 
     def classical_velocity(self, consts):
         return consts.hbar * self.k.as_array() / consts.mass
@@ -165,8 +179,8 @@ class _KleinGordonCarrier(_PlaneWaveCarrier):
 
     equation = "relativistic"
 
-    def carrier(self, consts, t):
-        return rel_plane_wave(consts, self.k.as_array(), t)
+    def carrier(self, consts):
+        return carriers.rel_plane_wave(consts, self.k.as_array())
 
     def classical_velocity(self, consts):
         karr = self.k.as_array()
@@ -174,23 +188,23 @@ class _KleinGordonCarrier(_PlaneWaveCarrier):
 
 
 class _GaussianCarrier(_PlaneWaveCarrier):
-    """Families on the spreading Gaussian packet of width l.
-
-    The prefactor is the lens image P_pw(r / beta, t / beta) of a plane-wave
-    prefactor, beta = 1 + i hbar t / (m l^2).
-    """
+    """Families on the spreading Gaussian packet of width l: clock s = 1 /
+    beta with beta = 1 + rate t and rate = i hbar / (m l^2), lens map
+    (s r, (1 - s) / rate) = (r / beta, t / beta), phase (3/2) log s.  The
+    prefactor is the lens image of a plane-wave prefactor."""
 
     def __post_init__(self):
         super().__post_init__()
         _require(self.l > 0, "l must be > 0")
 
-    def carrier(self, consts, t):
-        return gaussian_packet(consts, self.k.as_array(), self.l, t)
+    def carrier(self, consts):
+        return carriers.gaussian_packet(consts, self.k.as_array(), self.l)
 
-    def prefactor_jets(self, consts, t):
-        rate = 1j * consts.hbar / (consts.mass * self.l**2)
-        inv_beta = Jet(1.0 + rate * t, rate, 0.0).inv()
-        return self._image_at(consts, inv_beta, Jet(t, 1.0, 0.0) * inv_beta)
+    def clock(self, consts, t):
+        return carriers.lens_clock(consts, self.l, t)
+
+    def coordinate_map(self, consts):
+        return carriers.lens_map(consts, self.l)
 
     def length_scale(self, consts):
         return self.l
@@ -354,49 +368,58 @@ class GaussianLineVortex(_GaussianCarrier):
         return x - self.x0 + 1j * y
 
 
-@dataclass(frozen=True)
-class MagneticGenerator(SolutionSpec):
-    B: float
-    k: WaveVector = ZERO_K
+class _MagneticCarrier(SolutionSpec):
+    """Families on the Landau ground state in a uniform field B along z:
+    clock s = e^{-i w_c t}, map the cyclotron rotation (x_img, y_img, z) with
+    image time i (s - 1) / w_c, phase -i w_c t / 2 (carriers.py).  Families
+    without a wave vector ride the k = 0 carrier."""
+
     equation = "magnetic"
-    is_bare = True
+    k = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
         super().__post_init__()
         _require(self.B != 0, "B must be nonzero")
 
-    def carrier(self, consts, t):
-        return magnetic_generator(consts, self.k.as_array(), self.B, t)
+    def carrier(self, consts):
+        return carriers.magnetic_generator(consts, self.k.as_array(), self.B)
+
+    def clock(self, consts, t):
+        omega_c = consts.cyclotron_frequency(self.B)
+        return carriers.rotating_clock(omega_c, -0.5j * omega_c, t)
+
+    def coordinate_map(self, consts):
+        return carriers.cyclotron_map(consts.cyclotron_frequency(self.B))
+
+
+@dataclass(frozen=True)
+class MagneticGenerator(_MagneticCarrier):
+    B: float
+    k: WaveVector = ZERO_K
+    is_bare = True
 
     def length_scale(self, consts):
         return math.sqrt(2.0 * consts.hbar / abs(consts.charge * self.B))
 
 
 @dataclass(frozen=True)
-class MagneticLine(SolutionSpec):
+class MagneticLine(_MagneticCarrier):
+    """The magnetic image of the straight line y - a + i (-sin(varphi) x +
+    cos(varphi) z)."""
+
     B: float
     a: float
     varphi: float
-    equation = "magnetic"
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.B != 0, "B must be nonzero")
         _require(self.a != 0, "a must be nonzero")
         _require(abs(math.cos(self.varphi)) > 1e-12, "varphi too close to pi/2")
 
-    def carrier(self, consts, t):
-        return magnetic_generator(consts, np.zeros(3), self.B, t)
-
-    def prefactor_jets(self, consts, t):
-        omega_c = consts.cyclotron_frequency(self.B)
-        E = Jet.exp_i(-1j * omega_c, t)
-        x, y, z = (Poly3.coordinate(a) for a in range(3))
-        x_img = (0.5 * (E + 1.0)) * x + (0.5j * (E - 1.0)) * y
-        y_img = (-0.5j * (E - 1.0)) * x + (0.5 * (E + 1.0)) * y
+    def image(self, consts, coords, tau):
+        x, y, z = coords
         s, c = math.sin(self.varphi), math.cos(self.varphi)
-        return y_img - self.a + 1j * ((-s) * x_img + c * z)
+        return y - self.a + 1j * ((-s) * x + c * z)
 
     def length_scale(self, consts):
         return abs(self.a)
@@ -417,50 +440,54 @@ class MagneticLine(SolutionSpec):
         return np.stack([x, y, z], axis=-1)
 
 
-@dataclass(frozen=True)
-class TrapGenerator(SolutionSpec):
-    omega: float
-    k: WaveVector = ZERO_K
+class _TrapCarrier(SolutionSpec):
+    """Families on the ground state of the harmonic trap of frequency omega:
+    clock s = e^{-i omega t}, map (s r, (1 - s^2) / (2 i omega)), phase
+    -(3/2) i omega t.  Families without a wave vector ride the k = 0
+    carrier."""
+
     equation = "trap"
-    is_bare = True
+    k = ZERO_K
 
     def __post_init__(self):
-        object.__setattr__(self, "k", WaveVector.of(self.k))
         super().__post_init__()
         _require(self.omega > 0, "omega must be > 0")
 
-    def carrier(self, consts, t):
-        return trap_generator(consts, self.k.as_array(), self.omega, t)
+    def carrier(self, consts):
+        return carriers.trap_generator(consts, self.k.as_array(), self.omega)
+
+    def clock(self, consts, t):
+        return carriers.rotating_clock(self.omega, -1.5j * self.omega, t)
+
+    def coordinate_map(self, consts):
+        return carriers.trap_map(self.omega)
+
+
+@dataclass(frozen=True)
+class TrapGenerator(_TrapCarrier):
+    omega: float
+    k: WaveVector = ZERO_K
+    is_bare = True
 
     def length_scale(self, consts):
         return math.sqrt(consts.hbar / (consts.mass * self.omega))
 
 
 @dataclass(frozen=True)
-class TrapRing(SolutionSpec):
+class TrapRing(_TrapCarrier):
+    """The trap image of the cylinder ring FreeRingCylinder(R, a=R) displaced
+    by R along x: at t = 0 a ring of radius R about (R, 0, 0)."""
+
     omega: float
     R: float
-    equation = "trap"
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.omega > 0, "omega must be > 0")
         _require(self.R > 0, "R must be > 0")
 
-    def carrier(self, consts, t):
-        return trap_generator(consts, np.zeros(3), self.omega, t)
-
-    def prefactor_jets(self, consts, t):
-        osc_len2 = consts.hbar / (consts.mass * self.omega)
-        E = Jet.exp_i(-1j * self.omega, t)
-        E2 = E * E
-        x, y, z = (Poly3.coordinate(a) for a in range(3))
-        return (
-            E2 * (x * x + y * y - osc_len2)
-            + osc_len2
-            - E * (2.0 * self.R) * x
-            + (1j * self.R) * E * z
-        )
+    def image(self, consts, coords, tau):
+        x, y, z = coords
+        return FreeRingCylinder(self.R, self.R).image(consts, [x - self.R, y, z], tau)
 
     def length_scale(self, consts):
         return self.R
@@ -612,7 +639,6 @@ def _powers(x: np.ndarray, top: int) -> np.ndarray:
 
 #: Column offsets of P and G in a snapshot's coefficient table.
 _P, _G = 0, 3
-_ZERO = Jet.const(0.0)
 
 #: The spatial derivative indices of P and G that the product rules use, in
 #: two parts, up to first order and second order: a point set evaluates each
@@ -642,6 +668,44 @@ def _shifted(terms: tuple[Exponents, ...]) -> tuple[int, np.ndarray, np.ndarray,
     return top, exps, rows, weight
 
 
+#: How many compiled specs `_compiled` keeps: every spec of a run, while
+#: `generate_from_polynomial`'s one-off k-stencil carriers pass through.
+_COMPILED_SPECS = 64
+
+
+@lru_cache(maxsize=_COMPILED_SPECS)
+def _compiled(
+    spec: SolutionSpec, consts: PhysicalConstants
+) -> tuple[tuple[Exponents, ...], np.ndarray]:
+    """P and G of spec as polynomials in s over their (x, y, z) terms:
+    (terms, coeffs) with coeffs[k, f, n] the coefficient of terms[k] * s^n in
+    P (f = 0) or G (f = 1).  terms[0] is the constant term, where `at` adds
+    G's phase.  The array is read-only."""
+    polys = spec.polynomials(consts)
+    rows: dict[Exponents, int] = {(0, 0, 0): 0}
+    for poly in polys:
+        for exps in poly.coeffs:
+            rows.setdefault(exps[:3], len(rows))
+    top = 1 + max((e[3] for poly in polys for e in poly.coeffs if len(e) > 3), default=0)
+    coeffs = np.zeros((len(rows), 2, top), dtype=complex)
+    for f, poly in enumerate(polys):
+        for exps, c in poly.coeffs.items():
+            coeffs[rows[exps[:3]], f, exps[3] if len(exps) > 3 else 0] = c
+    coeffs.flags.writeable = False
+    return tuple(rows), coeffs
+
+
+def _power_jets(s: TimeOrders, top: int) -> np.ndarray:
+    """[s^n, d/dt s^n, d2/dt2 s^n] for n < top, shape (top, 3), by the
+    product rule from s^0 = 1."""
+    s0, s1, s2 = s
+    jets = [(1.0, 0.0, 0.0)]
+    for _ in range(1, top):
+        p, dp, d2p = jets[-1]
+        jets.append((s0 * p, s1 * p + s0 * dp, s2 * p + 2.0 * s1 * dp + s0 * d2p))
+    return np.array(jets, dtype=complex)
+
+
 class Snapshot:
     """psi = P * exp(G) at one time.
 
@@ -650,8 +714,8 @@ class Snapshot:
     are P, dP/dt, d2P/dt2, G, dG/dt and d2G/dt2.
     """
 
-    def __init__(self, prefactor_jets: Poly3, exponent: Poly3):
-        self._jets = (prefactor_jets, exponent)
+    def __init__(self, terms: tuple[Exponents, ...], columns: np.ndarray):
+        self.terms, self.columns = terms, columns
 
     @cached_property
     def table(self) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -660,14 +724,8 @@ class Snapshot:
         sum over the terms k of coeffs[n, k] times the product over the axes
         a of powers[rows[a, n, k]], where powers holds x_a ** j in row
         3 * j + a (every exponent is below top)."""
-        p, g = (f.coeffs for f in self._jets)
-        terms = tuple(p | g)
-        top, exps, rows, weight = _shifted(terms)
-        coeffs = np.array([
-            (a.f, a.df, a.d2f, b.f, b.df, b.d2f)
-            for a, b in ((p.get(e, _ZERO), g.get(e, _ZERO)) for e in terms)
-        ], dtype=complex).reshape(-1, 6)
-        return top, exps, rows, weight * coeffs
+        top, exps, rows, weight = _shifted(self.terms)
+        return top, exps, rows, weight * self.columns
 
     def on(self, r) -> "FieldValues":
         """psi and its derivatives at positions r of shape (..., 3)."""
@@ -705,7 +763,7 @@ class FieldValues:
     formed on first use from one of two product-rule identities on
     P * exp(G), all sharing one exp(G).
 
-    Index 3 of u is t: a t index picks the jet order of P and G, a spatial
+    Index 3 of u is t: a t index picks the time order of P and G, a spatial
     index differentiates the polynomial.  All derivative indices up to first
     order, and then all second-order ones, give every table column at once:
     one batch of monomial matrices, differentiated by exponent shift, times
@@ -844,7 +902,8 @@ def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> Poly3:
         raise NoPrefactorError(
             f"{type(spec).__name__} is a bare carrier and has no vortex prefactor"
         )
-    return spec.prefactor_jets(consts, t).order(0)
+    snapshot = spec.at(consts, t)
+    return Poly3({e: c for e, c in zip(snapshot.terms, snapshot.columns[:, _P].tolist()) if c})
 
 
 def _trap_potential(spec, consts, x, y, z):

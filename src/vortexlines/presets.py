@@ -45,14 +45,9 @@ def _periodic_grid(length: float, n: int) -> Grid3:
 
 
 def _superluminal_a(consts, k: WaveVector, target: float) -> float:
-    """Solve 2*hbar*(1 - c^2 k_perp^2/omega^2) / (a*sqrt((hbar k/c)^2 + m^2))
-    = target for a, with omega the relativistic dispersion."""
-    c = consts.light_speed
-    k2 = k.norm**2
-    omega = c * math.sqrt(k2 + (consts.mass * c / consts.hbar) ** 2)
-    perp = c**2 * (k.kx**2 + k.ky**2) / omega**2
-    root = math.sqrt((consts.hbar / c) ** 2 * k2 + consts.mass**2)
-    return 2.0 * consts.hbar * (1.0 - perp) / (target * root)
+    """The a at which the node ring drifts axially at `target`: the drift
+    speed is proportional to 1 / |a|."""
+    return RelRingCylinder(R=1.0, a=1.0, k=k).axial_drift_speed(consts) / target
 
 
 def _build_presets() -> dict[str, tuple[str, ScenarioConfig]]:

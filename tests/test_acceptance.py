@@ -356,9 +356,8 @@ def test_line_velocity_law():
 
 def test_superluminal_node_speed():
     k = vl.WaveVector(0.2, 0.0, 0.0)
-    omega = math.sqrt(k.norm**2 + 1.0)
-    perp = k.kx**2 / omega**2
-    a = 2.0 * (1.0 - perp) / (1.5 * math.sqrt(k.norm**2 + 1.0))
+    # The axial drift speed is proportional to 1 / |a|: solve it for 1.5.
+    a = vl.RelRingCylinder(R=2.0, a=1.0, k=k).axial_drift_speed(C) / 1.5
     spec = vl.RelRingCylinder(R=2.0, a=a, k=k)
     grid = Grid3.centered(OFF, 6.0, 48)
     times = np.linspace(0.011, 0.211, 5)

@@ -10,6 +10,8 @@ from vortexlines.grids import Grid3, sample
 from vortexlines.polynomials import Poly3
 
 C = vl.NATURAL_UNITS
+#: Constants away from natural units, so that a misplaced hbar, m or e shows.
+C2 = vl.PhysicalConstants(hbar=2.0, mass=3.0, charge=0.5, light_speed=5.0)
 K = vl.WaveVector(0.3, -0.2, 0.4)
 
 ALL_SPECS = [
@@ -38,6 +40,14 @@ ALL_SPECS = [
 
 def random_points(n, seed=3, scale=1.5):
     return np.random.default_rng(seed).uniform(-scale, scale, size=(n, 3))
+
+
+def at_clock(poly, s):
+    """A polynomial in (x, y, z, s) at the clock value s, in (x, y, z)."""
+    out = Poly3()
+    for exps, c in poly.coeffs.items():
+        out = out + Poly3({exps[:3]: c * s ** (exps[3] if len(exps) > 3 else 0)})
+    return out
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -124,7 +134,8 @@ def test_prefactor_times_carrier_equals_amplitude():
         if spec.is_bare:
             continue
         pre = vl.prefactor(spec, C, t).evaluate(pts)
-        carrier = np.exp(spec.carrier(C, t).order(0).evaluate(pts))
+        (s, _, _), (phase, _, _) = spec.clock(C, t)
+        carrier = np.exp(at_clock(spec.carrier(C), s).evaluate(pts) + phase)
         full = vl.amplitude(spec, C, pts, t)
         assert np.allclose(pre * carrier, full, rtol=1e-12, atol=1e-12)
 
@@ -133,19 +144,36 @@ def test_prefactor_times_carrier_equals_amplitude():
 SMALL_GRID = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (5, 6, 7))
 
 
+def time_orders(poly, s_jet):
+    """poly(x, y, z, s(t)) and its first two time derivatives, in (x, y, z),
+    by the chain rule on Poly3.diff along s."""
+    s, ds, d2s = s_jet
+    d1, d2 = poly.diff(3), poly.diff(3).diff(3)
+    return (
+        at_clock(poly, s),
+        at_clock(d1, s) * ds,
+        at_clock(d2, s) * (ds * ds) + at_clock(d1, s) * d2s,
+    )
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_table_columns_match_the_differentiated_polynomials(spec):
-    # Every column of the snapshot's table (P and G, jet orders 0-2) along
+    # Every column of the snapshot's table (P and G, time orders 0-2) along
     # every spatial index the product rules use, differentiated by exponent
-    # shift, against the jet polynomial's order differentiated with
-    # Poly3.diff and summed term by term.
+    # shift, against the compiled polynomials in (x, y, z, s) differentiated
+    # with Poly3.diff along x, y, z and s (by the chain rule at s(t)), plus
+    # G's phase, and summed term by term.
     points = SMALL_GRID.points()
+    prefactor, exponent = spec.polynomials(C)
     for t in (-0.7, 0.0, 0.45):
         field = spec.at(C, t).on(points)
-        for f, jets in ((_P, spec.prefactor_jets(C, t)), (_G, spec.carrier(C, t))):
-            for order in range(3):
+        s_jet, phase = spec.clock(C, t)
+        for f, full in ((_P, prefactor), (_G, exponent)):
+            for order, poly_t in enumerate(time_orders(full, s_jet)):
+                if f == _G:
+                    poly_t = poly_t + phase[order]
                 for idx in _SPATIAL:
-                    poly = jets.order(order)
+                    poly = poly_t
                     for axis in idx:
                         poly = poly.diff(axis)
                     ref = poly.evaluate(points)
@@ -172,9 +200,10 @@ def test_point_set_table_matches_the_separable_grid_path(spec):
 def test_on_grid_rejects_a_carrier_with_cross_terms():
     # exp(G) factors by axis only while G has no term in two coordinates.
     x = np.linspace(-1.0, 1.0, 4)
-    exponent = Poly3.coordinate(0) * Poly3.coordinate(1)
+    columns = np.zeros((2, 6), dtype=complex)
+    columns[0, _P] = columns[1, _G] = 1.0  # P = 1, G = x y
     with pytest.raises(ValueError):
-        Snapshot(Poly3.constant(1.0), exponent).on_grid(x, x, x)
+        Snapshot(((0, 0, 0), (1, 1, 0)), columns).on_grid(x, x, x)
 
 
 def test_grid_sample_equals_pointwise_amplitude():
@@ -192,10 +221,10 @@ def test_grid_sample_equals_pointwise_amplitude():
 def test_no_carrier_exponent_has_cross_terms():
     # exp(G) is evaluated as a product of one factor per axis, which holds
     # only while G has no terms in two or more coordinates.
+    # G is a polynomial in (x, y, z) and the clock s, the fourth exponent.
     for spec in ALL_SPECS:
-        for t in (-0.7, 0.0, 0.45):
-            for exps in spec.carrier(C, t).coeffs:
-                assert sum(1 for p in exps if p) <= 1, (spec, exps)
+        for exps in spec.carrier(C).coeffs:
+            assert sum(1 for p in exps[:3] if p) <= 1, (spec, exps)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +283,29 @@ def test_zero_set_special_values():
     assert abs(
         vl.amplitude(pair, C, (1.7, -t, math.sqrt(1 - t * t)), t)
     ) < 1e-12
+
+
+@pytest.mark.parametrize("t", [-0.7, 0.0, 0.45])
+def test_trap_ring_and_magnetic_line_prefactors_match_the_hand_derived_formulas(t):
+    # The two families that were once written out by hand, against their
+    # images under the trap and cyclotron maps.
+    pts = random_points(50, seed=19)
+    x, y, z = pts.T
+    ring = vl.TrapRing(omega=0.9, R=1.2)
+    E = np.exp(-1j * ring.omega * t)
+    l2 = C2.hbar / (C2.mass * ring.omega)
+    R = ring.R
+    expected = E * E * (x * x + y * y - l2) + l2 - 2.0 * R * E * x + 1j * R * E * z
+    line = vl.MagneticLine(B=1.3, a=0.8, varphi=0.5)
+    E = np.exp(-1j * C2.cyclotron_frequency(line.B) * t)
+    x_img = 0.5 * (E + 1.0) * x + 0.5j * (E - 1.0) * y
+    y_img = -0.5j * (E - 1.0) * x + 0.5 * (E + 1.0) * y
+    phi = line.varphi
+    expected_line = y_img - line.a + 1j * (-math.sin(phi) * x_img + math.cos(phi) * z)
+    for spec, ref in ((ring, expected), (line, expected_line)):
+        got = vl.prefactor(spec, C2, t).evaluate(pts)
+        peak = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got - ref))) <= 1e-14 * peak, spec
 
 
 def test_magnetic_parametric_locus_lies_on_zero_set():

@@ -3,9 +3,28 @@ import cmath
 import numpy as np
 import pytest
 
-from vortexlines.polynomials import Jet, Poly3
+import vortexlines as vl
+from vortexlines.polynomials import Poly3
 
 H = 1e-4
+
+#: Constants away from natural units, so that a misplaced hbar, m or e shows.
+C2 = vl.PhysicalConstants(hbar=2.0, mass=3.0, charge=0.5, light_speed=5.0)
+_WC = C2.charge * 1.3 / C2.mass
+_LENS = 1j * C2.hbar / (C2.mass * 1.5**2)
+
+#: Each carrier with its clock s(t) and phase phi(t) in closed form.
+CLOCKS = [
+    (vl.FreePlaneWave(k=(0.3, -0.2, 0.4)), lambda t: t, lambda t: 0.0),
+    (vl.RelPlaneWave(k=(0.3, -0.2, 0.4)), lambda t: t, lambda t: 0.0),
+    (
+        vl.GaussianPacket(l=1.5),
+        lambda t: 1.0 / (1.0 + _LENS * t),
+        lambda t: -1.5 * cmath.log(1.0 + _LENS * t),
+    ),
+    (vl.TrapGenerator(omega=0.9), lambda t: cmath.exp(-0.9j * t), lambda t: -1.35j * t),
+    (vl.MagneticGenerator(B=1.3), lambda t: cmath.exp(-1j * _WC * t), lambda t: -0.5j * _WC * t),
+]
 
 
 def numeric_jet(fn, t):
@@ -17,63 +36,34 @@ def numeric_jet(fn, t):
     )
 
 
-def assert_jet_close(jet, fn, t, tol=1e-6):
-    f, df, d2f = numeric_jet(fn, t)
-    assert jet.f == pytest.approx(f, abs=tol)
-    assert jet.df == pytest.approx(df, abs=tol)
-    assert jet.d2f == pytest.approx(d2f, abs=tol)
+def test_carrier_clock_and_phase_jets_match_numeric_derivatives():
+    for spec, clock, phase in CLOCKS:
+        for t in (-0.7, 0.0, 0.4):
+            s_jet, phi_jet = spec.clock(C2, t)
+            for jet, fn in ((s_jet, clock), (phi_jet, phase)):
+                assert jet[0] == pytest.approx(fn(t), abs=1e-14), (spec, t)
+                assert jet == pytest.approx(numeric_jet(fn, t), abs=1e-6), (spec, t)
 
 
-def test_jet_exp_i_matches_numeric_derivatives():
-    rate = 0.7 - 1.3j
-    assert_jet_close(Jet.exp_i(rate, 0.4), lambda t: cmath.exp(rate * t), 0.4)
+def test_poly3_clock_coordinate_product_and_diff():
+    # s is the fourth coordinate; a term without s keeps three exponents.
+    x, y, s = Poly3.coordinate(0), Poly3.coordinate(1), Poly3.coordinate(3)
+    p = x * x - (s * y) * (s * y)
+    assert p.coeffs == {(2, 0, 0): 1.0, (0, 2, 0, 2): -1.0}
+    assert p.degree() == 4
+    ds = p.diff(3)
+    assert ds.coeffs == {(0, 2, 0, 1): -2.0}
+    assert ds.diff(3).coeffs == {(0, 2, 0): -2.0}
+    assert x.diff(3).coeffs == {}
+    assert ds.diff(1).coeffs == {(0, 1, 0, 1): -4.0}
 
 
-def test_jet_product_rule():
-    t = 0.3
-    a = Jet.exp_i(2.0j, t)
-    b = Jet(t * t, 2 * t, 2.0)
-    assert_jet_close(a * b, lambda s: cmath.exp(2.0j * s) * s * s, t)
-
-
-def test_jet_inverse_and_exp_and_pow():
-    t = 0.25
-    base = Jet(1.0 + 0.5j * t, 0.5j, 0.0)
-    assert_jet_close(base.inv(), lambda s: 1.0 / (1.0 + 0.5j * s), t)
-    assert_jet_close(base.exp(), lambda s: cmath.exp(1.0 + 0.5j * s), t)
-    assert_jet_close(base.pow(-1.5), lambda s: (1.0 + 0.5j * s) ** -1.5, t)
-
-
-def test_jet_arithmetic_with_scalars():
-    a = Jet(2.0, 1.0, 0.0)
-    assert (a + 1.0).f == 3.0
-    assert (1.0 - a).f == -1.0
-    assert (3.0 * a).df == 3.0
-    assert (-a).f == -2.0
-
-
-def test_jetpoly_coordinate_product_and_orders():
-    x = Poly3.coordinate(0)
-    y = Poly3.coordinate(1)
-    t_jet = Jet(0.5, 1.0, 0.0)  # "t" at t=0.5
-    p = (x + t_jet * y) * (x - t_jet * y)  # x^2 - t^2 y^2
-    value = p.order(0)
-    assert value.coeffs[(2, 0, 0)] == 1.0
-    assert value.coeffs[(0, 2, 0)] == pytest.approx(-0.25)
-    dt = p.order(1)
-    assert dt.coeffs[(0, 2, 0)] == pytest.approx(-1.0)  # d/dt(-t^2) = -2t = -1
-    d2t = p.order(2)
-    assert d2t.coeffs[(0, 2, 0)] == pytest.approx(-2.0)
-
-
-def test_jetpoly_scalar_dispatch_from_jet_side():
-    # Jet op Poly3 must defer to Poly3's reflected operators.
-    x = Poly3.coordinate(0)
-    j = Jet(2.0, 1.0, 0.0)
-    left = j * x
-    right = x * j
-    assert left.coeffs.keys() == right.coeffs.keys()
-    assert (j + x).coeffs[(0, 0, 0)].f == 2.0
+def test_poly3_scalar_dispatch_from_the_left():
+    # A scalar on the left defers to Poly3's reflected operators.
+    x, s = Poly3.coordinate(0), Poly3.coordinate(3)
+    assert (1.0 - s).coeffs == {(0, 0, 0): 1.0, (0, 0, 0, 1): -1.0}
+    assert (2.0 + x).coeffs == {(1, 0, 0): 1.0, (0, 0, 0): 2.0}
+    assert (2j * s).coeffs == (s * 2j).coeffs == {(0, 0, 0, 1): 2j}
 
 
 def test_poly3_differentiation_and_evaluation():

@@ -68,10 +68,11 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert summary["config"]["n_frames"] == 4
 
 
-@pytest.mark.parametrize("name", ["fig3_parallel", "anatomy", "relativistic"])
+@pytest.mark.parametrize("name", ["fig2", "fig3_parallel", "anatomy", "relativistic"])
 def test_presets_outside_the_benchmark_run_and_pass(tmp_path, name):
-    # The parallel pair, the Gaussian-packet line vortex and the only
-    # Klein-Gordon run: their checks read grad, dt, lap and d2t.
+    # The drifting cylinder ring, the parallel pair, the Gaussian-packet line
+    # vortex and the only Klein-Gordon run: their checks read grad, dt, lap
+    # and d2t.
     result = run(preset(name), tmp_path / name)
     assert result.exit_status == 0
     assert result.checks and all(c.passed for c in result.checks)
