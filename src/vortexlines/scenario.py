@@ -494,7 +494,7 @@ def _expected_node_speed(spec, consts):
 def check_node_speed(config, frames, log, times) -> list[CheckResult]:
     spec, consts = config.spec, config.consts
     expected, window = _expected_node_speed(spec, consts)
-    speeds = tracker.node_speeds(frames)
+    speeds = tracker.node_speeds(spec, consts, config.grid, frames)
     flat = np.concatenate([s for s in speeds if s.size]) if speeds else np.array([])
     if flat.size == 0:
         return [CheckResult("node_speed", False, math.nan, 0.0,

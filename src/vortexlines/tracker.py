@@ -13,14 +13,16 @@ the analytic field when a solution spec is available, each in its own face
 plane (a crossing whose Newton iteration fails keeps its seed); each face's
 two cells get integer ids, from which the winding-flux balance is counted
 and a partner table pairs the faces inside every cell.  Walking that table
-chains the crossings into polylines, which are matched across frames.
+chains the crossings into polylines, which follow from frame to frame by
+predictor-corrector continuation on the exact field (Allgower & Georg,
+Numerical Continuation Methods, 1990).
 
-Events are critical points of t on the zero sheet of psi(r, t), where the
-vorticity omega = grad Re psi x grad Im psi vanishes (Nye & Berry, Proc. R.
-Soc. A 336:165, 1974): roots of (Re psi, Im psi, omega) in (x, y, z, t),
-seeded where the frame matching changes and classified by the signature of
-t's Hessian on the sheet (minimum: creation, maximum: annihilation, saddle:
-reconnection).
+Events, where the continuation breaks down, are critical points of t on the
+zero sheet of psi(r, t), where the vorticity omega = grad Re psi x grad Im
+psi vanishes (Nye & Berry, Proc. R. Soc. A 336:165, 1974): roots of
+(Re psi, Im psi, omega) in (x, y, z, t), seeded at the lines that do not pair
+and classified by the signature of t's Hessian on the sheet (minimum:
+creation, maximum: annihilation, saddle: reconnection).
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ NOISE_FLOOR = 1e-10
 #: Newton iterations allowed per refined crossing.
 NEWTON_MAX_ITERATIONS = 25
 
-#: Polyline matching cutoff, in cell diagonals.
-MATCH_CUTOFF_DIAGONALS = 3.0
-
 #: Gauss-Newton steps allowed per event root.
 EVENT_MAX_ITERATIONS = 40
 
@@ -82,9 +81,9 @@ class DetectionResult:
     #: the noise floor) that are not crossed but have an edge phase step near
     #: pi or a corner below DEGENERACY_FLOOR of their strongest.
     ambiguous_count: int = 0
-    #: Faces over which both parts of psi change sign but every corner sits
-    #: below the noise floor; they are skipped, so nonzero means lines may
-    #: terminate inside the box by design.
+    #: Faces beside a pierced face (in one of its cells) over which both parts
+    #: of psi change sign but every corner is below the noise floor; they are
+    #: skipped, so nonzero means a line may end inside the box by design.
     noise_count: int = 0
 
 
@@ -119,10 +118,6 @@ class VortexPolyline:
     @property
     def centroid(self) -> np.ndarray:
         return self.points.mean(axis=0)
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        return np.stack([self.points[0], self.points[-1]])
 
 
 @dataclass(frozen=True)
@@ -197,11 +192,11 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     for bit, part in ((2, values.real), (8, values.imag)):
         code |= (part < amps) * np.uint8(bit)
     del amps
-    candidates, noise_count = [], 0
+    candidates, face_codes = [], []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
         face = _pairs(np.bitwise_and, _pairs(np.bitwise_and, code, a1), a2)
-        noise_count += int(np.count_nonzero(face == 16))
+        face_codes.append(face)
         at = np.unravel_index(np.flatnonzero(face == 0), face.shape)
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
@@ -221,9 +216,24 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     )
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
-    return DetectionResult(
-        pierced, int(np.count_nonzero(flagged & ~crossed)), noise_count
-    )
+    noise = _noise_beside(face_codes, pierced, code.shape)
+    return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
+
+
+def _noise_beside(face_codes: list, pierced: np.recarray, dims) -> int:
+    """Noise faces (code 16 in face_codes[axis]) of the cells that hold a
+    pierced face, where a line can end at the noise floor.  A cell's faces
+    normal to an axis have their lowest corner at its own and the next node."""
+    if not any(np.any(codes == 16) for codes in face_codes):
+        return 0
+    ids = _face_cells(pierced, dims)
+    cells = np.stack(np.unravel_index(ids[ids >= 0], np.subtract(dims, 1)), axis=1)
+    count = 0
+    for axis, codes in enumerate(face_codes):
+        faces = np.concatenate([cells, cells + np.eye(3, dtype=np.intp)[axis]])
+        faces = np.unique(np.ravel_multi_index(tuple(faces.T), codes.shape))
+        count += int(np.count_nonzero(codes.ravel()[faces] == 16))
+    return count
 
 
 def _face_cells(faces: np.recarray, dims) -> np.ndarray:
@@ -452,59 +462,68 @@ def symmetric_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(float(np.max(tree_b.query(a)[0])), float(np.max(tree_a.query(b)[0])))
 
 
+def _min_norm(grad, rhs) -> np.ndarray:
+    """The minimum-norm x with J x = rhs at each point, J = [grad Re psi;
+    grad Im psi] for the rows of the complex `grad`: x = J^T (J J^T)^-1 rhs,
+    the 2 x 2 J J^T inverted in closed form.  A point where J drops rank
+    gets x = 0, as _refine_batch keeps its seed there."""
+    a, b = grad.real, grad.imag
+    aa, bb, ab = (np.einsum("ij,ij->i", p, q) for p, q in ((a, a), (b, b), (a, b)))
+    det = aa * bb - ab * ab
+    inverse = np.divide(1.0, det, out=np.zeros_like(det), where=det >= 1e-300)
+    f, g = rhs.real * inverse, rhs.imag * inverse
+    return (bb * f - ab * g)[:, None] * a + (aa * g - ab * f)[:, None] * b
+
+
+def _landings(spec, consts, grid, previous, current):
+    """Each node of `previous` carried to the time of `current` along
+    u = -J^+ dpsi/dt, then by one min-norm Newton step onto psi = 0.  It lands
+    on the line of `current` with a node within a cell diagonal of it; nodes
+    that start or land within a cell diagonal of the box faces do not count.
+    Returns (nodes, landings, line, target line or -1) of the counted nodes."""
+    nodes = np.concatenate([p.points for p in previous])
+    line = np.repeat(np.arange(len(previous)), [len(p.points) for p in previous])
+    t0, t1 = previous[0].frame_time, current[0].frame_time
+    values = spec.at(consts, t0).on(nodes)
+    landed = nodes + (t1 - t0) * _min_norm(values.grad, -values.dt)
+    values = spec.at(consts, t1).on(landed)
+    landed -= _min_norm(values.grad, values.psi)
+    diag = grid.cell_diagonal
+    lo = np.asarray(grid.origin) + diag
+    hi = lo + np.asarray(grid.lengths) - 2.0 * diag
+    # NaN compares false: a node whose step overflowed counts, and lands nowhere.
+    counted = ~np.any((nodes < lo) | (nodes > hi) | (landed < lo) | (landed > hi), axis=1)
+    nodes, landed, line = nodes[counted], landed[counted], line[counted]
+    # The tree gives index n for a node with no neighbour within diag.
+    owner = np.append(np.repeat(np.arange(len(current)), [len(p.points) for p in current]), -1)
+    tree = cKDTree(np.concatenate([p.points for p in current]))
+    finite = np.all(np.isfinite(landed), axis=1)
+    target = np.full(len(landed), -1)
+    target[finite] = owner[tree.query(landed[finite], distance_upper_bound=diag)[1]]
+    return nodes, landed, line, target
+
+
+def _paired(line, target) -> np.ndarray:
+    """Pairs (i, j), shape (k, 2), from the distinct (line, target) links, each
+    an integer key: every counted node of line i landed, all on line j, and
+    no node of another line landed on j."""
+    width = np.max(target, initial=0) + 2
+    i, j = np.divmod(np.unique(line * width + target + 1), width)
+    alone = (np.bincount(i)[i] == 1) & (np.bincount(j)[j] == 1) & (j > 0)
+    return np.stack([i, j - 1], axis=1)[alone]
+
+
 def match_polylines(
-    previous: list[VortexPolyline], current: list[VortexPolyline], cutoff: float
+    spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3,
+    previous: list[VortexPolyline], current: list[VortexPolyline],
 ) -> list[tuple[int, int]]:
-    """Greedy pairing by symmetric Hausdorff distance below the cutoff."""
-    candidates = []
-    for i, pa in enumerate(previous):
-        for j, pb in enumerate(current):
-            d = symmetric_hausdorff(pa.points, pb.points)
-            if d <= cutoff:
-                candidates.append((d, i, j))
-    candidates.sort(key=lambda item: item[0])
-    used_i: set[int] = set()
-    used_j: set[int] = set()
-    matches = []
-    for _, i, j in candidates:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        matches.append((i, j))
-    return matches
-
-
-def _repaired_lines(previous, current, cutoff) -> list[VortexPolyline]:
-    """Open lines of `previous` whose endpoints persist into `current` but
-    whose two ends now belong to different lines; empty when the endpoint
-    pairing is unchanged."""
-    prev_open = [p for p in previous if not p.closed]
-    curr_open = [p for p in current if not p.closed]
-    if len(prev_open) != len(curr_open) or len(prev_open) < 2:
+    """Pairs (i, j) of line i of `previous` and the line j of `current` that
+    its nodes alone land on, continued along the exact field (_landings).  A
+    line that does not pair has met an event or a box face."""
+    if not previous or not current:
         return []
-    prev_ends = np.concatenate([p.endpoints for p in prev_open])
-    curr_ends = np.concatenate([p.endpoints for p in curr_open])
-    tree = cKDTree(curr_ends)
-    dist, assign = tree.query(prev_ends)
-    if np.max(dist) > cutoff or len(set(assign.tolist())) != len(curr_ends):
-        return []
-    # Endpoint 2i and 2i+1 belong to previous line i; their images must
-    # belong to a single current line for the topology to be unchanged.
-    return [
-        line for i, line in enumerate(prev_open)
-        if assign[2 * i] // 2 != assign[2 * i + 1] // 2
-    ]
-
-
-def _moved(spec, consts, line: VortexPolyline, t: float) -> np.ndarray:
-    """The line's centroid moved to time t by the mean node velocity, each
-    u . grad psi = -dpsi/dt at minimum norm."""
-    values = spec.at(consts, line.frame_time).on(line.points)
-    grad = np.stack([values.grad.real, values.grad.imag], axis=1)
-    dt = np.stack([values.dt.real, values.dt.imag], axis=1)[..., None]
-    velocity = -(np.linalg.pinv(grad) @ dt).mean(axis=0)[:, 0]
-    return line.centroid + velocity * (t - line.frame_time)
+    links = _landings(spec, consts, grid, previous, current)[2:]
+    return [(i, j) for i, j in _paired(*links).tolist()]
 
 
 def _event_root(spec, consts, seed, lo, hi, scale):
@@ -575,14 +594,15 @@ def _classify(values):
 
 def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
     """One event per distinct root, in time order, from (frame pair i, line)
-    candidates.  A solve starts at the pair's middle time from the line's
-    centroid moved there by its node velocity, and if that fails from the
-    centroid itself, unless the two are within a cell diagonal: a line seen
-    in one frame can sit halfway between two events, but next to an event
-    its nodes move too fast to extrapolate.  Roots are one event when they
-    have the same kind, t* within the solver tolerance, and positions within
-    a cell diagonal once the offset along the Jacobian's null direction (a
-    curve of roots) is removed.
+    candidates, the lines of frame pair i that do not pair.  A solve starts
+    at the pair's middle time from the line's centroid moved there by its
+    mean node velocity u = -J^+ dpsi/dt, and if that fails from the centroid
+    itself, unless the two are within a cell diagonal: a line seen in one
+    frame can sit halfway between two events, but next to an event its nodes
+    move too fast to extrapolate.  Roots are one event when they have the
+    same kind, t* within the solver tolerance, and positions within a cell
+    diagonal once the offset along the Jacobian's null direction (a curve of
+    roots) is removed.
     """
     diag, frame_step = grid.cell_diagonal, float(times[1] - times[0])
     scale = np.array([diag, diag, diag, frame_step])
@@ -591,7 +611,9 @@ def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
     found: list[tuple[Event, np.ndarray]] = []
     for i, line in candidates:
         t_mid = 0.5 * (times[i] + times[i + 1])
-        moved = _moved(spec, consts, line, t_mid)
+        values = spec.at(consts, line.frame_time).on(line.points)
+        velocity = _min_norm(values.grad, -values.dt).mean(axis=0)
+        moved = line.centroid + velocity * (t_mid - line.frame_time)
         root = _event_root(spec, consts, np.append(moved, t_mid), lo, hi, scale)
         if root is None and np.linalg.norm(moved - line.centroid) > diag:
             root = _event_root(spec, consts, np.append(line.centroid, t_mid), lo, hi, scale)
@@ -628,8 +650,7 @@ def track(
 ) -> tuple[list[list[VortexPolyline]], EventLog]:
     """Extract lines at n_frames+1 evenly spaced times and log topology
     events: the roots inside the grid box and the time window, seeded at each
-    line of a frame pair whose matching is not a bijection or whose open
-    lines re-pair their endpoints."""
+    line of a frame pair that does not pair (match_polylines)."""
     if n_frames < 1:
         raise SpecValidationError("tracking needs at least 1 frame")
     if not t_start < t_end:
@@ -661,53 +682,31 @@ def track(
             f"cell winding flux imbalance on frames {imbalanced}"
         )
 
-    cutoff = MATCH_CUTOFF_DIAGONALS * grid.cell_diagonal
     candidates = []
     for i in range(n_frames):
         prev, curr = frames[i], frames[i + 1]
-        matches = match_polylines(prev, curr, cutoff)
-        kept_prev, kept_curr = {a for a, _ in matches}, {b for _, b in matches}
-        unmatched = [line for j, line in enumerate(prev) if j not in kept_prev]
-        unmatched += [line for j, line in enumerate(curr) if j not in kept_curr]
-        candidates.extend((i, line) for line in unmatched or _repaired_lines(prev, curr, cutoff))
+        pairs = match_polylines(spec, consts, grid, prev, curr)
+        kept_prev, kept_curr = {a for a, _ in pairs}, {b for _, b in pairs}
+        candidates.extend((i, line) for j, line in enumerate(prev) if j not in kept_prev)
+        candidates.extend((i, line) for j, line in enumerate(curr) if j not in kept_curr)
     log.events = _events_at_roots(spec, consts, grid, times, candidates)
     return frames, log
 
 
-def node_speeds(frames: list[list[VortexPolyline]]) -> list[np.ndarray]:
-    """Normal displacement speed of each matched line point between frames.
-
-    Returns one array per frame pair, concatenating the per-point speeds of
-    all matched lines; unmatched lines are skipped.  Lines are matched within
-    the extent of the earlier frame (at least 1), and the time step is taken
-    from the lines' frame times.
-    """
+def node_speeds(
+    spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3,
+    frames: list[list[VortexPolyline]],
+) -> list[np.ndarray]:
+    """|landed - node| / dt of each counted node of a paired line, with the
+    nodes continued as in match_polylines and dt taken from the lines' frame
+    times: one array per frame pair, empty where a frame has no lines."""
     speeds = []
     for prev, curr in zip(frames, frames[1:]):
         if not prev or not curr:
             speeds.append(np.array([]))
             continue
+        nodes, landed, line, target = _landings(spec, consts, grid, prev, curr)
+        paired = np.isin(line, _paired(line, target)[:, 0])
         dt = curr[0].frame_time - prev[0].frame_time
-        all_pts = np.concatenate([p.points for p in prev])
-        cutoff = max(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)), 1.0)
-        per_pair = [
-            _distance_to_polyline(curr[b].points, prev[a]) / dt
-            for a, b in match_polylines(prev, curr, cutoff)
-        ]
-        speeds.append(np.concatenate(per_pair) if per_pair else np.array([]))
+        speeds.append(np.linalg.norm(landed[paired] - nodes[paired], axis=1) / dt)
     return speeds
-
-
-def _distance_to_polyline(points: np.ndarray, line: VortexPolyline) -> np.ndarray:
-    """Distance from each query point to the nearest segment of the polyline."""
-    verts = line.points
-    if line.closed:
-        verts = np.vstack([verts, verts[:1]])
-    starts, ends = verts[:-1], verts[1:]
-    seg = ends - starts  # (S, 3)
-    seg_len2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    rel = points[:, None, :] - starts[None, :, :]  # (N, S, 3)
-    s = np.clip(np.sum(rel * seg[None, :, :], axis=2) / seg_len2, 0.0, 1.0)
-    nearest = starts[None, :, :] + s[..., None] * seg[None, :, :]
-    d = np.linalg.norm(points[:, None, :] - nearest, axis=2)
-    return d.min(axis=1)

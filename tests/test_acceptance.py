@@ -363,7 +363,7 @@ def test_superluminal_node_speed():
     times = np.linspace(0.011, 0.211, 5)
     frames, _ = track(spec, C, grid, float(times[0]), float(times[-1]), 4)
     speeds = np.concatenate(
-        [np.ravel(s) for s in node_speeds(frames)]
+        [np.ravel(s) for s in node_speeds(spec, C, grid, frames)]
     )
     lo, hi = float(np.min(speeds)), float(np.max(speeds))
     ok = len(speeds) > 0 and 1.4 <= lo and hi <= 1.6

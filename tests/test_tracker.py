@@ -146,15 +146,59 @@ def test_symmetric_hausdorff():
     assert symmetric_hausdorff(a, a) == 0.0
 
 
-def test_match_polylines_greedy_pairing():
-    def line(z, shift=0.0):
-        pts = np.array([[x + shift, 0.0, z] for x in np.linspace(-1, 1, 5)])
-        return VortexPolyline(pts, closed=False, winding=1, frame_time=0.0)
+def _event_solves(monkeypatch) -> list:
+    """Record every event root solve that track starts."""
+    calls = []
+    solve = tracker._event_root
 
-    previous = [line(0.0), line(1.0)]
-    current = [line(1.0, shift=0.05), line(0.0, shift=0.05)]
-    assert sorted(match_polylines(previous, current, cutoff=0.5)) == [(0, 1), (1, 0)]
-    assert match_polylines(previous, current, cutoff=0.01) == []
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(tracker, "_event_root", counted)
+    return calls
+
+
+def _unpaired(config, frames) -> list[int]:
+    """Frame pairs whose lines do not all pair one to one."""
+    return [
+        i for i, (prev, curr) in enumerate(zip(frames, frames[1:]))
+        if not len(prev) == len(curr)
+        == len(match_polylines(config.spec, config.consts, config.grid, prev, curr))
+    ]
+
+
+def test_continuation_pairs_the_precessing_line_one_to_one(monkeypatch):
+    # At 16 frames per cyclotron period fig4's line nodes move 1 to 7 cell
+    # diagonals a frame: only the predictor's step along the line velocity
+    # lands them.
+    config = vl.preset("fig4")
+    assert config.spec == vl.MagneticLine(B=1.0, a=0.8, varphi=0.5)
+    solves = _event_solves(monkeypatch)
+    frames, log = track(config.spec, config.consts, config.grid, *config.time_range, 16)
+    assert all(len(lines) == 1 for lines in frames)
+    assert _unpaired(config, frames) == []
+    assert not solves and not log.events
+
+
+#: Per preset, the frame pairs that do not pair and the event solves.  They
+#: are the pairs that hold an event, and fig5's pair 24, where its ring, cut
+#: open by a box face, comes back inside and the nodes next to that face
+#: miss it; fig4 and fig5 have no event.
+UNPAIRED = {
+    "fig1": ([16, 48], 2), "pair_annihilation": ([16, 48], 4), "fig3": ([3, 13], 8),
+    "fig4": ([], 0), "fig5": ([24], 2),
+}
+
+
+@pytest.mark.parametrize("name", UNPAIRED)
+def test_event_solves_start_only_at_unpaired_lines(monkeypatch, name):
+    unpaired, solves = UNPAIRED[name]
+    config = vl.preset(name)
+    calls = _event_solves(monkeypatch)
+    frames, _ = track(config.spec, config.consts, config.grid, *config.time_range, config.n_frames)
+    assert len(calls) == solves
+    assert _unpaired(config, frames) == unpaired
 
 
 def test_track_pair_creation_and_annihilation_brackets():
@@ -221,10 +265,27 @@ def test_node_speeds_recover_ring_drift():
     spec = vl.FreeRingCylinder(R=1.0, a=0.5)
     grid = Grid3.centered(OFF, 4.0, 32)
     frames, _ = track(spec, C, grid, -0.2, 0.2, 8)
-    speeds = node_speeds(frames)
+    speeds = node_speeds(spec, C, grid, frames)
     flat = np.concatenate([np.ravel(s) for s in speeds])
     # The ring drifts rigidly along -z at 2 hbar / (m a).
     assert flat == pytest.approx(np.full_like(flat, 4.0), rel=1e-6)
+
+
+def test_node_speeds_match_the_line_velocity_on_the_relativistic_ring():
+    # Each counted node's speed over a frame step is the line velocity at
+    # the node, to the curvature of its path over the step.
+    config = vl.preset("relativistic")
+    spec, consts, grid = config.spec, config.consts, config.grid
+    frames, _ = track(spec, consts, grid, *config.time_range, config.n_frames)
+    speeds = node_speeds(spec, consts, grid, frames)
+    assert len(speeds) == config.n_frames
+    for prev, curr, measured in zip(frames, frames[1:], speeds):
+        nodes, _, line, target = tracker._landings(spec, consts, grid, prev, curr)
+        nodes = nodes[np.isin(line, tracker._paired(line, target)[:, 0])]
+        t = prev[0].frame_time
+        exact = [np.linalg.norm(vl.line_velocity(spec, consts, p, t)) for p in nodes]
+        assert len(measured) == len(nodes) > 0
+        assert measured == pytest.approx(exact, rel=1e-4)
 
 
 def _bilinear_zero_reference(values, grid, axis, index):
@@ -291,7 +352,8 @@ def _dense_reference(values):
     all 3 N (N - 1)^2 faces, the detector whose work detect_pierced_faces
     restricts to the faces where Re psi and Im psi both change sign.  Over
     those faces, the ambiguous faces are flagged but not crossed, and the
-    noise faces have every corner below the noise floor."""
+    noise faces have every corner below the noise floor; only those that
+    share a cell with a pierced face count."""
     phases = np.angle(values)
     amps = np.abs(values)
     noise = tracker.NOISE_FLOOR * amps.max()
@@ -310,7 +372,7 @@ def _dense_reference(values):
             for d1 in (0, 1) for d2 in (0, 1)
         ])
 
-    faces, ambiguous, noisy = [], 0, 0
+    faces, ambiguous, noisy = [], 0, []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
         circulation = np.diff(diffs[a2], axis=a1) - np.diff(diffs[a1], axis=a2)
@@ -332,8 +394,18 @@ def _dense_reference(values):
                    | (corner_amps.min(axis=0)
                       < tracker.DEGENERACY_FLOOR * corner_amps.max(axis=0)))
         ambiguous += np.count_nonzero(sign_change & trusted & flagged & ~crossed)
-        noisy += np.count_nonzero(sign_change & ~trusted)
-    return np.concatenate(faces), ambiguous, noisy
+        noisy.append(sign_change & ~trusted)
+    # Face i along its normal lies between cells i - 1 and i.
+    holds = np.zeros(np.subtract(values.shape, 1), dtype=bool)
+    for found in faces:
+        for cell in (found["index"], found["index"] - np.eye(3, dtype=int)[found["axis"]]):
+            inside = np.all((cell >= 0) & (cell < holds.shape), axis=1)
+            holds[tuple(cell[inside].T)] = True
+    beside = 0
+    for axis, noise_faces in enumerate(noisy):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(3)]
+        beside += np.count_nonzero(noise_faces & pairs(np.logical_or, np.pad(holds, pad), axis))
+    return np.concatenate(faces), ambiguous, beside
 
 
 def _families_on_offset_grids():
@@ -403,3 +475,18 @@ def test_detection_matches_the_dense_reference(fields):
         pierced, ambiguous, noise = _dense_reference(values)
         assert det.pierced.tobytes() == pierced.tobytes()
         assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
+
+
+@pytest.mark.parametrize("name, count", [("oracle_ring", 0), ("oracle_pair", 4)])
+def test_noise_count_ignores_roundoff_away_from_the_lines(name, count):
+    # The evolved field is roundoff far from its lines: noise of 1e-16 of
+    # its peak moves ~1.5e5 of oracle_ring's ~9e5 noise faces, none of
+    # them beside a pierced face.
+    values = _evolved_oracle_field(name)
+    rng = np.random.default_rng(3)
+    noisy = values + 1e-16 * np.abs(values).max() * (
+        rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape)
+    )
+    grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
+    for field in (values, noisy):
+        assert detect_pierced_faces(SampledField(grid, field, 0.0)).noise_count == count
