@@ -648,6 +648,19 @@ _PARTS = (slice(0, 4), slice(4, 10))
 _PART_OF = {idx: (0, n) if n < 4 else (1, n - 4) for n, idx in enumerate(_SPATIAL)}
 #: How often each index differentiates along x, y and z, shape (10, 1, 3).
 _SHIFTS = np.array([[idx.count(a) for a in range(3)] for idx in _SPATIAL])[:, None]
+#: beta! of each index as a multi-index beta: 2 for a repeated axis, else 1.
+_FACTORIALS = np.maximum(_SHIFTS, 1).prod(axis=-1)
+
+#: Grid cells per axis of the blocks on which `Snapshot.prefactor_bounds`
+#: bounds |P| from below.
+BLOCK_CELLS = 4
+
+
+def block_edges(n: int) -> np.ndarray:
+    """The nodes that bound the blocks along an axis of n nodes: block b
+    spans nodes edges[b] to edges[b + 1], BLOCK_CELLS cells, clipped to the
+    grid, so an axis of fewer cells than a block is one block."""
+    return np.minimum(np.arange(0, n + BLOCK_CELLS - 1, BLOCK_CELLS), n - 1)
 
 
 @cache
@@ -756,6 +769,47 @@ class Snapshot:
         plane = (rows[0][ex, :, None] * rows[1][ey, None, :]).reshape(len(p), -1)
         psi = plane.T @ (p[:, None] * rows[2][ez])
         return psi.reshape(len(x), len(y), len(z))
+
+    def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray] | None:
+        """Taylor's lower bound of |P| on each block (`block_edges`) of the
+        grid of three 1-D axes: (lead, rest), each shape (B_x, B_y, B_z), with
+        lead = |P(c)| and rest the sum over beta != 0 of
+        |d^beta P(c) / beta!| h^beta at the block's centre c and half-widths
+        h.  |P| >= lead - rest on the closed block (interval exclusion: Moore,
+        Interval Analysis, 1966).  The table's derivatives reach second order,
+        which completes the expansion of a P of degree 2 at most, as every
+        family's is; a P of higher degree gets None.
+
+        The derivatives are the table's exponent shifts of P.  Those up to
+        first order, each times h^beta, are one matrix product per index over
+        the (x, y) plane of centres times the z rows, as psi in `on_grid`;
+        the second-order ones of a P of degree 2 are constants.
+        """
+        top, exps, rows, coeffs = self.table
+        live = self.columns[:, _P] != 0
+        if exps[live].sum(axis=1).max(initial=0) > 2:
+            return None
+        low, high = _PARTS
+        monomials, widths = [], []
+        for a, coord in enumerate((x, y, z)):
+            edges = block_edges(len(coord))
+            lo, hi = coord[edges[:-1]], coord[edges[1:]]
+            h = (0.5 * (hi - lo)) ** _SHIFTS[..., a, None]  # h_a ** beta_a, (10, 1, B_a)
+            # Row 3 j + a of the table holds x_a ** j.
+            monomials.append(_powers(0.5 * (lo + hi), top)[rows[a][low, live] // 3] * h[low])
+            widths.append(h[high])
+        p = coeffs[:, live, _P] / _FACTORIALS
+        plane = monomials[0][..., None] * monomials[1][:, :, None]
+        # Real monomials times interleaved (re, im) z rows.
+        z_rows = (p[low, :, None] * monomials[2]).view(float)
+        values = np.matmul(plane.reshape(*plane.shape[:2], -1).transpose(0, 2, 1), z_rows)
+        lead, *first = np.abs(values.view(complex))
+        # Their shifted terms are constants: |sum| h^beta, one product per axis.
+        second = np.abs(p[high].sum(axis=1))[:, None, None] * widths[0]
+        second = (second[..., None] * widths[1][..., None, :]).reshape(len(second), -1)
+        second = second.T @ widths[2][:, 0]
+        shape = [w.shape[-1] for w in widths]
+        return lead.reshape(shape), (sum(first) + second).reshape(shape)
 
 
 class FieldValues:

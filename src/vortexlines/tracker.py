@@ -4,18 +4,24 @@ Detection certifies grid-face crossings by integer phase winding around each
 plaquette (the counting rule of Berry & Dennis, Proc. R. Soc. A 456:2059,
 2000).  A line is the zero set Re psi = Im psi = 0, so only a face over whose
 corners both parts change sign can wind: the winding, and the ambiguous and
-noise counts, are taken over those faces alone.  Detection returns the
-pierced faces as one record array (`FACE_DTYPE`: axis, index, winding) in
-(axis, index) order.  Everything downstream runs on that array by face id: a
-vectorized clipped Newton iteration on each face's bilinear corner model
-seeds the crossings, which are refined by one batched Newton iteration on
-the analytic field when a solution spec is available, each in its own face
-plane (a crossing whose Newton iteration fails keeps its seed); each face's
-two cells get integer ids, from which the winding-flux balance is counted
-and a partner table pairs the faces inside every cell.  Walking that table
-chains the crossings into polylines, which follow from frame to frame by
-predictor-corrector continuation on the exact field (Allgower & Georg,
-Numerical Continuation Methods, 1990).
+noise counts, are taken over those faces alone, inside a box of grid nodes.
+An analytic field is psi = P exp(G), and exp(G) never vanishes, so its lines
+are the zero set of the polynomial P: a Taylor bound on |P| over blocks of
+catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
+(interval exclusion: Moore, Interval Analysis, 1966; Snyder, SIGGRAPH 1992),
+and the box is the smallest one that holds the others.  A numeric field's box
+is the whole grid.  Detection returns the pierced faces as one record array
+(`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
+downstream runs on that array by face id: a vectorized clipped Newton
+iteration on each face's bilinear corner model seeds the crossings, which
+are refined by one batched Newton iteration on the analytic field when a
+solution spec is available, each in its own face plane (a crossing whose
+Newton iteration fails keeps its seed); each face's two cells get integer
+ids, from which the winding-flux balance is counted and a partner table
+pairs the faces inside every cell.  Walking that table chains the crossings
+into polylines, which follow from frame to frame by predictor-corrector
+continuation on the exact field (Allgower & Georg, Numerical Continuation
+Methods, 1990).
 
 Events, where the continuation breaks down, are critical points of t on the
 zero sheet of psi(r, t), where the vorticity omega = grad Re psi x grad Im
@@ -33,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .catalog import SolutionSpec
+from .catalog import SolutionSpec, Snapshot, block_edges
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
 from .grids import Grid3, SampledField, sample
@@ -77,13 +83,15 @@ FACE_DTYPE = np.dtype(
 class DetectionResult:
     #: Pierced faces, a FACE_DTYPE record array in (axis, index) order.
     pierced: np.recarray
-    #: Candidate faces (both parts of psi change sign, a corner at or above
-    #: the noise floor) that are not crossed but have an edge phase step near
-    #: pi or a corner below DEGENERACY_FLOOR of their strongest.
+    #: Candidate faces inside the detection box (both parts of psi change
+    #: sign, a corner at or above the noise floor) that are not crossed but
+    #: have an edge phase step near pi or a corner below DEGENERACY_FLOOR of
+    #: their strongest.
     ambiguous_count: int = 0
-    #: Faces beside a pierced face (in one of its cells) over which both parts
-    #: of psi change sign but every corner is below the noise floor; they are
-    #: skipped, so nonzero means a line may end inside the box by design.
+    #: Faces inside the detection box beside a pierced face (in one of its
+    #: cells) over which both parts of psi change sign but every corner is
+    #: below the noise floor; they are skipped, so nonzero means a line may
+    #: end inside the grid by design.
     noise_count: int = 0
 
 
@@ -166,7 +174,7 @@ def _corners(values: np.ndarray, axis: np.ndarray, index: np.ndarray) -> np.ndar
     return np.stack([values[tuple((index + step).T)] for step in (0, e1, e2, e1 + e2)])
 
 
-def detect_pierced_faces(field: SampledField) -> DetectionResult:
+def detect_pierced_faces(field: SampledField, box=None) -> DetectionResult:
     """Find every cell face whose edge phases wind by a nonzero multiple of 2pi.
 
     A face can wind only if neither Re psi nor Im psi keeps one sign at all
@@ -174,17 +182,24 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     steps and zero winding.  A part counts as one-signed only where it
     exceeds DEGENERACY_FLOOR |psi| at every corner, so a zero within roundoff
     of a grid edge, whose wrapped steps roundoff decides, stays a candidate.
-    Masks over the whole grid pick these candidates, and the phase winding is
+    Masks over the box pick these candidates, and the phase winding is
     computed on their gathered corners only.
+
+    `box`, three slices of grid nodes, is where the faces are looked for
+    (None: the whole grid); pierced faces keep their grid indices, and the
+    noise floor is taken from the whole grid's peak |psi|.
     """
-    values = field.values
-    amps = np.abs(values)
+    amps = np.abs(field.values)
+    floor = NOISE_FLOOR * amps.max()
+    if box is None:
+        box = (slice(None),) * 3
+    values, amps = field.values[box], amps[box]
     # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
     # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
     # over a face's corners, a sign bit survives only where that part keeps
     # its sign at all four, and bit 16 only where all four are below the
     # floor: a face of code 0 is a candidate, one of code 16 a noise face.
-    code = (amps < NOISE_FLOOR * amps.max()) * np.uint8(16)
+    code = (amps < floor) * np.uint8(16)
     amps *= DEGENERACY_FLOOR
     for bit, part in ((1, values.real), (4, values.imag)):
         code |= (part > amps) * np.uint8(bit)
@@ -217,6 +232,7 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
     noise = _noise_beside(face_codes, pierced, code.shape)
+    pierced["index"] += [s.indices(n)[0] for s, n in zip(box, field.values.shape)]
     return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
 
 
@@ -330,19 +346,56 @@ def _refine_batch(snapshot, scale, seeds, axis):
     return np.where(done[:, None], pts, seeds)
 
 
-def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, t: float):
-    """A batched refiner closure over the exact field at time t for
-    extract_lines.  The field's snapshot is built on the first call and
-    reused, so a frame without crossings builds none."""
-    snapshot = None
+def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, snapshot: Snapshot):
+    """A batched refiner closure for extract_lines over the exact field
+    `snapshot` of spec."""
+    scale = spec.length_scale(consts)
 
     def refine(seeds: np.ndarray, axis) -> np.ndarray:
-        nonlocal snapshot
-        if snapshot is None:
-            snapshot = spec.at(consts, t)
-        return _refine_batch(snapshot, spec.length_scale(consts), seeds, axis)
+        return _refine_batch(snapshot, scale, seeds, axis)
 
     return refine
+
+
+def _kept_blocks(snapshot: Snapshot, grid: Grid3) -> np.ndarray | None:
+    """The blocks of the grid (`block_edges`) where P may vanish, a boolean
+    array of shape (B_x, B_y, B_z): all but those where Taylor's bound
+    lead - rest (`Snapshot.prefactor_bounds`) exceeds DEGENERACY_FLOOR
+    (lead + rest), a margin far beyond the rounding of either.  None where
+    P's degree is beyond the bound."""
+    bounds = snapshot.prefactor_bounds(*(grid.axis_coords(a) for a in range(3)))
+    if bounds is None:
+        return None
+    lead, rest = bounds
+    return ~(lead - rest > DEGENERACY_FLOOR * (lead + rest))
+
+
+def _zero_box(snapshot: Snapshot, grid: Grid3) -> tuple[slice, slice, slice]:
+    """The smallest box of grid nodes that holds every kept block: the whole
+    grid where no block can be excluded, and an empty box where every block
+    is.  A face where psi vanishes lies in kept blocks with both its cells,
+    where the noise count looks."""
+    kept = _kept_blocks(snapshot, grid)
+    if kept is None:
+        return (slice(None),) * 3
+    if not kept.any():
+        return (slice(0, 0),) * 3
+    box = []
+    for a, n in enumerate(grid.dims):
+        edges = block_edges(n)
+        held = np.flatnonzero(kept.any(axis=tuple(b for b in range(3) if b != a)))
+        box.append(slice(int(edges[held[0]]), int(edges[held[-1] + 1]) + 1))
+    return tuple(box)
+
+
+def _extract_frame(spec, consts, grid, t) -> tuple[list[VortexPolyline], DetectionResult]:
+    """Sample the exact field at time t, detect inside its zero box and
+    extract with Newton refinement; one snapshot certifies and refines."""
+    field = sample(spec, consts, grid, t)
+    snapshot = spec.at(consts, t)
+    detection = detect_pierced_faces(field, _zero_box(snapshot, grid))
+    refiner = analytic_refiner(spec, consts, snapshot)
+    return extract_lines(field, detection, refiner=refiner), detection
 
 
 def _partners(ids: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -452,9 +505,9 @@ def extract_lines(
 def extract(
     spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float
 ) -> list[VortexPolyline]:
-    """Sample, detect, and extract with analytic Newton refinement."""
-    field = sample(spec, consts, grid, t)
-    return extract_lines(field, refiner=analytic_refiner(spec, consts, t))
+    """Sample, detect where P may vanish, and extract with analytic Newton
+    refinement."""
+    return _extract_frame(spec, consts, grid, t)[0]
 
 
 def symmetric_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
@@ -660,12 +713,9 @@ def track(
     frames: list[list[VortexPolyline]] = []
     detections = []
     for t in times:
-        fld = sample(spec, consts, grid, float(t))
-        det = detect_pierced_faces(fld)
-        frames.append(
-            extract_lines(fld, det, refiner=analytic_refiner(spec, consts, float(t)))
-        )
-        detections.append(det)
+        lines, detection = _extract_frame(spec, consts, grid, float(t))
+        frames.append(lines)
+        detections.append(detection)
     flagged = [d.ambiguous_count for d in detections]
     if any(flagged):
         log.warnings.append(

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot
+from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot, block_edges
 from vortexlines.errors import NoPrefactorError, SpecValidationError
 from vortexlines.grids import Grid3, sample
 from vortexlines.polynomials import Poly3
@@ -204,6 +205,45 @@ def test_on_grid_rejects_a_carrier_with_cross_terms():
     columns[0, _P] = columns[1, _G] = 1.0  # P = 1, G = x y
     with pytest.raises(ValueError):
         Snapshot(((0, 0, 0), (1, 1, 0)), columns).on_grid(x, x, x)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_prefactor_bounds_hold_on_every_block(spec):
+    # Taylor's bound lead - rest never exceeds |P| on its closed block: at
+    # its 8 corners and at 200 random points in it, on a 16^3 grid of 4^3
+    # blocks, evaluated term by term (Poly3.evaluate).
+    grid = Grid3.centered((0.013, 0.011, 0.017), 4.0 * spec.length_scale(C), 16)
+    axes = [grid.axis_coords(a) for a in range(3)]
+    ends = [
+        np.stack(np.meshgrid(*(x[block_edges(len(x))[side:][:4]] for x in axes),
+                             indexing="ij"), axis=-1)[..., None, :]
+        for side in (0, 1)
+    ]
+    corners = [np.where(np.array(c, dtype=bool), ends[1], ends[0])
+               for c in itertools.product((0, 1), repeat=3)]
+    rng = np.random.default_rng(11)
+    inside = ends[0] + rng.random((4, 4, 4, 200, 3)) * (ends[1] - ends[0])
+    points = np.concatenate(corners + [inside], axis=-2)
+    for t in (-0.4, 0.0, 0.5):
+        lead, rest = spec.at(C, t).prefactor_bounds(*axes)
+        assert lead.shape == rest.shape == (4, 4, 4)
+        p = 1.0 if spec.is_bare else vl.prefactor(spec, C, t).evaluate(points)
+        lowest = np.min(np.abs(p) * np.ones(points.shape[:-1]), axis=-1)
+        assert np.all(lowest >= lead - rest - 1e-12 * (lead + rest)), t
+
+
+def test_prefactor_bounds_need_a_complete_expansion():
+    # The table's derivatives reach second order: they bound a quadratic P
+    # exactly, and give no bound for a cubic one.
+    x = np.linspace(-1.0, 1.0, 9)
+    columns = np.zeros((2, 6), dtype=complex)
+    columns[:, _P] = 1.0
+    lead, rest = Snapshot(((0, 0, 0), (1, 1, 0)), columns).prefactor_bounds(x, x, x)
+    # P = 1 + x y on blocks [-1, 0] and [0, 1] per axis: centres (+-1/2,
+    # +-1/2), h = 1/2, so |P(c)| = 1 + c_x c_y and rest = 1/4 + 1/4 + 1/4.
+    assert np.allclose(lead[:, :, 0], [[1.25, 0.75], [0.75, 1.25]], rtol=0, atol=1e-15)
+    assert np.allclose(rest, 0.75, rtol=0, atol=1e-15)
+    assert Snapshot(((0, 0, 0), (2, 1, 0)), columns).prefactor_bounds(x, x, x) is None
 
 
 def test_grid_sample_equals_pointwise_amplitude():

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 import vortexlines as vl
 from vortexlines import tracker
+from vortexlines.catalog import BLOCK_CELLS, block_edges
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
 from vortexlines.tracker import (
@@ -66,7 +69,7 @@ def test_detection_finds_axis_aligned_vortex():
 
 def test_refine_point_lands_on_the_zero():
     spec = vl.FreeLineVortex(chi=0.6)
-    (refined,) = analytic_refiner(spec, C, 0.0)(np.array([[0.08, -0.06, 0.5]]), 2)
+    (refined,) = analytic_refiner(spec, C, spec.at(C, 0.0))(np.array([[0.08, -0.06, 0.5]]), 2)
     assert refined == pytest.approx((0.0, 0.0, 0.5), abs=1e-12)
 
 
@@ -74,7 +77,7 @@ def test_refine_point_keeps_the_seed_on_a_degenerate_jacobian():
     # A purely real prefactor has a rank-1 Jacobian in any face plane.
     spec = vl.FreeLineVortex(chi=0.0)
     seeds = np.array([[0.08, 0.06, 0.5], [0.08, -0.06, 0.5]])
-    refined = analytic_refiner(spec, C, 0.0)(seeds, 2)
+    refined = analytic_refiner(spec, C, spec.at(C, 0.0))(seeds, 2)
     assert np.array_equal(refined, seeds)
 
 
@@ -87,7 +90,7 @@ def test_extract_builds_one_snapshot_and_refines_every_face_at_once(monkeypatch)
     assert set(faces.axis.tolist()) == {0, 1, 2}
     # Refining all faces with their own axes agrees with refining axis by axis.
     seeds = tracker._bilinear_zeros(field, faces)
-    refine = analytic_refiner(spec, C, t)
+    refine = analytic_refiner(spec, C, spec.at(C, t))
     together = refine(seeds, faces.axis)
     apart = np.concatenate([refine(seeds[faces.axis == a], a) for a in range(3)])
     assert not np.array_equal(together, seeds)
@@ -408,17 +411,22 @@ def _dense_reference(values):
     return np.concatenate(faces), ambiguous, beside
 
 
-def _families_on_offset_grids():
-    """Each family of the catalog on grids at offset 0 and at random
-    offsets, at several sizes and times."""
+def _family_cases():
+    """(spec, grid, t): each family of the catalog on grids at offset 0 and
+    at random offsets, at several sizes and times."""
     assert {type(spec) for spec in ALL_SPECS} == set(vl.FAMILIES)
     rng = np.random.default_rng(8)
     for spec in ALL_SPECS:
         for n, t in ((10, -0.4), (16, 0.0), (23, 0.5)):
             side = 4.0 * spec.length_scale(C)
             for offset in ((0.0, 0.0, 0.0), rng.uniform(-0.5, 0.5, 3) * side / (n - 1)):
-                grid = Grid3.centered(offset, side, n)
-                yield sample(spec, C, grid, t).values
+                yield spec, Grid3.centered(offset, side, n), t
+
+
+def _families_on_offset_grids():
+    """The family cases sampled, each with the box where its P may vanish."""
+    for spec, grid, t in _family_cases():
+        yield sample(spec, C, grid, t).values, tracker._zero_box(spec.at(C, t), grid)
 
 
 def _ring_in_a_grid_plane():
@@ -456,25 +464,28 @@ def _evolved_oracle_field(name):
 
 @pytest.mark.parametrize("fields", [
     pytest.param(_families_on_offset_grids, id="families"),
-    pytest.param(lambda: [_off_center_field(vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0)],
+    pytest.param(lambda: [(_off_center_field(vl.FreeRingSphere(R=3.0, a=1.0), 8.0, 0.0), None)],
                  id="free_ring_sphere"),
-    pytest.param(lambda: [_off_center_field(
-        vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1)],
+    pytest.param(lambda: [(_off_center_field(
+        vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 3.0, -0.1), None)],
                  id="free_two_lines_symmetric"),
-    pytest.param(lambda: [_ring_in_a_grid_plane()], id="ring_in_a_grid_plane"),
-    pytest.param(lambda: [_noisy_gaussian()], id="noisy_gaussian"),
-    pytest.param(lambda: [_evolved_oracle_field("oracle_ring")], id="oracle_ring"),
-    pytest.param(lambda: [_evolved_oracle_field("oracle_pair")], id="oracle_pair"),
+    pytest.param(lambda: [(_ring_in_a_grid_plane(), None)], id="ring_in_a_grid_plane"),
+    pytest.param(lambda: [(_noisy_gaussian(), None)], id="noisy_gaussian"),
+    pytest.param(lambda: [(_evolved_oracle_field("oracle_ring"), None)], id="oracle_ring"),
+    pytest.param(lambda: [(_evolved_oracle_field("oracle_pair"), None)], id="oracle_pair"),
 ])
 def test_detection_matches_the_dense_reference(fields):
-    # Only faces where Re psi and Im psi both change sign are examined; the
-    # pierced faces must be bit-identical to winding on every face.
-    for values in fields():
+    # Only faces where Re psi and Im psi both change sign are examined, over
+    # the whole grid and, for an analytic field, over the box where its P may
+    # vanish; the pierced faces must be bit-identical to winding on every
+    # face, and so must the ambiguous and noise counts.
+    for values, box in fields():
         grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
-        det = detect_pierced_faces(SampledField(grid, values, 0.0))
         pierced, ambiguous, noise = _dense_reference(values)
-        assert det.pierced.tobytes() == pierced.tobytes()
-        assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
+        for region in [None] if box is None else [None, box]:
+            det = detect_pierced_faces(SampledField(grid, values, 0.0), region)
+            assert det.pierced.tobytes() == pierced.tobytes()
+            assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
 
 
 @pytest.mark.parametrize("name, count", [("oracle_ring", 0), ("oracle_pair", 4)])
@@ -490,3 +501,122 @@ def test_noise_count_ignores_roundoff_away_from_the_lines(name, count):
     grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
     for field in (values, noisy):
         assert detect_pierced_faces(SampledField(grid, field, 0.0)).noise_count == count
+
+
+def _blocks_holding(face, dims) -> list[tuple[int, int, int]]:
+    """The blocks (`block_edges`) whose closed node ranges hold all four
+    corners of a face: one or two along its normal, one along each other
+    axis."""
+    spans = []
+    for a, n in enumerate(dims):
+        edges, lo = block_edges(n), face.index[a]
+        hi = lo + (a != face.axis)
+        spans.append(np.flatnonzero((edges[:-1] <= lo) & (hi <= edges[1:])).tolist())
+    return list(itertools.product(*spans))
+
+
+#: The ring x^2 + y^2 = R^2 inside one block of a 13^3 grid, the block whose
+#: centre is the ring's: there grad P vanishes in x and y, so only the
+#: second-order Taylor terms keep the block.
+SMALL_RING = (
+    vl.FreeRingCylinder(R=0.3, a=0.5),
+    Grid3((-1.5, -1.5, -0.06), (0.25, 0.25, 0.01), (13, 13, 13)),
+)
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(_family_cases, id="families"),
+    pytest.param(lambda: [(*SMALL_RING, t) for t in (-0.0125, 0.0021, 0.0137)], id="small_ring"),
+])
+def test_every_pierced_face_lies_in_a_kept_block(cases):
+    # Whole-grid detection finds no crossing in a block that the certificate
+    # excludes.  Checked block by block: the box around the kept blocks
+    # would hide a block excluded wrongly.
+    found = 0
+    for spec, grid, t in cases():
+        kept = tracker._kept_blocks(spec.at(C, t), grid)
+        for face in detect_pierced_faces(sample(spec, C, grid, t)).pierced:
+            assert any(kept[block] for block in _blocks_holding(face, grid.dims)), (spec, t)
+            found += 1
+    assert found
+
+
+@pytest.mark.parametrize("dims", [(n,) * 3 for n in range(4, 10)] + [(20, 13, 11), (4, 30, 5)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
+    # An axis of fewer cells than a block is one block, and the last block
+    # of an axis is clipped to the grid: the box always ends at its nodes.
+    for n in dims:
+        edges = block_edges(n)
+        assert edges[0] == 0 and edges[-1] == n - 1
+        assert np.all((np.diff(edges) >= 1) & (np.diff(edges) <= BLOCK_CELLS))
+    found = 0
+    for spec, side, t in [
+        (vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 6.0, 1.0),
+        (vl.FreeRingCylinder(R=1.0, a=0.5), 3.0, 0.1),
+        (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 2.0, -0.1),
+    ]:
+        grid = Grid3.centered(OFF, side, dims)
+        field = sample(spec, C, grid, t)
+        whole = detect_pierced_faces(field)
+        boxed = detect_pierced_faces(field, tracker._zero_box(spec.at(C, t), grid))
+        assert boxed.pierced.tobytes() == whole.pierced.tobytes()
+        assert (boxed.ambiguous_count, boxed.noise_count) == (
+            whole.ambiguous_count, whole.noise_count)
+        found += len(whole.pierced)
+    assert found
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.is_bare],
+                         ids=lambda s: type(s).__name__)
+def test_a_bare_carrier_excludes_the_whole_grid(spec):
+    grid = Grid3.centered(OFF, 4.0, 16)
+    box = tracker._zero_box(spec.at(C, 0.3), grid)
+    assert box == (slice(0, 0),) * 3
+    det = detect_pierced_faces(sample(spec, C, grid, 0.3), box)
+    assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
+    assert extract(spec, C, grid, 0.3) == []
+
+
+def test_a_prefactor_beyond_the_bound_keeps_the_whole_grid():
+    # P = 1 + x^2 y has third-order Taylor terms that the bound lacks.
+    columns = np.zeros((2, 6), dtype=complex)
+    columns[:, 0] = 1.0
+    snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
+    grid = Grid3.centered(OFF, 2.0, 9)
+    assert tracker._kept_blocks(snapshot, grid) is None
+    assert tracker._zero_box(snapshot, grid) == (slice(None),) * 3
+
+
+def test_track_runs_every_stage_once_per_frame(monkeypatch):
+    # A frame is timed from its sample to its extraction, so it includes
+    # the certificate, and refinement is timed through analytic_refiner:
+    # each runs once a frame, also where every block is excluded.
+    calls = collections.Counter()
+    stages = ("sample", "detect_pierced_faces", "extract_lines", "analytic_refiner")
+    for name in stages:
+        def counted(*args, _stage=getattr(tracker, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(tracker, name, counted)
+    for spec in (vl.FreeRingCylinder(R=1.0, a=0.5), vl.FreePlaneWave(k=K)):
+        calls.clear()
+        frames, _ = track(spec, C, Grid3.centered(OFF, 4.0, 16), -0.2, 0.2, 4)
+        assert len(frames) == 5
+        assert calls == {name: 5 for name in stages}
+
+
+def test_box_detection_takes_the_noise_floor_from_the_whole_grid():
+    # A spike outside the box lifts the noise floor above every node inside
+    # it: no face there is a candidate, as over the whole grid.
+    spec, grid = vl.FreeLineVortex(chi=0.6), Grid3.centered(OFF, 2.0, 16)
+    values = sample(spec, C, grid, 0.0).values.copy()
+    box = tracker._zero_box(spec.at(C, 0.0), grid)
+    assert box[0].stop < grid.dims[0]
+    assert len(detect_pierced_faces(SampledField(grid, values, 0.0), box).pierced)
+    values[-1, -1, -1] = 1e12
+    field = SampledField(grid, values, 0.0)
+    for region in (None, box):
+        det = detect_pierced_faces(field, region)
+        assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)

@@ -85,7 +85,7 @@ def test_refinement_lands_on_a_zero_or_keeps_its_seed(case, n, offset):
     spec, side, t = case
     spacing = side / (n - 1)
     grid = Grid3.centered(np.asarray(offset) * spacing, side, n)
-    refine = analytic_refiner(spec, C, t)
+    refine = analytic_refiner(spec, C, spec.at(C, t))
     pairs = []
 
     def record(seeds, axis):
