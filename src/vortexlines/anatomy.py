@@ -271,11 +271,17 @@ def w_vector(
     )
 
 
-def _solve_line_velocity(w: np.ndarray, tangent: np.ndarray, dpsi_dt: complex) -> np.ndarray:
-    """The unique u with u.w = -dpsi/dt and u.tangent = 0."""
-    matrix = np.stack([np.real(w), np.imag(w), tangent])
-    rhs = np.array([-dpsi_dt.real, -dpsi_dt.imag, 0.0])
-    return np.linalg.solve(matrix, rhs)
+def min_norm_solve(grad, rhs) -> np.ndarray:
+    """The minimum-norm x with J x = rhs at each point, J = [grad Re psi;
+    grad Im psi] for the rows of the complex `grad`: x = J^T (J J^T)^-1 rhs,
+    the 2 x 2 J J^T inverted in closed form.  A point where J drops rank
+    gets x = 0: a Newton step or a velocity there leaves it in place."""
+    a, b = grad.real, grad.imag
+    aa, bb, ab = (np.einsum("ij,ij->i", p, q) for p, q in ((a, a), (b, b), (a, b)))
+    det = aa * bb - ab * ab
+    inverse = np.divide(1.0, det, out=np.zeros_like(det), where=det >= 1e-300)
+    f, g = rhs.real * inverse, rhs.imag * inverse
+    return (bb * f - ab * g)[:, None] * a + (aa * g - ab * f)[:, None] * b
 
 
 def line_velocity(
@@ -283,13 +289,12 @@ def line_velocity(
 ) -> np.ndarray:
     """Velocity of the vortex line itself, from u . w + dpsi/dt = 0.
 
-    The returned representative is orthogonal to the local tangent.
+    The returned representative is the minimum-norm u = -J^+ dpsi/dt, which
+    is orthogonal to the local tangent.
     """
     data = w_vector(spec, consts, point_on_line, t)
     dpsi_dt = complex(spec.at(consts, t).on(point_on_line).dt)
-    return _solve_line_velocity(
-        np.asarray(data.w), np.asarray(data.tangent), dpsi_dt
-    )
+    return min_norm_solve(np.asarray([data.w]), np.array([-dpsi_dt]))[0]
 
 
 def line_velocity_from_laplacian(
@@ -310,4 +315,4 @@ def line_velocity_from_laplacian(
         eB = consts.charge * spec.B
         angular = point[0] * w[1] - point[1] * w[0]
         dpsi_dt += -(eB / (2.0 * consts.mass)) * angular
-    return _solve_line_velocity(np.asarray(data.w), np.asarray(data.tangent), dpsi_dt)
+    return min_norm_solve(np.asarray([data.w]), np.array([-dpsi_dt]))[0]

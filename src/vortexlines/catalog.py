@@ -608,14 +608,6 @@ FAMILIES = (
 
 FAMILY_BY_NAME = {cls.__name__: cls for cls in FAMILIES}
 
-CARRIER_FAMILIES = (
-    FreePlaneWave,
-    GaussianPacket,
-    MagneticGenerator,
-    TrapGenerator,
-    RelPlaneWave,
-)
-
 
 def _check_points(r) -> np.ndarray:
     points = np.asarray(r, dtype=float)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catalog import CARRIER_FAMILIES, SolutionSpec, WaveVector, amplitude
+from .catalog import SolutionSpec, WaveVector, amplitude
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
 from .polynomials import Poly3
@@ -57,7 +57,7 @@ def generate_from_polynomial(
     t: float,
 ) -> np.ndarray:
     """Apply P(-i d/dk) to the carrier numerically and evaluate at (r, t)."""
-    if not isinstance(carrier, CARRIER_FAMILIES):
+    if not (isinstance(carrier, SolutionSpec) and carrier.is_bare):
         raise SpecValidationError(
             f"{type(carrier).__name__} is not a supported generating carrier"
         )

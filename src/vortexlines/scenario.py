@@ -36,16 +36,6 @@ from .errors import NotOnLineError, SpecValidationError
 from .generate import generate_from_polynomial
 from .grids import Grid3, sample
 
-CHECK_NAMES = (
-    "residual",
-    "circulation",
-    "locus",
-    "events",
-    "oracle",
-    "node_speed",
-    "generation",
-)
-
 RESIDUAL_TOLERANCE = 1e-6
 CIRCULATION_TOLERANCE = 1e-4
 GENERATION_TOLERANCE = 1e-5
@@ -118,7 +108,7 @@ def validate(config: ScenarioConfig) -> list[str]:
     if config.n_frames < 1:
         problems.append(f"n_frames: must be >= 1, got {config.n_frames}")
     for name in config.checks:
-        if name not in CHECK_NAMES:
+        if name not in CHECK_REGISTRY:
             problems.append(f"checks: unknown check {name!r}")
     if "oracle" in config.checks and config.spec.equation not in ("free", "trap"):
         problems.append(
@@ -281,9 +271,26 @@ def _max_distance_to_curve(points: np.ndarray, curve: np.ndarray) -> float:
     return float(np.max(cKDTree(curve).query(points)[0]))
 
 
+def _periodicity(before, after, tolerance, detail) -> CheckResult:
+    """The Hausdorff distance between the line points a period apart."""
+    if before is None or after is None:
+        return CheckResult("locus", False, math.nan, tolerance,
+                           f"no line to compare: {detail}")
+    d = tracker.symmetric_hausdorff(before, after)
+    return CheckResult("locus", d <= tolerance, d, tolerance, detail)
+
+
 def check_locus(config, frames, log, times) -> list[CheckResult]:
     spec, consts, grid = config.spec, config.consts, config.grid
     diag = grid.cell_diagonal
+
+    def points_at(t):
+        """The line points at time t, from the tracked frame of exactly that
+        time where there is one; None where there are no lines."""
+        (hit,) = np.nonzero(times == t)
+        lines = frames[hit[0]] if len(hit) else tracker.extract(spec, consts, grid, t)
+        return np.concatenate([l.points for l in lines]) if lines else None
+
     results = []
     if isinstance(spec, MagneticLine):
         omega_c = consts.cyclotron_frequency(spec.B)
@@ -293,30 +300,23 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
         worst = 0.0
         for phase in range(8):
             t = phase * period / 8.0
-            lines = tracker.extract(spec, consts, grid, t)
-            if not lines:
+            pts = points_at(t)
+            if pts is None:
                 return [CheckResult("locus", False, math.nan, diag,
                                     f"no line extracted at t={t:.4g}")]
             curve = spec.parametric_locus(consts, t, xs)
-            for line in lines:
-                worst = max(worst, _max_distance_to_curve(line.points, curve))
+            worst = max(worst, _max_distance_to_curve(pts, curve))
         results.append(CheckResult(
             "locus", worst <= diag, worst, diag,
             "max deviation from the parametric precessing line at 8 phases"))
-        before = np.concatenate(
-            [l.points for l in tracker.extract(spec, consts, grid, 0.0)])
-        after = np.concatenate(
-            [l.points for l in tracker.extract(spec, consts, grid, period)])
-        d = tracker.symmetric_hausdorff(before, after)
-        results.append(CheckResult(
-            "locus", d <= diag, d, diag,
+        results.append(_periodicity(
+            points_at(0.0), points_at(period), diag,
             "line returns to its start after one cyclotron period"))
     elif isinstance(spec, TrapRing):
-        lines = tracker.extract(spec, consts, grid, 0.0)
-        if not lines:
+        pts = points_at(0.0)
+        if pts is None:
             return [CheckResult("locus", False, math.nan, 0.5 * diag,
                                 "no ring extracted at t=0")]
-        pts = np.concatenate([l.points for l in lines])
         radial = np.hypot(pts[:, 0] - spec.R, pts[:, 1]) - spec.R
         dist = np.hypot(radial, pts[:, 2])
         worst = float(np.max(np.abs(dist)))
@@ -324,26 +324,20 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
             "locus", worst <= 0.5 * diag, worst, 0.5 * diag,
             "t=0 ring is the circle of radius R through the trap center"))
         period = 2.0 * math.pi / spec.omega
-        t_probe = float(times[len(times) // 2])
-        before = np.concatenate(
-            [l.points for l in tracker.extract(spec, consts, grid, t_probe)])
-        after = np.concatenate(
-            [l.points for l in tracker.extract(spec, consts, grid, t_probe + period)])
-        d = tracker.symmetric_hausdorff(before, after)
-        results.append(CheckResult(
-            "locus", d <= 0.5 * diag, d, 0.5 * diag,
+        t_probe = float(times[0])
+        results.append(_periodicity(
+            points_at(t_probe), points_at(t_probe + period), 0.5 * diag,
             "ring locus is periodic with the trap period"))
     elif isinstance(spec, FreeRingSphere):
         worst = 0.0
         checked = 0
-        for i, lines in enumerate(frames):
-            t = float(times[i])
+        for t in map(float, times):
             arg = spec.R**2 - (3.0 * consts.hbar * t / (consts.mass * spec.a)) ** 2
-            if arg <= (0.5 * diag) ** 2 or not lines:
+            pts = points_at(t)
+            if arg <= (0.5 * diag) ** 2 or pts is None:
                 continue
             expected = math.sqrt(arg)
             center = spec.classical_velocity(consts) * t
-            pts = np.concatenate([l.points for l in lines])
             measured = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
             worst = max(worst, float(np.max(np.abs(measured - expected))))
             checked += 1
@@ -355,11 +349,10 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
         worst = 0.0
         checked = 0
         v = spec.classical_velocity(consts)
-        for i, lines in enumerate(frames):
-            if not lines:
+        for t in map(float, times):
+            pts = points_at(t)
+            if pts is None:
                 continue
-            t = float(times[i])
-            pts = np.concatenate([l.points for l in lines])
             center = v * t
             radial = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1]) - spec.R
             z_true = center[2] - 2.0 * consts.hbar * t / (consts.mass * spec.a)

@@ -12,8 +12,8 @@ catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 and the box is the smallest one that holds the others.  A numeric field's box
 is the whole grid.  Detection returns the pierced faces as one record array
 (`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
-downstream runs on that array by face id: a vectorized clipped Newton
-iteration on each face's bilinear corner model seeds the crossings, which
+downstream runs on that array by face id: the zero of each face's bilinear
+corner model, one root of a real quadratic, seeds the crossings, which
 are refined by one batched Newton iteration on the analytic field when a
 solution spec is available, each in its own face plane (a crossing whose
 Newton iteration fails keeps its seed); each face's two cells get integer
@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .anatomy import min_norm_solve
 from .catalog import SolutionSpec, Snapshot, block_edges
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
@@ -281,34 +282,29 @@ def cell_winding_balance(detection: DetectionResult, dims) -> int:
 def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     """Zero of each face's bilinear corner model of psi, in world coords.
 
-    Clipped Newton iteration in the face's unit square from its centre, at
-    most 12 steps; a face stops once its step is below 1e-12 or its
-    Jacobian is singular.  The model's zero set can be a curve, so the
-    start point and the clipping decide which zero is returned.
+    In the face's unit square the model is f = a + b p + c q + d p q, linear
+    in q with coefficients A = a + b p and C = c + d p.  So f vanishes where
+    Im(A conj C) = 0, a real quadratic in p solved in the stable form, and
+    q = -Re(A conj C) / |C|^2.  A face that winds once holds exactly one such
+    root in its closed square; a face with none keeps its centre.
     """
     rows = np.arange(len(faces))
     a1, a2 = (faces.axis + 1) % 3, (faces.axis + 2) % 3
     v00, v10, v01, v11 = _corners(field.values, faces.axis, faces.index)
-    u = np.full((len(faces), 2), 0.5)
-    live = rows
-    for _ in range(12):
-        c00, c10, c01, c11 = v00[live], v10[live], v01[live], v11[live]
-        p, q = u[live, 0], u[live, 1]
-        f = (c00 * (1 - p) * (1 - q) + c10 * p * (1 - q)
-             + c01 * (1 - p) * q + c11 * p * q)
-        fu = (c10 - c00) * (1 - q) + (c11 - c01) * q
-        fv = (c01 - c00) * (1 - p) + (c11 - c10) * p
-        # Cramer's rule for [[fu.re, fv.re], [fu.im, fv.im]] step = [f.re, f.im].
-        det = fu.real * fv.imag - fv.real * fu.imag
-        solvable = det != 0
-        f, fu, fv, det = f[solvable], fu[solvable], fv[solvable], det[solvable]
-        du = (f.real * fv.imag - fv.real * f.imag) / det
-        dv = (fu.real * f.imag - fu.imag * f.real) / det
-        live = live[solvable]
-        u[live] = np.clip(u[live] - np.stack([du, dv], axis=1), 0.0, 1.0)
-        live = live[np.sqrt(du * du + dv * dv) >= 1e-12]
-        if not len(live):
-            break
+    a, b, c, d = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
+    alpha = (b * d.conj()).imag
+    beta = (a * d.conj() + b * c.conj()).imag
+    gamma = (a * c.conj()).imag
+    # A linear quadratic (alpha = 0) has its one root in gamma / half; a
+    # missing root comes out inf or NaN, which lies in no square.
+    with np.errstate(all="ignore"):
+        half = -0.5 * (beta + np.copysign(np.sqrt(beta * beta - 4.0 * alpha * gamma), beta))
+        p = np.stack([half / alpha, gamma / half], axis=1)
+        big_a, big_c = a[:, None] + b[:, None] * p, c[:, None] + d[:, None] * p
+        q = -(big_a * big_c.conj()).real / np.abs(big_c) ** 2
+    inside = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
+    root = np.argmax(inside, axis=1)
+    u = np.where(inside[rows, root][:, None], np.stack([p, q], axis=2)[rows, root], 0.5)
     spacing = np.asarray(field.grid.spacing)
     points = np.asarray(field.grid.origin) + spacing * faces.index
     points[rows, a1] += u[:, 0] * spacing[a1]
@@ -515,19 +511,6 @@ def symmetric_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return max(float(np.max(tree_b.query(a)[0])), float(np.max(tree_a.query(b)[0])))
 
 
-def _min_norm(grad, rhs) -> np.ndarray:
-    """The minimum-norm x with J x = rhs at each point, J = [grad Re psi;
-    grad Im psi] for the rows of the complex `grad`: x = J^T (J J^T)^-1 rhs,
-    the 2 x 2 J J^T inverted in closed form.  A point where J drops rank
-    gets x = 0, as _refine_batch keeps its seed there."""
-    a, b = grad.real, grad.imag
-    aa, bb, ab = (np.einsum("ij,ij->i", p, q) for p, q in ((a, a), (b, b), (a, b)))
-    det = aa * bb - ab * ab
-    inverse = np.divide(1.0, det, out=np.zeros_like(det), where=det >= 1e-300)
-    f, g = rhs.real * inverse, rhs.imag * inverse
-    return (bb * f - ab * g)[:, None] * a + (aa * g - ab * f)[:, None] * b
-
-
 def _landings(spec, consts, grid, previous, current):
     """Each node of `previous` carried to the time of `current` along
     u = -J^+ dpsi/dt, then by one min-norm Newton step onto psi = 0.  It lands
@@ -538,9 +521,9 @@ def _landings(spec, consts, grid, previous, current):
     line = np.repeat(np.arange(len(previous)), [len(p.points) for p in previous])
     t0, t1 = previous[0].frame_time, current[0].frame_time
     values = spec.at(consts, t0).on(nodes)
-    landed = nodes + (t1 - t0) * _min_norm(values.grad, -values.dt)
+    landed = nodes + (t1 - t0) * min_norm_solve(values.grad, -values.dt)
     values = spec.at(consts, t1).on(landed)
-    landed -= _min_norm(values.grad, values.psi)
+    landed -= min_norm_solve(values.grad, values.psi)
     diag = grid.cell_diagonal
     lo = np.asarray(grid.origin) + diag
     hi = lo + np.asarray(grid.lengths) - 2.0 * diag
@@ -665,7 +648,7 @@ def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
     for i, line in candidates:
         t_mid = 0.5 * (times[i] + times[i + 1])
         values = spec.at(consts, line.frame_time).on(line.points)
-        velocity = _min_norm(values.grad, -values.dt).mean(axis=0)
+        velocity = min_norm_solve(values.grad, -values.dt).mean(axis=0)
         moved = line.centroid + velocity * (t_mid - line.frame_time)
         root = _event_root(spec, consts, np.append(moved, t_mid), lo, hi, scale)
         if root is None and np.linalg.norm(moved - line.centroid) > diag:

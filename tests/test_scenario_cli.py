@@ -1,3 +1,4 @@
+import collections
 import filecmp
 import json
 import math
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
+from vortexlines import tracker
 from vortexlines.cli import main
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3
@@ -317,3 +319,50 @@ def test_circulation_fails_on_a_probe_left_at_its_seed():
     (result,) = check_circulation(config, [[seeds]], None, [0.0])
     assert not result.passed
     assert "not on a line" in result.detail
+
+
+@pytest.mark.parametrize("start, lines, status", [
+    (0.0, [1, 2, 0, 0, 0], 0),
+    (1.6, [0, 0, 0, 0, 0], 1),
+], ids=["probe_with_lines", "probe_without_lines"])
+def test_locus_fails_instead_of_raising_on_frames_without_lines(
+        tmp_path, capsys, start, lines, status):
+    # The trap ring leaves this corner of the trap within half a period.
+    # The periodicity probe reads the first frame: at t = 0 it holds the
+    # ring, at t = 1.6 nothing, and the check then fails with a detail.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "spec": {"family": "TrapRing", "omega": 1.0, "R": 1.0},
+        "grid": {"origin": [0.213, -1.189, -0.483], "spacing": [0.1, 0.1, 0.1],
+                 "dims": [21, 25, 11]},
+        "time_range": [start, 3.14159],
+        "n_frames": 4,
+        "checks": ["locus"],
+    }))
+    assert main(["validate", "--config", str(config_path)]) == 0
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == status
+    with open(tmp_path / "out" / "polylines.jsonl") as fh:
+        per_frame = collections.Counter(json.loads(row)["frame"] for row in fh)
+    assert [per_frame[i] for i in range(5)] == lines
+    assert "PASS locus: measured" in out
+    if status:
+        assert "FAIL locus: measured nan" in out and "no line to compare" in out
+
+
+@pytest.mark.parametrize("name, count", [("fig4", 0), ("fig5", 1)])
+def test_locus_reads_the_tracked_frames(tmp_path, monkeypatch, name, count):
+    # fig4's 8 phases and its period end are frame times; fig5's trap period
+    # spans its window, so only its t = 0 ring is extracted anew.
+    calls = []
+    extract = tracker.extract
+
+    def counted(spec, consts, grid, t):
+        calls.append(t)
+        return extract(spec, consts, grid, t)
+
+    monkeypatch.setattr(tracker, "extract", counted)
+    result = run(preset(name), tmp_path / name)
+    assert result.exit_status == 0
+    assert len(calls) == count

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,89 @@ def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
     # Cramer's rule and LU round differently: allow 64 ulps of the box side.
     assert np.allclose(np.concatenate(seeds), reference, rtol=0.0,
                        atol=64 * np.finfo(float).eps * side)
+
+
+def _roots_in_square(v00, v10, v01, v11) -> list:
+    """The zeros (p, q) of a face's bilinear model in its closed unit square,
+    found by eliminating p: f = (a + c q) + (b + d q) p vanishes where
+    Im((a + c q) conj(b + d q)) = 0, a quadratic in q."""
+    a, b, c, d = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
+    quadratic = [(c * np.conj(d)).imag, (a * np.conj(d) + c * np.conj(b)).imag,
+                 (a * np.conj(b)).imag]
+    found = []
+    for q in np.roots(quadratic):
+        if q.imag != 0.0:
+            continue
+        lo, hi = a + c * q.real, b + d * q.real
+        p = -(lo * np.conj(hi)).real / abs(hi) ** 2
+        if 0.0 <= p <= 1.0 and 0.0 <= q.real <= 1.0:
+            found.append((p, q.real))
+    return found
+
+
+def _seeded_fields():
+    """Each family on a 16^3 grid at 3 times."""
+    for spec in ALL_SPECS:
+        grid = Grid3.centered(OFF, 4.0 * spec.length_scale(C), 16)
+        for t in (-0.4, 0.0, 0.5):
+            yield sample(spec, C, grid, t)
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param(_seeded_fields, id="families"),
+    *(pytest.param(lambda name=name: [SampledField(
+        Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (96,) * 3), _evolved_oracle_field(name), 0.0)],
+        id=name) for name in ("oracle_ring", "oracle_pair")),
+])
+def test_each_pierced_face_model_has_one_root_at_the_seed(fields):
+    # A face that winds once holds one zero of its model, found here by
+    # eliminating the other coordinate; the seed is that zero.  Where the
+    # per-face clipped Newton iteration reaches it too, the two agree to
+    # rounding; on three faces of FreeRingSphere at t = 0.5 that iteration
+    # stalls on an edge of the square, off the zero.
+    converged = 0
+    for field in fields():
+        grid = field.grid
+        faces = detect_pierced_faces(field).pierced
+        seeds = tracker._bilinear_zeros(field, faces)
+        corners = tracker._corners(field.values, faces.axis, faces.index).T
+        for f, seed, v in zip(faces, seeds, corners):
+            (root,) = _roots_in_square(*v)
+            plane = [(f.axis + 1) % 3, (f.axis + 2) % 3]
+            node = np.asarray(grid.origin) + np.asarray(grid.spacing) * f.index
+            step = np.asarray(grid.spacing)[plane]
+            zero = node.copy()
+            zero[plane] += np.asarray(root) * step
+            assert np.allclose(seed, zero, rtol=0.0, atol=1e-12 * grid.cell_diagonal)
+            reference = _bilinear_zero_reference(field.values, grid, int(f.axis),
+                                                 tuple(f.index))
+            p, q = (reference - node)[plane] / step
+            model = (v[0] * (1 - p) * (1 - q) + v[1] * p * (1 - q)
+                     + v[2] * (1 - p) * q + v[3] * p * q)
+            if abs(model) <= 1e-9 * np.abs(v).max():
+                converged += 1
+                assert np.allclose(seed, reference, rtol=0.0,
+                                   atol=64 * np.finfo(float).eps * max(grid.lengths))
+    assert converged > 0
+
+
+@pytest.mark.parametrize("corners, zero", [
+    ((1 + 1j,) * 4, (0.5, 0.5)),
+    (tuple((1 + 2j) * r for r in (-1.0, 1.0, 1.0, -1.0)), (0.5, 0.5)),
+    ((-0.3 - 0.6j, 0.7 - 0.6j, -0.3 + 0.4j, 0.7 + 0.4j), (0.3, 0.6)),
+], ids=["equal_corners", "proportional_parts", "planar"])
+def test_bilinear_seed_of_a_single_face(corners, zero):
+    # Equal corners, and Re psi proportional to Im psi, leave the quadratic
+    # identically zero: the face keeps its centre.  A planar model
+    # (p - 0.3) + i (q - 0.6) has a linear quadratic with one root.
+    values = np.zeros((4, 4, 4), dtype=complex)
+    values[0, 0, 0], values[1, 0, 0], values[0, 1, 0], values[1, 1, 0] = corners
+    field = SampledField(Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4)), values, 0.0)
+    faces = np.array([(2, (0, 0, 0), 1)], dtype=tracker.FACE_DTYPE).view(np.recarray)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (seed,) = tracker._bilinear_zeros(field, faces)
+    assert seed == pytest.approx((*zero, 0.0), abs=1e-15)
 
 
 def _dense_reference(values):
