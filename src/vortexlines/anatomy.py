@@ -249,7 +249,12 @@ def w_vector(
     spec: SolutionSpec, consts: PhysicalConstants, point_on_line, t: float
 ) -> LocalVortexData:
     """Amplitude gradient and derived local geometry at a certified line point."""
-    field = spec.at(consts, t).on(point_on_line)
+    return _vortex_data(spec, consts, spec.at(consts, t).on(point_on_line))
+
+
+def _vortex_data(spec: SolutionSpec, consts: PhysicalConstants, field) -> LocalVortexData:
+    """`w_vector` from the field values at the point, from which the line
+    velocities also read dpsi/dt or the Laplacian."""
     psi, w = complex(field.psi), field.grad
     scale = _on_line_scale(spec, consts, w)
     if abs(psi) > CORE_FLOOR * scale:
@@ -292,8 +297,9 @@ def line_velocity(
     The returned representative is the minimum-norm u = -J^+ dpsi/dt, which
     is orthogonal to the local tangent.
     """
-    data = w_vector(spec, consts, point_on_line, t)
-    dpsi_dt = complex(spec.at(consts, t).on(point_on_line).dt)
+    field = spec.at(consts, t).on(point_on_line)
+    data = _vortex_data(spec, consts, field)
+    dpsi_dt = complex(field.dt)
     return min_norm_solve(np.asarray([data.w]), np.array([-dpsi_dt]))[0]
 
 
@@ -307,9 +313,9 @@ def line_velocity_from_laplacian(
             "Laplacian form of the line velocity applies to first-order-in-time equations"
         )
     point = np.asarray(point_on_line, dtype=float)
-    data = w_vector(spec, consts, point, t)
-    lap = complex(spec.at(consts, t).on(point).lap)
-    dpsi_dt = 1j * consts.hbar / (2.0 * consts.mass) * lap
+    field = spec.at(consts, t).on(point)
+    data = _vortex_data(spec, consts, field)
+    dpsi_dt = 1j * consts.hbar / (2.0 * consts.mass) * complex(field.lap)
     if spec.equation == "magnetic":
         w = np.asarray(data.w)
         eB = consts.charge * spec.B

@@ -38,7 +38,13 @@ product whatever the number of terms, the second-order ones one more.
 `snapshot.on_grid` reads psi on a grid of three axes from the same table:
 since G has no cross terms, exp(G) is one factor per axis, folded into that
 axis's monomial rows, so psi is one matrix product and no (points x terms)
-array is formed.  `amplitude`, `gradient`, ... are one-line views of it, and
+array is formed.  `snapshot.on_zero_box` forms that product only on the box
+of the blocks where a Taylor bound cannot prove P != 0, and finds the grid's
+exact peak |psi| from the same rows: |psi| <= (the bound of |P|) times the
+per-axis max of |exp(G)| on a block, so only the blocks whose bound beats the
+best value found so far are evaluated (interval branch-and-bound: Moore,
+Interval Analysis, 1966; Hansen, Global Optimization Using Interval Analysis,
+1992).  `amplitude`, `gradient`, ... are one-line views of `on`, and
 `pde_residual` certifies each family against its governing equation using
 those analytic derivatives only.
 """
@@ -648,11 +654,58 @@ _FACTORIALS = np.maximum(_SHIFTS, 1).prod(axis=-1)
 BLOCK_CELLS = 4
 
 
+#: A relative margin far beyond the rounding of the block bounds: a block
+#: is cleared of zeros only where lead - rest exceeds it times lead + rest,
+#: and the |psi| bound of a block is raised by it.  `tracker` flags
+#: near-degenerate faces by the same fraction.
+DEGENERACY_FLOOR = 1e-9
+
+#: Blocks of the largest |psi| bounds that `Snapshot.on_zero_box` evaluates
+#: first, in one batch, before it knows which others the peak clears.
+PEAK_FIRST_BLOCKS = 8
+
+
 def block_edges(n: int) -> np.ndarray:
     """The nodes that bound the blocks along an axis of n nodes: block b
     spans nodes edges[b] to edges[b + 1], BLOCK_CELLS cells, clipped to the
     grid, so an axis of fewer cells than a block is one block."""
     return np.minimum(np.arange(0, n + BLOCK_CELLS - 1, BLOCK_CELLS), n - 1)
+
+
+def _kept_blocks(lead: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The blocks where P may vanish, from `Snapshot.prefactor_bounds`: all
+    but those where Taylor's bound lead - rest exceeds DEGENERACY_FLOOR
+    (lead + rest)."""
+    return ~(lead - rest > DEGENERACY_FLOOR * (lead + rest))
+
+
+def _zero_box(kept: np.ndarray, edges: list[np.ndarray]) -> tuple[slice, slice, slice]:
+    """The smallest box of grid nodes that holds every kept block, given the
+    block edges of each axis: an empty box where no block is kept.  A face
+    where psi vanishes lies in kept blocks with both its cells, where the
+    tracker's noise count looks."""
+    if not kept.any():
+        return (slice(0, 0),) * 3
+    box = []
+    for a, e in enumerate(edges):
+        held = np.flatnonzero(kept.any(axis=tuple(b for b in range(3) if b != a)))
+        box.append(slice(int(e[held[0]]), int(e[held[-1] + 1]) + 1))
+    return tuple(box)
+
+
+def _amplitude_bounds(rows, edges, lead: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """An upper bound of |psi| on the nodes of each block, shape (B_x, B_y,
+    B_z): |P| <= lead + rest on the block (`Snapshot.prefactor_bounds`), and
+    |exp(G)| is the product over the axes of |row 0| of the axis rows
+    (`Snapshot._axis_rows`), whose max over the block's nodes is taken per
+    axis; raised by DEGENERACY_FLOOR for rounding."""
+    factors = []
+    for r, e in zip(rows, edges):
+        carrier = np.abs(r[0])
+        cells = np.maximum(carrier[:-1], carrier[1:])
+        factors.append(np.maximum.reduceat(cells, e[:-1]))
+    fx, fy, fz = factors
+    return (lead + rest) * (1.0 + DEGENERACY_FLOOR) * fx[:, None, None] * fy[:, None] * fz
 
 
 @cache
@@ -737,30 +790,97 @@ class Snapshot:
         return FieldValues(self, _check_points(r))
 
     def on_grid(self, x, y, z) -> np.ndarray:
-        """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z).
+        """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z)."""
+        return self._psi_on(self._axis_rows((x, y, z)))
+
+    def _axis_rows(self, axes) -> list[np.ndarray]:
+        """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).
 
         G has no cross terms (carriers.py), so exp(G) is one factor per axis,
         exp(c + g_x(x)) exp(g_y(y)) exp(g_z(z)) with G's constant c going
-        with x.  Each factor is folded into its axis's monomial rows
-        x_a ** j, and psi is one matrix product over the terms of P: the
-        (x, y) monomial plane, shape (T, N_x N_y), with P's coefficients
-        times the z rows.
+        with x, and row 0 is that factor alone.
         """
-        x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
         top, exps, _, coeffs = self.table
         g = coeffs[0, :, _G]
         if np.any((np.count_nonzero(exps, axis=1) > 1) & (g != 0)):
             raise ValueError("exp of a polynomial with cross terms does not factor by axis")
         axis_of = exps.argmax(axis=1)  # the constant term goes with x
         rows = []
-        for a, coord in enumerate((x, y, z)):
-            powers, mine = _powers(coord, top), axis_of == a
+        for a, coord in enumerate(axes):
+            powers, mine = _powers(np.asarray(coord, dtype=float), top), axis_of == a
             rows.append(powers * np.exp(g[mine] @ powers[exps[mine, a]]))
+        return rows
+
+    @cached_property
+    def _prefactor_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exponents (3, T) and coefficients (T,) of P's nonzero terms."""
+        _, exps, _, coeffs = self.table
         p = coeffs[0, :, _P]
-        (ex, ey, ez), p = exps[p != 0].T, p[p != 0]
+        return exps[p != 0].T, p[p != 0]
+
+    def _psi_on(self, rows) -> np.ndarray:
+        """psi on the grid of the axis rows (`_axis_rows`): one matrix product
+        over the terms of P, the (x, y) monomial plane, shape (T, N_x N_y),
+        with P's coefficients times the z rows."""
+        (ex, ey, ez), p = self._prefactor_terms
         plane = (rows[0][ex, :, None] * rows[1][ey, None, :]).reshape(len(p), -1)
         psi = plane.T @ (p[:, None] * rows[2][ez])
-        return psi.reshape(len(x), len(y), len(z))
+        return psi.reshape(*(r.shape[1] for r in rows))
+
+    def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float] | None:
+        """psi on the box of the grid of three 1-D axes where P may vanish,
+        and the grid's peak |psi|: (box, psi on the box, peak), or None where
+        P's degree is beyond `prefactor_bounds`.
+
+        The box is the smallest one of grid nodes that holds every block
+        (`block_edges`) that the bound cannot clear of zeros (`_zero_box`),
+        and psi is `on_grid`'s product on the box's axis rows.  The peak is
+        the exact max of |psi| over every node, found by interval
+        branch-and-bound (Moore, Interval Analysis, 1966; Hansen, Global
+        Optimization Using Interval Analysis, 1992) on the blocks' bounds
+        (`_amplitude_bounds`): from the max over the box, one batched product
+        evaluates the PEAK_FIRST_BLOCKS blocks of the largest bounds, and a
+        second one every other block whose bound still exceeds the max.
+        """
+        axes = [np.asarray(c, dtype=float) for c in (x, y, z)]
+        bounds = self.prefactor_bounds(*axes)
+        if bounds is None:
+            return None
+        rows = self._axis_rows(axes)
+        edges = [block_edges(len(c)) for c in axes]
+        box = _zero_box(_kept_blocks(*bounds), edges)
+        values = self._psi_on([r[:, s] for r, s in zip(rows, box)])
+        peak = float(np.abs(values).max(initial=0.0))
+        # Every node of a block inside the box is in values already.
+        inside = [(e[:-1] >= s.start) & (e[1:] < s.stop) for e, s in zip(edges, box)]
+        above = _amplitude_bounds(rows, edges, *bounds)
+        above[np.ix_(*inside)] = 0.0
+        above = above.ravel()
+        k = min(PEAK_FIRST_BLOCKS, len(above))
+        first = np.argpartition(above, -k)[-k:]
+        peak = self._block_peak(rows, edges, first[above[first] > peak], peak)
+        above[first] = 0.0
+        peak = self._block_peak(rows, edges, np.flatnonzero(above > peak), peak)
+        return box, values, peak
+
+    def _block_peak(self, rows, edges, blocks, peak: float) -> float:
+        """The max of peak and |psi| over the nodes of the given blocks (flat
+        indices into the (B_x, B_y, B_z) blocks), as `_psi_on` in one batched
+        product on each block's 5 nodes per axis (a short block repeats its
+        last)."""
+        if not len(blocks):
+            return peak
+        (ex, ey, ez), p = self._prefactor_terms
+        at = np.unravel_index(blocks, [len(e) - 1 for e in edges])
+        span = np.arange(BLOCK_CELLS + 1)
+        node_rows = [
+            r[:, np.minimum(e[b, None] + span, e[b + 1, None])]  # (top, blocks, 5)
+            for r, e, b in zip(rows, edges, at)
+        ]
+        plane = node_rows[0][ex, :, :, None] * node_rows[1][ey, :, None, :]
+        plane = plane.reshape(len(p), len(blocks), -1).transpose(1, 2, 0)
+        psi = plane @ (p[:, None, None] * node_rows[2][ez]).transpose(1, 0, 2)
+        return max(peak, float(np.abs(psi).max()))
 
     def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray] | None:
         """Taylor's lower bound of |P| on each block (`block_edges`) of the
@@ -768,7 +888,7 @@ class Snapshot:
         lead = |P(c)| and rest the sum over beta != 0 of
         |d^beta P(c) / beta!| h^beta at the block's centre c and half-widths
         h.  |P| >= lead - rest on the closed block (interval exclusion: Moore,
-        Interval Analysis, 1966).  The table's derivatives reach second order,
+        Interval Analysis, 1966), and |P| <= lead + rest there.  The table's derivatives reach second order,
         which completes the expansion of a P of degree 2 at most, as every
         family's is; a P of higher degree gets None.
 

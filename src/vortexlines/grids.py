@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass
@@ -74,37 +75,94 @@ class Grid3:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex amplitudes on a grid at a fixed time."""
+    """Complex amplitudes on a box of a grid's nodes at a fixed time.
+
+    `box`, three slices of grid nodes (unit step), is where the values are
+    held, and values has the box's shape; the default box is the whole grid.
+    `peak` is the max |psi| over the whole grid, the scale of the tracker's
+    noise floor: a field on a smaller box (`sample(..., lines_only=True)`)
+    must carry it, and a whole-grid field may leave it None, to be read from
+    its values.
+    """
 
     grid: Grid3
     values: np.ndarray
     time: float
+    box: tuple[slice, slice, slice] = (slice(None),) * 3
+    peak: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
-        if values.shape != self.grid.dims:
+        box = tuple(self.box)
+        if len(box) != 3 or not all(isinstance(s, slice) and s.step in (None, 1) for s in box):
+            raise SpecValidationError(f"box must be three slices of unit step, got {self.box}")
+        shape = tuple(len(range(*s.indices(n))) for s, n in zip(box, self.grid.dims))
+        if values.shape != shape:
             raise SpecValidationError(
                 f"values shape {values.shape} does not match grid dims {self.grid.dims}"
+                + ("" if shape == self.grid.dims else f" on the box {shape}")
             )
         if not np.all(np.isfinite(values)):
             raise SpecValidationError("sampled field contains non-finite values")
+        if self.peak is None and shape != self.grid.dims:
+            raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
+        if self.peak is not None and not (0.0 <= self.peak < math.inf):
+            raise SpecValidationError(f"peak |psi| must be finite and >= 0, got {self.peak!r}")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "box", box)
+
+    @property
+    def is_whole(self) -> bool:
+        """Whether the box is the whole grid."""
+        return self.values.shape == self.grid.dims
+
+    @property
+    def offset(self) -> np.ndarray:
+        """The grid index of the box's lowest node."""
+        return np.array([s.indices(n)[0] for s, n in zip(self.box, self.grid.dims)])
 
 
-def sample(spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float) -> SampledField:
-    """Evaluate the analytic solution on every grid point, from the grid's
-    three axis vectors (`Snapshot.on_grid`), never an array of all points."""
-    values = spec.at(consts, t).on_grid(*(grid.axis_coords(a) for a in range(3)))
-    return SampledField(grid=grid, values=values, time=float(t))
+def sample(
+    spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float,
+    *, lines_only: bool = False,
+) -> SampledField:
+    """Evaluate the analytic solution on the grid, from the grid's three axis
+    vectors (`Snapshot.on_grid`), never an array of all points.
+
+    With lines_only, only on the box of nodes that holds every block where
+    the prefactor P may vanish (`Snapshot.on_zero_box`; e^G never does), with
+    the whole grid's exact peak |psi|: the field holds every line, and the
+    tracker's noise floor.  A P beyond the block bound gets the whole grid.
+    """
+    snapshot = spec.at(consts, t)
+    axes = [grid.axis_coords(a) for a in range(3)]
+    found = snapshot.on_zero_box(*axes) if lines_only else None
+    if found is None:
+        return SampledField(grid, snapshot.on_grid(*axes), float(t))
+    box, values, peak = found
+    return SampledField(grid, values, float(t), box=box, peak=peak)
+
+
+def require_whole_grid(field: SampledField):
+    """Refuse a field that holds values on part of its grid only."""
+    if not field.is_whole:
+        raise SpecValidationError(
+            f"field holds values on a box of {field.values.shape} nodes of its "
+            f"{field.grid.dims} grid; this needs the whole grid"
+        )
 
 
 def require_same_grid(a: SampledField, b: SampledField):
+    require_whole_grid(a)
+    require_whole_grid(b)
     if a.grid != b.grid:
         raise GridMismatchError("sampled fields live on different grids")
 
 
 def save_checkpoint(field: SampledField, path):
-    """Write a field as a small self-describing little-endian binary file."""
+    """Write a whole-grid field as a small self-describing little-endian
+    binary file."""
+    require_whole_grid(field)
     header = _HEADER.pack(
         CHECKPOINT_MAGIC,
         CHECKPOINT_VERSION,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
 from .errors import BoundaryDecayError, SpecValidationError
-from .grids import Grid3, SampledField, require_same_grid
+from .grids import Grid3, SampledField, require_same_grid, require_whole_grid
 
 BOUNDARY_DECAY = 1e-12
 
@@ -73,6 +73,7 @@ def evolve(
     consts: PhysicalConstants = NATURAL_UNITS,
 ) -> SampledField:
     """Advance the field by steps * dt with Strang-split spectral stepping."""
+    require_whole_grid(initial)
     if initial.grid != config.grid:
         raise SpecValidationError("initial field grid does not match config grid")
     boundary = _boundary_amplitude(initial.values)
@@ -111,6 +112,7 @@ def _axis_propagator(
 
 def norm(a: SampledField) -> float:
     """Discrete L2 norm including the cell volume."""
+    require_whole_grid(a)
     volume = float(np.prod(a.grid.spacing))
     return math.sqrt(float(np.sum(np.abs(a.values) ** 2)) * volume)
 

@@ -9,8 +9,10 @@ An analytic field is psi = P exp(G), and exp(G) never vanishes, so its lines
 are the zero set of the polynomial P: a Taylor bound on |P| over blocks of
 catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 (interval exclusion: Moore, Interval Analysis, 1966; Snyder, SIGGRAPH 1992),
-and the box is the smallest one that holds the others.  A numeric field's box
-is the whole grid.  Detection returns the pierced faces as one record array
+and each frame is sampled only on the smallest box that holds the others,
+with the whole grid's exact peak |psi| for the noise floor
+(`grids.sample(..., lines_only=True)`).  A numeric field's box is the whole
+grid.  Detection returns the pierced faces as one record array
 (`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
 downstream runs on that array by face id: the zero of each face's bilinear
 corner model, one root of a real quadratic, seeds the crossings, which
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .anatomy import min_norm_solve
-from .catalog import SolutionSpec, Snapshot, block_edges
+from .catalog import DEGENERACY_FLOOR, SolutionSpec, Snapshot
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
 from .grids import Grid3, SampledField, sample
@@ -49,11 +51,6 @@ TWO_PI = 2.0 * math.pi
 
 #: Edge phase differences this close to pi make the winding untrustworthy.
 AMBIGUOUS_EDGE_FRACTION = 0.995
-
-#: A corner amplitude below this fraction of the face's strongest corner
-#: flags the face as near-degenerate; Re psi or Im psi counts as one-signed
-#: over a face only beyond this fraction of |psi| at every corner.
-DEGENERACY_FLOOR = 1e-9
 
 #: Faces whose strongest corner is below this fraction of the grid peak are
 #: treated as numerical noise and skipped: at that level the phase pattern is
@@ -175,7 +172,7 @@ def _corners(values: np.ndarray, axis: np.ndarray, index: np.ndarray) -> np.ndar
     return np.stack([values[tuple((index + step).T)] for step in (0, e1, e2, e1 + e2)])
 
 
-def detect_pierced_faces(field: SampledField, box=None) -> DetectionResult:
+def detect_pierced_faces(field: SampledField) -> DetectionResult:
     """Find every cell face whose edge phases wind by a nonzero multiple of 2pi.
 
     A face can wind only if neither Re psi nor Im psi keeps one sign at all
@@ -183,18 +180,17 @@ def detect_pierced_faces(field: SampledField, box=None) -> DetectionResult:
     steps and zero winding.  A part counts as one-signed only where it
     exceeds DEGENERACY_FLOOR |psi| at every corner, so a zero within roundoff
     of a grid edge, whose wrapped steps roundoff decides, stays a candidate.
-    Masks over the box pick these candidates, and the phase winding is
-    computed on their gathered corners only.
+    Masks over the field's box pick these candidates, and the phase winding
+    is computed on their gathered corners only.
 
-    `box`, three slices of grid nodes, is where the faces are looked for
-    (None: the whole grid); pierced faces keep their grid indices, and the
-    noise floor is taken from the whole grid's peak |psi|.
+    The faces are looked for inside the field's box of grid nodes, and
+    pierced faces keep their grid indices.  The noise floor is NOISE_FLOOR
+    times the whole grid's peak |psi|: the field's `peak`, or the max over
+    its values where it has none.
     """
-    amps = np.abs(field.values)
-    floor = NOISE_FLOOR * amps.max()
-    if box is None:
-        box = (slice(None),) * 3
-    values, amps = field.values[box], amps[box]
+    values = field.values
+    amps = np.abs(values)
+    floor = NOISE_FLOOR * (amps.max() if field.peak is None else field.peak)
     # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
     # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
     # over a face's corners, a sign bit survives only where that part keeps
@@ -233,7 +229,7 @@ def detect_pierced_faces(field: SampledField, box=None) -> DetectionResult:
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
     noise = _noise_beside(face_codes, pierced, code.shape)
-    pierced["index"] += [s.indices(n)[0] for s, n in zip(box, field.values.shape)]
+    pierced["index"] += field.offset
     return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
 
 
@@ -290,7 +286,7 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     """
     rows = np.arange(len(faces))
     a1, a2 = (faces.axis + 1) % 3, (faces.axis + 2) % 3
-    v00, v10, v01, v11 = _corners(field.values, faces.axis, faces.index)
+    v00, v10, v01, v11 = _corners(field.values, faces.axis, faces.index - field.offset)
     a, b, c, d = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
     alpha = (b * d.conj()).imag
     beta = (a * d.conj() + b * c.conj()).imag
@@ -353,44 +349,12 @@ def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, snapshot: Sn
     return refine
 
 
-def _kept_blocks(snapshot: Snapshot, grid: Grid3) -> np.ndarray | None:
-    """The blocks of the grid (`block_edges`) where P may vanish, a boolean
-    array of shape (B_x, B_y, B_z): all but those where Taylor's bound
-    lead - rest (`Snapshot.prefactor_bounds`) exceeds DEGENERACY_FLOOR
-    (lead + rest), a margin far beyond the rounding of either.  None where
-    P's degree is beyond the bound."""
-    bounds = snapshot.prefactor_bounds(*(grid.axis_coords(a) for a in range(3)))
-    if bounds is None:
-        return None
-    lead, rest = bounds
-    return ~(lead - rest > DEGENERACY_FLOOR * (lead + rest))
-
-
-def _zero_box(snapshot: Snapshot, grid: Grid3) -> tuple[slice, slice, slice]:
-    """The smallest box of grid nodes that holds every kept block: the whole
-    grid where no block can be excluded, and an empty box where every block
-    is.  A face where psi vanishes lies in kept blocks with both its cells,
-    where the noise count looks."""
-    kept = _kept_blocks(snapshot, grid)
-    if kept is None:
-        return (slice(None),) * 3
-    if not kept.any():
-        return (slice(0, 0),) * 3
-    box = []
-    for a, n in enumerate(grid.dims):
-        edges = block_edges(n)
-        held = np.flatnonzero(kept.any(axis=tuple(b for b in range(3) if b != a)))
-        box.append(slice(int(edges[held[0]]), int(edges[held[-1] + 1]) + 1))
-    return tuple(box)
-
-
 def _extract_frame(spec, consts, grid, t) -> tuple[list[VortexPolyline], DetectionResult]:
-    """Sample the exact field at time t, detect inside its zero box and
-    extract with Newton refinement; one snapshot certifies and refines."""
-    field = sample(spec, consts, grid, t)
-    snapshot = spec.at(consts, t)
-    detection = detect_pierced_faces(field, _zero_box(snapshot, grid))
-    refiner = analytic_refiner(spec, consts, snapshot)
+    """Sample the exact field at time t on its zero box, detect there and
+    extract with Newton refinement, which builds one more snapshot."""
+    field = sample(spec, consts, grid, t, lines_only=True)
+    detection = detect_pierced_faces(field)
+    refiner = analytic_refiner(spec, consts, spec.at(consts, t))
     return extract_lines(field, detection, refiner=refiner), detection
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines.anatomy import Contour, linearized_field
+from vortexlines.anatomy import Contour, linearized_field, min_norm_solve
 from vortexlines.errors import (
     AmbiguousWindingError,
     DegenerateVortexError,
@@ -142,6 +142,45 @@ def test_line_velocity_routes_agree():
         u1 = vl.line_velocity(spec, C, point, t)
         u2 = vl.line_velocity_from_laplacian(spec, C, point, t)
         assert np.allclose(u1, u2, rtol=1e-9, atol=1e-12)
+
+
+def _separate_snapshot_velocities(spec, consts, point, t):
+    """Both line velocities as w_vector and a second snapshot give them."""
+    point = np.asarray(point, dtype=float)
+    w = np.asarray([vl.w_vector(spec, consts, point, t).w])
+    values = spec.at(consts, t).on(point)
+    from_laplacian = 1j * consts.hbar / (2.0 * consts.mass) * complex(values.lap)
+    if spec.equation == "magnetic":
+        eB = consts.charge * spec.B
+        from_laplacian += -(eB / (2.0 * consts.mass)) * (point[0] * w[0, 1] - point[1] * w[0, 0])
+    return [min_norm_solve(w, np.array([-dpsi]))[0]
+            for dpsi in (complex(values.dt), from_laplacian)]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig4", "anatomy"])
+def test_line_velocity_builds_one_snapshot(name, monkeypatch):
+    # w and dpsi/dt (or the Laplacian) come from one snapshot's values at
+    # the point, bit-identical to reading them from two snapshots.
+    config = vl.preset(name)
+    t = float(np.mean(config.time_range))
+    nodes = np.concatenate([line.points for line in vl.tracker.extract(
+        config.spec, config.consts, config.grid, t)])[::7]
+    assert len(nodes) >= 5
+    expected = [_separate_snapshot_velocities(config.spec, config.consts, p, t) for p in nodes]
+    calls = []
+    at = vl.SolutionSpec.at
+
+    def counted(self, consts, time):
+        calls.append(time)
+        return at(self, consts, time)
+
+    monkeypatch.setattr(vl.SolutionSpec, "at", counted)
+    for point, (velocity, from_laplacian) in zip(nodes, expected):
+        for route, reference in ((vl.line_velocity, velocity),
+                                 (vl.line_velocity_from_laplacian, from_laplacian)):
+            calls.clear()
+            assert np.array_equal(route(config.spec, config.consts, point, t), reference)
+            assert len(calls) == 1
 
 
 def test_line_velocity_magnetic_cross_check():

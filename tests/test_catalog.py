@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot, block_edges
+from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot, _amplitude_bounds, block_edges
 from vortexlines.errors import NoPrefactorError, SpecValidationError
 from vortexlines.grids import Grid3, sample
 from vortexlines.polynomials import Poly3
@@ -244,6 +244,47 @@ def test_prefactor_bounds_need_a_complete_expansion():
     assert np.allclose(lead[:, :, 0], [[1.25, 0.75], [0.75, 1.25]], rtol=0, atol=1e-15)
     assert np.allclose(rest, 0.75, rtol=0, atol=1e-15)
     assert Snapshot(((0, 0, 0), (2, 1, 0)), columns).prefactor_bounds(x, x, x) is None
+
+
+def _offset_grids(spec):
+    """Grids of 4 length scales a side at random offsets: 16^3, with every
+    block whole, and 19 x 13 x 11, whose last blocks are short."""
+    rng = np.random.default_rng(5)
+    side = 4.0 * spec.length_scale(C)
+    for dims in ((16, 16, 16), (19, 13, 11)):
+        offset = rng.uniform(-0.5, 0.5, 3) * side / (np.array(dims) - 1)
+        yield Grid3.centered(offset, side, dims)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_zero_box_sample_has_the_grid_peak(spec):
+    # The peak is the grid's max |psi| itself, not a bound: within 4 ulps
+    # of the whole-grid sample's, whose gemm has another shape.  The box
+    # values are the whole-grid values there, up to the same rounding.
+    for grid in _offset_grids(spec):
+        for t in (-0.4, 0.0, 0.5):
+            whole = sample(spec, C, grid, t).values
+            field = sample(spec, C, grid, t, lines_only=True)
+            peak = np.abs(whole).max()
+            assert abs(field.peak - peak) <= 4 * np.spacing(peak), (grid.dims, t)
+            assert np.all(np.abs(field.values - whole[field.box]) <= 1e-15 * peak)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_amplitude_bounds_hold_on_every_node(spec):
+    # |psi| at every node of a block is at most the block's bound: the
+    # bound on |P| times the max of |exp(G)| over the block's nodes.
+    for grid in _offset_grids(spec):
+        axes = [grid.axis_coords(a) for a in range(3)]
+        edges = [block_edges(len(x)) for x in axes]
+        for t in (-0.4, 0.0, 0.5):
+            snapshot = spec.at(C, t)
+            bounds = _amplitude_bounds(
+                snapshot._axis_rows(axes), edges, *snapshot.prefactor_bounds(*axes))
+            amps = np.abs(snapshot.on_grid(*axes))
+            for block in itertools.product(*(range(len(e) - 1) for e in edges)):
+                nodes = tuple(slice(e[b], e[b + 1] + 1) for e, b in zip(edges, block))
+                assert amps[nodes].max() <= bounds[block], (grid.dims, t, block)
 
 
 def test_grid_sample_equals_pointwise_amplitude():

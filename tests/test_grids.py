@@ -110,3 +110,42 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
         path.write_bytes(data)
         with pytest.raises(SpecValidationError):
             load_checkpoint(path)
+
+
+def test_sampled_field_on_a_box():
+    grid = Grid3((0, 0, 0), (1, 1, 1), (6, 5, 4))
+    box = (slice(1, 4), slice(0, 5), slice(2, 2))
+    field = SampledField(grid, np.ones((3, 5, 0), complex), 0.0, box=box, peak=2.0)
+    assert not field.is_whole and field.offset.tolist() == [1, 0, 2]
+    assert SampledField(grid, np.ones(grid.dims, complex), 0.0).is_whole
+    with pytest.raises(SpecValidationError):  # values not of the box's shape
+        SampledField(grid, np.ones(grid.dims, complex), 0.0, box=box, peak=2.0)
+    with pytest.raises(SpecValidationError):  # a box without the grid's peak
+        SampledField(grid, np.ones((3, 5, 0), complex), 0.0, box=box)
+    with pytest.raises(SpecValidationError):
+        SampledField(grid, np.ones((3, 5, 0), complex), 0.0, box=box, peak=np.inf)
+    with pytest.raises(SpecValidationError):
+        SampledField(grid, np.ones((2, 5, 4), complex), 0.0, box=(slice(0, 4, 2),) * 3, peak=1.0)
+
+
+def _box_field():
+    """A field sampled on the box where its lines can be: part of the grid."""
+    grid = Grid3.centered((0.013, 0.011, 0.017), 4.0, 16)
+    field = sample(vl.FreeLineVortex(chi=0.6), C, grid, 0.0, lines_only=True)
+    assert not field.is_whole
+    return field
+
+
+def test_checkpoint_refuses_a_box_field(tmp_path):
+    # The header would give the grid's dims, the payload only the box's.
+    with pytest.raises(SpecValidationError):
+        save_checkpoint(_box_field(), tmp_path / "box.vlf")
+    assert not (tmp_path / "box.vlf").exists()
+
+
+def test_require_same_grid_refuses_a_box_field():
+    field = _box_field()
+    whole = sample(vl.FreeLineVortex(chi=0.6), C, field.grid, 0.0)
+    for a, b in ((field, whole), (whole, field), (field, field)):
+        with pytest.raises(SpecValidationError):
+            require_same_grid(a, b)

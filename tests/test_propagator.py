@@ -209,3 +209,27 @@ def test_evolve_leaves_the_input_untouched(hamiltonian):
     config = PropagatorConfig(grid, dt=0.02, steps=3, hamiltonian=hamiltonian, omega=1.0)
     evolve(field, config)
     assert field.values.tobytes() == before
+
+
+def _box_field(grid):
+    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, grid, 0.0, lines_only=True)
+    assert not field.is_whole
+    return field
+
+
+def test_evolve_refuses_a_box_field():
+    grid = periodic_grid(24.0, 32)
+    config = PropagatorConfig(grid=grid, dt=0.1, steps=1)
+    with pytest.raises(SpecValidationError):
+        evolve(_box_field(grid), config, C)
+
+
+def test_l2_error_and_norm_refuse_a_box_field():
+    grid = periodic_grid(24.0, 32)
+    field, whole = _box_field(grid), sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C,
+                                            grid, 0.0)
+    for a, b in ((field, whole), (whole, field)):
+        with pytest.raises(SpecValidationError):
+            l2_relative_error(a, b)
+    with pytest.raises(SpecValidationError):
+        norm(field)

@@ -2,12 +2,13 @@ import collections
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines import tracker
+from vortexlines import catalog, tracker
 from vortexlines.catalog import BLOCK_CELLS, block_edges
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
@@ -52,6 +53,18 @@ ALL_SPECS = [
     vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5, k=K),
     vl.WindowedTwoLinesSymmetric(a=1.0, varphi=0.7, l=3.0, k=K),
 ]
+
+
+@dataclass(frozen=True)
+class CubicPrefactor(catalog._PlaneWaveCarrier):
+    """P = 1 + x^2 y on the plane-wave carrier: third-order Taylor terms,
+    beyond the block bound."""
+
+    k: vl.WaveVector = catalog.ZERO_K
+
+    def image(self, consts, coords, tau):
+        x, y, _ = coords
+        return x * x * y + 1.0
 
 
 def test_detection_finds_axis_aligned_vortex():
@@ -510,7 +523,18 @@ def _family_cases():
 def _families_on_offset_grids():
     """The family cases sampled, each with the box where its P may vanish."""
     for spec, grid, t in _family_cases():
-        yield sample(spec, C, grid, t).values, tracker._zero_box(spec.at(C, t), grid)
+        yield sample(spec, C, grid, t).values, sample(spec, C, grid, t, lines_only=True).box
+
+
+def _on_box(grid, values, box):
+    """Whole-grid values cut to a box, with the whole grid's peak |psi|."""
+    return SampledField(grid, values[box], 0.0, box=box, peak=np.abs(values).max())
+
+
+def _kept_blocks(snapshot, grid):
+    """The blocks of the grid where the snapshot's P may vanish, or None."""
+    bounds = snapshot.prefactor_bounds(*(grid.axis_coords(a) for a in range(3)))
+    return None if bounds is None else catalog._kept_blocks(*bounds)
 
 
 def _ring_in_a_grid_plane():
@@ -566,8 +590,9 @@ def test_detection_matches_the_dense_reference(fields):
     for values, box in fields():
         grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
         pierced, ambiguous, noise = _dense_reference(values)
-        for region in [None] if box is None else [None, box]:
-            det = detect_pierced_faces(SampledField(grid, values, 0.0), region)
+        whole = SampledField(grid, values, 0.0)
+        for field in [whole] if box is None else [whole, _on_box(grid, values, box)]:
+            det = detect_pierced_faces(field)
             assert det.pierced.tobytes() == pierced.tobytes()
             assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
 
@@ -618,15 +643,25 @@ def test_every_pierced_face_lies_in_a_kept_block(cases):
     # would hide a block excluded wrongly.
     found = 0
     for spec, grid, t in cases():
-        kept = tracker._kept_blocks(spec.at(C, t), grid)
+        kept = _kept_blocks(spec.at(C, t), grid)
         for face in detect_pierced_faces(sample(spec, C, grid, t)).pierced:
             assert any(kept[block] for block in _blocks_holding(face, grid.dims)), (spec, t)
             found += 1
     assert found
 
 
-@pytest.mark.parametrize("dims", [(n,) * 3 for n in range(4, 10)] + [(20, 13, 11), (4, 30, 5)],
-                         ids=lambda dims: "x".join(map(str, dims)))
+#: Grid shapes with axes of fewer cells than a block, or a short last block.
+SHORT_AXES = [(n,) * 3 for n in range(4, 10)] + [(20, 13, 11), (4, 30, 5)]
+
+#: (spec, grid side, t) of the specs sampled on them.
+SHORT_AXES_SPECS = [
+    (vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 6.0, 1.0),
+    (vl.FreeRingCylinder(R=1.0, a=0.5), 3.0, 0.1),
+    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 2.0, -0.1),
+]
+
+
+@pytest.mark.parametrize("dims", SHORT_AXES, ids=lambda dims: "x".join(map(str, dims)))
 def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
     # An axis of fewer cells than a block is one block, and the last block
     # of an axis is clipped to the grid: the box always ends at its nodes.
@@ -635,15 +670,12 @@ def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
         assert edges[0] == 0 and edges[-1] == n - 1
         assert np.all((np.diff(edges) >= 1) & (np.diff(edges) <= BLOCK_CELLS))
     found = 0
-    for spec, side, t in [
-        (vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 6.0, 1.0),
-        (vl.FreeRingCylinder(R=1.0, a=0.5), 3.0, 0.1),
-        (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), 2.0, -0.1),
-    ]:
+    for spec, side, t in SHORT_AXES_SPECS:
         grid = Grid3.centered(OFF, side, dims)
         field = sample(spec, C, grid, t)
         whole = detect_pierced_faces(field)
-        boxed = detect_pierced_faces(field, tracker._zero_box(spec.at(C, t), grid))
+        box = sample(spec, C, grid, t, lines_only=True).box
+        boxed = detect_pierced_faces(_on_box(grid, field.values, box))
         assert boxed.pierced.tobytes() == whole.pierced.tobytes()
         assert (boxed.ambiguous_count, boxed.noise_count) == (
             whole.ambiguous_count, whole.noise_count)
@@ -655,9 +687,9 @@ def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
                          ids=lambda s: type(s).__name__)
 def test_a_bare_carrier_excludes_the_whole_grid(spec):
     grid = Grid3.centered(OFF, 4.0, 16)
-    box = tracker._zero_box(spec.at(C, 0.3), grid)
+    box = sample(spec, C, grid, 0.3, lines_only=True).box
     assert box == (slice(0, 0),) * 3
-    det = detect_pierced_faces(sample(spec, C, grid, 0.3), box)
+    det = detect_pierced_faces(_on_box(grid, sample(spec, C, grid, 0.3).values, box))
     assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
     assert extract(spec, C, grid, 0.3) == []
 
@@ -668,8 +700,12 @@ def test_a_prefactor_beyond_the_bound_keeps_the_whole_grid():
     columns[:, 0] = 1.0
     snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
     grid = Grid3.centered(OFF, 2.0, 9)
-    assert tracker._kept_blocks(snapshot, grid) is None
-    assert tracker._zero_box(snapshot, grid) == (slice(None),) * 3
+    assert _kept_blocks(snapshot, grid) is None
+    assert snapshot.on_zero_box(*(grid.axis_coords(a) for a in range(3))) is None
+    field = sample(CubicPrefactor(), C, grid, 0.0, lines_only=True)
+    assert field.box == (slice(None),) * 3
+    assert field.peak is None
+    assert np.array_equal(field.values, sample(CubicPrefactor(), C, grid, 0.0).values)
 
 
 def test_track_runs_every_stage_once_per_frame(monkeypatch):
@@ -696,11 +732,73 @@ def test_box_detection_takes_the_noise_floor_from_the_whole_grid():
     # it: no face there is a candidate, as over the whole grid.
     spec, grid = vl.FreeLineVortex(chi=0.6), Grid3.centered(OFF, 2.0, 16)
     values = sample(spec, C, grid, 0.0).values.copy()
-    box = tracker._zero_box(spec.at(C, 0.0), grid)
+    box = sample(spec, C, grid, 0.0, lines_only=True).box
     assert box[0].stop < grid.dims[0]
-    assert len(detect_pierced_faces(SampledField(grid, values, 0.0), box).pierced)
+    assert len(detect_pierced_faces(_on_box(grid, values, box)).pierced)
     values[-1, -1, -1] = 1e12
-    field = SampledField(grid, values, 0.0)
-    for region in (None, box):
-        det = detect_pierced_faces(field, region)
+    for field in (SampledField(grid, values, 0.0), _on_box(grid, values, box)):
+        det = detect_pierced_faces(field)
         assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
+
+
+def _short_axes_cases():
+    """The cases of the short-axes test: its specs on each grid shape."""
+    for dims in SHORT_AXES:
+        for spec, side, t in SHORT_AXES_SPECS:
+            yield spec, Grid3.centered(OFF, side, dims), t
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(_family_cases, id="families"),
+    pytest.param(_short_axes_cases, id="short_axes"),
+    pytest.param(lambda: [(*SMALL_RING, t) for t in (-0.0125, 0.0021, 0.0137)], id="small_ring"),
+    pytest.param(lambda: [(s, Grid3.centered(OFF, 4.0, 16), 0.3) for s in ALL_SPECS if s.is_bare],
+                 id="bare_carriers"),
+])
+def test_box_sample_detects_as_the_whole_grid(cases):
+    # Detection on a field sampled only on its box, with the peak from the
+    # block bounds, is bit-identical to detection in that box of the
+    # whole-grid sample; refined lines agree to 1e-12 cell diagonals.
+    for spec, grid, t in cases():
+        field = sample(spec, C, grid, t, lines_only=True)
+        whole = sample(spec, C, grid, t).values
+        assert field.peak == pytest.approx(np.abs(whole).max(), rel=1e-15, abs=0)
+        boxed, reference = detect_pierced_faces(field), detect_pierced_faces(
+            _on_box(grid, whole, field.box))
+        assert boxed.pierced.tobytes() == reference.pierced.tobytes()
+        assert (boxed.ambiguous_count, boxed.noise_count) == (
+            reference.ambiguous_count, reference.noise_count)
+        refine = analytic_refiner(spec, C, spec.at(C, t))
+        lines = extract_lines(field, boxed, refine)
+        expected = extract_lines(_on_box(grid, whole, field.box), reference, refine)
+        assert [len(line.points) for line in lines] == [len(line.points) for line in expected]
+        for line, other in zip(lines, expected):
+            assert np.max(np.abs(line.points - other.points)) <= 1e-12 * grid.cell_diagonal
+        if spec.is_bare:
+            assert field.values.shape == (0, 0, 0) and lines == []
+
+
+def test_sample_runs_the_certificate(monkeypatch):
+    # A frame is timed from its sample to its extraction: the block bounds
+    # and the peak search run inside sample, once a frame.
+    calls, inside = [], []
+
+    def counted_sample(*args, **kwargs):
+        inside.append(True)
+        try:
+            return sample(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    bounds = vl.catalog.Snapshot.prefactor_bounds
+
+    def counted_bounds(self, *args):
+        calls.append(bool(inside))
+        return bounds(self, *args)
+
+    monkeypatch.setattr(tracker, "sample", counted_sample)
+    monkeypatch.setattr(vl.catalog.Snapshot, "prefactor_bounds", counted_bounds)
+    frames, _ = track(vl.FreeRingCylinder(R=1.0, a=0.5), C, Grid3.centered(OFF, 4.0, 16),
+                      -0.2, 0.2, 4)
+    assert len(frames) == 5
+    assert calls == [True] * 5
