@@ -25,11 +25,8 @@ from .catalog import (
     WindowedTwoLinesSymmetric,
     amplitude,
     gradient,
-    laplacian,
     pde_residual,
     prefactor,
-    second_time_derivative,
-    time_derivative,
 )
 from .polynomials import Poly3
 from .generate import generate_from_polynomial
@@ -55,7 +52,6 @@ from .tracker import (
     extract_lines,
     match_polylines,
     node_speeds,
-    symmetric_hausdorff,
     track,
 )
 from .propagator import PropagatorConfig, evolve, l2_relative_error, norm

