@@ -1,23 +1,46 @@
 """The catalog of exact vortex-carrying wave functions.
 
 Every family is psi = P * exp(G): a polynomial prefactor P times a carrier
-whose exponent G is a quadratic.  Each carrier has a clock s(t), a phase
-phi(t) and a coordinate map (carriers.py), and P and G less phi are `Poly3`s
-in (x, y, z, s).  Bare carriers are the families with P = 1.  Each family is
-a tagged spec (one dataclass); families on the same carrier share a base
-class, which defines the clock, phase and map, and a family gives P only as
-its `image` polynomial of the moving map coordinates coords - v tau and the
-map time tau:
+exp(G) whose exponent is a quadratic with diagonal quadratic part,
 
-* plane-wave and Klein-Gordon families: s = t, map (r, s);
-* Gaussian-carrier families: s = 1 / beta, beta = 1 + i hbar t / (m l^2),
-  lens map (s r, (1 - s) / rate) = (r / beta, t / beta); the same map takes
-  the plane wave to the Gaussian packet, so each one equals its plane-wave
-  counterpart times exp(-r^2 / 2 l^2) at t = 0;
-* trap families: s = e^{-i w t}, map (s r, (1 - s^2) / (2 i w)); TrapRing
-  is the cylinder ring FreeRingCylinder(R, a=R) displaced by R along x;
-* magnetic families: s = e^{-i w_c t}, the cyclotron rotation; MagneticLine
-  is the image of a straight line.
+    G(r, t) = sum_a m_a(t) x_a^2 + b(t).r + c(t) + phi(t).
+
+Bare carriers are the families with P = 1.  Each family is a tagged spec (one
+dataclass); families on the same carrier share a base class, which holds the
+carrier's clock s(t), one scalar function of time, its phase phi(t), and its
+coordinate map: image coordinates and an image time (coords, tau),
+polynomials in r and s.  Less phi, G follows one rule (`SolutionSpec.carrier`):
+
+    G = window + i k.coords - i omega_k tau   at the carrier's (coords, tau),
+
+so m, b and c are polynomials in s and G is a `Poly3` in (x, y, z, s).  The
+carriers differ by their clock, map, window and phase only:
+
+    carrier       clock s        map (coords, tau)        window; phi
+    plane wave    t              (r, s)                   0; 0
+    Gaussian      1 / beta       (s r, (1 - s) / rate)    -s r^2 / 2 l^2; (3/2) log s
+    trap          e^{-i w t}     (s r, (1 - s^2) / 2iw)   -m w r^2 / 2 hbar; -(3/2) i w t
+    magnetic      e^{-i w_c t}   cyclotron rotation       -e B (x^2 + y^2) / 4 hbar; -i w_c t / 2
+
+with beta = 1 + i hbar t / (m l^2), rate = i hbar / (m l^2), w_c = e B / m
+and the dispersion omega_k = hbar k^2 / 2m.  The Klein-Gordon plane wave has
+the plane wave's clock and map and its own dispersion omega_k =
+c sqrt(k^2 + (m c / hbar)^2).  The cyclotron rotation is (x_img, y_img, z),
+with
+
+    x_img = ((s + 1) x + i (s - 1) y) / 2,  y_img = (-i (s - 1) x + (s + 1) y) / 2,
+
+and the image time tau = i (s - 1) / w_c of the x and y plane waves.  The
+magnetic carrier is the one exception to the rule: its z plane wave has no
+image time, since the generator's z phase -i hbar kz^2 / (2 e B) is
+constant, and the map holds only for prefactors linear in z.
+
+A family gives P only as its `image` polynomial of the moving map
+coordinates coords - v tau and the map time tau.  The lens map of the
+Gaussian takes the plane wave to the Gaussian packet, so each Gaussian family
+equals its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0; TrapRing
+is the trap image of the cylinder ring FreeRingCylinder(R, a=R) displaced by
+R along x, and MagneticLine the cyclotron image of a straight line.
 
 Each spec is compiled once into a table over the (x, y, z) terms of P and G
 and the powers of s.  `spec.at(consts, t)` contracts it with the power jets
@@ -51,14 +74,13 @@ family against its governing equation using those analytic derivatives only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
-from . import carriers
-from .carriers import Map, TimeOrders, rel_dispersion
 from .constants import PhysicalConstants
 from .errors import NoPrefactorError, SpecValidationError
 from .polynomials import Exponents, Poly3
@@ -97,7 +119,25 @@ def _require(condition: bool, message: str):
         raise SpecValidationError(message)
 
 
+#: A complex value with its first two time derivatives.
+TimeOrders = tuple[complex, complex, complex]
+#: A carrier's image coordinates and image time (coords, tau), in (x, y, z, s).
+Map = tuple[list[Poly3], Poly3]
+
 _ONE = Poly3.constant(1.0)
+_S = Poly3.coordinate(3)
+_R = tuple(Poly3.coordinate(a) for a in range(3))
+
+
+def _plane_wave(k, frequency: float, coords: list[Poly3], tau: Poly3) -> Poly3:
+    """i k.coords - i frequency tau."""
+    return sum((1j * float(k[a]) * coords[a] for a in range(3)), (-1j * frequency) * tau)
+
+
+def _rotating_clock(omega: float, phase_rate: complex, t: float) -> tuple[TimeOrders, TimeOrders]:
+    """(s, phi) with s = e^{-i omega t} and phi = phase_rate * t."""
+    s = cmath.exp(-1j * omega * t)
+    return (s, -1j * omega * s, -omega * omega * s), (phase_rate * t, phase_rate, 0.0)
 
 
 class SolutionSpec:
@@ -107,17 +147,34 @@ class SolutionSpec:
     is_bare = False    # bare carriers have the prefactor P = 1
 
     def __post_init__(self):
-        """Every parameter must be finite (a `WaveVector` checks its own)."""
+        """Every parameter must be finite (a `WaveVector` checks its own); R, l
+        and omega must be > 0, and a and B nonzero."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "k":
                 object.__setattr__(self, "k", WaveVector.of(value))
             elif not np.isfinite(value).all():
                 raise SpecValidationError(f"{f.name} must be finite, got {value!r}")
+            elif f.name in ("R", "l", "omega"):
+                _require(value > 0, f"{f.name} must be > 0")
+            elif f.name in ("a", "B"):
+                _require(value != 0, f"{f.name} must be nonzero")
 
     def carrier(self, consts: PhysicalConstants) -> Poly3:
-        """The carrier exponent G less its phase, in (x, y, z, s)."""
-        raise NotImplementedError
+        """The carrier exponent G less its phase, in (x, y, z, s): the window
+        plus the plane wave i k.coords - i omega_k tau at the carrier's
+        coordinate map."""
+        wave = _plane_wave(self.k.as_array(), self.frequency(consts), *self.coordinate_map(consts))
+        return self.window(consts) + wave
+
+    def window(self, consts: PhysicalConstants) -> Poly3:
+        """The part of G that is not a plane wave: none on a plane-wave carrier."""
+        return Poly3()
+
+    def frequency(self, consts: PhysicalConstants) -> float:
+        """The plane wave's omega_k, by Schroedinger's dispersion hbar k^2 / 2m."""
+        k = self.k.as_array()
+        return 0.5 * consts.hbar * float(np.dot(k, k)) / consts.mass
 
     def clock(self, consts: PhysicalConstants, t: float) -> tuple[TimeOrders, TimeOrders]:
         """The carrier's clock s and phase phi at time t, each with its first
@@ -164,14 +221,11 @@ class _PlaneWaveCarrier(SolutionSpec):
     s = t, map (r, s), no phase.  A family's prefactor is its image
     polynomial of the moving coordinates r - v t and the time t."""
 
-    def carrier(self, consts):
-        return carriers.free_plane_wave(consts, self.k.as_array())
-
     def clock(self, consts, t):
-        return carriers.time_clock(t)
+        return (t, 1.0, 0.0), (0.0, 0.0, 0.0)
 
     def coordinate_map(self, consts):
-        return carriers.time_map()
+        return list(_R), _S
 
     def classical_velocity(self, consts):
         return consts.hbar * self.k.as_array() / consts.mass
@@ -185,32 +239,38 @@ class _KleinGordonCarrier(_PlaneWaveCarrier):
 
     equation = "relativistic"
 
-    def carrier(self, consts):
-        return carriers.rel_plane_wave(consts, self.k.as_array())
+    def frequency(self, consts):
+        """The Klein-Gordon dispersion omega_k = c sqrt(k^2 + (m c / hbar)^2)."""
+        c = consts.light_speed
+        mu = consts.mass * c / consts.hbar
+        k = self.k.as_array()
+        return c * float(np.sqrt(k @ k + mu * mu))
 
     def classical_velocity(self, consts):
-        karr = self.k.as_array()
-        return consts.light_speed**2 * karr / rel_dispersion(consts, karr)
+        return consts.light_speed**2 * self.k.as_array() / self.frequency(consts)
 
 
 class _GaussianCarrier(_PlaneWaveCarrier):
     """Families on the spreading Gaussian packet of width l: clock s = 1 /
     beta with beta = 1 + rate t and rate = i hbar / (m l^2), lens map
-    (s r, (1 - s) / rate) = (r / beta, t / beta), phase (3/2) log s.  The
-    prefactor is the lens image of a plane-wave prefactor."""
+    (s r, (1 - s) / rate) = (r / beta, t / beta), phase (3/2) log s, window
+    -s r^2 / 2 l^2.  The prefactor is the lens image of a plane-wave
+    prefactor."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.l > 0, "l must be > 0")
-
-    def carrier(self, consts):
-        return carriers.gaussian_packet(consts, self.k.as_array(), self.l)
+    def _rate(self, consts):
+        return 1j * consts.hbar / (consts.mass * self.l * self.l)
 
     def clock(self, consts, t):
-        return carriers.lens_clock(consts, self.l, t)
+        rate = self._rate(consts)
+        s = 1.0 / (1.0 + rate * t)
+        ds = -rate * s * s
+        return (s, ds, -2.0 * rate * s * ds), (1.5 * cmath.log(s), -1.5 * rate * s, -1.5 * rate * ds)
 
     def coordinate_map(self, consts):
-        return carriers.lens_map(consts, self.l)
+        return [_S * x for x in _R], (1.0 - _S) * (1.0 / self._rate(consts))
+
+    def window(self, consts):
+        return (-0.5 / self.l**2) * _S * sum(x * x for x in _R)
 
     def length_scale(self, consts):
         return self.l
@@ -238,11 +298,6 @@ class FreeRingCylinder(_PlaneWaveCarrier):
     a: float
     k: WaveVector = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.R > 0, "R must be > 0")
-        _require(self.a != 0, "a must be nonzero")
-
     def image(self, consts, coords, tau):
         x, y, z = coords
         quantum = (2j * consts.hbar / consts.mass) * tau
@@ -257,11 +312,6 @@ class FreeRingSphere(_PlaneWaveCarrier):
     R: float
     a: float
     k: WaveVector = ZERO_K
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.R > 0, "R must be > 0")
-        _require(self.a != 0, "a must be nonzero")
 
     def image(self, consts, coords, tau):
         x, y, z = coords
@@ -335,10 +385,6 @@ class FreeTwoLinesSymmetric(_PlaneWaveCarrier):
     varphi: float
     k: WaveVector = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.a != 0, "a must be nonzero")
-
     def image(self, consts, coords, tau):
         x, y, z = coords
         c, s = math.cos(self.varphi), math.sin(self.varphi)
@@ -377,25 +423,33 @@ class GaussianLineVortex(_GaussianCarrier):
 class _MagneticCarrier(SolutionSpec):
     """Families on the Landau ground state in a uniform field B along z:
     clock s = e^{-i w_c t}, map the cyclotron rotation (x_img, y_img, z) with
-    image time i (s - 1) / w_c, phase -i w_c t / 2 (carriers.py).  Families
-    without a wave vector ride the k = 0 carrier."""
+    image time i (s - 1) / w_c, phase -i w_c t / 2.  Families without a wave
+    vector ride the k = 0 carrier."""
 
     equation = "magnetic"
     k = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.B != 0, "B must be nonzero")
-
     def carrier(self, consts):
-        return carriers.magnetic_generator(consts, self.k.as_array(), self.B)
+        """The Landau window and the in-plane plane wave at the cyclotron map,
+        times the z plane wave exp(i kz z - i hbar kz^2 / 2 e B), which has no
+        image time: the map holds only for a P linear in z."""
+        eB = consts.charge * self.B
+        k_perp = (self.k.kx, self.k.ky, 0.0)
+        window = (-eB / (4.0 * consts.hbar)) * sum(x * x for x in _R[:2])
+        frequency = 0.5 * consts.hbar * float(np.dot(k_perp, k_perp)) / consts.mass
+        in_plane = _plane_wave(k_perp, frequency, *self.coordinate_map(consts))
+        kz = self.k.kz
+        return window + in_plane + (1j * kz) * _R[2] - 1j * consts.hbar * kz * kz / (2.0 * eB)
 
     def clock(self, consts, t):
         omega_c = consts.cyclotron_frequency(self.B)
-        return carriers.rotating_clock(omega_c, -0.5j * omega_c, t)
+        return _rotating_clock(omega_c, -0.5j * omega_c, t)
 
     def coordinate_map(self, consts):
-        return carriers.cyclotron_map(consts.cyclotron_frequency(self.B))
+        x, y, z = _R
+        x_img = 0.5 * (_S + 1.0) * x + 0.5j * (_S - 1.0) * y
+        y_img = -0.5j * (_S - 1.0) * x + 0.5 * (_S + 1.0) * y
+        return [x_img, y_img, z], (1j / consts.cyclotron_frequency(self.B)) * (_S - 1.0)
 
 
 @dataclass(frozen=True)
@@ -419,7 +473,6 @@ class MagneticLine(_MagneticCarrier):
 
     def __post_init__(self):
         super().__post_init__()
-        _require(self.a != 0, "a must be nonzero")
         _require(abs(math.cos(self.varphi)) > 1e-12, "varphi too close to pi/2")
 
     def image(self, consts, coords, tau):
@@ -449,24 +502,20 @@ class MagneticLine(_MagneticCarrier):
 class _TrapCarrier(SolutionSpec):
     """Families on the ground state of the harmonic trap of frequency omega:
     clock s = e^{-i omega t}, map (s r, (1 - s^2) / (2 i omega)), phase
-    -(3/2) i omega t.  Families without a wave vector ride the k = 0
-    carrier."""
+    -(3/2) i omega t, window -m omega r^2 / 2 hbar.  Families without a wave
+    vector ride the k = 0 carrier."""
 
     equation = "trap"
     k = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.omega > 0, "omega must be > 0")
-
-    def carrier(self, consts):
-        return carriers.trap_generator(consts, self.k.as_array(), self.omega)
-
     def clock(self, consts, t):
-        return carriers.rotating_clock(self.omega, -1.5j * self.omega, t)
+        return _rotating_clock(self.omega, -1.5j * self.omega, t)
 
     def coordinate_map(self, consts):
-        return carriers.trap_map(self.omega)
+        return [_S * x for x in _R], (1.0 - _S * _S) * (1.0 / (2j * self.omega))
+
+    def window(self, consts):
+        return (-consts.mass * self.omega / (2.0 * consts.hbar)) * sum(x * x for x in _R)
 
 
 @dataclass(frozen=True)
@@ -486,10 +535,6 @@ class TrapRing(_TrapCarrier):
 
     omega: float
     R: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.R > 0, "R must be > 0")
 
     def image(self, consts, coords, tau):
         x, y, z = coords
@@ -520,15 +565,9 @@ class RelRingCylinder(_KleinGordonCarrier):
     a: float
     k: WaveVector = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.R > 0, "R must be > 0")
-        _require(self.a != 0, "a must be nonzero")
-
     def axial_drift_speed(self, consts) -> float:
         """Quantum axial speed of the node ring (can exceed light_speed)."""
-        karr = self.k.as_array()
-        omega = rel_dispersion(consts, karr)
+        omega = self.frequency(consts)
         c2 = consts.light_speed**2
         perp = c2 * (self.k.kx**2 + self.k.ky**2) / omega**2
         return (c2 / omega) * (2.0 - perp) / abs(self.a)
@@ -558,11 +597,6 @@ class WindowedRingCylinder(_GaussianCarrier):
     l: float
     k: WaveVector = ZERO_K
 
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.R > 0, "R must be > 0")
-        _require(self.a != 0, "a must be nonzero")
-
     def image(self, consts, coords, tau):
         return FreeRingCylinder(self.R, self.a, self.k).image(consts, coords, tau)
 
@@ -579,10 +613,6 @@ class WindowedTwoLinesSymmetric(_GaussianCarrier):
     varphi: float
     l: float
     k: WaveVector = ZERO_K
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require(self.a != 0, "a must be nonzero")
 
     def image(self, consts, coords, tau):
         pair = FreeTwoLinesSymmetric(self.a, self.varphi, self.k)
@@ -796,9 +826,9 @@ class Snapshot:
     def _axis_rows(self, axes) -> list[np.ndarray]:
         """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).
 
-        G has no cross terms (carriers.py), so exp(G) is one factor per axis,
-        exp(c + g_x(x)) exp(g_y(y)) exp(g_z(z)) with G's constant c going
-        with x, and row 0 is that factor alone.
+        G has no cross terms, so exp(G) is one factor per axis, exp(c +
+        g_x(x)) exp(g_y(y)) exp(g_z(z)) with G's constant c going with x,
+        and row 0 is that factor alone.
         """
         top, exps, _, coeffs = self.table
         g = coeffs[0, :, _G]

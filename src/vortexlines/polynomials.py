@@ -3,7 +3,7 @@
 Every analytic solution has the shape psi = P * exp(G), where the prefactor P
 and the exponent G are polynomials in the spatial coordinates whose
 coefficients are functions of time.  Each carrier has a clock s(t), one scalar
-function of time (carriers.py), and every such coefficient is a polynomial in
+function of time, and every such coefficient is a polynomial in
 s, so P and G are polynomials in (x, y, z, s): `Poly3.coordinate(3)` is s.
 A catalog spec builds them once, by this class's arithmetic, and its snapshot
 `spec.at(consts, t)` reads P and G, at point sets and on grids, from one

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -471,6 +472,59 @@ def test_spec_validation_errors():
         )
     with pytest.raises(SpecValidationError):
         vl.PhysicalConstants(hbar=0.0)
+
+
+#: (spec, parameter, out-of-domain value) for every parameter of ALL_SPECS
+#: with a sign domain: R, l and omega must be > 0, a and B nonzero.
+DOMAIN_CASES = [
+    (spec, name, bad)
+    for spec in ALL_SPECS
+    for name, bads in (("R", (0.0, -1.0)), ("l", (0.0, -1.0)), ("omega", (0.0, -1.0)),
+                       ("a", (0.0,)), ("B", (0.0,)))
+    if name in {f.name for f in dataclasses.fields(spec)}
+    for bad in bads
+]
+
+
+@pytest.mark.parametrize(
+    "spec,name,bad", DOMAIN_CASES,
+    ids=[f"{type(spec).__name__}-{name}={bad}" for spec, name, bad in DOMAIN_CASES],
+)
+def test_every_domain_parameter_is_checked_at_construction(spec, name, bad):
+    with pytest.raises(SpecValidationError, match=rf"^{name} must be"):
+        dataclasses.replace(spec, **{name: bad})
+
+
+def _bare_closed_forms(consts, k, t, r):
+    """The bare carriers as textbook closed forms, each as (spec, psi at r)."""
+    hbar, m, c = consts.hbar, consts.mass, consts.light_speed
+    kr, k2 = r @ k.as_array(), k.norm**2
+    l, omega, B = 1.5, 0.9, 1.3
+    beta = 1.0 + 1j * hbar * t / (m * l * l)
+    shifted = r - 1j * l * l * k.as_array()
+    omega_k = c * math.sqrt(k2 + (m * c / hbar) ** 2)
+    omega_c = consts.charge * B / m
+    r2, rho2 = (r * r).sum(axis=-1), (r[:, :2] ** 2).sum(axis=-1)
+    ground = np.exp(-m * omega * r2 / (2.0 * hbar) - 1.5j * omega * t)
+    drive = kr - hbar * k2 * math.sin(omega * t) / (2.0 * m * omega)
+    return [
+        (vl.FreePlaneWave(k=k), np.exp(1j * kr - 1j * hbar * k2 * t / (2.0 * m))),
+        (vl.RelPlaneWave(k=k), np.exp(1j * kr - 1j * omega_k * t)),
+        (vl.GaussianPacket(l=l, k=k), np.exp(-k2 * l * l / 2.0) * beta**-1.5
+         * np.exp(-(shifted * shifted).sum(axis=-1) / (2.0 * l * l * beta))),
+        (vl.TrapGenerator(omega=omega, k=k), ground * np.exp(1j * np.exp(-1j * omega * t) * drive)),
+        (vl.MagneticGenerator(B=B),
+         np.exp(-consts.charge * B * rho2 / (4.0 * hbar) - 0.5j * omega_c * t)),
+    ]
+
+
+@pytest.mark.parametrize("consts", [C, C2], ids=["C", "C2"])
+@pytest.mark.parametrize("t", [-0.7, 0.45])
+def test_bare_carriers_match_their_closed_forms(consts, t):
+    pts = random_points(50, seed=21)
+    for spec, expected in _bare_closed_forms(consts, K, t, pts):
+        got = vl.amplitude(spec, consts, pts, t)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0), type(spec).__name__
 
 
 def test_relativistic_axial_drift_speed_formula():

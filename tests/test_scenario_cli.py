@@ -449,3 +449,21 @@ def test_node_speed_fails_below_light_speed():
     assert not result.passed
     assert result.measured < 1e-4
     assert "slowest node 0.9" in result.detail
+
+
+#: Presets whose nodes also move with the classical velocity hbar k / m.
+MOVING_CARRIERS = [("fig2", (0.0, 0.0, 0.3)), ("fig2", (0.3, 0.0, 0.0)), ("anatomy", (0.2, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("name,k", MOVING_CARRIERS, ids=[f"{n}-k={k}" for n, k in MOVING_CARRIERS])
+def test_node_speed_holds_at_nonzero_k(monkeypatch, name, k):
+    config = preset(name)
+    config = dataclasses.replace(config, spec=dataclasses.replace(config.spec, k=vl.WaveVector(*k)))
+    assert _node_speed_on(config).passed
+    node_speeds = tracker.node_speeds
+    monkeypatch.setattr(tracker, "node_speeds", lambda *args: [
+        (nodes, speeds * (1.0 + 1e-3)) for nodes, speeds in node_speeds(*args)
+    ])
+    result = _node_speed_on(config)
+    assert not result.passed
+    assert result.measured == pytest.approx(1e-3, rel=0.05)
