@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import directed_hausdorff
 
 from . import anatomy, propagator, serialization, tracker
 from .catalog import (
@@ -271,7 +270,7 @@ def _periodicity(before, after, tolerance, detail) -> CheckResult:
     if before is None or after is None:
         return CheckResult("locus", False, math.nan, tolerance,
                            f"no line to compare: {detail}")
-    d = max(directed_hausdorff(before, after)[0], directed_hausdorff(after, before)[0])
+    d = float(max(tracker.nearest(after, before)[0].max(), tracker.nearest(before, after)[0].max()))
     return CheckResult("locus", d <= tolerance, d, tolerance, detail)
 
 
@@ -300,7 +299,7 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
                 return [CheckResult("locus", False, math.nan, diag,
                                     f"no line extracted at t={t:.4g}")]
             curve = spec.parametric_locus(consts, t, xs)
-            worst = max(worst, directed_hausdorff(pts, curve)[0])
+            worst = max(worst, float(tracker.nearest(curve, pts)[0].max()))
         results.append(CheckResult(
             "locus", worst <= diag, worst, diag,
             "max deviation from the parametric precessing line at 8 phases"))
@@ -462,7 +461,7 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
             "oracle", False, math.nan, diag,
             "numeric lines mostly lie outside the analytic-line region"))
         return results
-    worst = directed_hausdorff(num_pts[inside], ana_pts)[0]
+    worst = float(tracker.nearest(ana_pts, num_pts[inside])[0].max())
     results.append(CheckResult(
         "oracle", worst <= diag, worst, diag,
         "tracker output from the evolved field matches the analytic extraction"))

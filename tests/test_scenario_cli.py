@@ -3,6 +3,11 @@ import dataclasses
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,7 +394,7 @@ def test_distances_equal_a_brute_force_reference_on_random_clouds():
     rng = np.random.default_rng(5)
     for n, m in ((1, 1), (7, 300), (300, 1200), (250, 40)):
         a, b = rng.normal(size=(n, 3)), rng.uniform(-2.0, 2.0, size=(m, 3))
-        assert scenario.directed_hausdorff(a, b)[0] == _one_sided(a, b)
+        assert tracker.nearest(b, a)[0].max() == _one_sided(a, b)
         expected = max(_one_sided(a, b), _one_sided(b, a))
         assert _periodicity(a, b, 1.0, "").measured == expected
 
@@ -467,3 +472,29 @@ def test_node_speed_holds_at_nonzero_k(monkeypatch, name, k):
     result = _node_speed_on(config)
     assert not result.passed
     assert result.measured == pytest.approx(1e-3, rel=0.05)
+
+
+#: Runs fig1 (continuation), fig4 (locus and periodicity) and oracle_pair
+#: (check_oracle) with every scipy import made to raise.
+NO_SCIPY_RUN = textwrap.dedent("""
+    import sys, tempfile
+    sys.modules["scipy"] = None
+    from vortexlines.presets import preset
+    from vortexlines.scenario import run
+    with tempfile.TemporaryDirectory() as out:
+        for name in ("fig1", "fig4", "oracle_pair"):
+            result = run(preset(name), f"{out}/{name}")
+            failed = [c.name for c in result.checks if not c.passed]
+            assert result.exit_status == 0 and result.checks and not failed, (name, failed)
+    loaded = [m for m, module in sys.modules.items() if m.startswith("scipy") and module]
+    assert not loaded, loaded
+""")
+
+
+def test_a_run_imports_no_scipy():
+    src = str(Path(vl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr

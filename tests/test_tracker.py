@@ -4,8 +4,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 import vortexlines as vl
 from vortexlines import catalog, tracker
@@ -19,6 +23,7 @@ from vortexlines.tracker import (
     extract,
     extract_lines,
     match_polylines,
+    nearest,
     node_speeds,
     track,
 )
@@ -208,6 +213,72 @@ def test_event_solves_start_only_at_unpaired_lines(monkeypatch, name):
     frames, _ = track(config.spec, config.consts, config.grid, *config.time_range, config.n_frames)
     assert len(calls) == solves
     assert _unpaired(config, frames) == unpaired
+
+
+@pytest.mark.parametrize("queries, points", [(1, 1), (7, 300), (300, 1200), (0, 50)])
+def test_nearest_equals_a_kd_tree_and_pairwise_distances(queries, points):
+    rng = np.random.default_rng(queries + points)
+    r = 0.25
+    # A last point far from the cloud, and a query at exactly r from it.
+    cloud = np.vstack([rng.uniform(-2.0, 2.0, size=(points, 3)), [10.5, 10.5, 10.5]])
+    probes = np.vstack([rng.normal(size=(queries, 3)), [10.75, 10.5, 10.5]])
+    distance, index = nearest(cloud, probes)
+    assert distance[-1] == r and index[-1] == points
+    assert np.array_equal(distance, cdist(probes, cloud).min(axis=1))
+    within = distance < r
+    tree_distance, tree_index = cKDTree(cloud).query(probes, distance_upper_bound=r)
+    assert np.array_equal(within, np.isfinite(tree_distance))
+    assert np.array_equal(index[within], tree_index[within])
+    assert np.array_equal(distance[within], tree_distance[within])
+    assert tree_index[-1] == len(cloud)
+    empty = nearest(cloud, np.empty((0, 3)))
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig5", "pair_annihilation"])
+def test_landings_target_the_line_a_kd_tree_finds(name):
+    # fig5's pair 24 is among them: a box face cuts its ring open there.
+    config = vl.preset(name)
+    spec, consts, grid = config.spec, config.consts, config.grid
+    frames, _ = track(spec, consts, grid, *config.time_range, config.n_frames)
+    landed_anywhere = 0
+    for prev, curr in zip(frames, frames[1:]):
+        if not prev or not curr:
+            continue
+        _, landed, _, target = tracker._landings(spec, consts, grid, prev, curr)
+        # The tree gives index n for a node with no neighbour within a diagonal.
+        owner = np.append(np.repeat(np.arange(len(curr)), [len(p.points) for p in curr]), -1)
+        tree = cKDTree(np.concatenate([p.points for p in curr]))
+        finite = np.all(np.isfinite(landed), axis=1)
+        expected = np.full(len(landed), -1)
+        expected[finite] = owner[
+            tree.query(landed[finite], distance_upper_bound=grid.cell_diagonal)[1]]
+        assert np.array_equal(target, expected)
+        landed_anywhere += np.count_nonzero(target >= 0)
+    assert landed_anywhere > 0
+
+
+def test_nearest_memory_stays_bounded_in_blocks():
+    rng = np.random.default_rng(3)
+    points, queries = rng.normal(size=(4000, 3)), rng.normal(size=(4000, 3))
+    tracemalloc.start()
+    try:
+        nearest(points, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 4000 x 4000 array of doubles alone is 128 MB.
+    assert peak < 16e6
+
+
+def test_nearest_in_blocks_equals_one_block(monkeypatch):
+    rng = np.random.default_rng(4)
+    points, queries = rng.normal(size=(4000, 3)), rng.normal(size=(1000, 3))
+    blocked = nearest(points, queries)
+    assert len(queries) * len(points) > 4 * tracker.NEAREST_BLOCK
+    monkeypatch.setattr(tracker, "NEAREST_BLOCK", len(queries) * len(points))
+    whole = nearest(points, queries)
+    assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
 
 
 def test_track_pair_creation_and_annihilation_brackets():
