@@ -31,12 +31,11 @@ BOUNDARY_DECAY = 1e-12
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Periodic-box evolution parameters; splitting is second order (Strang)."""
+    """Evolution parameters; splitting is second order (Strang).  The box is
+    the evolved field's grid, and omega > 0 adds the harmonic trap."""
 
-    grid: Grid3
     dt: float
     steps: int
-    hamiltonian: str = "free"  # "free" or "harmonic"
     omega: float = 0.0
 
     def __post_init__(self):
@@ -48,12 +47,12 @@ class PropagatorConfig:
             valid = False
         if not valid:
             raise SpecValidationError("steps must be an integer >= 0")
-        if self.hamiltonian not in ("free", "harmonic"):
-            raise SpecValidationError(
-                f"unsupported hamiltonian {self.hamiltonian!r}; use free or harmonic"
-            )
-        if self.hamiltonian == "harmonic" and not (self.omega > 0):
-            raise SpecValidationError("harmonic hamiltonian requires omega > 0")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise SpecValidationError("omega must be finite and >= 0")
+
+    @property
+    def hamiltonian(self) -> str:
+        return "harmonic" if self.omega > 0 else "free"
 
 
 def _boundary_amplitude(values: np.ndarray) -> float:
@@ -74,8 +73,6 @@ def evolve(
 ) -> SampledField:
     """Advance the field by steps * dt with Strang-split spectral stepping."""
     require_whole_grid(initial)
-    if initial.grid != config.grid:
-        raise SpecValidationError("initial field grid does not match config grid")
     boundary = _boundary_amplitude(initial.values)
     if boundary > BOUNDARY_DECAY:
         raise BoundaryDecayError(

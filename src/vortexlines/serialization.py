@@ -20,6 +20,10 @@ from .tracker import Event, EventLog, VortexPolyline
 _COMPLEX_VECTOR_FIELDS = {"w1", "w2"}
 _REAL_VECTOR_FIELDS = {"r1", "r2"}
 
+#: SVG snapshots look along y, onto the (x, z) plane, 480 pixels square.
+SVG_VIEW_AXIS = 1
+SVG_SIZE = 480
+
 
 def spec_to_dict(spec: SolutionSpec) -> dict:
     out = {"family": type(spec).__name__}
@@ -148,27 +152,24 @@ def write_events(path, log: EventLog) -> None:
     dump_json(event_log_to_dict(log), path)
 
 
-def svg_snapshot(
-    lines: list[VortexPolyline], bounds_lo, bounds_hi, path, view_axis: int = 1,
-    size: int = 480,
-) -> None:
-    """Orthographic projection of one frame's polylines along a grid axis."""
-    ax_u, ax_v = [a for a in range(3) if a != view_axis]
+def svg_snapshot(lines: list[VortexPolyline], bounds_lo, bounds_hi, path) -> None:
+    """Orthographic projection of one frame's polylines along `SVG_VIEW_AXIS`."""
+    ax_u, ax_v = [a for a in range(3) if a != SVG_VIEW_AXIS]
     lo = np.asarray(bounds_lo, dtype=float)
     hi = np.asarray(bounds_hi, dtype=float)
     span_u = hi[ax_u] - lo[ax_u]
     span_v = hi[ax_v] - lo[ax_v]
-    scale = size / max(span_u, span_v)
+    scale = SVG_SIZE / max(span_u, span_v)
 
     def project(p):
         u = (p[ax_u] - lo[ax_u]) * scale
-        v = size - (p[ax_v] - lo[ax_v]) * scale
+        v = SVG_SIZE - (p[ax_v] - lo[ax_v]) * scale
         return f"{u:.3f},{v:.3f}"
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for line in lines:
         pts = line.points

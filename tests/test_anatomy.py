@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines.anatomy import Contour, linearized_field, min_norm_solve
+from vortexlines.anatomy import Contour, _line_integral, linearized_field, min_norm_solve
 from vortexlines.errors import (
     AmbiguousWindingError,
     DegenerateVortexError,
@@ -95,6 +95,38 @@ def test_magnetic_circulation_includes_vector_potential():
     assert vl.circulation(spec, C, small, t=0.0) + flux == pytest.approx(
         QUANTUM, abs=1e-4
     )
+
+
+def test_line_integral_is_exact_for_the_symmetric_gauge_potential():
+    # (B/2)(-y, x, 0) has curl (0, 0, B), so around a circle it integrates to
+    # B pi r^2 n_z.  Along the exact tangent the integrand is a trigonometric
+    # polynomial of degree 2 in the angle, which the trapezoid rule sums
+    # exactly; chords would be off by (2 pi / N)^2 / 6.
+    B, radius = 1.3, 0.7
+    contour = Contour(center=(0.4, -0.3, 0.2), normal=(0.3, -0.5, 1.0), radius=radius)
+    evaluated = []
+
+    def potential(points):
+        evaluated.append(len(points))
+        return 0.5 * B * np.stack([-points[:, 1], points[:, 0], np.zeros(len(points))], axis=1)
+
+    flux = B * math.pi * radius**2 * contour.normal[2]
+    assert _line_integral(potential, contour, 256) == pytest.approx(flux, rel=1e-14)
+    assert evaluated == [256]
+
+
+def test_circulation_routes_agree_to_roundoff():
+    line = vl.FreeLineVortex(chi=0.6)
+    magnetic = vl.MagneticLine(B=1.3, a=0.8, varphi=0.5)
+    point = magnetic.parametric_locus(C, 0.0, np.array([0.2]))[0]
+    tangent = vl.w_vector(magnetic, C, point, 0.0).tangent
+    for spec, ring in (
+        (line, Contour(center=(0, 0, 0), normal=(0, 0, 1), radius=0.8)),
+        (magnetic, Contour(center=tuple(point), normal=tangent, radius=0.3)),
+    ):
+        by_phase = vl.circulation(spec, C, ring, t=0.0)
+        by_velocity = vl.circulation_from_velocity(spec, C, ring, t=0.0)
+        assert by_velocity == pytest.approx(by_phase, rel=1e-14)
 
 
 def test_flow_velocity_of_ideal_vortex_is_azimuthal():

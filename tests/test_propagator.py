@@ -30,23 +30,26 @@ def grid_points(grid):
 
 
 def test_config_validation():
-    grid = periodic_grid(8.0, 8)
     with pytest.raises(SpecValidationError):
-        PropagatorConfig(grid, dt=0.0, steps=1)
+        PropagatorConfig(dt=0.0, steps=1)
     with pytest.raises(SpecValidationError):
-        PropagatorConfig(grid, dt=0.1, steps=-1)
+        PropagatorConfig(dt=0.1, steps=-1)
     with pytest.raises(SpecValidationError, match="integer"):
-        PropagatorConfig(grid, dt=0.1, steps=2.5)
-    with pytest.raises(SpecValidationError):
-        PropagatorConfig(grid, dt=0.1, steps=1, hamiltonian="magnetic")
-    with pytest.raises(SpecValidationError):
-        PropagatorConfig(grid, dt=0.1, steps=1, hamiltonian="harmonic")
+        PropagatorConfig(dt=0.1, steps=2.5)
+    for omega in (-1.0, math.inf, math.nan):
+        with pytest.raises(SpecValidationError, match="omega"):
+            PropagatorConfig(dt=0.1, steps=1, omega=omega)
+
+
+def test_hamiltonian_follows_omega():
+    assert PropagatorConfig(dt=0.1, steps=1).hamiltonian == "free"
+    assert PropagatorConfig(dt=0.1, steps=1, omega=0.5).hamiltonian == "harmonic"
 
 
 def test_zero_steps_is_identity():
     grid = periodic_grid(32.0, 32)
     field = sample(vl.GaussianPacket(l=2.0), C, grid, 0.0)
-    out = evolve(field, PropagatorConfig(grid, dt=0.1, steps=0))
+    out = evolve(field, PropagatorConfig(dt=0.1, steps=0))
     assert out is field
 
 
@@ -54,14 +57,14 @@ def test_rejects_non_decayed_boundary_data():
     grid = periodic_grid(6.0, 16)
     field = sample(vl.GaussianPacket(l=2.0), C, grid, 0.0)  # box far too small
     with pytest.raises(BoundaryDecayError) as info:
-        evolve(field, PropagatorConfig(grid, dt=0.01, steps=1))
+        evolve(field, PropagatorConfig(dt=0.01, steps=1))
     assert info.value.boundary_amplitude > 1e-12
 
 
 def test_norm_is_conserved():
     grid = periodic_grid(32.0, 48)
     field = sample(vl.GaussianPacket(l=2.0), C, grid, 0.0)
-    out = evolve(field, PropagatorConfig(grid, dt=0.01, steps=50))
+    out = evolve(field, PropagatorConfig(dt=0.01, steps=50))
     assert abs(norm(out) - norm(field)) < 1e-10 * norm(field)
 
 
@@ -71,7 +74,7 @@ def test_free_evolution_is_spectrally_exact_for_gaussian_packet():
     grid = periodic_grid(40.0, 64)
     spec = vl.GaussianPacket(l=2.0, k=vl.WaveVector(0.3, 0.0, 0.0))
     field = sample(spec, C, grid, 0.0)
-    out = evolve(field, PropagatorConfig(grid, dt=0.01, steps=50))
+    out = evolve(field, PropagatorConfig(dt=0.01, steps=50))
     reference = sample(spec, C, grid, 0.5)
     assert l2_relative_error(reference, out) < 1e-6
 
@@ -80,7 +83,7 @@ def test_free_evolution_matches_windowed_vortex_pair():
     grid = periodic_grid(52.0, 64)
     spec = vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=3.0)
     field = sample(spec, C, grid, 0.0)
-    out = evolve(field, PropagatorConfig(grid, dt=0.01, steps=50))
+    out = evolve(field, PropagatorConfig(dt=0.01, steps=50))
     reference = sample(spec, C, grid, 0.5)
     assert l2_relative_error(reference, out) < 1e-6
 
@@ -94,9 +97,7 @@ def test_trap_ground_state_is_stationary():
         return np.exp(-0.5 * omega * r2) + 0.0j
 
     field = SampledField(grid, ground(grid_points(grid)), 0.0)
-    config = PropagatorConfig(
-        grid, dt=0.0005, steps=100, hamiltonian="harmonic", omega=omega
-    )
+    config = PropagatorConfig(dt=0.0005, steps=100, omega=omega)
     out = evolve(field, config)
     # Residual after projecting out the global phase, computed directly.
     va, vb = field.values.ravel(), out.values.ravel()
@@ -115,9 +116,7 @@ def test_harmonic_splitting_error_is_second_order():
     reference = sample(spec, C, grid, 0.2)
 
     def error(steps):
-        config = PropagatorConfig(
-            grid, dt=0.2 / steps, steps=steps, hamiltonian="harmonic", omega=1.0
-        )
+        config = PropagatorConfig(dt=0.2 / steps, steps=steps, omega=1.0)
         return l2_relative_error(reference, evolve(field, config))
 
     coarse, fine = error(20), error(40)
@@ -166,7 +165,7 @@ def test_one_free_step_equals_many_reference_steps():
     grid = periodic_grid(28.0, 32)
     spec = vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=1.5)
     field = sample(spec, C, grid, 0.0)
-    out = evolve(field, PropagatorConfig(grid, dt=0.5, steps=1))
+    out = evolve(field, PropagatorConfig(dt=0.5, steps=1))
     reference = _reference_strang(field.values, grid, dt=0.01, steps=50)
     peak = float(np.max(np.abs(reference)))
     assert out.time == pytest.approx(0.5)
@@ -196,7 +195,9 @@ ANISOTROPIC = Grid3(
 def test_operator_powers_equal_unfused_strang_loop(grid, hamiltonian, steps):
     omega = 1.0
     field = sample(vl.TrapRing(omega=omega, R=1.0), C, grid, 0.0)
-    config = PropagatorConfig(grid, dt=0.02, steps=steps, hamiltonian=hamiltonian, omega=omega)
+    config = PropagatorConfig(
+        dt=0.02, steps=steps, omega=omega if hamiltonian == "harmonic" else 0.0
+    )
     out = evolve(field, config)
     potential = None
     if hamiltonian == "harmonic":
@@ -211,7 +212,7 @@ def test_evolve_leaves_the_input_untouched(hamiltonian):
     grid = periodic_grid(18.0, 24)
     field = sample(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
     before = field.values.tobytes()
-    config = PropagatorConfig(grid, dt=0.02, steps=3, hamiltonian=hamiltonian, omega=1.0)
+    config = PropagatorConfig(dt=0.02, steps=3, omega=1.0 if hamiltonian == "harmonic" else 0.0)
     evolve(field, config)
     assert field.values.tobytes() == before
 
@@ -224,7 +225,7 @@ def _box_field(grid):
 
 def test_evolve_refuses_a_box_field():
     grid = periodic_grid(24.0, 32)
-    config = PropagatorConfig(grid=grid, dt=0.1, steps=1)
+    config = PropagatorConfig(dt=0.1, steps=1)
     with pytest.raises(SpecValidationError):
         evolve(_box_field(grid), config, C)
 

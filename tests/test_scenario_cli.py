@@ -20,8 +20,8 @@ from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3
 from vortexlines.presets import list_presets, preset
 from vortexlines.scenario import (
-    ScenarioConfig, _periodicity, check_circulation, check_locus, check_node_speed, check_oracle,
-    run, validate,
+    ScenarioConfig, _periodicity, check_circulation, check_events, check_locus, check_node_speed,
+    check_oracle, run, validate,
 )
 from vortexlines.tracker import VortexPolyline
 from vortexlines.serialization import spec_from_dict, spec_to_dict
@@ -318,6 +318,74 @@ def test_cli_events_are_roots_at_the_law(tmp_path, capsys, preset_name, grid, fr
         assert abs(event["t"] - sign * law) <= 1e-9 * law
         assert event["t_lo"] <= event["t"] <= event["t_hi"]
     assert out.count("PASS events") == (1 if preset_name == "fig3" else 2)
+
+
+@pytest.mark.parametrize("varphi, reconnections", [
+    (3 * math.pi / 4, 2), (-math.pi / 4, 2), (math.pi / 4 + 2 * math.pi, 2), (math.pi, 0),
+], ids=["3pi/4", "-pi/4", "pi/4+2pi", "pi"])
+def test_events_expect_reconnections_at_every_crossing_angle(varphi, reconnections):
+    # The pair's zero set depends on varphi only through sin^2 varphi: pi - varphi
+    # mirrors x and -varphi mirrors y, so these angles reconnect as pi/4 does on
+    # fig3's grid and window.  At pi the lines are parallel and nothing happens.
+    config = dataclasses.replace(
+        preset("fig3"), spec=vl.FreeTwoLinesSymmetric(a=0.4, varphi=varphi), checks=("events",))
+    frames, log = tracker.track(config.spec, config.consts, config.grid,
+                                *config.time_range, config.n_frames)
+    assert [e.kind for e in log.events] == ["reconnection"] * reconnections
+    (result,) = check_events(config, frames, log, None)
+    assert result.passed, result
+    assert result.measured == reconnections
+
+
+def test_oracle_on_data_at_the_box_wall_fails_without_aborting_the_run(tmp_path, capsys):
+    # fig2's line vortex does not decay at the box walls, which the periodic
+    # propagator refuses: the oracle check fails and the artifacts are written.
+    config = dataclasses.replace(preset("fig2"), checks=("residual", "oracle"))
+    result = run(config, tmp_path / "run")
+    assert result.exit_status == 1
+    assert [(c.name, c.passed, c.measured, c.tolerance) for c in result.checks[1:]] == [
+        ("oracle", False, 1.0, vl.propagator.BOUNDARY_DECAY)]
+    assert "box wall" in result.checks[1].detail
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 1
+    assert "FAIL oracle" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
+    assert [(c["name"], c["passed"], c["measured"]) for c in summary["checks"]] == [
+        ("residual", True, 0.0), ("oracle", False, 1.0)]
+
+
+def _probe_frame(name):
+    """A preset and its tracked frame at the time `check_circulation` probes."""
+    config = preset(name)
+    t = float(np.linspace(*config.time_range, config.n_frames + 1)[(config.n_frames + 1) // 2])
+    return config, [tracker.extract(config.spec, config.consts, config.grid, t)], [t]
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig4", "anatomy"])
+def test_circulation_check_resolves_roundoff(name):
+    # The trapezoid rule on the exact circle converges geometrically, so the
+    # velocity integral is one quantum to roundoff, not to an extrapolation's
+    # floor (1.2e-14 under Richardson extrapolation of the chord rule).
+    config, frames, times = _probe_frame(name)
+    (result,) = check_circulation(config, frames, None, times)
+    assert result.passed
+    assert result.measured <= 1e-15
+
+
+def test_circulation_check_evaluates_few_velocities(monkeypatch):
+    config, frames, times = _probe_frame("fig1")
+    points = []
+    flow_velocity = vl.anatomy.flow_velocity
+
+    def counted(spec, consts, r, t, vector_potential=None):
+        points.append(len(r))
+        return flow_velocity(spec, consts, r, t, vector_potential=vector_potential)
+
+    monkeypatch.setattr(vl.anatomy, "flow_velocity", counted)
+    (result,) = check_circulation(config, frames, None, times)
+    assert result.passed
+    assert sum(points) <= 768
 
 
 def test_circulation_fails_on_a_probe_left_at_its_seed():

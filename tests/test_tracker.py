@@ -628,9 +628,7 @@ def _evolved_oracle_field(name):
     """The numerically evolved field that the oracle check extracts lines from."""
     config = vl.preset(name)
     t0, t1 = config.time_range
-    prop = vl.propagator.PropagatorConfig(
-        grid=config.grid, dt=t1 - t0, steps=1, hamiltonian="free"
-    )
+    prop = vl.propagator.PropagatorConfig(dt=t1 - t0, steps=1)
     return vl.propagator.evolve(sample(config.spec, C, config.grid, t0), prop, C).values
 
 
