@@ -70,6 +70,10 @@ blocks (interval branch-and-bound: Moore, Interval Analysis, 1966; Hansen,
 Global Optimization Using Interval Analysis, 1992).  `amplitude` and
 `gradient` are one-line views of `on`, and `pde_residual` certifies each
 family against its governing equation using those analytic derivatives only.
+
+A family with a closed-form law of motion states it: the ring's circle
+(`ring`), the node speed, the annihilation time and the period, each None
+on the families without one.
 """
 
 from __future__ import annotations
@@ -205,6 +209,25 @@ class SolutionSpec:
     def length_scale(self, consts: PhysicalConstants) -> float:
         return 1.0
 
+    # The paper's closed-form laws of motion, on the families that have one.
+
+    def ring(self, consts: PhysicalConstants, t: float) -> tuple[np.ndarray, float] | None:
+        """The circle of the vortex ring at time t, normal to z: (center,
+        radius), with a NaN radius where there is no ring."""
+        return None
+
+    def node_speed(self, consts: PhysicalConstants) -> float | None:
+        """The speed of every node of the lines."""
+        return None
+
+    def annihilation_time(self, consts: PhysicalConstants) -> float | None:
+        """t_a of the lines born at -t_a that annihilate at +t_a."""
+        return None
+
+    def period(self, consts: PhysicalConstants) -> float | None:
+        """The time after which every line is back where it started."""
+        return None
+
     def at(self, consts: PhysicalConstants, t: float) -> "Snapshot":
         """psi = P * exp(G) at time t, ready to evaluate at point sets."""
         if not math.isfinite(t):
@@ -306,6 +329,16 @@ class FreeRingCylinder(_PlaneWaveCarrier):
     def length_scale(self, consts):
         return self.R
 
+    def ring(self, consts, t):
+        """Im P = 0 at the height z = -2 hbar t / (m a) above v t, and Re P = 0
+        on the radius R there."""
+        z = -2.0 * consts.hbar * t / (consts.mass * self.a)
+        return self.classical_velocity(consts) * t + (0.0, 0.0, z), self.R
+
+    def node_speed(self, consts):
+        """The ring drifts along z at 2 hbar / (m |a|), at k = 0."""
+        return None if self.k.norm > 0 else 2.0 * consts.hbar / (consts.mass * abs(self.a))
+
 
 @dataclass(frozen=True)
 class FreeRingSphere(_PlaneWaveCarrier):
@@ -321,7 +354,15 @@ class FreeRingSphere(_PlaneWaveCarrier):
     def length_scale(self, consts):
         return self.R
 
-    def annihilation_time(self, consts) -> float:
+    def ring(self, consts, t):
+        """Im P = 0 at the height z = -3 hbar t / (m a) above v t, and Re P = 0
+        on the radius sqrt(R^2 - z^2) there, for |t| < t_a."""
+        z = -3.0 * consts.hbar * t / (consts.mass * self.a)
+        square = self.R**2 - z**2
+        radius = math.sqrt(square) if square >= 0.0 else math.nan
+        return self.classical_velocity(consts) * t + (0.0, 0.0, z), radius
+
+    def annihilation_time(self, consts):
         """The ring contracts to a point at +t_a and was born at -t_a."""
         return consts.mass * abs(self.a) * self.R / (3.0 * consts.hbar)
 
@@ -395,9 +436,12 @@ class FreeTwoLinesSymmetric(_PlaneWaveCarrier):
     def length_scale(self, consts):
         return abs(self.a)
 
-    def annihilation_time(self, consts) -> float:
-        """For the antiparallel pair (varphi = pi/2) the lines collide at +t_a."""
-        return consts.mass * self.a**2 / consts.hbar
+    def annihilation_time(self, consts):
+        """The antiparallel pair (|sin varphi| = 1) is born at -t_a and
+        collides at +t_a; other crossing angles reconnect instead."""
+        if abs(math.sin(self.varphi)) > 1.0 - 1e-9:
+            return consts.mass * self.a**2 / consts.hbar
+        return None
 
 
 @dataclass(frozen=True)
@@ -418,6 +462,10 @@ class GaussianLineVortex(_GaussianCarrier):
     def image(self, consts, coords, tau):
         x, y, _ = coords
         return x - self.x0 + 1j * y
+
+    def node_speed(self, consts):
+        """The line moves at hbar |x0| / (m l^2), at k = 0."""
+        return None if self.k.norm > 0 else consts.hbar * abs(self.x0) / (consts.mass * self.l**2)
 
 
 class _MagneticCarrier(SolutionSpec):
@@ -450,6 +498,10 @@ class _MagneticCarrier(SolutionSpec):
         x_img = 0.5 * (_S + 1.0) * x + 0.5j * (_S - 1.0) * y
         y_img = -0.5j * (_S - 1.0) * x + 0.5 * (_S + 1.0) * y
         return [x_img, y_img, z], (1j / consts.cyclotron_frequency(self.B)) * (_S - 1.0)
+
+    def period(self, consts):
+        """One cyclotron period 2 pi / w_c, the clock's."""
+        return 2.0 * math.pi / consts.cyclotron_frequency(self.B)
 
 
 @dataclass(frozen=True)
@@ -516,6 +568,10 @@ class _TrapCarrier(SolutionSpec):
 
     def window(self, consts):
         return (-consts.mass * self.omega / (2.0 * consts.hbar)) * sum(x * x for x in _R)
+
+    def period(self, consts):
+        """One trap period 2 pi / omega, the clock's."""
+        return 2.0 * math.pi / self.omega
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,10 @@ NEAREST_BLOCK = 1 << 16
 #: Newton iterations allowed per refined crossing.
 NEWTON_MAX_ITERATIONS = 25
 
+#: Min-norm Newton steps a crossing gets from its seed where the face-plane
+#: iteration fails.
+MIN_NORM_STEPS = 8
+
 #: Gauss-Newton steps allowed per event root.
 EVENT_MAX_ITERATIONS = 40
 
@@ -314,9 +318,15 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
 
 def _refine_batch(snapshot, scale, seeds, axis):
     """Newton iteration in each seed's face plane, normal to axis (one per
-    seed, or one for all), on the exact field.  A point that meets a
-    singular Jacobian or does not converge keeps its seed: one bad point
-    never aborts an extraction."""
+    seed, or one for all), on the exact field.  A point where it meets a
+    singular Jacobian or does not converge starts again from its seed, with
+    up to MIN_NORM_STEPS min-norm Newton steps in space (`min_norm_solve`),
+    and keeps its seed only if those fail too: one bad point never aborts
+    an extraction."""
+
+    def converged(field):
+        return np.abs(field.psi) <= 1e-12 * np.linalg.norm(field.grad, axis=-1) * scale
+
     seeds = np.asarray(seeds, dtype=float)
     axis = np.broadcast_to(axis, len(seeds))
     a1, a2 = (axis + 1) % 3, (axis + 2) % 3
@@ -325,7 +335,7 @@ def _refine_batch(snapshot, scale, seeds, axis):
     for _ in range(NEWTON_MAX_ITERATIONS):
         field = snapshot.on(pts[live])
         psi, grad = field.psi, field.grad
-        hit = np.abs(psi) <= 1e-12 * np.linalg.norm(grad, axis=-1) * scale
+        hit = converged(field)
         done[live[hit]] = True
         u, v = a1[live], a2[live]
         rows = np.arange(len(live))
@@ -339,6 +349,18 @@ def _refine_batch(snapshot, scale, seeds, axis):
         pts[live, u] -= (f.real * gv.imag - f.imag * gv.real) / det
         pts[live, v] -= (f.imag * gu.real - f.real * gu.imag) / det
         live = live[np.all(np.isfinite(pts[live]), axis=1)]
+    live = np.flatnonzero(~done)
+    pts[live] = seeds[live]
+    for step in range(MIN_NORM_STEPS + 1):
+        if not len(live):
+            break
+        field = snapshot.on(pts[live])
+        hit = converged(field)
+        done[live[hit]] = True
+        live, psi, grad = live[~hit], field.psi[~hit], field.grad[~hit]
+        if step < MIN_NORM_STEPS and len(live):
+            pts[live] -= min_norm_solve(grad, psi)
+            live = live[np.all(np.isfinite(pts[live]), axis=1)]
     return np.where(done[:, None], pts, seeds)
 
 

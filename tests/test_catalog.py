@@ -382,6 +382,40 @@ def test_amplitude_scalar_point_and_grid_shapes():
     assert block.shape == (4, 5)
 
 
+@pytest.mark.parametrize("spec", [
+    vl.FreeRingCylinder(R=2.0, a=0.7), vl.FreeRingCylinder(R=2.0, a=-0.7, k=(0.3, -0.2, 0.4)),
+    vl.FreeRingSphere(R=3.0, a=1.0), vl.FreeRingSphere(R=3.0, a=-1.3, k=(0.2, 0.0, -0.5)),
+], ids=["cylinder", "cylinder-k", "sphere", "sphere-k"])
+def test_ring_law_is_the_zero_set(spec):
+    # Every point of the law's circle is a zero of psi, at any time and k.
+    angles = np.linspace(0.0, 2.0 * math.pi, 7)
+    for t in (-0.4, 0.0, 0.31):
+        center, radius = spec.ring(C, t)
+        circle = np.stack([np.cos(angles), np.sin(angles), np.zeros(7)], axis=1)
+        psi = vl.amplitude(spec, C, center + radius * circle, t)
+        assert np.max(np.abs(psi)) < 1e-12 * radius**2
+
+
+def test_laws_hold_only_where_the_family_has_one():
+    sphere = vl.FreeRingSphere(R=3.0, a=1.0)
+    t_a = sphere.annihilation_time(C)
+    assert math.isnan(sphere.ring(C, 1.01 * t_a)[1])
+    assert sphere.ring(C, t_a)[1] == 0.0
+    # Only the antiparallel pair annihilates; a crossing pair reconnects.
+    assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=-math.pi / 2).annihilation_time(C) == 1.0
+    assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=math.pi / 4).annihilation_time(C) is None
+    # Closed-form node speeds hold at k = 0 only.
+    assert vl.FreeRingCylinder(R=2.0, a=-0.5).node_speed(C) == 4.0
+    assert vl.GaussianLineVortex(l=2.0, x0=-0.4).node_speed(C) == pytest.approx(0.1)
+    assert vl.GaussianLineVortex(l=2.0, x0=0.4, k=(0.1, 0.0, 0.0)).node_speed(C) is None
+    assert vl.TrapRing(omega=2.0, R=1.0).period(C) == math.pi
+    assert vl.MagneticLine(B=4.0, a=0.8, varphi=0.5).period(C) == pytest.approx(
+        2.0 * math.pi / C.cyclotron_frequency(4.0))
+    for spec in (vl.FreeLineVortex(), vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5)):
+        laws = (spec.ring(C, 0.0), spec.node_speed(C), spec.annihilation_time(C), spec.period(C))
+        assert laws == (None,) * 4
+
+
 def test_zero_set_special_values():
     # Cylinder ring: radius R at height z = -2 hbar t / (m a).
     ring = vl.FreeRingCylinder(R=2.0, a=0.7)

@@ -337,10 +337,37 @@ def test_events_expect_reconnections_at_every_crossing_angle(varphi, reconnectio
     assert result.measured == reconnections
 
 
+def _tracked(config):
+    """The tracked frames, event log and frame times of config."""
+    frames, log = tracker.track(config.spec, config.consts, config.grid, *config.time_range,
+                                config.n_frames)
+    return frames, log, np.linspace(*config.time_range, config.n_frames + 1)
+
+
+def test_events_gate_the_root_time_against_the_law():
+    # At 16 frames fig1's brackets lie off the law by up to half a frame
+    # step, but the roots sit at -+t_a; t* moved by 1e-6 of t_a fails.
+    config = dataclasses.replace(preset("fig1"), n_frames=16, checks=("events",))
+    frames, log, times = _tracked(config)
+    t_a = config.spec.annihilation_time(config.consts)
+    results = check_events(config, frames, log, times)
+    assert [r.passed for r in results] == [True, True]
+    assert all(r.measured <= 1e-9 * t_a and r.tolerance == 1e-9 * t_a for r in results)
+    shifted = tracker.EventLog(
+        events=[dataclasses.replace(e, t=e.t * (1.0 + 1e-6)) for e in log.events])
+    results = check_events(config, frames, shifted, times)
+    assert [r.passed for r in results] == [False, False]
+    assert all(r.measured == pytest.approx(1e-6 * t_a, rel=1e-3) for r in results)
+
+
 def test_oracle_on_data_at_the_box_wall_fails_without_aborting_the_run(tmp_path, capsys):
-    # fig2's line vortex does not decay at the box walls, which the periodic
-    # propagator refuses: the oracle check fails and the artifacts are written.
-    config = dataclasses.replace(preset("fig2"), checks=("residual", "oracle"))
+    # A window ten times wider than fig2's box leaves the ring at full height
+    # at the box walls, which the periodic propagator refuses: the oracle
+    # check fails and the artifacts are written.
+    config = dataclasses.replace(
+        preset("fig2"), spec=vl.WindowedRingCylinder(R=2.0, a=0.5, l=10.0),
+        checks=("residual", "oracle"))
+    assert validate(config) == []
     result = run(config, tmp_path / "run")
     assert result.exit_status == 1
     assert [(c.name, c.passed, c.measured, c.tolerance) for c in result.checks[1:]] == [
@@ -351,8 +378,20 @@ def test_oracle_on_data_at_the_box_wall_fails_without_aborting_the_run(tmp_path,
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 1
     assert "FAIL oracle" in capsys.readouterr().out
     summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
-    assert [(c["name"], c["passed"], c["measured"]) for c in summary["checks"]] == [
-        ("residual", True, 0.0), ("oracle", False, 1.0)]
+    assert [(c["name"], c["passed"]) for c in summary["checks"]] == [
+        ("residual", True), ("oracle", False)]
+    assert summary["checks"][1]["measured"] == 1.0
+
+
+def test_validate_refuses_oracle_on_a_carrier_without_a_window(tmp_path, capsys):
+    # fig2's plane-wave carrier never decays at the box walls, so its oracle
+    # check could never pass.
+    config = dataclasses.replace(preset("fig2"), checks=("residual", "oracle"))
+    assert any("oracle" in p and "window" in p for p in validate(config))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert "window" in capsys.readouterr().out
 
 
 def _probe_frame(name):
@@ -386,6 +425,30 @@ def test_circulation_check_evaluates_few_velocities(monkeypatch):
     (result,) = check_circulation(config, frames, None, times)
     assert result.passed
     assert sum(points) <= 768
+
+
+@pytest.mark.parametrize("chi, error", [
+    (1e-12, "node sheet"), (1e-10, "wave-function zero"),
+], ids=["degenerate-w", "vortex-core"])
+def test_circulation_fails_without_aborting_the_run_where_the_probe_has_no_flow(
+        tmp_path, capsys, chi, error):
+    # A nearly real line vortex: at chi = 1e-12 Re w and Im w are parallel at
+    # the probe, and at 1e-10 the contour's flow velocity meets the zero.
+    config = dataclasses.replace(
+        preset("fig2"), spec=vl.FreeLineVortex(chi=chi), n_frames=2, checks=("circulation",))
+    assert validate(config) == []
+    result = run(config, tmp_path / "run")
+    assert result.exit_status == 1
+    (check,) = result.checks
+    assert (check.name, check.passed, check.tolerance) == (
+        "circulation", False, scenario.CIRCULATION_TOLERANCE)
+    assert math.isnan(check.measured) and error in check.detail
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 1
+    assert "FAIL circulation" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "cli" / "summary.json").read_text())
+    assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("circulation", False)]
 
 
 def test_circulation_fails_on_a_probe_left_at_its_seed():
@@ -446,6 +509,20 @@ def test_locus_reads_the_tracked_frames(tmp_path, monkeypatch, name, count):
     assert len(calls) == count
 
 
+@pytest.mark.parametrize("shift, passed", [(1e-3, True), (0.2, False)])
+def test_locus_gates_the_ring_height(shift, passed):
+    # fig1's ring lies on the sphere's circle at every frame; moving every
+    # node along z moves it off by the shift, whatever the radius reads.
+    config = dataclasses.replace(preset("fig1"), checks=("locus",))
+    frames, _, times = _tracked(config)
+    moved = [[dataclasses.replace(line, points=line.points + (0.0, 0.0, shift))
+              for line in lines] for lines in frames]
+    (result,) = check_locus(config, moved, None, times)
+    assert result.passed == passed
+    assert result.measured == pytest.approx(shift, rel=1e-6)
+    assert result.tolerance == 0.5 * config.grid.cell_diagonal
+
+
 def test_periodicity_is_the_symmetric_hausdorff_distance():
     a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     b = np.array([[0.0, 0.5, 0.0], [2.0, 0.0, 0.0]])
@@ -493,9 +570,7 @@ def test_locus_distances_equal_a_brute_force_reference_on_fig4():
 
 def _node_speed_on(config):
     """check_node_speed on the tracked frames of config."""
-    frames, _ = tracker.track(config.spec, config.consts, config.grid, *config.time_range,
-                              config.n_frames)
-    times = np.linspace(*config.time_range, config.n_frames + 1)
+    frames, _, times = _tracked(config)
     (result,) = check_node_speed(config, frames, None, times)
     return result
 
@@ -522,6 +597,30 @@ def test_node_speed_fails_below_light_speed():
     assert not result.passed
     assert result.measured < 1e-4
     assert "slowest node 0.9" in result.detail
+
+
+@pytest.mark.parametrize("dims, shift", [(36, (0.0, 0.0, 0.0)), (48, (-0.05, 0.04, 0.06))],
+                         ids=["36^3", "shifted-origin"])
+def test_node_speed_holds_where_face_plane_newton_fails(dims, shift):
+    # On these grids the nearly flat ring lies close to a z grid plane, so
+    # z-normal faces are pierced whose face-plane Newton fails; their
+    # crossings are landed on the line by min-norm steps, not kept at seeds.
+    config = preset("relativistic")
+    old = config.grid
+    spacing = tuple(old.spacing[a] * (old.dims[a] - 1) / (dims - 1) for a in range(3))
+    origin = tuple(o + s * h for o, s, h in zip(old.origin, shift, spacing))
+    config = dataclasses.replace(config, grid=Grid3(origin, spacing, (dims,) * 3))
+    result = _node_speed_on(config)
+    assert result.passed, result
+    assert result.measured < 2e-5
+
+
+def test_node_speed_of_lines_at_rest():
+    # fig3_parallel's lines never move: |u| = 0 at every node, and each
+    # deviation is measured against a speed floor instead.
+    config = dataclasses.replace(preset("fig3_parallel"), checks=("node_speed",))
+    result = _node_speed_on(config)
+    assert result.passed, result
 
 
 #: Presets whose nodes also move with the classical velocity hbar k / m.
