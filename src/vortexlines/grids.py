@@ -17,6 +17,11 @@ CHECKPOINT_MAGIC = b"VLF1"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4si3q3d3dd")  # magic, version, dims, spacing, origin, time
 
+#: The most points one slab of a whole-grid pass holds: 2**15 complex values,
+#: 512 kB, stay in a core's L2 cache, so a pass over slabs holds no
+#: whole-grid temporary.
+SLAB_POINTS = 1 << 15
+
 
 @dataclass(frozen=True)
 class Grid3:
@@ -96,7 +101,7 @@ class SampledField:
                 f"values shape {values.shape} does not match grid dims {self.grid.dims}"
                 + ("" if shape == self.grid.dims else f" on the box {shape}")
             )
-        if not np.all(np.isfinite(values)):
+        if not all(np.isfinite(values[s]).all() for s in slabs(values.shape)):
             raise SpecValidationError("sampled field contains non-finite values")
         if self.peak is None and shape != self.grid.dims:
             raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
@@ -135,6 +140,17 @@ def sample(
         return SampledField(grid, snapshot.on_grid(*axes), float(t))
     box, values, peak = found
     return SampledField(grid, values, float(t), box=box, peak=peak)
+
+
+def slabs(shape) -> list[slice]:
+    """Slices of the first axis of an array of `shape`, in order, that cover
+    it in slabs of at least one plane and at most SLAB_POINTS points where a
+    plane fits; none where an axis is empty."""
+    planes, plane = shape[0], math.prod(shape[1:])
+    if planes == 0 or plane == 0:
+        return []
+    step = max(1, SLAB_POINTS // plane)
+    return [slice(i, min(i + step, planes)) for i in range(0, planes, step)]
 
 
 def require_whole_grid(field: SampledField):

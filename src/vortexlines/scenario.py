@@ -394,14 +394,18 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     else:
         # With no potential the kinetic step is exact for any dt: one step.
         prop_config = propagator.PropagatorConfig(dt=duration, steps=1)
+    # At most two whole-grid fields are held at once: t0 and evolved, then
+    # evolved and t1, then evolved alone.
     initial = sample(spec, consts, grid, t0)
     try:
         evolved = propagator.evolve(initial, prop_config, consts)
     except BoundaryDecayError as exc:
         return [CheckResult("oracle", False, exc.boundary_amplitude,
                             propagator.BOUNDARY_DECAY, str(exc))]
+    del initial
     reference = sample(spec, consts, grid, t1)
     err = propagator.l2_relative_error(reference, evolved)
+    del reference
     results = [CheckResult(
         "oracle", err < ORACLE_L2_TOLERANCE, err, ORACLE_L2_TOLERANCE,
         f"phase-optimal L2 error of split-step evolution over t={t0:g}..{t1:g}")]

@@ -44,7 +44,7 @@ from .anatomy import min_norm_solve
 from .catalog import DEGENERACY_FLOOR, SolutionSpec, Snapshot
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
-from .grids import Grid3, SampledField, sample
+from .grids import Grid3, SampledField, sample, slabs
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,21 +197,28 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     its values where it has none.
     """
     values = field.values
-    amps = np.abs(values)
-    floor = NOISE_FLOOR * (amps.max() if field.peak is None else field.peak)
+    parts = slabs(values.shape)
+    peak = field.peak
+    if peak is None:
+        peak = max(np.abs(values[s]).max() for s in parts)
+    floor = NOISE_FLOOR * peak
     # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
     # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
     # over a face's corners, a sign bit survives only where that part keeps
     # its sign at all four, and bit 16 only where all four are below the
     # floor: a face of code 0 is a candidate, one of code 16 a noise face.
-    code = (amps < floor) * np.uint8(16)
-    amps *= DEGENERACY_FLOOR
-    for bit, part in ((1, values.real), (4, values.imag)):
-        code |= (part > amps) * np.uint8(bit)
-    np.negative(amps, out=amps)
-    for bit, part in ((2, values.real), (8, values.imag)):
-        code |= (part < amps) * np.uint8(bit)
-    del amps
+    # Built slab by slab (`grids.slabs`), straight into the code array.
+    code = np.empty(values.shape, np.uint8)
+    for s in parts:
+        psi, out = values[s], code[s]
+        amps = np.abs(psi)
+        np.multiply(amps < floor, np.uint8(16), out=out)
+        amps *= DEGENERACY_FLOOR
+        for bit, part in ((1, psi.real), (4, psi.imag)):
+            out |= (part > amps) * np.uint8(bit)
+        np.negative(amps, out=amps)
+        for bit, part in ((2, psi.real), (8, psi.imag)):
+            out |= (part < amps) * np.uint8(bit)
     candidates, face_codes = [], []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3

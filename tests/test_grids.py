@@ -3,6 +3,7 @@ import pytest
 
 import vortexlines as vl
 from vortexlines.errors import GridMismatchError, SpecValidationError
+from vortexlines import grids
 from vortexlines.grids import (
     Grid3,
     SampledField,
@@ -10,6 +11,7 @@ from vortexlines.grids import (
     require_same_grid,
     sample,
     save_checkpoint,
+    slabs,
 )
 
 C = vl.NATURAL_UNITS
@@ -149,3 +151,19 @@ def test_require_same_grid_refuses_a_box_field():
     for a, b in ((field, whole), (whole, field), (field, field)):
         with pytest.raises(SpecValidationError):
             require_same_grid(a, b)
+
+
+@pytest.mark.parametrize("shape", [(96, 96, 96), (20, 24, 28), (3, 200, 300), (7, 1, 1),
+                                   (0, 5, 5), (5, 0, 5)])
+def test_slabs_cover_the_first_axis_in_order(shape):
+    found = slabs(shape)
+    if 0 in shape:
+        assert found == []
+        return
+    plane = shape[1] * shape[2]
+    planes = [s.stop - s.start for s in found]
+    assert found[0].start == 0 and found[-1].stop == shape[0]
+    assert all(a.stop == b.start for a, b in zip(found, found[1:]))
+    # At least one plane, and at most SLAB_POINTS points where a plane fits.
+    assert all(k >= 1 and (k == 1 or k * plane <= grids.SLAB_POINTS) for k in planes)
+    assert all(k == planes[0] for k in planes[:-1])

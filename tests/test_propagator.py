@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
+from vortexlines import grids, propagator
 from vortexlines.errors import BoundaryDecayError, SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
 from vortexlines.propagator import (
@@ -131,6 +132,16 @@ def test_l2_error_ignores_global_phase():
     assert l2_relative_error(field, field) == 0.0
 
 
+@pytest.mark.parametrize("scale", [0.5, 0.7, 1.0, 1.3, 2.0, 3.0, 5.0, 7.0])
+def test_l2_error_of_a_field_with_itself_is_zero(scale):
+    # lambda = <b, a> / <b, b> must come out exactly 1: a complex divided by
+    # |b|^2 as a whole goes through the reciprocal, which need not round back.
+    grid = periodic_grid(20.0, 24)
+    field = sample(vl.GaussianPacket(l=2.0), C, grid, 0.0)
+    scaled = SampledField(grid, scale * field.values, 0.0)
+    assert l2_relative_error(scaled, scaled) == 0.0
+
+
 def test_l2_error_resolves_small_errors():
     # A perturbation of 1e-9 relative, orthogonal to the field: the error is
     # its size, far below where sqrt(1 - overlap) cancels to zero.
@@ -239,3 +250,64 @@ def test_l2_error_and_norm_refuse_a_box_field():
             l2_relative_error(a, b)
     with pytest.raises(SpecValidationError):
         norm(field)
+
+
+#: Slab sizes: one x plane, three planes (20 x planes are not a multiple of
+#: three), and more points than the grid holds.
+PLANE = ANISOTROPIC.dims[1] * ANISOTROPIC.dims[2]
+SLAB_SIZES = [1, 3 * PLANE, 10**9]
+
+
+def _whole_array_evolve(field, config):
+    """evolve's three axis products on whole arrays, with no slabs."""
+    grid = field.grid
+    u_x, u_y, u_z = (propagator._axis_propagator(grid, a, config, C) for a in range(3))
+    n_x, n_y, n_z = grid.dims
+    psi = (u_x @ field.values.reshape(n_x, -1)).reshape(n_x, n_y, n_z)
+    return np.matmul(u_y, psi) @ u_z.T
+
+
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+@pytest.mark.parametrize("hamiltonian", ["free", "harmonic"])
+def test_evolve_in_slabs_equals_whole_array_products(monkeypatch, hamiltonian, slab):
+    field = sample(vl.TrapRing(omega=1.0, R=1.0), C, ANISOTROPIC, 0.0)
+    config = PropagatorConfig(dt=0.02, steps=25, omega=1.0 if hamiltonian == "harmonic" else 0.0)
+    monkeypatch.setattr(grids, "SLAB_POINTS", slab)
+    out = evolve(field, config)
+    assert np.array_equal(out.values, _whole_array_evolve(field, config))
+
+
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+def test_whole_grid_reductions_in_slabs(monkeypatch, slab):
+    field = sample(vl.TrapRing(omega=1.0, R=1.0), C, ANISOTROPIC, 0.0)
+    config = PropagatorConfig(dt=0.02, steps=25, omega=1.0)
+    out = evolve(field, config)
+    monkeypatch.setattr(grids, "SLAB_POINTS", slab)
+    values = field.values
+    # The one-pass formulas the slab passes replace.
+    va, vb = out.values.ravel(), values.ravel()
+    lam = np.vdot(vb, va) / np.vdot(vb, vb).real
+    whole_l2 = np.linalg.norm(va - lam * vb) / np.linalg.norm(va)
+    assert l2_relative_error(out, field) == pytest.approx(whole_l2, rel=1e-13, abs=0.0)
+    volume = float(np.prod(ANISOTROPIC.spacing))
+    whole_norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * volume)
+    assert norm(field) == pytest.approx(whole_norm, rel=1e-15, abs=0.0)
+    walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
+    assert propagator._boundary_amplitude(values) == max(walls) / np.abs(values).max()
+
+
+# At 64^3 one whole-grid complex array is 4.2 MB.
+MEMORY_GRID = periodic_grid(48.0, 64)
+
+
+def test_evolve_holds_its_output_and_no_whole_grid_temporary(traced_peak):
+    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, MEMORY_GRID, 0.0)
+    out, peak = traced_peak(evolve, field, PropagatorConfig(dt=0.5, steps=1))
+    assert peak <= out.values.nbytes + 2e6
+
+
+def test_l2_error_makes_no_whole_grid_temporary(traced_peak):
+    spec = vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5)
+    a, b = (sample(spec, C, MEMORY_GRID, t) for t in (0.0, 0.01))
+    err, peak = traced_peak(l2_relative_error, a, b)
+    assert err > 0.0 and peak <= 2e6

@@ -296,6 +296,26 @@ def test_trap_oracle_step_count_follows_the_trap_period():
     assert errors[0] == errors[1] == errors[2]
 
 
+def test_oracle_holds_two_whole_grid_fields(tmp_path, monkeypatch, traced_peak):
+    # oracle_ring's box at 64^3: the t0 and evolved fields, then the evolved
+    # and t1 fields, and every whole-grid pass in slabs.
+    n = 64
+    grid = Grid3(tuple(-24.0 + o for o in OFF), (48.0 / n,) * 3, (n,) * 3)
+    config = dataclasses.replace(preset("oracle_ring"), grid=grid, n_frames=1,
+                                 checks=("oracle",))
+    peaks = []
+
+    def traced(*args):
+        results, peak = traced_peak(check_oracle, *args)
+        peaks.append(peak)
+        return results
+
+    monkeypatch.setitem(scenario.CHECK_REGISTRY, "oracle", traced)
+    result = run(config, tmp_path)
+    assert result.exit_status == 0 and len(peaks) == 1
+    assert peaks[0] <= 2 * 16 * n**3 + 2e6
+
+
 @pytest.mark.parametrize("preset_name, grid, frames, law", [
     ("fig1", "56", "16", 1.0),
     ("fig1", "40", "16", 1.0),

@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 import vortexlines as vl
-from vortexlines import catalog, tracker
+from vortexlines import catalog, grids, tracker
 from vortexlines.catalog import BLOCK_CELLS, block_edges
 from vortexlines.errors import SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
@@ -801,6 +801,47 @@ def test_box_detection_takes_the_noise_floor_from_the_whole_grid():
     for field in (SampledField(grid, values, 0.0), _on_box(grid, values, box)):
         det = detect_pierced_faces(field)
         assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
+
+
+def _evolved_trap_ring():
+    """TrapRing after 25 harmonic steps on a 20 x 24 x 28 periodic box: its
+    far field is roundoff, with noise faces beside pierced ones."""
+    sides, dims = (19.0, 20.0, 21.0), (20, 24, 28)
+    grid = Grid3(tuple(-0.5 * side + o for side, o in zip(sides, OFF)),
+                 tuple(side / n for side, n in zip(sides, dims)), dims)
+    field = sample(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
+    return vl.propagator.evolve(field, vl.propagator.PropagatorConfig(dt=0.02, steps=25, omega=1.0))
+
+
+def test_detection_in_slabs_equals_one_slab(monkeypatch):
+    # One x plane per slab, three planes (20 is not a multiple of three) and
+    # one slab for the whole box give the same codes, so the same result;
+    # so does an empty box, which has no slab at all.
+    evolved = _evolved_trap_ring()
+    plane = evolved.grid.dims[1] * evolved.grid.dims[2]
+    empty = SampledField(evolved.grid, np.zeros((0, 24, 28), complex), 0.0,
+                         box=(slice(3, 3), slice(None), slice(None)), peak=1.0)
+    boxed = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, Grid3.centered(OFF, 4.0, 32), 0.1,
+                   lines_only=True)
+    results = collections.defaultdict(list)
+    for slab in (1, 3 * plane, 10**9):
+        monkeypatch.setattr(grids, "SLAB_POINTS", slab)
+        for name, field in (("evolved", evolved), ("empty", empty), ("boxed", boxed)):
+            det = detect_pierced_faces(field)
+            results[name].append((det.pierced.tobytes(), det.ambiguous_count, det.noise_count))
+    assert results["evolved"][0][2] > 0 and len(results["boxed"][0][0])
+    assert results["empty"][0] == (np.empty(0, tracker.FACE_DTYPE).tobytes(), 0, 0)
+    for name, found in results.items():
+        assert found == found[:1] * 3, name
+
+
+def test_detection_holds_one_byte_per_node_of_codes(traced_peak):
+    # No whole-grid |psi| or bool array: the codes, one byte a node, and at
+    # 64^3 the face codes built from them fit in 2 MB more.
+    grid = Grid3(tuple(-24.0 + o for o in OFF), (0.75,) * 3, (64,) * 3)
+    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, grid, 0.0)
+    detection, peak = traced_peak(detect_pierced_faces, field)
+    assert len(detection.pierced) and peak <= field.values.size + 2e6
 
 
 def _short_axes_cases():
