@@ -879,6 +879,19 @@ class Snapshot:
         """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z)."""
         return self._psi_on(self._axis_rows((x, y, z)))
 
+    def on_grid_mapped(self, x, y, z, maps) -> np.ndarray:
+        """(M_x (x) M_y (x) M_z) psi on the grid of three 1-D axes, for the
+        N_a x N_a matrices maps = (M_x, M_y, M_z), shape (N_x, N_y, N_z).
+
+        psi is a sum over P's terms of products of axis rows (`_axis_rows`),
+        so each M_a acts on its own axis's rows, rows @ M_a.T, before
+        `on_grid`'s product: top (N_x^2 + N_y^2 + N_z^2) + T N_x N_y N_z
+        complex multiply-adds, where applying the M_a to psi's grid takes
+        (N_x + N_y + N_z) N_x N_y N_z.
+        """
+        rows = self._axis_rows((x, y, z))
+        return self._psi_on([r @ m.T for r, m in zip(rows, maps)])
+
     def _axis_rows(self, axes) -> list[np.ndarray]:
         """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).
 

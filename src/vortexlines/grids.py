@@ -210,6 +210,8 @@ def load_checkpoint(path) -> SampledField:
         raise SpecValidationError(
             f"checkpoint payload has {len(payload)} bytes, dims {dims} need {expected}"
         )
-    raw = np.frombuffer(payload, dtype="<f8")
-    values = (raw[0::2] + 1j * raw[1::2]).reshape(dims[::-1]).transpose(2, 1, 0)
+    # The interleaved re, im pairs are little-endian complex values; one
+    # copy puts them in C order, as every other whole-grid field is held.
+    flat = np.frombuffer(payload, dtype="<c16")
+    values = np.ascontiguousarray(flat.reshape(dims[::-1]).transpose(2, 1, 0), dtype=complex)
     return SampledField(grid, values, time)

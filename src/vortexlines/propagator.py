@@ -10,10 +10,15 @@ then the matrix powers U_a = S_a^steps, each applied along its axis by one
 matrix product: (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call,
 whatever the step count.  U_y and U_z are applied in place, slab by slab of
 x planes (`grids.slabs`), so `evolve` holds its output and no other
-whole-grid array; the norms and the L2 error sum over the same slabs.  With
-no potential there is nothing to split, so one step of length T equals any
-number of steps that add up to T.  Everything here sees only sampled data,
-never the analytic formulas, which is what makes the comparison meaningful.
+whole-grid array; the norms and the L2 error sum over the same slabs.  A
+field that is a sum of products of axis vectors X (x) Y (x) Z evolves
+without its grid: (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x)
+U_z Z (the separated representation: Beylkin & Mohlenkamp, PNAS 99:10246,
+2002), so `axis_propagators` hands out the three U_a for that.  With no
+potential there is nothing to split, so one step of length T equals any
+number of steps that add up to T.  The evolution sees only t0 data, dense
+or as axis samples; never the time dependence of the analytic formulas,
+which is what makes the comparison meaningful.
 """
 
 from __future__ import annotations
@@ -68,12 +73,10 @@ def _boundary_amplitude(values: np.ndarray) -> float:
     return float(max(walls)) / peak
 
 
-def evolve(
-    initial: SampledField,
-    config: PropagatorConfig,
-    consts: PhysicalConstants = NATURAL_UNITS,
-) -> SampledField:
-    """Advance the field by steps * dt with Strang-split spectral stepping."""
+def require_decayed(initial: SampledField):
+    """Refuse initial data that has not decayed at the box walls, which the
+    periodic box would wrap round: BoundaryDecayError with the largest wall
+    amplitude relative to the peak."""
     require_whole_grid(initial)
     boundary = _boundary_amplitude(initial.values)
     if boundary > BOUNDARY_DECAY:
@@ -82,10 +85,19 @@ def evolve(
             f"(limit {BOUNDARY_DECAY:g}); enlarge the box or window the data",
             boundary_amplitude=boundary,
         )
+
+
+def evolve(
+    initial: SampledField,
+    config: PropagatorConfig,
+    consts: PhysicalConstants = NATURAL_UNITS,
+) -> SampledField:
+    """Advance the field by steps * dt with Strang-split spectral stepping."""
+    require_decayed(initial)
     if config.steps == 0:
         return initial
     grid = initial.grid
-    u_x, u_y, u_z = (_axis_propagator(grid, a, config, consts) for a in range(3))
+    u_x, u_y, u_z = axis_propagators(grid, config, consts)
     n_x, n_y, n_z = grid.dims
     psi = (u_x @ initial.values.reshape(n_x, -1)).reshape(n_x, n_y, n_z)
     # U_y and U_z in place, slab by slab: no second whole-grid array.
@@ -93,6 +105,13 @@ def evolve(
         part = np.matmul(u_y, psi[s]).reshape(-1, n_z)
         np.matmul(part, u_z.T, out=psi[s].reshape(-1, n_z))
     return SampledField(grid, psi, initial.time + config.steps * config.dt)
+
+
+def axis_propagators(
+    grid: Grid3, config: PropagatorConfig, consts: PhysicalConstants = NATURAL_UNITS
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U_x, U_y, U_z): the evolution over steps * dt is U_x (x) U_y (x) U_z."""
+    return tuple(_axis_propagator(grid, a, config, consts) for a in range(3))
 
 
 def _axis_propagator(

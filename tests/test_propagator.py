@@ -9,6 +9,7 @@ from vortexlines.errors import BoundaryDecayError, SpecValidationError
 from vortexlines.grids import Grid3, SampledField, sample
 from vortexlines.propagator import (
     PropagatorConfig,
+    axis_propagators,
     evolve,
     l2_relative_error,
     norm,
@@ -306,8 +307,51 @@ def test_evolve_holds_its_output_and_no_whole_grid_temporary(traced_peak):
     assert peak <= out.values.nbytes + 2e6
 
 
+def test_evolve_of_a_reloaded_checkpoint_makes_no_whole_grid_temporary(tmp_path, traced_peak):
+    # A checkpoint loads in C order, as a sampled field is held, so evolve's
+    # x contraction reshapes it without a copy.
+    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, MEMORY_GRID, 0.0)
+    path = tmp_path / "field.vlf"
+    grids.save_checkpoint(field, path)
+    loaded = grids.load_checkpoint(path)
+    assert loaded.values.flags.c_contiguous
+    assert loaded.values.tobytes() == field.values.tobytes()
+    config = PropagatorConfig(dt=0.5, steps=1)
+    out, peak = traced_peak(evolve, loaded, config)
+    assert peak <= out.values.nbytes + 2e6
+    assert np.array_equal(out.values, evolve(field, config).values)
+
+
 def test_l2_error_makes_no_whole_grid_temporary(traced_peak):
     spec = vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5)
     a, b = (sample(spec, C, MEMORY_GRID, t) for t in (0.0, 0.01))
     err, peak = traced_peak(l2_relative_error, a, b)
     assert err > 0.0 and peak <= 2e6
+
+
+#: The six families the oracle check accepts, with windows narrow enough to
+#: decay at ANISOTROPIC's walls.
+ORACLE_FAMILIES = [
+    vl.WindowedRingCylinder(R=1.0, a=0.5, l=1.0),
+    vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=1.0),
+    vl.GaussianPacket(l=1.0, k=(0.3, -0.2, 0.1)),
+    vl.GaussianLineVortex(l=1.0, x0=0.4),
+    vl.TrapRing(omega=1.0, R=1.0),
+    vl.TrapGenerator(omega=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("config", [
+    PropagatorConfig(dt=0.5, steps=1),
+    PropagatorConfig(dt=0.02, steps=25, omega=1.0),
+], ids=["free-1", "harmonic-25"])
+def test_separated_evolution_equals_dense_evolve(spec, config):
+    # The oracle check evolves psi(t0) through its axis rows; evolve of the
+    # sampled t0 grid is the reference.
+    t0 = 0.25
+    dense = evolve(sample(spec, C, ANISOTROPIC, t0), config).values
+    axes = [ANISOTROPIC.axis_coords(a) for a in range(3)]
+    separated = spec.at(C, t0).on_grid_mapped(*axes, axis_propagators(ANISOTROPIC, config))
+    assert separated.shape == ANISOTROPIC.dims
+    assert np.max(np.abs(separated - dense)) <= 1e-14 * np.max(np.abs(dense))

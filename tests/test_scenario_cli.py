@@ -316,6 +316,20 @@ def test_oracle_holds_two_whole_grid_fields(tmp_path, monkeypatch, traced_peak):
     assert peaks[0] <= 2 * 16 * n**3 + 2e6
 
 
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair"])
+def test_oracle_fails_with_the_propagator_dt_off_by_a_thousandth(monkeypatch, name):
+    # dt scaled by 1.001 leaves an L2 error of 8.2e-5 on the ring and 3.0e-5
+    # on the pair, both above the tolerance.
+    exact = scenario.propagator.axis_propagators
+
+    def off(grid, config, consts):
+        return exact(grid, dataclasses.replace(config, dt=1.001 * config.dt), consts)
+
+    monkeypatch.setattr(scenario.propagator, "axis_propagators", off)
+    l2 = check_oracle(preset(name), [], None, None)[0]
+    assert not l2.passed and l2.measured > 2.0 * scenario.ORACLE_L2_TOLERANCE, l2
+
+
 @pytest.mark.parametrize("preset_name, grid, frames, law", [
     ("fig1", "56", "16", 1.0),
     ("fig1", "40", "16", 1.0),
