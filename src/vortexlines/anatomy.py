@@ -131,11 +131,24 @@ def flow_velocity(
     return v
 
 
+def _on_doubled(evaluate, points: np.ndarray, known: np.ndarray | None) -> np.ndarray:
+    """evaluate(points), where `known` holds its values at the even points,
+    the nodes of the rule before a doubling (None before the first): only the
+    new odd points are evaluated, and interleaved with the known values."""
+    if known is None:
+        return evaluate(points)
+    new = evaluate(points[1::2])
+    values = np.empty((len(points),) + new.shape[1:], dtype=new.dtype)
+    values[0::2], values[1::2] = known, new
+    return values
+
+
 def _unwrapped_increments(field, contour: Contour) -> np.ndarray:
     """Nearest-branch phase increments around the contour, adaptively refined."""
-    samples = contour.samples
+    samples, vals = contour.samples, None
     for _ in range(REFINEMENT_CAP + 1):
-        vals = np.asarray(field(contour.points(samples)), dtype=complex)
+        vals = _on_doubled(lambda p: np.asarray(field(p), dtype=complex),
+                           contour.points(samples), vals)
         if np.any(vals == 0):
             raise AmbiguousWindingError("contour passes through a zero")
         inc = np.diff(np.angle(vals))
@@ -190,12 +203,17 @@ def _line_integral(vector_field, contour: Contour, samples: int) -> float:
     circle's exact tangent dr/dtheta = n x (r - center).  The integrand is
     periodic and smooth in the angle, so the sum converges geometrically in
     N (Trefethen & Weideman, SIAM Rev. 56:385, 2014).  The sum over every
-    other node is the rule with N/2 nodes; N doubles until the two agree.
+    other node is the rule with N/2 nodes; N doubles until the two agree,
+    and each doubling evaluates the field at the N new nodes only.
     """
     center, normal = np.asarray(contour.center), np.asarray(contour.normal)
+
+    def integrand(pts):
+        return np.einsum("ij,ij->i", vector_field(pts), np.cross(normal, pts - center))
+
+    terms = None
     for _ in range(REFINEMENT_CAP + 1):
-        pts = contour.points(samples)[:-1]
-        terms = np.einsum("ij,ij->i", vector_field(pts), np.cross(normal, pts - center))
+        terms = _on_doubled(integrand, contour.points(samples)[:-1], terms)
         weight = 2.0 * math.pi / samples
         fine, coarse = weight * float(np.sum(terms)), 2.0 * weight * float(np.sum(terms[::2]))
         if abs(fine - coarse) <= 1e-12 * max(abs(fine), 1.0):

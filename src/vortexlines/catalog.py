@@ -61,15 +61,17 @@ product whatever the number of terms, the second-order ones one more.
 `snapshot.on_grid` reads psi on a grid of three axes from the same table:
 since G has no cross terms, exp(G) is one factor per axis, folded into that
 axis's monomial rows, so psi is one matrix product and no (points x terms)
-array is formed.  `snapshot.on_zero_box` forms that product only on the box
-of the blocks where a Taylor bound cannot prove P != 0, and finds the grid's
-exact peak |psi| from the same rows: |psi| <= (the bound of |P|) times the
-per-axis max of |exp(G)| on a block, so only the blocks whose bound beats the
-best value found so far are evaluated, by the same product batched over the
-blocks (interval branch-and-bound: Moore, Interval Analysis, 1966; Hansen,
-Global Optimization Using Interval Analysis, 1992).  `amplitude` and
-`gradient` are one-line views of `on`, and `pde_residual` certifies each
-family against its governing equation using those analytic derivatives only.
+array is formed; `snapshot.on_grid_slabs` forms it one slab of x planes at a
+time, from one set of axis rows.  `snapshot.on_zero_box` forms that product
+only on the box of the blocks where a Taylor bound cannot prove P != 0, and
+finds the grid's exact peak |psi| from the same rows: |psi| <= (the bound of
+|P|) times the per-axis max of |exp(G)| on a block, so only the blocks whose
+bound beats the best value found so far are evaluated, by the same product
+batched over the blocks (interval branch-and-bound: Moore, Interval
+Analysis, 1966; Hansen, Global Optimization Using Interval Analysis, 1992).
+`amplitude` and `gradient` are one-line views of `on`, and `pde_residual`
+certifies each family against its governing equation using those analytic
+derivatives only.
 
 A family with a closed-form law of motion states it: the ring's circle
 (`ring`), the node speed, the annihilation time and the period, each None
@@ -80,6 +82,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
 
@@ -891,6 +894,14 @@ class Snapshot:
         """
         rows = self._axis_rows((x, y, z))
         return self._psi_on([r @ m.T for r, m in zip(rows, maps)])
+
+    def on_grid_slabs(self, x, y, z) -> Callable[[slice], np.ndarray]:
+        """psi on slabs of x planes of the grid of three 1-D axes: a function
+        of a slice s of the x axis that returns on_grid(x, y, z)[s].  The
+        axis rows are formed once, and each slab is `on_grid`'s product on
+        the slab's x rows, so no whole-grid array is formed."""
+        x_rows, y_rows, z_rows = self._axis_rows((x, y, z))
+        return lambda s: self._psi_on([x_rows[:, s], y_rows, z_rows])
 
     def _axis_rows(self, axes) -> list[np.ndarray]:
         """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).

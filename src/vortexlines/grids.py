@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,10 @@ class SampledField:
         """Whether the box is the whole grid."""
         return self.values.shape == self.grid.dims
 
+    def slab(self, s: slice) -> np.ndarray:
+        """The values on the x planes s of the box."""
+        return self.values[s]
+
     @property
     def offset(self) -> np.ndarray:
         """The grid index of the box's lowest node."""
@@ -142,6 +147,37 @@ def sample(
     return SampledField(grid, values, float(t), box=box, peak=peak)
 
 
+@dataclass(frozen=True)
+class SlabbedField:
+    """Complex amplitudes on the whole grid at a fixed time, formed slab by
+    slab where they are read rather than held: `slab(s)` returns the values
+    on the x planes s (a slice from `slabs`), so a pass over slabs holds one
+    slab at a time.  Each slab is refused if it is not finite, as a
+    `SampledField` refuses its values."""
+
+    grid: Grid3
+    form: Callable[[slice], np.ndarray]
+    time: float
+
+    is_whole = True
+
+    def slab(self, s: slice) -> np.ndarray:
+        values = self.form(s)
+        # Both parts at once, on the real view of the fresh slab.
+        if not np.isfinite(values.view(float)).all():
+            raise SpecValidationError("sampled field contains non-finite values")
+        return values
+
+
+def sample_in_slabs(
+    spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float
+) -> SlabbedField:
+    """`sample`'s whole-grid field formed slab by slab where it is read
+    (`Snapshot.on_grid_slabs`): each slab is that of `sample`'s values."""
+    axes = [grid.axis_coords(a) for a in range(3)]
+    return SlabbedField(grid, spec.at(consts, t).on_grid_slabs(*axes), float(t))
+
+
 def slabs(shape) -> list[slice]:
     """Slices of the first axis of an array of `shape`, in order, that cover
     it in slabs of at least one plane and at most SLAB_POINTS points where a
@@ -162,7 +198,7 @@ def require_whole_grid(field: SampledField):
         )
 
 
-def require_same_grid(a: SampledField, b: SampledField):
+def require_same_grid(a: SampledField | SlabbedField, b: SampledField | SlabbedField):
     require_whole_grid(a)
     require_whole_grid(b)
     if a.grid != b.grid:

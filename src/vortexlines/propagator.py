@@ -10,7 +10,10 @@ then the matrix powers U_a = S_a^steps, each applied along its axis by one
 matrix product: (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call,
 whatever the step count.  U_y and U_z are applied in place, slab by slab of
 x planes (`grids.slabs`), so `evolve` holds its output and no other
-whole-grid array; the norms and the L2 error sum over the same slabs.  A
+whole-grid array; the decay check, the norms and the L2 error sum over the
+same slabs.  The decay check and the L2 error also take a
+`grids.SlabbedField`, an exact solution formed slab by slab from its axis
+rows where it is read, so that field is never held whole.  A
 field that is a sum of products of axis vectors X (x) Y (x) Z evolves
 without its grid: (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x)
 U_z Z (the separated representation: Beylkin & Mohlenkamp, PNAS 99:10246,
@@ -31,7 +34,8 @@ import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
 from .errors import BoundaryDecayError, SpecValidationError
-from .grids import Grid3, SampledField, require_same_grid, require_whole_grid, slabs
+from .grids import (Grid3, SampledField, SlabbedField, require_same_grid, require_whole_grid,
+                    slabs)
 
 BOUNDARY_DECAY = 1e-12
 
@@ -62,23 +66,28 @@ class PropagatorConfig:
         return "harmonic" if self.omega > 0 else "free"
 
 
-def _boundary_amplitude(values: np.ndarray) -> float:
-    peak = max(float(np.abs(values[s]).max()) for s in slabs(values.shape))
-    if peak == 0.0:
-        return 0.0
-    walls = []
-    for axis in range(3):
-        walls.append(np.abs(np.take(values, 0, axis=axis)).max())
-        walls.append(np.abs(np.take(values, -1, axis=axis)).max())
-    return float(max(walls)) / peak
+def _walls_and_peak(field: SampledField | SlabbedField) -> tuple[float, float]:
+    """The largest |psi| on the six walls of the grid, and the peak |psi|, in
+    one pass over slabs of x planes (`grids.slabs`)."""
+    n_x = field.grid.dims[0]
+    wall = peak = 0.0
+    for s in slabs(field.grid.dims):
+        amps = np.abs(field.slab(s))
+        x_walls = [i - s.start for i in (0, n_x - 1) if s.start <= i < s.stop]
+        peak = max(peak, float(amps.max()))
+        wall = max(wall, float(amps[:, [0, -1]].max()), float(amps[..., [0, -1]].max()),
+                   float(amps[x_walls].max(initial=0.0)))
+    return wall, peak
 
 
-def require_decayed(initial: SampledField):
+def require_decayed(initial: SampledField | SlabbedField):
     """Refuse initial data that has not decayed at the box walls, which the
     periodic box would wrap round: BoundaryDecayError with the largest wall
-    amplitude relative to the peak."""
+    amplitude relative to the peak, 0 for a zero field.  A `SlabbedField` is
+    read one slab at a time."""
     require_whole_grid(initial)
-    boundary = _boundary_amplitude(initial.values)
+    wall, peak = _walls_and_peak(initial)
+    boundary = 0.0 if peak == 0.0 else wall / peak
     if boundary > BOUNDARY_DECAY:
         raise BoundaryDecayError(
             f"initial data at the box wall is {boundary:.3e} of the peak "
@@ -140,7 +149,7 @@ def norm(a: SampledField) -> float:
     return math.sqrt(total * volume)
 
 
-def l2_relative_error(a: SampledField, b: SampledField) -> float:
+def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedField) -> float:
     """Relative L2 distance minimized over one global complex factor.
 
     min over lambda of ||a - lambda b|| / ||a||, attained at
@@ -148,17 +157,18 @@ def l2_relative_error(a: SampledField, b: SampledField) -> float:
     complex constant.  The residual is formed directly rather than as
     sqrt(1 - overlap), which cancels to zero for errors below about 1e-8.
     Both passes run slab by slab (`grids.slabs`), so no whole-grid
-    temporary is made.
+    temporary is made, and each pass forms the slabs of a `SlabbedField`
+    as it reads them.
     """
     require_same_grid(a, b)
-    va, vb = a.values, b.values
-    parts = slabs(va.shape)
+    parts = slabs(a.grid.dims)
     na2 = nb2 = 0.0
     ba = 0j
     for s in parts:
-        na2 += np.vdot(va[s], va[s]).real
-        nb2 += np.vdot(vb[s], vb[s]).real
-        ba += np.vdot(vb[s], va[s])
+        sa, sb = a.slab(s), b.slab(s)
+        na2 += np.vdot(sa, sa).real
+        nb2 += np.vdot(sb, sb).real
+        ba += np.vdot(sb, sa)
     if na2 == 0.0 or nb2 == 0.0:
         return 0.0 if na2 == nb2 else 1.0
     # Part by part: numpy divides a complex by a float through the float's
@@ -166,7 +176,7 @@ def l2_relative_error(a: SampledField, b: SampledField) -> float:
     lam = complex(ba.real / nb2, ba.imag / nb2)
     r2 = 0.0
     for s in parts:
-        residual = lam * vb[s]
-        np.subtract(va[s], residual, out=residual)
+        residual = lam * b.slab(s)
+        np.subtract(a.slab(s), residual, out=residual)
         r2 += np.vdot(residual, residual).real
     return math.sqrt(r2 / na2)

@@ -101,7 +101,7 @@ def polyline_record(frame: int, t: float, line_id: int, line: VortexPolyline) ->
         "line_id": line_id,
         "closed": line.closed,
         "winding": line.winding,
-        "points": [float(v) for v in line.points.ravel()],
+        "points": line.points.ravel().tolist(),
     }
 
 

@@ -219,12 +219,12 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
         np.negative(amps, out=amps)
         for bit, part in ((2, psi.real), (8, psi.imag)):
             out |= (part < amps) * np.uint8(bit)
-    candidates, face_codes = [], []
+    candidates = []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
         face = _pairs(np.bitwise_and, _pairs(np.bitwise_and, code, a1), a2)
-        face_codes.append(face)
         at = np.unravel_index(np.flatnonzero(face == 0), face.shape)
+        del face  # one axis's face codes at a time; `_noise_beside` needs none
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
         faces["index"] = np.stack(at, axis=1)
@@ -243,24 +243,27 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     )
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
-    noise = _noise_beside(face_codes, pierced, code.shape)
+    noise = _noise_beside(code, pierced)
     pierced["index"] += field.offset
     return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
 
 
-def _noise_beside(face_codes: list, pierced: np.recarray, dims) -> int:
-    """Noise faces (code 16 in face_codes[axis]) of the cells that hold a
-    pierced face, where a line can end at the noise floor.  A cell's faces
-    normal to an axis have their lowest corner at its own and the next node."""
-    if not any(np.any(codes == 16) for codes in face_codes):
+def _noise_beside(code: np.ndarray, pierced: np.recarray) -> int:
+    """Noise faces (code 16, the AND of the node codes at its four corners)
+    of the cells that hold a pierced face, where a line can end at the noise
+    floor.  A cell's faces normal to an axis have their lowest corner at its
+    own and the next node; only their codes are formed."""
+    if not (code & 16).any():
         return 0
-    ids = _face_cells(pierced, dims)
-    cells = np.stack(np.unravel_index(ids[ids >= 0], np.subtract(dims, 1)), axis=1)
+    ids = _face_cells(pierced, code.shape)
+    cells = np.stack(np.unravel_index(ids[ids >= 0], np.subtract(code.shape, 1)), axis=1)
     count = 0
-    for axis, codes in enumerate(face_codes):
+    for axis in range(3):
         faces = np.concatenate([cells, cells + np.eye(3, dtype=np.intp)[axis]])
-        faces = np.unique(np.ravel_multi_index(tuple(faces.T), codes.shape))
-        count += int(np.count_nonzero(codes.ravel()[faces] == 16))
+        faces = np.unique(np.ravel_multi_index(tuple(faces.T), code.shape))
+        index = np.stack(np.unravel_index(faces, code.shape), axis=1)
+        face_codes = np.bitwise_and.reduce(_corners(code, axis, index), axis=0)
+        count += int(np.count_nonzero(face_codes == 16))
     return count
 
 

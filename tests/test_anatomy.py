@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i1
 
 import vortexlines as vl
 from vortexlines.anatomy import Contour, _line_integral, linearized_field, min_norm_solve
@@ -113,6 +114,30 @@ def test_line_integral_is_exact_for_the_symmetric_gauge_potential():
     flux = B * math.pi * radius**2 * contour.normal[2]
     assert _line_integral(potential, contour, 256) == pytest.approx(flux, rel=1e-14)
     assert evaluated == [256]
+
+
+def test_line_integral_doubling_evaluates_only_the_new_nodes():
+    # A field that needs doublings: each one evaluates the new odd nodes
+    # only, and the sum is the rule on every node of the last one, evaluated
+    # at once.
+    center = np.array([0.3, -0.2, 0.1])
+    contour = Contour(center=tuple(center), normal=(0.0, 0.0, 1.0), radius=1.0, samples=16)
+    batches = []
+
+    def field(pts):
+        batches.append(len(pts))
+        out = np.zeros(pts.shape)
+        out[:, 1] = np.exp(3.0 * (pts[:, 0] - center[0]))
+        return out
+
+    value = _line_integral(field, contour, 16)
+    n = sum(batches)
+    assert len(batches) > 2 and batches == [16] + [16 * 2**i for i in range(len(batches) - 1)]
+    pts = contour.points(n)[:-1]
+    terms = np.einsum("ij,ij->i", field(pts), np.cross(contour.normal, pts - center))
+    assert value == 2.0 * math.pi / n * float(np.sum(terms))
+    # Green: the integral of 3 exp(3 (x - c_x)) over the unit disc.
+    assert value == pytest.approx(2.0 * math.pi * i1(3.0), rel=1e-12)
 
 
 def test_circulation_routes_agree_to_roundoff():

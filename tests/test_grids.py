@@ -7,9 +7,11 @@ from vortexlines import grids
 from vortexlines.grids import (
     Grid3,
     SampledField,
+    SlabbedField,
     load_checkpoint,
     require_same_grid,
     sample,
+    sample_in_slabs,
     save_checkpoint,
     slabs,
 )
@@ -167,3 +169,17 @@ def test_slabs_cover_the_first_axis_in_order(shape):
     # At least one plane, and at most SLAB_POINTS points where a plane fits.
     assert all(k >= 1 and (k == 1 or k * plane <= grids.SLAB_POINTS) for k in planes)
     assert all(k == planes[0] for k in planes[:-1])
+
+
+def test_slabbed_field_refuses_a_non_finite_slab():
+    grid = Grid3.centered((0.0, 0.0, 0.0), 4.0, 8)
+    field = sample_in_slabs(vl.GaussianPacket(l=1.0), C, grid, 0.0)
+    assert field.is_whole and field.slab(slice(0, 2)).shape == (2, 8, 8)
+
+    def form(s):
+        values = field.slab(s)
+        values[-1, 3, 5] = complex(0.0, np.nan)
+        return values
+
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        SlabbedField(grid, form, 0.0).slab(slice(0, 2))

@@ -294,7 +294,7 @@ def test_whole_grid_reductions_in_slabs(monkeypatch, slab):
     whole_norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * volume)
     assert norm(field) == pytest.approx(whole_norm, rel=1e-15, abs=0.0)
     walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
-    assert propagator._boundary_amplitude(values) == max(walls) / np.abs(values).max()
+    assert propagator._walls_and_peak(field) == (max(walls), np.abs(values).max())
 
 
 # At 64^3 one whole-grid complex array is 4.2 MB.
@@ -355,3 +355,19 @@ def test_separated_evolution_equals_dense_evolve(spec, config):
     separated = spec.at(C, t0).on_grid_mapped(*axes, axis_propagators(ANISOTROPIC, config))
     assert separated.shape == ANISOTROPIC.dims
     assert np.max(np.abs(separated - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("slab", SLAB_SIZES)
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_decay_check_in_slabs_equals_the_sampled_grids(monkeypatch, spec, slab):
+    # The oracle check reads psi(t0)'s walls and peak from slabs formed of
+    # its axis rows; each slab is bit for bit the sampled grid's, so the
+    # wall amplitude, the peak and their ratio are exactly the dense ones.
+    monkeypatch.setattr(grids, "SLAB_POINTS", slab)
+    for t in (0.0, 0.25):
+        values = sample(spec, C, ANISOTROPIC, t).values
+        slabbed = grids.sample_in_slabs(spec, C, ANISOTROPIC, t)
+        for s in grids.slabs(ANISOTROPIC.dims):
+            assert np.array_equal(slabbed.slab(s), values[s])
+        walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
+        assert propagator._walls_and_peak(slabbed) == (max(walls), np.abs(values).max())

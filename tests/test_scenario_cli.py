@@ -14,10 +14,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import vortexlines as vl
-from vortexlines import scenario, tracker
+from vortexlines import anatomy, scenario, tracker
 from vortexlines.cli import main
-from vortexlines.errors import SpecValidationError
-from vortexlines.grids import Grid3
+from vortexlines.errors import BoundaryDecayError, SpecValidationError
+from vortexlines.grids import Grid3, sample, sample_in_slabs, slabs
 from vortexlines.presets import list_presets, preset
 from vortexlines.scenario import (
     ScenarioConfig, _periodicity, check_circulation, check_events, check_locus, check_node_speed,
@@ -296,9 +296,26 @@ def test_trap_oracle_step_count_follows_the_trap_period():
     assert errors[0] == errors[1] == errors[2]
 
 
-def test_oracle_holds_two_whole_grid_fields(tmp_path, monkeypatch, traced_peak):
-    # oracle_ring's box at 64^3: the t0 and evolved fields, then the evolved
-    # and t1 fields, and every whole-grid pass in slabs.
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_circulation_check_evaluates_each_contour_node_once(tmp_path, monkeypatch, name):
+    # The velocity route doubles its 256 nodes to 512 here; the doubling
+    # evaluates the 256 new nodes only.
+    exact, batches = anatomy.flow_velocity, []
+
+    def counted(spec, consts, r, t, vector_potential=None):
+        batches.append(len(r))
+        return exact(spec, consts, r, t, vector_potential=vector_potential)
+
+    monkeypatch.setattr(anatomy, "flow_velocity", counted)
+    result = run(dataclasses.replace(preset(name), checks=("circulation",)), tmp_path)
+    assert batches == [256, 256]
+    assert result.exit_status == 0 and result.checks[0].measured < 1e-12
+
+
+def test_oracle_holds_one_whole_grid_field(tmp_path, monkeypatch, traced_peak):
+    # oracle_ring's box at 64^3: the evolved field alone.  t0's walls and
+    # peak come from its axis rows and zero box, t1 is formed slab by slab in
+    # the L2 error, and every whole-grid pass runs in slabs.
     n = 64
     grid = Grid3(tuple(-24.0 + o for o in OFF), (48.0 / n,) * 3, (n,) * 3)
     config = dataclasses.replace(preset("oracle_ring"), grid=grid, n_frames=1,
@@ -313,7 +330,49 @@ def test_oracle_holds_two_whole_grid_fields(tmp_path, monkeypatch, traced_peak):
     monkeypatch.setitem(scenario.CHECK_REGISTRY, "oracle", traced)
     result = run(config, tmp_path)
     assert result.exit_status == 0 and len(peaks) == 1
-    assert peaks[0] <= 2 * 16 * n**3 + 2e6
+    assert peaks[0] <= 16 * n**3 + 2e6
+
+
+def _oracle_trap():
+    """TrapRing on a periodic 72^3 box of side 18, over t = 0..0.5."""
+    n, length = 72, 18.0
+    grid = Grid3(tuple(-0.5 * length + o for o in OFF), (length / n,) * 3, (n,) * 3)
+    return tiny_config(spec=vl.TrapRing(omega=1.0, R=1.0), grid=grid, time_range=(0.0, 0.5),
+                       n_frames=8, checks=("oracle",))
+
+
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap"])
+def test_oracle_reference_slabs_are_the_sampled_grid(name):
+    # The L2 error forms psi(t1) slab by slab from its axis rows: each slab
+    # is bit for bit the sampled grid's, and so is the error.
+    config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    spec, grid, (t0, t1) = config.spec, config.grid, config.time_range
+    reference = sample(spec, config.consts, grid, t1)
+    slabbed = sample_in_slabs(spec, config.consts, grid, t1)
+    for s in slabs(grid.dims):
+        assert np.array_equal(slabbed.slab(s), reference.values[s])
+    other = sample(spec, config.consts, grid, t0)
+    l2 = vl.propagator.l2_relative_error
+    assert l2(slabbed, other) == l2(reference, other) > 0.0
+
+
+def test_oracle_on_a_box_too_small_for_the_window_fails_with_the_dense_error():
+    # The check reads psi(t0) slab by slab; it fails with the error that
+    # evolve of the sampled t0 grid raises, text and amplitude alike.
+    grid = Grid3(tuple(-3.0 + o for o in OFF), (6.0 / 16,) * 3, (16,) * 3)
+    config = tiny_config(spec=vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), grid=grid,
+                         time_range=(0.0, 0.5), checks=("oracle",))
+    with pytest.raises(BoundaryDecayError) as info:
+        vl.propagator.evolve(sample(config.spec, config.consts, grid, 0.0),
+                             vl.PropagatorConfig(dt=0.5, steps=1))
+    results = check_oracle(config, [], None, None)
+    assert [(r.name, r.passed, r.measured, r.tolerance, r.detail) for r in results] == [
+        ("oracle", False, info.value.boundary_amplitude, vl.propagator.BOUNDARY_DECAY,
+         str(info.value))]
+    assert info.value.boundary_amplitude > vl.propagator.BOUNDARY_DECAY
+    assert results[0].detail == (
+        f"initial data at the box wall is {results[0].measured:.3e} of the peak "
+        "(limit 1e-12); enlarge the box or window the data")
 
 
 @pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair"])
