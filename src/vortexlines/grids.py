@@ -81,8 +81,8 @@ class SampledField:
     held, and values has the box's shape; the default box is the whole grid.
     `peak` is the max |psi| over the whole grid, the scale of the tracker's
     noise floor: a field on a smaller box (`sample(..., lines_only=True)`)
-    must carry it, and a whole-grid field may leave it None, to be read from
-    its values.
+    must carry it, and a whole-grid field may leave it None, to be found in
+    the slab pass that checks its values finite.
     """
 
     grid: Grid3
@@ -102,12 +102,25 @@ class SampledField:
                 f"values shape {values.shape} does not match grid dims {self.grid.dims}"
                 + ("" if shape == self.grid.dims else f" on the box {shape}")
             )
-        if not all(np.isfinite(values[s]).all() for s in slabs(values.shape)):
-            raise SpecValidationError("sampled field contains non-finite values")
-        if self.peak is None and shape != self.grid.dims:
-            raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
-        if self.peak is not None and not (0.0 <= self.peak < math.inf):
+        parts = slabs(values.shape)
+        if self.peak is None:
+            if shape != self.grid.dims:
+                raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
+            # The peak in the finiteness pass: a slab's max |psi| is finite
+            # only where every value is.
+            peak = 0.0
+            for s in parts:
+                top = float(np.abs(values[s]).max())
+                if not math.isfinite(top):
+                    _require_finite(values[s])
+                    raise SpecValidationError(f"peak |psi| must be finite, got {top!r}")
+                peak = max(peak, top)
+            object.__setattr__(self, "peak", peak)
+        elif not (0.0 <= self.peak < math.inf):
             raise SpecValidationError(f"peak |psi| must be finite and >= 0, got {self.peak!r}")
+        else:
+            for s in parts:
+                _require_finite(values[s])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "box", box)
 
@@ -163,10 +176,17 @@ class SlabbedField:
 
     def slab(self, s: slice) -> np.ndarray:
         values = self.form(s)
-        # Both parts at once, on the real view of the fresh slab.
-        if not np.isfinite(values.view(float)).all():
-            raise SpecValidationError("sampled field contains non-finite values")
+        _require_finite(values)
         return values
+
+
+def _require_finite(values: np.ndarray):
+    """Refuse complex values that are not all finite, both parts tested at
+    once on the real view where the last axis is contiguous."""
+    if values.strides[-1] == values.itemsize:
+        values = values.view(float)
+    if not np.isfinite(values).all():
+        raise SpecValidationError("sampled field contains non-finite values")
 
 
 def sample_in_slabs(

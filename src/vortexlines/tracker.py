@@ -12,8 +12,9 @@ catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 and each frame is sampled only on the smallest box that holds the others,
 with the whole grid's exact peak |psi| for the noise floor
 (`grids.sample(..., lines_only=True)`).  A numeric field's box is the whole
-grid.  Detection returns the pierced faces as one record array
-(`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
+grid, and its peak is found in the slab pass that checks its values finite
+(`grids.SampledField`).  Detection returns the pierced faces as one record
+array (`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
 downstream runs on that array by face id: the zero of each face's bilinear
 corner model, one root of a real quadratic, seeds the crossings, which
 are refined by one batched Newton iteration on the analytic field when a
@@ -193,26 +194,29 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
 
     The faces are looked for inside the field's box of grid nodes, and
     pierced faces keep their grid indices.  The noise floor is NOISE_FLOOR
-    times the whole grid's peak |psi|: the field's `peak`, or the max over
-    its values where it has none.
+    times the whole grid's peak |psi|, the field's `peak`.  A field whose
+    peak is 0 is zero everywhere and has no crossings: with a floor of 0,
+    every face would be a candidate.
     """
+    if field.peak == 0.0:
+        return DetectionResult(np.empty(0, FACE_DTYPE).view(np.recarray))
     values = field.values
-    parts = slabs(values.shape)
-    peak = field.peak
-    if peak is None:
-        peak = max(np.abs(values[s]).max() for s in parts)
-    floor = NOISE_FLOOR * peak
+    floor = NOISE_FLOOR * field.peak
     # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
     # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
     # over a face's corners, a sign bit survives only where that part keeps
     # its sign at all four, and bit 16 only where all four are below the
     # floor: a face of code 0 is a candidate, one of code 16 a noise face.
-    # Built slab by slab (`grids.slabs`), straight into the code array.
+    # Built slab by slab (`grids.slabs`), straight into the code array,
+    # noting whether any node is below the floor.
     code = np.empty(values.shape, np.uint8)
-    for s in parts:
+    noisy = False
+    for s in slabs(values.shape):
         psi, out = values[s], code[s]
         amps = np.abs(psi)
-        np.multiply(amps < floor, np.uint8(16), out=out)
+        below = amps < floor
+        noisy = noisy or bool(below.any())
+        np.multiply(below, np.uint8(16), out=out)
         amps *= DEGENERACY_FLOOR
         for bit, part in ((1, psi.real), (4, psi.imag)):
             out |= (part > amps) * np.uint8(bit)
@@ -243,7 +247,7 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     )
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
-    noise = _noise_beside(code, pierced)
+    noise = _noise_beside(code, pierced) if noisy else 0
     pierced["index"] += field.offset
     return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
 
@@ -253,8 +257,6 @@ def _noise_beside(code: np.ndarray, pierced: np.recarray) -> int:
     of the cells that hold a pierced face, where a line can end at the noise
     floor.  A cell's faces normal to an axis have their lowest corner at its
     own and the next node; only their codes are formed."""
-    if not (code & 16).any():
-        return 0
     ids = _face_cells(pierced, code.shape)
     cells = np.stack(np.unravel_index(ids[ids >= 0], np.subtract(code.shape, 1)), axis=1)
     count = 0

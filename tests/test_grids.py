@@ -183,3 +183,43 @@ def test_slabbed_field_refuses_a_non_finite_slab():
 
     with pytest.raises(SpecValidationError, match="non-finite"):
         SlabbedField(grid, form, 0.0).slab(slice(0, 2))
+
+
+def test_a_whole_grid_field_finds_its_peak_in_the_finiteness_pass(monkeypatch):
+    grid = Grid3.centered((0.013, 0.011, 0.017), 4.0, (20, 24, 28))
+    values = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.25).values
+    for slab in (24 * 28, 3 * 24 * 28, 10**9):
+        monkeypatch.setattr(grids, "SLAB_POINTS", slab)
+        for held in (values, np.asfortranarray(values)):
+            assert SampledField(grid, held, 0.25).peak == np.abs(values).max()
+    # A box field keeps the peak it is given.
+    box = (slice(2, 9), slice(None), slice(None))
+    assert SampledField(grid, values[box], 0.25, box=box, peak=7.0).peak == 7.0
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(0.0, -np.inf)])
+def test_a_non_finite_value_in_a_middle_slab_is_refused(monkeypatch, bad):
+    # Python's max keeps its first argument over a NaN, so a peak taken over
+    # slabs would drop one that is not in the first slab: every slab's max
+    # is tested.
+    grid = Grid3((0, 0, 0), (1, 1, 1), (8, 5, 6))
+    monkeypatch.setattr(grids, "SLAB_POINTS", 2 * 5 * 6)
+    values = np.ones(grid.dims, complex)
+    values[4, 2, 3] = bad
+    assert len(slabs(grid.dims)) == 4
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        SampledField(grid, values, 0.0)
+    # A box field is tested on the real view of its values where it can be,
+    # and on the complex values of another layout.
+    box = (slice(2, 7), slice(None), slice(None))
+    for held in (values[box], np.asfortranarray(values[box])):
+        with pytest.raises(SpecValidationError, match="non-finite"):
+            SampledField(grid, held, 0.0, box=box, peak=1.0)
+
+
+def test_a_whole_grid_field_whose_peak_overflows_is_refused():
+    grid = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
+    values = np.full(grid.dims, complex(1.5e308, 1.5e308))
+    with pytest.raises(SpecValidationError, match="peak"):
+        SampledField(grid, values, 0.0)

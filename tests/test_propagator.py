@@ -371,3 +371,18 @@ def test_decay_check_in_slabs_equals_the_sampled_grids(monkeypatch, spec, slab):
             assert np.array_equal(slabbed.slab(s), values[s])
         walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
         assert propagator._walls_and_peak(slabbed) == (max(walls), np.abs(values).max())
+
+
+@pytest.mark.parametrize("grid", [ANISOTROPIC, periodic_grid(12.0, 16), periodic_grid(16.0, 40)],
+                         ids=["anisotropic", "16", "40"])
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_walls_and_peak_from_axis_rows_match_the_slabs(spec, grid):
+    # The oracle check reads psi(t0)'s walls from its axis rows, both end
+    # rows of an axis in one product, and its peak from P's block bounds:
+    # not bit for bit the sampled grid's, but within roundoff of it.
+    axes = [grid.axis_coords(a) for a in range(3)]
+    for t in (0.0, 0.25, 0.5):
+        wall, peak = spec.at(C, t).walls_and_peak(*axes)
+        dense_wall, dense_peak = propagator._walls_and_peak(grids.sample_in_slabs(spec, C, grid, t))
+        assert wall == pytest.approx(dense_wall, rel=1e-15, abs=0.0)
+        assert peak == pytest.approx(dense_peak, rel=1e-15, abs=0.0)

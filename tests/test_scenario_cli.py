@@ -375,6 +375,69 @@ def test_oracle_on_a_box_too_small_for_the_window_fails_with_the_dense_error():
         "(limit 1e-12); enlarge the box or window the data")
 
 
+def _oracle_window():
+    """WindowedRingCylinder on a periodic 32^3 box of side 20, over t = 0..0.5:
+    its walls are 6.5e-18 of its peak at t = 0."""
+    grid = Grid3(tuple(-10.0 + o for o in OFF), (20.0 / 32,) * 3, (32,) * 3)
+    return tiny_config(spec=vl.WindowedRingCylinder(R=1.0, a=0.5, l=1.0), grid=grid,
+                       time_range=(0.0, 0.5), checks=("oracle",))
+
+
+def _decay_routes(monkeypatch):
+    """Spy on the oracle check: the times at which it forms a field slab by
+    slab and the number of dense decay checks."""
+    formed, dense = [], []
+
+    def in_slabs(spec, consts, grid, t):
+        formed.append(t)
+        return sample_in_slabs(spec, consts, grid, t)
+
+    def require_decayed(initial, _original=vl.propagator.require_decayed):
+        dense.append(initial.time)
+        return _original(initial)
+
+    monkeypatch.setattr(scenario, "sample_in_slabs", in_slabs)
+    monkeypatch.setattr(vl.propagator, "require_decayed", require_decayed)
+    return formed, dense
+
+
+def test_oracle_decay_check_forms_no_t0_grid(monkeypatch):
+    # Clear of the limit, the walls and peak from t0's axis rows decide:
+    # only t1 is formed, for the L2 error.
+    config = _oracle_window()
+    formed, dense = _decay_routes(monkeypatch)
+    results = check_oracle(config, [], None, None)
+    assert results[0].detail.startswith("phase-optimal L2 error")
+    assert formed == [0.5] and dense == []
+
+
+def _as_tuples(results):
+    return [(r.name, r.passed, r.measured, r.tolerance, r.detail) for r in results]
+
+
+def test_oracle_decay_check_at_the_limit_is_the_dense_one(monkeypatch):
+    # With the limit at the sampled grid's exact ratio the dense check
+    # passes, and a limit one float below it fails: the walls and peak from
+    # axis rows cannot tell these apart, so the check settles both on t0's
+    # slabs, with the dense verdict, amplitude and text.
+    config = _oracle_window()
+    spec, consts, grid = config.spec, config.consts, config.grid
+    expected = _as_tuples(check_oracle(config, [], None, None))
+    initial = sample(spec, consts, grid, 0.0)
+    wall, peak = vl.propagator._walls_and_peak(initial)
+    formed, dense = _decay_routes(monkeypatch)
+    monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", wall / peak)
+    assert _as_tuples(check_oracle(config, [], None, None)) == expected
+    assert formed == [0.0, 0.5] and dense == [0.0]
+    below = float(np.nextafter(wall / peak, 0.0))
+    monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", below)
+    with pytest.raises(BoundaryDecayError) as info:
+        vl.propagator.evolve(initial, vl.PropagatorConfig(dt=0.5, steps=1))
+    assert _as_tuples(check_oracle(config, [], None, None)) == [
+        ("oracle", False, info.value.boundary_amplitude, below, str(info.value))]
+    assert info.value.boundary_amplitude == wall / peak
+
+
 @pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair"])
 def test_oracle_fails_with_the_propagator_dt_off_by_a_thousandth(monkeypatch, name):
     # dt scaled by 1.001 leaves an L2 error of 8.2e-5 on the ring and 3.0e-5

@@ -766,8 +766,24 @@ def test_a_prefactor_beyond_the_bound_keeps_the_whole_grid():
     assert snapshot.on_zero_box(*(grid.axis_coords(a) for a in range(3))) is None
     field = sample(CubicPrefactor(), C, grid, 0.0, lines_only=True)
     assert field.box == (slice(None),) * 3
-    assert field.peak is None
+    assert field.peak == np.abs(field.values).max()
     assert np.array_equal(field.values, sample(CubicPrefactor(), C, grid, 0.0).values)
+
+
+def test_a_zero_field_has_no_crossings_and_forms_no_face_codes(traced_peak):
+    # Its peak, and so its noise floor, is 0: every face would be a
+    # candidate, as no node is below the floor.  A field of 1e-300 has the
+    # same result from the full detection.
+    grid = Grid3.centered(OFF, 4.0, 64)
+    zero = SampledField(grid, np.zeros(grid.dims, complex), 0.0)
+    tiny = SampledField(grid, np.full(grid.dims, 1e-300 + 0j), 0.0)
+    assert zero.peak == 0.0
+    det, peak = traced_peak(detect_pierced_faces, zero)
+    assert peak <= 1e4
+    for found in (det, detect_pierced_faces(tiny)):
+        assert found.pierced.dtype == tracker.FACE_DTYPE
+        assert (len(found.pierced), found.ambiguous_count, found.noise_count) == (0, 0, 0)
+    assert extract_lines(zero) == []
 
 
 def test_track_runs_every_stage_once_per_frame(monkeypatch):
