@@ -42,7 +42,7 @@ from .anatomy import (
     w_vector,
     winding_number,
 )
-from .grids import Grid3, SampledField, load_checkpoint, sample, save_checkpoint
+from .grids import Grid3, SampledField, sample
 from .tracker import (
     Event,
     EventLog,
@@ -54,7 +54,7 @@ from .tracker import (
     node_speeds,
     track,
 )
-from .propagator import PropagatorConfig, evolve, l2_relative_error, norm
+from .propagator import PropagatorConfig, evolve, l2_relative_error
 from .scenario import CheckResult, ScenarioConfig, ScenarioResult
 from .scenario import run as run_scenario
 from .scenario import validate as validate_scenario

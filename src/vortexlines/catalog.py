@@ -646,7 +646,7 @@ class RelRingCylinder(_KleinGordonCarrier):
 class WindowedRingCylinder(_GaussianCarrier):
     """Cylinder-plane vortex ring riding on a normalizable Gaussian envelope.
 
-    This is the square-integrable variant used for split-step validation: the
+    This is the square-integrable variant used for propagator validation: the
     lens image of FreeRingCylinder, so at t = 0 it equals the plane-wave
     cylinder ring times exp(-r^2/2l^2).
     """

@@ -1,10 +1,10 @@
-"""Rectilinear sampling grids, sampled complex fields, and checkpoint IO."""
+"""Rectilinear sampling grids and sampled complex fields, whole or formed
+slab by slab."""
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -13,10 +13,6 @@ import numpy as np
 from .catalog import SolutionSpec
 from .constants import PhysicalConstants
 from .errors import GridMismatchError, SpecValidationError
-
-CHECKPOINT_MAGIC = b"VLF1"
-CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4si3q3d3dd")  # magic, version, dims, spacing, origin, time
 
 #: The most points one slab of a whole-grid pass holds: 2**15 complex values,
 #: 512 kB, stay in a core's L2 cache, so a pass over slabs holds no
@@ -224,50 +220,3 @@ def require_same_grid(a: SampledField | SlabbedField, b: SampledField | SlabbedF
     if a.grid != b.grid:
         raise GridMismatchError("sampled fields live on different grids")
 
-
-def save_checkpoint(field: SampledField, path):
-    """Write a whole-grid field as a small self-describing little-endian
-    binary file."""
-    require_whole_grid(field)
-    header = _HEADER.pack(
-        CHECKPOINT_MAGIC,
-        CHECKPOINT_VERSION,
-        *field.grid.dims,
-        *field.grid.spacing,
-        *field.grid.origin,
-        field.time,
-    )
-    # Interleaved re, im pairs with the x index varying fastest.
-    flat = field.values.transpose(2, 1, 0).reshape(-1)
-    payload = np.empty(2 * flat.size, dtype="<f8")
-    payload[0::2] = flat.real
-    payload[1::2] = flat.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def load_checkpoint(path) -> SampledField:
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        payload = fh.read()
-    if len(header) < _HEADER.size:
-        raise SpecValidationError(
-            f"checkpoint header has {len(header)} bytes, expected {_HEADER.size}"
-        )
-    fields = _HEADER.unpack(header)
-    magic, version = fields[0], fields[1]
-    if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
-        raise SpecValidationError(f"not a recognized checkpoint file: {magic!r} v{version}")
-    grid = Grid3(fields[8:11], fields[5:8], fields[2:5])
-    dims, time = grid.dims, fields[11]
-    expected = 16 * dims[0] * dims[1] * dims[2]
-    if len(payload) != expected:
-        raise SpecValidationError(
-            f"checkpoint payload has {len(payload)} bytes, dims {dims} need {expected}"
-        )
-    # The interleaved re, im pairs are little-endian complex values; one
-    # copy puts them in C order, as every other whole-grid field is held.
-    flat = np.frombuffer(payload, dtype="<c16")
-    values = np.ascontiguousarray(flat.reshape(dims[::-1]).transpose(2, 1, 0), dtype=complex)
-    return SampledField(grid, values, time)

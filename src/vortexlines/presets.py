@@ -169,7 +169,7 @@ def _build_presets() -> dict[str, tuple[str, ScenarioConfig]]:
         ),
     )
     presets["oracle_ring"] = (
-        "Windowed cylinder ring vs the split-step propagator",
+        "Windowed cylinder ring vs the exact discrete propagator",
         ScenarioConfig(
             spec=WindowedRingCylinder(R=1.0, a=0.5, l=2.5),
             consts=consts,
@@ -180,7 +180,7 @@ def _build_presets() -> dict[str, tuple[str, ScenarioConfig]]:
         ),
     )
     presets["oracle_pair"] = (
-        "Windowed antiparallel pair vs the split-step propagator",
+        "Windowed antiparallel pair vs the exact discrete propagator",
         ScenarioConfig(
             spec=WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=4.0),
             consts=consts,

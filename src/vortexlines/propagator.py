@@ -1,33 +1,35 @@
-"""Split-step spectral propagator: an oracle independent of the closed forms.
+"""Exact evolution of the discrete Hamiltonian: an oracle independent of the
+closed forms.
 
-Strang splitting on a periodic box — half potential step, full spectral
-kinetic step, half potential step — for the free and harmonic-trap
-Hamiltonians.  Both Hamiltonians are sums of commuting 1-D parts, so the 3-D
-Strang step is the Kronecker product of three 1-D steps
-S_a = h_a F^-1 diag(exp(-i hbar k^2 dt / 2m)) F h_a, with h_a the trap's
-half-potential phase along axis a (1 for the free case).  `steps` steps are
-then the matrix powers U_a = S_a^steps, each applied along its axis by one
-matrix product: (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call,
-whatever the step count.  U_y and U_z are applied in place, slab by slab of
-x planes (`grids.slabs`), so `evolve` holds its output and no other
-whole-grid array; the decay check, the norms and the L2 error sum over the
-same slabs.  The decay check and the L2 error also take a
-`grids.SlabbedField`, an exact solution formed slab by slab from its axis
-rows where it is read, so that field is never held whole.  A
-field that is a sum of products of axis vectors X (x) Y (x) Z evolves
-without its grid: (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x)
-U_z Z (the separated representation: Beylkin & Mohlenkamp, PNAS 99:10246,
-2002), so `axis_propagators` hands out the three U_a for that.  With no
-potential there is nothing to split, so one step of length T equals any
-number of steps that add up to T.  The evolution sees only t0 data, dense
-or as axis samples; never the time dependence of the analytic formulas,
-which is what makes the comparison meaningful.
+On a periodic box the free and harmonic-trap Hamiltonians are sums of
+commuting 1-D parts H_a = D_a + diag(m w^2 x^2 / 2), with D_a the spectral
+kinetic operator F^-1 diag(hbar^2 k^2 / 2m) F, a real symmetric circulant
+matrix (w = 0 for the free case).  The evolution over a duration t is then
+the Kronecker product of three N_a x N_a propagators
+U_a = exp(-i H_a t / hbar), each the exact evolution of the discrete system:
+there is no time step and no splitting error, whatever t.  With no
+potential H_a is diagonal in the DFT basis, so U_a is
+F^-1 diag(exp(-i hbar k^2 t / 2m)) F; with the trap it comes from the
+eigendecomposition H_a = V diag(E) V^T as V diag(exp(-i E t / hbar)) V^T.
+Each U_a is applied along its axis by one matrix product:
+(N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.  U_y and U_z
+are applied in place, slab by slab of x planes (`grids.slabs`), so `evolve`
+holds its output and no other whole-grid array; the decay check and the L2
+error sum over the same slabs.  The decay check and the L2 error also take
+a `grids.SlabbedField`, an exact solution formed slab by slab from its axis
+rows where it is read, so that field is never held whole.  A field that is
+a sum of products of axis vectors X (x) Y (x) Z evolves without its grid:
+(U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x) U_z Z (the
+separated representation: Beylkin & Mohlenkamp, PNAS 99:10246, 2002), so
+`axis_propagators` hands out the three U_a for that.  The evolution sees
+only t0 data, dense or as axis samples, and the discrete H; never the time
+dependence of the analytic formulas, which is what makes the comparison
+meaningful.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,22 +44,15 @@ BOUNDARY_DECAY = 1e-12
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Evolution parameters; splitting is second order (Strang).  The box is
-    the evolved field's grid, and omega > 0 adds the harmonic trap."""
+    """Evolution over `duration`.  The box is the evolved field's grid, and
+    omega > 0 adds the harmonic trap."""
 
-    dt: float
-    steps: int
+    duration: float
     omega: float = 0.0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise SpecValidationError("dt must be > 0")
-        try:
-            valid = operator.index(self.steps) >= 0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise SpecValidationError("steps must be an integer >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise SpecValidationError("duration must be finite and >= 0")
         if not (math.isfinite(self.omega) and self.omega >= 0):
             raise SpecValidationError("omega must be finite and >= 0")
 
@@ -101,9 +96,9 @@ def evolve(
     config: PropagatorConfig,
     consts: PhysicalConstants = NATURAL_UNITS,
 ) -> SampledField:
-    """Advance the field by steps * dt with Strang-split spectral stepping."""
+    """Advance the field by `config.duration` under the discrete Hamiltonian."""
     require_decayed(initial)
-    if config.steps == 0:
+    if config.duration == 0:
         return initial
     grid = initial.grid
     u_x, u_y, u_z = axis_propagators(grid, config, consts)
@@ -113,40 +108,34 @@ def evolve(
     for s in slabs(psi.shape):
         part = np.matmul(u_y, psi[s]).reshape(-1, n_z)
         np.matmul(part, u_z.T, out=psi[s].reshape(-1, n_z))
-    return SampledField(grid, psi, initial.time + config.steps * config.dt)
+    return SampledField(grid, psi, initial.time + config.duration)
 
 
 def axis_propagators(
     grid: Grid3, config: PropagatorConfig, consts: PhysicalConstants = NATURAL_UNITS
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_x, U_y, U_z): the evolution over steps * dt is U_x (x) U_y (x) U_z."""
+    """(U_x, U_y, U_z): the evolution over `config.duration` is
+    U_x (x) U_y (x) U_z."""
     return tuple(_axis_propagator(grid, a, config, consts) for a in range(3))
 
 
 def _axis_propagator(
     grid: Grid3, axis: int, config: PropagatorConfig, consts: PhysicalConstants
 ) -> np.ndarray:
-    """The 1-D Strang step along `axis` as an N x N matrix, raised to the
-    power `config.steps`."""
+    """exp(-i H_a t / hbar) along `axis` as an N x N matrix, t the duration."""
     n = grid.dims[axis]
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=grid.spacing[axis])
-    kinetic = np.exp(-1j * consts.hbar * config.dt / (2.0 * consts.mass) * k**2)
-    step = np.fft.ifft(kinetic[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    if config.hamiltonian == "harmonic":
-        # V = m w^2 x^2 / 2 per axis; exp(-i V dt / 2 hbar) is the half step.
-        rate = 0.25 * consts.mass * config.omega**2 * config.dt / consts.hbar
-        half = np.exp(-1j * rate * grid.axis_coords(axis) ** 2)
-        step = half[:, None] * step * half[None, :]
-    return np.linalg.matrix_power(step, config.steps)
-
-
-def norm(a: SampledField) -> float:
-    """Discrete L2 norm including the cell volume."""
-    require_whole_grid(a)
-    volume = float(np.prod(a.grid.spacing))
-    v = a.values
-    total = sum(float(np.sum(np.abs(v[s]) ** 2)) for s in slabs(v.shape))
-    return math.sqrt(total * volume)
+    if config.hamiltonian == "free":
+        # H_a is diagonal in the DFT basis: one phase per wave number.
+        kinetic = np.exp(-1j * consts.hbar * config.duration / (2.0 * consts.mass) * k**2)
+        return np.fft.ifft(kinetic[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    # The circulant kinetic matrix: entry (i, j) is its first column's
+    # (i - j) mod n; k^2 is even in k, so that column is real.
+    column = np.fft.ifft(consts.hbar**2 / (2.0 * consts.mass) * k**2).real
+    h = column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    h[np.diag_indices(n)] += 0.5 * consts.mass * config.omega**2 * grid.axis_coords(axis) ** 2
+    energies, vectors = np.linalg.eigh(h)
+    return (vectors * np.exp(-1j * energies * (config.duration / consts.hbar))) @ vectors.T
 
 
 def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedField) -> float:

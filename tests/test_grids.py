@@ -8,11 +8,9 @@ from vortexlines.grids import (
     Grid3,
     SampledField,
     SlabbedField,
-    load_checkpoint,
     require_same_grid,
     sample,
     sample_in_slabs,
-    save_checkpoint,
     slabs,
 )
 
@@ -75,47 +73,6 @@ def test_require_same_grid():
         require_same_grid(f1, f2)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    grid = Grid3.centered((0.1, 0.2, 0.3), (3.0, 3.0, 3.0), (6, 7, 8))
-    field = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, t=0.25)
-    path = tmp_path / "field.vlf"
-    save_checkpoint(field, path)
-    loaded = load_checkpoint(path)
-    assert loaded.grid == field.grid
-    assert loaded.time == field.time
-    assert np.array_equal(loaded.values, field.values)
-    # Byte-stable: saving the loaded field reproduces the file exactly.
-    path2 = tmp_path / "field2.vlf"
-    save_checkpoint(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_checkpoint_layout_is_x_fastest_little_endian(tmp_path):
-    grid = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
-    values = np.zeros((4, 4, 4), dtype=complex)
-    values[1, 0, 0] = 2.0 + 3.0j  # second x index, first y/z
-    field = SampledField(grid, values, 0.0)
-    path = tmp_path / "layout.vlf"
-    save_checkpoint(field, path)
-    raw = np.frombuffer(path.read_bytes()[len(path.read_bytes()) - 2 * 64 * 8 :], "<f8")
-    assert raw[2] == 2.0 and raw[3] == 3.0  # element index 1 along x
-
-
-def test_checkpoint_rejects_foreign_file(tmp_path):
-    path = tmp_path / "bogus.vlf"
-    path.write_bytes(b"NOPE" + bytes(100))
-    with pytest.raises(SpecValidationError):
-        load_checkpoint(path)
-    # Empty, a truncated header, and a payload one value short of its dims.
-    good = tmp_path / "good.vlf"
-    grid = Grid3((0, 0, 0), (1, 1, 1), (4, 5, 6))
-    save_checkpoint(SampledField(grid, np.zeros(grid.dims, complex), 0.0), good)
-    for data in (b"", good.read_bytes()[:10], good.read_bytes()[:-16]):
-        path.write_bytes(data)
-        with pytest.raises(SpecValidationError):
-            load_checkpoint(path)
-
-
 def test_sampled_field_on_a_box():
     grid = Grid3((0, 0, 0), (1, 1, 1), (6, 5, 4))
     box = (slice(1, 4), slice(0, 5), slice(2, 2))
@@ -138,13 +95,6 @@ def _box_field():
     field = sample(vl.FreeLineVortex(chi=0.6), C, grid, 0.0, lines_only=True)
     assert not field.is_whole
     return field
-
-
-def test_checkpoint_refuses_a_box_field(tmp_path):
-    # The header would give the grid's dims, the payload only the box's.
-    with pytest.raises(SpecValidationError):
-        save_checkpoint(_box_field(), tmp_path / "box.vlf")
-    assert not (tmp_path / "box.vlf").exists()
 
 
 def test_require_same_grid_refuses_a_box_field():

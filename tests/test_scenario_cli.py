@@ -278,10 +278,9 @@ def test_cli_run_tracks_events_with_two_frames(tmp_path, capsys):
     assert [e["kind"] for e in events["events"]] == ["creation", "annihilation"]
 
 
-def test_trap_oracle_step_count_follows_the_trap_period():
-    # The harmonic oracle takes its Strang step count from the trap period,
-    # so it passes, with the same error, whatever the frame count.  A count
-    # of max(50, 10 * n_frames) steps fails at 2 and 4 frames (1.01e-5).
+def test_trap_oracle_is_the_same_at_any_frame_count():
+    # The harmonic oracle evolves over the window in one exact step, so it
+    # passes, with the same error, whatever the frame count.
     n, length = 48, 18.0
     grid = Grid3(tuple(-0.5 * length + o for o in OFF), (length / n,) * 3, (n,) * 3)
     errors = []
@@ -364,7 +363,7 @@ def test_oracle_on_a_box_too_small_for_the_window_fails_with_the_dense_error():
                          time_range=(0.0, 0.5), checks=("oracle",))
     with pytest.raises(BoundaryDecayError) as info:
         vl.propagator.evolve(sample(config.spec, config.consts, grid, 0.0),
-                             vl.PropagatorConfig(dt=0.5, steps=1))
+                             vl.PropagatorConfig(duration=0.5))
     results = check_oracle(config, [], None, None)
     assert [(r.name, r.passed, r.measured, r.tolerance, r.detail) for r in results] == [
         ("oracle", False, info.value.boundary_amplitude, vl.propagator.BOUNDARY_DECAY,
@@ -432,23 +431,31 @@ def test_oracle_decay_check_at_the_limit_is_the_dense_one(monkeypatch):
     below = float(np.nextafter(wall / peak, 0.0))
     monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", below)
     with pytest.raises(BoundaryDecayError) as info:
-        vl.propagator.evolve(initial, vl.PropagatorConfig(dt=0.5, steps=1))
+        vl.propagator.evolve(initial, vl.PropagatorConfig(duration=0.5))
     assert _as_tuples(check_oracle(config, [], None, None)) == [
         ("oracle", False, info.value.boundary_amplitude, below, str(info.value))]
     assert info.value.boundary_amplitude == wall / peak
 
 
-@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair"])
-def test_oracle_fails_with_the_propagator_dt_off_by_a_thousandth(monkeypatch, name):
-    # dt scaled by 1.001 leaves an L2 error of 8.2e-5 on the ring and 3.0e-5
-    # on the pair, both above the tolerance.
+@pytest.mark.parametrize("name, field", [
+    ("oracle_ring", "duration"),
+    ("oracle_pair", "duration"),
+    ("oracle_trap", "duration"),
+    ("oracle_trap", "omega"),
+])
+def test_oracle_fails_with_the_propagator_off_by_a_millionth(monkeypatch, name, field):
+    # A relative 1e-6 change of the duration leaves an L2 error of 8.2e-8 on
+    # the ring, 3.0e-8 on the pair and 3.3e-7 in the trap, and of omega
+    # 8.7e-7: all far above the tolerance, which roundoff stays far below.
     exact = scenario.propagator.axis_propagators
 
     def off(grid, config, consts):
-        return exact(grid, dataclasses.replace(config, dt=1.001 * config.dt), consts)
+        value = (1.0 + 1e-6) * getattr(config, field)
+        return exact(grid, dataclasses.replace(config, **{field: value}), consts)
 
     monkeypatch.setattr(scenario.propagator, "axis_propagators", off)
-    l2 = check_oracle(preset(name), [], None, None)[0]
+    config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    l2 = check_oracle(config, [], None, None)[0]
     assert not l2.passed and l2.measured > 2.0 * scenario.ORACLE_L2_TOLERANCE, l2
 
 

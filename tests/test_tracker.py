@@ -628,7 +628,7 @@ def _evolved_oracle_field(name):
     """The numerically evolved field that the oracle check extracts lines from."""
     config = vl.preset(name)
     t0, t1 = config.time_range
-    prop = vl.propagator.PropagatorConfig(dt=t1 - t0, steps=1)
+    prop = vl.propagator.PropagatorConfig(duration=t1 - t0)
     return vl.propagator.evolve(sample(config.spec, C, config.grid, t0), prop, C).values
 
 
@@ -820,13 +820,14 @@ def test_box_detection_takes_the_noise_floor_from_the_whole_grid():
 
 
 def _evolved_trap_ring():
-    """TrapRing after 25 harmonic steps on a 20 x 24 x 28 periodic box: its
-    far field is roundoff, with noise faces beside pierced ones."""
+    """TrapRing evolved in the trap over t = 0..0.5 on a 20 x 24 x 28
+    periodic box: its far field is roundoff, with noise faces beside pierced
+    ones."""
     sides, dims = (19.0, 20.0, 21.0), (20, 24, 28)
     grid = Grid3(tuple(-0.5 * side + o for side, o in zip(sides, OFF)),
                  tuple(side / n for side, n in zip(sides, dims)), dims)
     field = sample(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
-    return vl.propagator.evolve(field, vl.propagator.PropagatorConfig(dt=0.02, steps=25, omega=1.0))
+    return vl.propagator.evolve(field, vl.propagator.PropagatorConfig(duration=0.5, omega=1.0))
 
 
 def test_detection_in_slabs_equals_one_slab(monkeypatch):

@@ -12,14 +12,17 @@ omega = 0 in space-time, found at the closed-form times whatever the grid
 and the frames.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vortexlines as vl
 from vortexlines.grids import Grid3, sample
+from vortexlines.scenario import check_events
 from vortexlines.tracker import (
     analytic_refiner,
     cell_winding_balance,
@@ -127,3 +130,23 @@ def test_events_are_found_at_the_law(spec, n, n_frames, shift):
         assert abs(event.t - expected) <= 1e-9 * t_a
         assert event.t_lo <= event.t <= event.t_hi
         assert event.frame_hi == event.frame_lo + 1
+
+
+#: No frame lands inside the short life of the ring, t in (-0.2, 0.2), so
+#: no line is ever seen and no event solve starts.
+_BETWEEN_FRAMES = pytest.mark.xfail(
+    strict=True, reason="an event between frames with no line on any frame is missed")
+
+
+@pytest.mark.parametrize("n_frames", [
+    pytest.param(3, marks=_BETWEEN_FRAMES), 4, pytest.param(5, marks=_BETWEEN_FRAMES), 8])
+def test_a_short_lived_ring_is_found_at_any_frame_count(n_frames):
+    # fig1's grid, with a ring born at -0.2 and gone at +0.2 in a window of
+    # (-1, 1): at 4 and 8 frames a frame lands in the ring's life, at 3 and 5
+    # none does.
+    config = dataclasses.replace(
+        vl.preset("fig1"), spec=vl.FreeRingSphere(R=0.6, a=1.0), time_range=(-1.0, 1.0),
+        n_frames=n_frames, checks=("events",))
+    frames, log = track(config.spec, C, config.grid, -1.0, 1.0, n_frames)
+    results = check_events(config, frames, log, None)
+    assert [r.passed for r in results] == [True, True], results
