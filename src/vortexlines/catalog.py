@@ -978,27 +978,20 @@ class Snapshot:
         peak = self._block_peak(rows, edges, np.flatnonzero(above > peak), peak)
         return box, values, peak
 
-    def walls_and_peak(self, x, y, z) -> tuple[float, float] | None:
-        """The max |psi| on the six walls of the grid of three 1-D axes and
-        the grid's peak |psi| (`on_zero_box`), with no grid formed: (wall,
-        peak), or None where P's degree is beyond `prefactor_bounds`.
-
-        Each axis's two walls are one `_psi_on` product over both its end
-        rows, a matrix product: over one end row it would run as a
-        matrix-vector product, whose walls differ from the sampled grid's by
-        up to 7e-15 relative.  These differ by roundoff still, since the
-        products' shapes are not the grid's.  A NaN on a wall makes the wall
-        amplitude NaN.
-        """
+    def walls_and_peak(self, x, y, z) -> tuple[float, float]:
+        """The max |psi| on the six walls of the grid of three 1-D axes, and
+        the grid's peak |psi|: `on_zero_box`'s, with no grid formed, or the
+        whole grid's where P's degree is beyond `prefactor_bounds`.  Each
+        axis's two walls are one `_psi_on` matrix product over both its end
+        rows (over one row it would be a matrix-vector product, up to 7e-15
+        relative off the sampled grid's walls); these differ from the
+        sampled grid's by roundoff still.  A NaN on a wall makes it NaN."""
         found = self.on_zero_box(x, y, z)
-        if found is None:
-            return None
         rows = self._axis_rows((x, y, z))
-        walls = []
-        for a in range(3):
-            ends = [r[:, [0, -1]] if b == a else r for b, r in enumerate(rows)]
-            walls.append(np.abs(self._psi_on(ends)).max())
-        return float(np.max(walls)), found[2]
+        ends = [[r[:, [0, -1]] if b == a else r for b, r in enumerate(rows)] for a in range(3)]
+        wall = np.max([np.abs(self._psi_on(e)).max() for e in ends])
+        peak = found[2] if found is not None else np.abs(self._psi_on(rows)).max()
+        return float(wall), float(peak)
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:
         """The max of peak and |psi| over the nodes of the given blocks (flat

@@ -12,12 +12,10 @@ potential H_a is diagonal in the DFT basis, so U_a is
 F^-1 diag(exp(-i hbar k^2 t / 2m)) F; with the trap it comes from the
 eigendecomposition H_a = V diag(E) V^T as V diag(exp(-i E t / hbar)) V^T.
 Each U_a is applied along its axis by one matrix product:
-(N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.  U_y and U_z
-are applied in place, slab by slab of x planes (`grids.slabs`), so `evolve`
-holds its output and no other whole-grid array; the decay check and the L2
-error sum over the same slabs.  The decay check and the L2 error also take
-a `grids.SlabbedField`, an exact solution formed slab by slab from its axis
-rows where it is read, so that field is never held whole.  A field that is
+(N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.
+`require_decayed(wall, peak)` refuses data that has not decayed at the box
+walls, which the periodic box would wrap round.  The L2 error also reads a
+`grids.SlabbedField`, formed slab by slab where it is read.  A field that is
 a sum of products of axis vectors X (x) Y (x) Z evolves without its grid:
 (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x) U_z Z (the
 separated representation: Beylkin & Mohlenkamp, PNAS 99:10246, 2002), so
@@ -61,29 +59,12 @@ class PropagatorConfig:
         return "harmonic" if self.omega > 0 else "free"
 
 
-def _walls_and_peak(field: SampledField | SlabbedField) -> tuple[float, float]:
-    """The largest |psi| on the six walls of the grid, and the peak |psi|, in
-    one pass over slabs of x planes (`grids.slabs`)."""
-    n_x = field.grid.dims[0]
-    wall = peak = 0.0
-    for s in slabs(field.grid.dims):
-        amps = np.abs(field.slab(s))
-        x_walls = [i - s.start for i in (0, n_x - 1) if s.start <= i < s.stop]
-        peak = max(peak, float(amps.max()))
-        wall = max(wall, float(amps[:, [0, -1]].max()), float(amps[..., [0, -1]].max()),
-                   float(amps[x_walls].max(initial=0.0)))
-    return wall, peak
-
-
-def require_decayed(initial: SampledField | SlabbedField):
-    """Refuse initial data that has not decayed at the box walls, which the
-    periodic box would wrap round: BoundaryDecayError with the largest wall
-    amplitude relative to the peak, 0 for a zero field.  A `SlabbedField` is
-    read one slab at a time."""
-    require_whole_grid(initial)
-    wall, peak = _walls_and_peak(initial)
+def require_decayed(wall: float, peak: float):
+    """Refuse initial data whose largest |psi| on the box walls is above
+    BOUNDARY_DECAY of its peak |psi|: BoundaryDecayError with the ratio, 0
+    for a zero field.  A NaN ratio is refused too."""
     boundary = 0.0 if peak == 0.0 else wall / peak
-    if boundary > BOUNDARY_DECAY:
+    if not boundary <= BOUNDARY_DECAY:
         raise BoundaryDecayError(
             f"initial data at the box wall is {boundary:.3e} of the peak "
             f"(limit {BOUNDARY_DECAY:g}); enlarge the box or window the data",
@@ -97,18 +78,15 @@ def evolve(
     consts: PhysicalConstants = NATURAL_UNITS,
 ) -> SampledField:
     """Advance the field by `config.duration` under the discrete Hamiltonian."""
-    require_decayed(initial)
+    require_whole_grid(initial)
+    psi = initial.values
+    faces = (psi[[0, -1]], psi[:, [0, -1]], psi[..., [0, -1]])
+    require_decayed(max(float(np.abs(f).max()) for f in faces), initial.peak)
     if config.duration == 0:
         return initial
-    grid = initial.grid
-    u_x, u_y, u_z = axis_propagators(grid, config, consts)
-    n_x, n_y, n_z = grid.dims
-    psi = (u_x @ initial.values.reshape(n_x, -1)).reshape(n_x, n_y, n_z)
-    # U_y and U_z in place, slab by slab: no second whole-grid array.
-    for s in slabs(psi.shape):
-        part = np.matmul(u_y, psi[s]).reshape(-1, n_z)
-        np.matmul(part, u_z.T, out=psi[s].reshape(-1, n_z))
-    return SampledField(grid, psi, initial.time + config.duration)
+    u_x, u_y, u_z = axis_propagators(initial.grid, config, consts)
+    psi = (u_x @ psi.reshape(len(psi), -1)).reshape(psi.shape)
+    return SampledField(initial.grid, np.matmul(u_y, psi) @ u_z.T, initial.time + config.duration)
 
 
 def axis_propagators(

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import anatomy, propagator, serialization, tracker
 from .catalog import (
-    DEGENERACY_FLOOR,
     FreeLineVortex,
     FreePlaneWave,
     FreeRingCylinder,
@@ -64,6 +63,13 @@ class ScenarioConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise SpecValidationError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
+        # Not any iterable: a string would be split into letters.
+        if not (isinstance(self.checks, (list, tuple))
+                and all(isinstance(c, str) for c in self.checks)):
+            raise SpecValidationError(f"checks must be a list of check names, got {self.checks!r}")
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +92,7 @@ class ScenarioConfig:
                 grid=serialization.grid_from_dict(data["grid"]),
                 time_range=tuple(float(v) for v in data["time_range"]),
                 n_frames=data["n_frames"],
-                checks=tuple(data.get("checks", ())),
+                checks=data.get("checks", ()),
                 output_format=data.get("output_format", "text"),
                 seed=data.get("seed", 0),
             )
@@ -387,22 +393,14 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     prop_config = propagator.PropagatorConfig(
         t1 - t0, spec.omega if spec.equation == "trap" else 0.0)
     # One whole-grid field is held: the evolved one, which the L2 error and
-    # detection read; the L2 error forms t1 slab by slab.  The decay check
-    # reads t0's walls from its axis rows and its peak from P's block
-    # bounds, which may differ from the sampled grid's in the last bits: a
-    # ratio that does not clear the limit by DEGENERACY_FLOOR is settled on
-    # t0's slabs as `evolve` settles it, so the verdict, amplitude and text
-    # are the dense ones.
+    # detection read.  t0's walls and peak come from its axis rows.
     snapshot = spec.at(consts, t0)
     axes = [grid.axis_coords(a) for a in range(3)]
-    wall, peak = snapshot.walls_and_peak(*axes) or (math.nan, math.nan)
-    limit = (1.0 - DEGENERACY_FLOOR) * propagator.BOUNDARY_DECAY
-    if not (peak < math.inf and wall <= limit * peak):
-        try:
-            propagator.require_decayed(sample_in_slabs(spec, consts, grid, t0))
-        except BoundaryDecayError as exc:
-            return [CheckResult("oracle", False, exc.boundary_amplitude,
-                                propagator.BOUNDARY_DECAY, str(exc))]
+    try:
+        propagator.require_decayed(*snapshot.walls_and_peak(*axes))
+    except BoundaryDecayError as exc:
+        return [CheckResult("oracle", False, exc.boundary_amplitude,
+                            propagator.BOUNDARY_DECAY, str(exc))]
     # psi(t0) is a sum of products of axis rows, and the evolution is
     # U_x (x) U_y (x) U_z: each U_a acts on its axis's rows, not on the grid.
     psi = snapshot.on_grid_mapped(*axes, propagator.axis_propagators(grid, prop_config, consts))

@@ -254,23 +254,28 @@ PLANE = ANISOTROPIC.dims[1] * ANISOTROPIC.dims[2]
 SLAB_SIZES = [1, 3 * PLANE, 10**9]
 
 
-def _whole_array_evolve(field, config):
-    """evolve's three axis products on whole arrays, with no slabs."""
+def _slab_evolve(field, config):
+    """evolve's three axis products with U_y and U_z applied in place, slab
+    by slab of x planes (`grids.slabs`): one gemm per slab for U_z."""
     grid = field.grid
     u_x, u_y, u_z = (propagator._axis_propagator(grid, a, config, C) for a in range(3))
     n_x, n_y, n_z = grid.dims
     psi = (u_x @ field.values.reshape(n_x, -1)).reshape(n_x, n_y, n_z)
-    return np.matmul(u_y, psi) @ u_z.T
+    for s in grids.slabs(psi.shape):
+        part = np.matmul(u_y, psi[s]).reshape(-1, n_z)
+        np.matmul(part, u_z.T, out=psi[s].reshape(-1, n_z))
+    return psi
 
 
 @pytest.mark.parametrize("slab", SLAB_SIZES)
 @pytest.mark.parametrize("hamiltonian", ["free", "harmonic"])
 def test_evolve_in_slabs_equals_whole_array_products(monkeypatch, hamiltonian, slab):
+    # evolve's whole-array products are bit for bit the slab-by-slab ones,
+    # whatever the slab size.
     field = sample(vl.TrapRing(omega=1.0, R=1.0), C, ANISOTROPIC, 0.0)
     config = PropagatorConfig(duration=0.5, omega=1.0 if hamiltonian == "harmonic" else 0.0)
     monkeypatch.setattr(grids, "SLAB_POINTS", slab)
-    out = evolve(field, config)
-    assert np.array_equal(out.values, _whole_array_evolve(field, config))
+    assert np.array_equal(evolve(field, config).values, _slab_evolve(field, config))
 
 
 @pytest.mark.parametrize("slab", SLAB_SIZES)
@@ -285,18 +290,10 @@ def test_whole_grid_reductions_in_slabs(monkeypatch, slab):
     lam = np.vdot(vb, va) / np.vdot(vb, vb).real
     whole_l2 = np.linalg.norm(va - lam * vb) / np.linalg.norm(va)
     assert l2_relative_error(out, field) == pytest.approx(whole_l2, rel=1e-13, abs=0.0)
-    walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
-    assert propagator._walls_and_peak(field) == (max(walls), np.abs(values).max())
 
 
 # At 64^3 one whole-grid complex array is 4.2 MB.
 MEMORY_GRID = periodic_grid(48.0, 64)
-
-
-def test_evolve_holds_its_output_and_no_whole_grid_temporary(traced_peak):
-    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, MEMORY_GRID, 0.0)
-    out, peak = traced_peak(evolve, field, PropagatorConfig(duration=0.5))
-    assert peak <= out.values.nbytes + 2e6
 
 
 def test_l2_error_makes_no_whole_grid_temporary(traced_peak):
@@ -337,17 +334,20 @@ def test_separated_evolution_equals_dense_evolve(spec, config):
 @pytest.mark.parametrize("slab", SLAB_SIZES)
 @pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
 def test_decay_check_in_slabs_equals_the_sampled_grids(monkeypatch, spec, slab):
-    # The oracle check reads psi(t0)'s walls and peak from slabs formed of
-    # its axis rows; each slab is bit for bit the sampled grid's, so the
-    # wall amplitude, the peak and their ratio are exactly the dense ones.
+    # The oracle check forms psi(t1) for the L2 error slab by slab from its
+    # axis rows; each slab is bit for bit the sampled grid's.
     monkeypatch.setattr(grids, "SLAB_POINTS", slab)
     for t in (0.0, 0.25):
         values = sample(spec, C, ANISOTROPIC, t).values
         slabbed = grids.sample_in_slabs(spec, C, ANISOTROPIC, t)
         for s in grids.slabs(ANISOTROPIC.dims):
             assert np.array_equal(slabbed.slab(s), values[s])
-        walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
-        assert propagator._walls_and_peak(slabbed) == (max(walls), np.abs(values).max())
+
+
+def _grid_walls_and_peak(values):
+    """The max |psi| on the six faces of a sampled grid, and its peak."""
+    walls = [np.abs(np.take(values, i, axis=a)).max() for a in range(3) for i in (0, -1)]
+    return max(walls), np.abs(values).max()
 
 
 @pytest.mark.parametrize("grid", [ANISOTROPIC, periodic_grid(12.0, 16), periodic_grid(16.0, 40)],
@@ -360,6 +360,31 @@ def test_walls_and_peak_from_axis_rows_match_the_slabs(spec, grid):
     axes = [grid.axis_coords(a) for a in range(3)]
     for t in (0.0, 0.25, 0.5):
         wall, peak = spec.at(C, t).walls_and_peak(*axes)
-        dense_wall, dense_peak = propagator._walls_and_peak(grids.sample_in_slabs(spec, C, grid, t))
+        dense_wall, dense_peak = _grid_walls_and_peak(sample(spec, C, grid, t).values)
         assert wall == pytest.approx(dense_wall, rel=1e-15, abs=0.0)
         assert peak == pytest.approx(dense_peak, rel=1e-15, abs=0.0)
+
+
+def test_walls_and_peak_of_a_prefactor_beyond_the_block_bound():
+    # P = 1 + x^2 y has no block bound: the peak comes from the whole grid.
+    columns = np.zeros((2, 6), dtype=complex)
+    columns[:, 0] = 1.0
+    snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
+    axes = [ANISOTROPIC.axis_coords(a) for a in range(3)]
+    assert snapshot.on_zero_box(*axes) is None
+    assert snapshot.walls_and_peak(*axes) == _grid_walls_and_peak(snapshot.on_grid(*axes))
+
+
+def test_require_decayed_at_the_limit():
+    # A ratio equal to the limit passes, and so does a zero field; the next
+    # float above the limit fails, and so does a NaN ratio.
+    limit = propagator.BOUNDARY_DECAY
+    propagator.require_decayed(limit, 1.0)
+    propagator.require_decayed(0.0, 0.0)
+    above = float(np.nextafter(limit, 1.0))
+    with pytest.raises(BoundaryDecayError, match="initial data at the box wall") as info:
+        propagator.require_decayed(above, 1.0)
+    assert info.value.boundary_amplitude == above
+    with pytest.raises(BoundaryDecayError) as info:
+        propagator.require_decayed(math.nan, 1.0)
+    assert math.isnan(info.value.boundary_amplitude)

@@ -6,11 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import vortexlines as vl
@@ -205,6 +209,9 @@ def _with_spec(spec, **fields) -> str:
     pytest.param(_edited(lambda d: d["consts"].update(mass=math.inf)), id="infinite-mass"),
     pytest.param(_edited(lambda d: d.update(n_frames=2.5)), id="fractional-n-frames"),
     pytest.param(_edited(lambda d: d.update(seed=2.5)), id="fractional-seed"),
+    pytest.param(_edited(lambda d: d.update(seed=-1)), id="negative-seed"),
+    pytest.param(_edited(lambda d: d.update(checks="residual")), id="checks-as-a-string"),
+    pytest.param(_edited(lambda d: d.update(checks=["residual", 1])), id="check-not-a-name"),
 ])
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, verb):
@@ -215,6 +222,25 @@ def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, verb):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, verb):
+    # np.random.default_rng refuses a negative seed; the config refuses it
+    # first, before any frame is tracked.
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if verb == "run" else []
+    assert main([verb, "--preset", "fig2", "--seed", "-1"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_config_refuses_checks_that_are_not_a_list_of_names():
+    for checks in ("residual", ["residual", None], 3):
+        with pytest.raises(SpecValidationError, match="checks"):
+            tiny_config(checks=checks)
+    assert tiny_config(checks=["residual", "locus"]).checks == ("residual", "locus")
 
 
 def test_cli_run_with_config_and_overrides(tmp_path, capsys):
@@ -382,59 +408,50 @@ def _oracle_window():
                        time_range=(0.0, 0.5), checks=("oracle",))
 
 
-def _decay_routes(monkeypatch):
+def _formed_in_slabs(monkeypatch):
     """Spy on the oracle check: the times at which it forms a field slab by
-    slab and the number of dense decay checks."""
-    formed, dense = [], []
+    slab."""
+    formed = []
 
     def in_slabs(spec, consts, grid, t):
         formed.append(t)
         return sample_in_slabs(spec, consts, grid, t)
 
-    def require_decayed(initial, _original=vl.propagator.require_decayed):
-        dense.append(initial.time)
-        return _original(initial)
-
     monkeypatch.setattr(scenario, "sample_in_slabs", in_slabs)
-    monkeypatch.setattr(vl.propagator, "require_decayed", require_decayed)
-    return formed, dense
+    return formed
 
 
 def test_oracle_decay_check_forms_no_t0_grid(monkeypatch):
-    # Clear of the limit, the walls and peak from t0's axis rows decide:
-    # only t1 is formed, for the L2 error.
+    # The walls and peak come from t0's axis rows: only t1 is formed, for
+    # the L2 error.
     config = _oracle_window()
-    formed, dense = _decay_routes(monkeypatch)
+    formed = _formed_in_slabs(monkeypatch)
     results = check_oracle(config, [], None, None)
     assert results[0].detail.startswith("phase-optimal L2 error")
-    assert formed == [0.5] and dense == []
+    assert formed == [0.5]
 
 
 def _as_tuples(results):
     return [(r.name, r.passed, r.measured, r.tolerance, r.detail) for r in results]
 
 
-def test_oracle_decay_check_at_the_limit_is_the_dense_one(monkeypatch):
-    # With the limit at the sampled grid's exact ratio the dense check
-    # passes, and a limit one float below it fails: the walls and peak from
-    # axis rows cannot tell these apart, so the check settles both on t0's
-    # slabs, with the dense verdict, amplitude and text.
+def test_oracle_decay_check_at_the_limit_of_the_axis_rows_ratio(monkeypatch):
+    # With the limit at the ratio of t0's walls and peak from its axis rows
+    # the check passes; one float below it, it fails with that ratio and the
+    # decay rule's text.
     config = _oracle_window()
-    spec, consts, grid = config.spec, config.consts, config.grid
     expected = _as_tuples(check_oracle(config, [], None, None))
-    initial = sample(spec, consts, grid, 0.0)
-    wall, peak = vl.propagator._walls_and_peak(initial)
-    formed, dense = _decay_routes(monkeypatch)
-    monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", wall / peak)
+    axes = [config.grid.axis_coords(a) for a in range(3)]
+    wall, peak = config.spec.at(config.consts, 0.0).walls_and_peak(*axes)
+    ratio = wall / peak
+    monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", ratio)
     assert _as_tuples(check_oracle(config, [], None, None)) == expected
-    assert formed == [0.0, 0.5] and dense == [0.0]
-    below = float(np.nextafter(wall / peak, 0.0))
+    below = float(np.nextafter(ratio, 0.0))
     monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", below)
-    with pytest.raises(BoundaryDecayError) as info:
-        vl.propagator.evolve(initial, vl.PropagatorConfig(duration=0.5))
-    assert _as_tuples(check_oracle(config, [], None, None)) == [
-        ("oracle", False, info.value.boundary_amplitude, below, str(info.value))]
-    assert info.value.boundary_amplitude == wall / peak
+    assert _as_tuples(check_oracle(config, [], None, None)) == [(
+        "oracle", False, ratio, below,
+        f"initial data at the box wall is {ratio:.3e} of the peak (limit {below:g}); "
+        "enlarge the box or window the data")]
 
 
 @pytest.mark.parametrize("name, field", [
@@ -828,3 +845,36 @@ def test_a_run_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
+
+
+#: The families the oracle check accepts with lines to track: two windowed
+#: free carriers, the trap ring and the Gaussian line.
+ORACLE_SPECS = st.one_of(
+    st.builds(vl.WindowedRingCylinder, R=st.floats(0.5, 2.0), a=st.floats(0.3, 1.0),
+              l=st.floats(0.5, 3.0)),
+    st.builds(vl.WindowedTwoLinesSymmetric, a=st.floats(0.3, 1.5),
+              varphi=st.floats(0.1, math.pi - 0.1), l=st.floats(0.5, 3.0)),
+    st.builds(vl.TrapRing, omega=st.floats(0.5, 2.0), R=st.floats(0.5, 2.0)),
+    st.builds(vl.GaussianLineVortex, l=st.floats(0.5, 3.0), x0=st.floats(-1.0, 1.0)),
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(spec=ORACLE_SPECS, dims=st.tuples(*[st.integers(6, 20)] * 3), side=st.floats(3.0, 30.0),
+       offset=st.tuples(*[st.floats(-0.5, 0.5)] * 3), t0=st.floats(-1.0, 1.0),
+       duration=st.floats(0.01, 1.0))
+def test_oracle_runs_end_to_end_on_any_valid_config(spec, dims, side, offset, t0, duration):
+    # Whatever the box, its resolution and the window, a config that
+    # validate accepts runs to a verdict: summary.json is written, and the
+    # status is 0 or 1, with no exception and no RuntimeWarning.
+    spacing = side / (np.asarray(dims) - 1)
+    grid = Grid3.centered(np.asarray(offset) * spacing, side, dims)
+    config = tiny_config(spec=spec, grid=grid, time_range=(t0, t0 + duration), n_frames=2,
+                         checks=("oracle",))
+    assume(validate(config) == [])
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run(config, out)
+        summary = json.loads((Path(out) / "summary.json").read_text())
+    assert result.exit_status in (0, 1)
+    assert summary["checks"][0]["name"] == "oracle"
