@@ -31,7 +31,9 @@ def _add_overrides(parser: argparse.ArgumentParser):
         help="artifact format: text (JSON/JSONL), table (adds CSV), svg (adds frame snapshots)",
     )
     parser.add_argument(
-        "--seed", type=int, help="seed for randomized check sample points"
+        "--seed", type=int,
+        help="seed (>= 0) of Python's random.Random(seed), which draws the check sample points; "
+        "they differ from those of earlier releases for the same seed",
     )
 
 

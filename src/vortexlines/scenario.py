@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,20 +214,26 @@ def run(config: ScenarioConfig, out_dir) -> ScenarioResult:
 # checks
 
 
-def _grid_points(config, rng, count):
-    lo = np.asarray(config.grid.origin)
-    hi = lo + np.asarray(config.grid.lengths)
-    return rng.uniform(lo, hi, size=(count, 3))
+def _draws(seed, lo, hi, count, time_range, n_times):
+    """`count` points uniform in the box [lo, hi] and `n_times` times uniform
+    in time_range, from Python's random.Random(seed): each u = random() maps
+    to lo + (hi - lo) * u, the points row-major, then the times."""
+    u = random.Random(seed).random
+    lo = np.asarray(lo, dtype=float)
+    span = np.asarray(hi, dtype=float) - lo
+    pts = lo + span * np.array([u() for _ in range(3 * count)]).reshape(count, 3)
+    t0, t1 = time_range
+    return pts, [t0 + (t1 - t0) * u() for _ in range(n_times)]
 
 
 def check_residual(config, frames, log, times) -> list[CheckResult]:
-    rng = np.random.default_rng(config.seed)
-    pts = _grid_points(config, rng, 1000)
-    ts = rng.uniform(config.time_range[0], config.time_range[1], size=8)
-    worst = max(
-        float(np.max(pde_residual(config.spec, config.consts, pts, float(t))))
-        for t in ts
-    )
+    """The normalized equation residual at 1000 points of the grid box and 8
+    times of the window, drawn by `_draws` from random.Random(config.seed)."""
+    lo = np.asarray(config.grid.origin)
+    pts, ts = _draws(config.seed, lo, lo + np.asarray(config.grid.lengths), 1000,
+                     config.time_range, 8)
+    # np.max, not max: a NaN anywhere must make the measured value NaN.
+    worst = float(np.max([np.max(pde_residual(config.spec, config.consts, pts, t)) for t in ts]))
     return [
         CheckResult("residual", worst < RESIDUAL_TOLERANCE, worst, RESIDUAL_TOLERANCE,
                     "max normalized equation residual at 1000 points x 8 times")
@@ -285,7 +292,8 @@ def _periodicity(before, after, tolerance, detail) -> CheckResult:
     if before is None or after is None:
         return CheckResult("locus", False, math.nan, tolerance,
                            f"no line to compare: {detail}")
-    d = float(max(tracker.nearest(after, before)[0].max(), tracker.nearest(before, after)[0].max()))
+    d = float(np.maximum(tracker.nearest(after, before)[0].max(),
+                         tracker.nearest(before, after)[0].max()))
     return CheckResult("locus", d <= tolerance, d, tolerance, detail)
 
 
@@ -314,7 +322,7 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
         tolerance = diag
         span = max(grid.lengths)
         xs = np.linspace(-span, span, 1200)
-        worst = 0.0
+        distances = []
         for phase in range(8):
             t = phase * period / 8.0
             pts = points_at(t)
@@ -322,7 +330,8 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
                 return [CheckResult("locus", False, math.nan, tolerance,
                                     f"no line extracted at t={t:.4g}")]
             curve = spec.parametric_locus(consts, t, xs)
-            worst = max(worst, float(tracker.nearest(curve, pts)[0].max()))
+            distances.append(tracker.nearest(curve, pts)[0].max())
+        worst = float(np.max(distances))
         law = "the parametric precessing line at 8 phases"
     elif isinstance(spec, TrapRing):
         tolerance = 0.5 * diag
@@ -340,7 +349,7 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
             pts = points_at(t)
             if radius > tolerance and pts is not None:
                 offsets.append(float(np.max(_off_circle(pts, center, radius))))
-        worst = max(offsets, default=math.nan)
+        worst = float(np.max(offsets)) if offsets else math.nan
         law = f"the ring's circle over {len(offsets)} frames"
     else:
         return [CheckResult(
@@ -474,7 +483,7 @@ def check_node_speed(config, frames, log, times) -> list[CheckResult]:
     ok, law = True, "the line velocity at each node"
     exact = spec.node_speed(consts)
     if exact is not None:
-        measured = max(measured, float(np.max(np.abs(expected - exact) / max(exact, floor))))
+        measured = float(np.maximum(measured, np.max(np.abs(expected - exact) / max(exact, floor))))
         law += f", and of its speed from the exact {exact:g}"
     if isinstance(spec, RelRingCylinder):
         slowest, c = float(np.min(speeds)), consts.light_speed
@@ -485,10 +494,11 @@ def check_node_speed(config, frames, log, times) -> list[CheckResult]:
 
 
 def check_generation(config, frames, log, times) -> list[CheckResult]:
+    """Generated line and ring amplitudes against their closed forms at 100
+    points of [-1.5, 1.5]^3 and times of [-1, 1], drawn by `_draws` from
+    random.Random(config.seed)."""
     consts = config.consts
-    rng = np.random.default_rng(config.seed)
-    pts = rng.uniform(-1.5, 1.5, size=(100, 3))
-    ts = rng.uniform(-1.0, 1.0, size=100)
+    pts, ts = _draws(config.seed, (-1.5,) * 3, (1.5,) * 3, 100, (-1.0, 1.0), 100)
     k = getattr(config.spec, "k", FreePlaneWave().k)
     cases = [
         (FreePlaneWave(k=k), FreeLineVortex(chi=0.6, k=k), "line vortex"),
@@ -497,11 +507,12 @@ def check_generation(config, frames, log, times) -> list[CheckResult]:
     results = []
     for carrier, target, label in cases:
         poly = prefactor(target, consts, 0.0)
-        worst = 0.0
+        errors = []
         for p, t in zip(pts, ts):
-            gen = complex(generate_from_polynomial(carrier, poly, consts, p, float(t)))
-            ref = complex(amplitude(target, consts, p, float(t)))
-            worst = max(worst, abs(gen - ref) / max(abs(ref), 1e-9))
+            gen = complex(generate_from_polynomial(carrier, poly, consts, p, t))
+            ref = complex(amplitude(target, consts, p, t))
+            errors.append(abs(gen - ref) / max(abs(ref), 1e-9))
+        worst = float(np.max(errors))
         results.append(CheckResult(
             "generation", worst < GENERATION_TOLERANCE, worst, GENERATION_TOLERANCE,
             f"numeric k-differentiation reproduces the {label} closed form "

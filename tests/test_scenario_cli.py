@@ -1,9 +1,11 @@
 import collections
 import dataclasses
 import filecmp
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -226,8 +228,8 @@ def test_cli_rejects_a_malformed_config(tmp_path, capsys, text, verb):
 
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, verb):
-    # np.random.default_rng refuses a negative seed; the config refuses it
-    # first, before any frame is tracked.
+    # random.Random seeds with |seed|, so -1 would draw seed 1's points; the
+    # config refuses a negative seed, before any frame is tracked.
     out = tmp_path / "out"
     args = ["--out", str(out)] if verb == "run" else []
     assert main([verb, "--preset", "fig2", "--seed", "-1"] + args) == 2
@@ -241,6 +243,28 @@ def test_config_refuses_checks_that_are_not_a_list_of_names():
         with pytest.raises(SpecValidationError, match="checks"):
             tiny_config(checks=checks)
     assert tiny_config(checks=["residual", "locus"]).checks == ("residual", "locus")
+
+
+def test_draws_are_seeded_and_lie_in_the_box_and_the_window():
+    grid = tiny_config().grid
+    lo = np.asarray(grid.origin)
+    hi = lo + np.asarray(grid.lengths)
+    window = (-0.1, 0.1)
+    pts, ts = scenario._draws(0, lo, hi, 1000, window, 8)
+    again, again_ts = scenario._draws(0, lo, hi, 1000, window, 8)
+    other, other_ts = scenario._draws(1, lo, hi, 1000, window, 8)
+    assert np.array_equal(pts, again) and ts == again_ts
+    assert not np.any(np.all(pts == other, axis=1)) and set(ts).isdisjoint(other_ts)
+    assert pts.shape == (1000, 3) and len(ts) == 8
+    assert np.all((pts >= lo) & (pts <= hi))
+    assert all(window[0] <= t <= window[1] for t in ts)
+    # The points take the first 3000 draws row-major, the times the next 8.
+    u = random.Random(0).random
+    first = [u() for _ in range(3)]
+    for _ in range(2997):
+        u()
+    assert np.array_equal(pts[0], lo + (hi - lo) * np.array(first))
+    assert ts[0] == window[0] + (window[1] - window[0]) * u()
 
 
 def test_cli_run_with_config_and_overrides(tmp_path, capsys):
@@ -821,6 +845,78 @@ def test_node_speed_holds_at_nonzero_k(monkeypatch, name, k):
     assert result.measured == pytest.approx(1e-3, rel=0.05)
 
 
+def _nan_at_call(fn, call):
+    """fn, but its result at call number `call` (from 0) has its first entry
+    NaN; a tuple result has it in its first element."""
+    calls = itertools.count()
+
+    def wrapped(*args):
+        result = fn(*args)
+        if next(calls) == call:
+            values = result[0] if isinstance(result, tuple) else result
+            values = np.array(values, dtype=np.result_type(values, float))
+            values.flat[0] = math.nan
+            result = (values, *result[1:]) if isinstance(result, tuple) else values
+        return result
+
+    return wrapped
+
+
+def test_residual_fails_on_a_nan_at_any_time(monkeypatch):
+    # fig1's residual reads 0.0 at all 8 times; one NaN value at the third
+    # time must make the measured value NaN, not be dropped by the max.
+    monkeypatch.setattr(scenario, "pde_residual", _nan_at_call(scenario.pde_residual, 2))
+    (result,) = scenario.check_residual(preset("fig1"), None, None, None)
+    assert not result.passed and math.isnan(result.measured)
+
+
+def test_generation_fails_on_a_nan_at_any_point(monkeypatch):
+    monkeypatch.setattr(scenario, "generate_from_polynomial",
+                        _nan_at_call(scenario.generate_from_polynomial, 4))
+    line, ring = scenario.check_generation(preset("generation"), None, None, None)
+    assert not line.passed and math.isnan(line.measured)
+    assert ring.passed
+
+
+def test_magnetic_locus_fails_on_a_nan_at_any_phase(monkeypatch):
+    # With only the first frame tracked, check_locus extracts fig4's lines
+    # at its other phases and a period on; nearest's first 8 calls are the
+    # 8 phases.
+    config = preset("fig4")
+    t0 = config.time_range[0]
+    frames = [tracker.extract(config.spec, config.consts, config.grid, t0)]
+    monkeypatch.setattr(tracker, "nearest", _nan_at_call(tracker.nearest, 2))
+    locus, periodicity = check_locus(config, frames, None, np.array([t0]))
+    assert not locus.passed and math.isnan(locus.measured)
+    assert periodicity.passed
+
+
+def test_ring_locus_fails_on_a_nan_at_any_frame(monkeypatch):
+    config = dataclasses.replace(preset("fig1"), n_frames=4, checks=("locus",))
+    frames, _, times = _tracked(config)
+    monkeypatch.setattr(scenario, "_off_circle", _nan_at_call(scenario._off_circle, 1))
+    (result,) = check_locus(config, frames, None, times)
+    assert "over 2 frames" in result.detail
+    assert not result.passed and math.isnan(result.measured)
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["before-to-after", "after-to-before"])
+def test_periodicity_fails_on_a_nan_in_either_direction(monkeypatch, call):
+    a = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    monkeypatch.setattr(tracker, "nearest", _nan_at_call(tracker.nearest, call))
+    result = _periodicity(a, a, 1.0, "")
+    assert not result.passed and math.isnan(result.measured)
+
+
+def test_node_speed_fails_on_a_nan_exact_speed(monkeypatch):
+    # fig2's ring drifts at an exact speed; a NaN one must not be dropped
+    # against the finite deviation from the line velocity.
+    config = dataclasses.replace(preset("fig2"), checks=("node_speed",))
+    monkeypatch.setattr(type(config.spec), "node_speed", lambda self, consts: math.nan)
+    result = _node_speed_on(config)
+    assert not result.passed and math.isnan(result.measured)
+
+
 #: Runs fig1 (continuation), fig4 (locus and periodicity) and oracle_pair
 #: (check_oracle) with every scipy import made to raise.
 NO_SCIPY_RUN = textwrap.dedent("""
@@ -838,13 +934,36 @@ NO_SCIPY_RUN = textwrap.dedent("""
 """)
 
 
-def test_a_run_imports_no_scipy():
+#: Runs fig1 (the residual check) and generation (the generation check), then
+#: lists the modules that numpy.random would have loaded.
+NO_NUMPY_RANDOM_RUN = textwrap.dedent("""
+    import sys, tempfile
+    from vortexlines.presets import preset
+    from vortexlines.scenario import run
+    with tempfile.TemporaryDirectory() as out:
+        for name in ("fig1", "generation"):
+            assert run(preset(name), f"{out}/{name}").exit_status == 0, name
+    loaded = [m for m in ("numpy.random", "secrets", "hashlib") if m in sys.modules]
+    assert not loaded, loaded
+""")
+
+
+def _python_exits_cleanly(code):
+    """Run code in a fresh interpreter that imports this vortexlines."""
     src = str(Path(vl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_run_imports_no_scipy():
+    _python_exits_cleanly(NO_SCIPY_RUN)
+
+
+def test_a_run_imports_no_numpy_random():
+    _python_exits_cleanly(NO_NUMPY_RANDOM_RUN)
 
 
 #: The families the oracle check accepts with lines to track: two windowed
