@@ -8,6 +8,7 @@ projective content of the wave function enters any result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,15 @@ class Contour:
     samples: int = 64
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise SpecValidationError("contour radius must be > 0")
-        if self.samples < 16 or self.samples % 2:
-            raise SpecValidationError("contour samples must be even and >= 16")
+        if not (0 < self.radius < math.inf):
+            raise SpecValidationError("contour radius must be finite and > 0")
+        if not isinstance(self.samples, numbers.Integral) or self.samples < 16 or self.samples % 2:
+            raise SpecValidationError("contour samples must be an even integer >= 16")
+        if not np.isfinite(self.center).all():
+            raise SpecValidationError("contour center must be finite")
         n = np.asarray(self.normal, dtype=float)
+        if not np.isfinite(n).all():
+            raise SpecValidationError("contour normal must be finite")
         norm = np.linalg.norm(n)
         if not norm > 0:
             raise SpecValidationError("contour normal must be nonzero")

@@ -47,15 +47,18 @@ and the powers of s.  `spec.at(consts, t)` contracts it with the power jets
 [s^n, d/dt s^n, d2/dt2 s^n] at s(t) and adds phi's jet to G's constant term:
 a `Snapshot`, whose columns per term are P, G and their first two time
 derivatives.  `snapshot.on(r)` gives psi and its first and second
-derivatives in u = (x, y, z, t) at a point set.  Every derivative is exp(G)
-times one of two identities,
+derivatives in u = (x, y, z, t) at a point set as two space-time arrays,
+each exp(G) times one product rule over u: the gradient grad4, shape
+(..., 4), and the Hessian hess4, shape (..., 4, 4),
 
-    d_i psi / exp(G)     = P_i + P G_i,
-    d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
+    grad4 = d_u psi     = (P_u + P G_u) exp(G),
+    hess4 = d_u d_v psi = (P_uv + P_u G_v + P_v G_u + P (G_uv + G_u G_v)) exp(G),
 
-where a t index picks the time order of P and G; the gradient, Hessian,
-Laplacian, first/second time derivatives and the time derivative of the
-gradient are views of them.  The spatial derivatives come from the table by
+the latter formed on the ten pairs u <= v and mirrored.  A t index picks
+the time order of P and G.  The gradient, Hessian, first/second time
+derivatives and the time derivative of the gradient are views of them, and
+the Laplacian sums the three spatial diagonal quotients before exp(G).
+The spatial derivatives come from the table by
 exponent shift: all derivatives up to first order are one batched matrix
 product whatever the number of terms, the second-order ones one more.
 `snapshot.on_grid` reads psi on a grid of three axes from the same table:
@@ -729,10 +732,15 @@ _P, _G = 0, 3
 
 #: The spatial derivative indices of P and G that the product rules use, in
 #: two parts, up to first order and second order: a point set evaluates each
-#: part in one batch.  _PART_OF[idx] is (part, position in it).
+#: part in one batch.
 _SPATIAL = ((), (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PARTS = (slice(0, 4), slice(4, 10))
-_PART_OF = {idx: (0, n) if n < 4 else (1, n - 4) for n, idx in enumerate(_SPATIAL)}
+#: The ten pairs u <= v of `FieldValues.hess4`, as (u's, v's): the spatial
+#: ones of the second part in order, then (x, t), (y, t), (z, t), (t, t).
+#: _PAIR_OF[u, v] is the position of (u, v) or (v, u) among them.
+_PAIRS = np.array(_SPATIAL[4:] + tuple((u, 3) for u in range(4))).T
+_PAIR_OF = np.zeros((4, 4), dtype=np.intp)
+_PAIR_OF[tuple(_PAIRS)] = _PAIR_OF[tuple(_PAIRS[::-1])] = np.arange(len(_PAIRS.T))
 #: How often each index differentiates along x, y and z, shape (10, 1, 3).
 _SHIFTS = np.array([[idx.count(a) for a in range(3)] for idx in _SPATIAL])[:, None]
 #: beta! of each index as a multi-index beta: 2 for a repeated axis, else 1.
@@ -942,10 +950,9 @@ class Snapshot:
         psi = np.moveaxis(plane, 0, -1) @ np.moveaxis(z_rows, 0, -2)
         return psi.reshape(shape)
 
-    def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float] | None:
+    def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float]:
         """psi on the box of the grid of three 1-D axes where P may vanish,
-        and the grid's peak |psi|: (box, psi on the box, peak), or None where
-        P's degree is beyond `prefactor_bounds`.
+        and the grid's peak |psi|: (box, psi on the box, peak).
 
         The box is the smallest one of grid nodes that holds every block
         (`block_edges`) that the bound cannot clear of zeros (`_zero_box`),
@@ -959,8 +966,6 @@ class Snapshot:
         """
         axes = [np.asarray(c, dtype=float) for c in (x, y, z)]
         bounds = self.prefactor_bounds(*axes)
-        if bounds is None:
-            return None
         rows = self._axis_rows(axes)
         edges = [block_edges(len(c)) for c in axes]
         box = _zero_box(_kept_blocks(*bounds), edges)
@@ -980,18 +985,16 @@ class Snapshot:
 
     def walls_and_peak(self, x, y, z) -> tuple[float, float]:
         """The max |psi| on the six walls of the grid of three 1-D axes, and
-        the grid's peak |psi|: `on_zero_box`'s, with no grid formed, or the
-        whole grid's where P's degree is beyond `prefactor_bounds`.  Each
+        the grid's peak |psi|: `on_zero_box`'s, with no grid formed.  Each
         axis's two walls are one `_psi_on` matrix product over both its end
         rows (over one row it would be a matrix-vector product, up to 7e-15
         relative off the sampled grid's walls); these differ from the
         sampled grid's by roundoff still.  A NaN on a wall makes it NaN."""
-        found = self.on_zero_box(x, y, z)
+        peak = self.on_zero_box(x, y, z)[2]
         rows = self._axis_rows((x, y, z))
         ends = [[r[:, [0, -1]] if b == a else r for b, r in enumerate(rows)] for a in range(3)]
         wall = np.max([np.abs(self._psi_on(e)).max() for e in ends])
-        peak = found[2] if found is not None else np.abs(self._psi_on(rows)).max()
-        return float(wall), float(peak)
+        return float(wall), peak
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:
         """The max of peak and |psi| over the nodes of the given blocks (flat
@@ -1007,15 +1010,16 @@ class Snapshot:
         ]
         return max(peak, float(np.abs(self._psi_on(node_rows)).max()))
 
-    def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray] | None:
+    def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray]:
         """Taylor's lower bound of |P| on each block (`block_edges`) of the
         grid of three 1-D axes: (lead, rest), each shape (B_x, B_y, B_z), with
         lead = |P(c)| and rest the sum over beta != 0 of
         |d^beta P(c) / beta!| h^beta at the block's centre c and half-widths
         h.  |P| >= lead - rest on the closed block (interval exclusion: Moore,
-        Interval Analysis, 1966), and |P| <= lead + rest there.  The table's derivatives reach second order,
-        which completes the expansion of a P of degree 2 at most, as every
-        family's is; a P of higher degree gets None.
+        Interval Analysis, 1966), and |P| <= lead + rest there.  The table's
+        derivatives reach second order, which completes the expansion of a P
+        of degree 2 at most, as every family's is; a P of higher degree is
+        refused with SpecValidationError.
 
         The derivatives are the table's exponent shifts of P.  Those up to
         first order, each times h^beta, are one matrix product per index over
@@ -1024,8 +1028,9 @@ class Snapshot:
         """
         top, exps, rows, coeffs = self.table
         live = self.columns[:, _P] != 0
-        if exps[live].sum(axis=1).max(initial=0) > 2:
-            return None
+        degree = int(exps[live].sum(axis=1).max(initial=0))
+        if degree > 2:
+            raise SpecValidationError(f"prefactor of degree {degree} is beyond the block bound's 2")
         low, high = _PARTS
         monomials, widths = [], []
         for a, coord in enumerate((x, y, z)):
@@ -1051,41 +1056,28 @@ class Snapshot:
 
 class FieldValues:
     """psi and its derivatives in u = (x, y, z, t) at one point set, each
-    formed on first use from one of two product-rule identities on
-    P * exp(G), all sharing one exp(G).
+    formed on first use from one of two product rules on P * exp(G), all
+    sharing one exp(G):
+
+        grad4 = d_u psi     = (P_u + P G_u) exp(G),
+        hess4 = d_u d_v psi = (P_uv + P_u G_v + P_v G_u + P (G_uv + G_u G_v)) exp(G),
+
+    the space-time gradient, shape (..., 4), and Hessian, shape (..., 4, 4),
+    formed on the ten pairs u <= v (`_PAIRS`) and mirrored.  grad, dt, hess,
+    dt_grad and d2t are views of them; lap is the sum of the three spatial
+    diagonal quotients, times exp(G).
 
     Index 3 of u is t: a t index picks the time order of P and G, a spatial
-    index differentiates the polynomial.  All derivative indices up to first
-    order, and then all second-order ones, give every table column at once:
-    one batch of monomial matrices, differentiated by exponent shift, times
-    the snapshot's coefficients.
+    index differentiates the polynomial.  The table's first part of
+    `_SPATIAL`, up to first order, gives psi and grad4 and is held; hess4
+    and lap read the second part too.  Each part gives every table column at
+    once: one batch of monomial matrices, differentiated by exponent shift,
+    times the snapshot's coefficients.
     """
 
     def __init__(self, snapshot: Snapshot, points: np.ndarray):
         self.snapshot, self.points = snapshot, points
         self.shape = points.shape[:-1]
-        self._derivs: dict = {}
-        self._parts: list = [None, None]
-
-    @cached_property
-    def _carrier(self) -> np.ndarray:
-        return np.exp(self._d(_G, ()))
-
-    def _times_carrier(self, values: np.ndarray) -> np.ndarray:
-        """values * exp(G), formed in place: values is a new array."""
-        values *= self._carrier
-        return values
-
-    def _d(self, f: int, idx: tuple[int, ...]) -> np.ndarray:
-        """The derivative of P or G (f = _P or _G) along the sorted indices
-        idx of u, at the points."""
-        key = (f, idx)
-        if key not in self._derivs:
-            # idx is sorted, so its t indices come last.
-            order = idx.count(3)
-            part, n = _PART_OF[idx[:len(idx) - order]]
-            self._derivs[key] = self._part(part)[n, :, f + order].reshape(self.shape)
-        return self._derivs[key]
 
     @cached_property
     def _powers(self) -> np.ndarray:
@@ -1096,69 +1088,88 @@ class FieldValues:
     def _part(self, k: int) -> np.ndarray:
         """All six columns differentiated along each index of part k of
         `_SPATIAL`, shape (indices, points, 6)."""
-        if self._parts[k] is None:
-            _, _, rows, coeffs = self.snapshot.table
-            part, powers = _PARTS[k], self._powers
-            monomials = powers[rows[0, part]]
-            monomials *= powers[rows[1, part]]
-            monomials *= powers[rows[2, part]]
-            # Real monomials times interleaved (re, im) coefficient columns.
-            values = np.matmul(monomials.transpose(0, 2, 1), coeffs[part].view(float))
-            self._parts[k] = values.view(complex)
-        return self._parts[k]
+        _, _, rows, coeffs = self.snapshot.table
+        part, powers = _PARTS[k], self._powers
+        monomials = powers[rows[0, part]]
+        monomials *= powers[rows[1, part]]
+        monomials *= powers[rows[2, part]]
+        # Real monomials times interleaved (re, im) coefficient columns.
+        values = np.matmul(monomials.transpose(0, 2, 1), coeffs[part].view(float))
+        return values.view(complex)
 
-    def _first(self, i: int) -> np.ndarray:
-        """d_i psi / exp(G) = P_i + P G_i."""
-        return self._d(_P, (i,)) + self._d(_P, ()) * self._d(_G, (i,))
+    @cached_property
+    def _first_part(self) -> np.ndarray:
+        return self._part(0)
 
-    def _second(self, i: int, j: int) -> np.ndarray:
-        """d_i d_j psi / exp(G) = P_ij + P_i G_j + P_j G_i + P (G_ij + G_i G_j),
-        for i <= j."""
-        d = self._d
-        return (
-            d(_P, (i, j)) + d(_P, (i,)) * d(_G, (j,)) + d(_P, (j,)) * d(_G, (i,))
-            + d(_P, ()) * (d(_G, (i, j)) + d(_G, (i,)) * d(_G, (j,)))
-        )
+    def _along(self, column: int) -> np.ndarray:
+        """d_u of a table column at the points, u = (x, y, z, t), shape (4,
+        points): d_t is the next column, the next time order."""
+        first = self._first_part
+        return np.concatenate([first[1:, :, column], first[:1, :, column + 1]])
+
+    @cached_property
+    def _carrier(self) -> np.ndarray:
+        return np.exp(self._first_part[0, :, _G])
+
+    def _field(self, quotients: np.ndarray) -> np.ndarray:
+        """quotients (..., points) times exp(G), with the points moved first
+        and shaped as the point set."""
+        values = quotients * self._carrier
+        return values.reshape(-1, values.shape[-1]).T.reshape(self.shape + values.shape[:-1])
+
+    @cached_property
+    def _second_part(self) -> np.ndarray:
+        return self._part(1)
+
+    def _second(self, pairs) -> np.ndarray:
+        """d_u d_v psi / exp(G) on the given pairs u <= v of `_PAIRS`, shape
+        (pairs, points): the spatial P_uv and G_uv come from the second part,
+        the others are d_u of the next time order."""
+        u, v = _PAIRS[:, pairs]
+        p, pu, gu = self._first_part[0, :, _P], self._along(_P), self._along(_G)
+        puv, guv = (np.concatenate([self._second_part[:, :, f], self._along(f + 1)])[pairs]
+                    for f in (_P, _G))
+        return puv + pu[u] * gu[v] + pu[v] * gu[u] + p * (guv + gu[u] * gu[v])
 
     @cached_property
     def psi(self) -> np.ndarray:
-        return self._d(_P, ()) * self._carrier
+        return self._field(self._first_part[0, :, _P])
 
     @cached_property
-    def grad(self) -> np.ndarray:
-        out = np.empty(self.shape + (3,), dtype=complex)
-        for a in range(3):
-            out[..., a] = self._times_carrier(self._first(a))
-        return out
+    def grad4(self) -> np.ndarray:
+        """The space-time gradient d_u psi, shape (..., 4)."""
+        return self._field(self._along(_P) + self._first_part[0, :, _P] * self._along(_G))
 
     @cached_property
-    def hess(self) -> np.ndarray:
-        """Spatial Hessian of psi, shape (..., 3, 3)."""
-        out = np.empty(self.shape + (3, 3), dtype=complex)
-        for a in range(3):
-            for b in range(a, 3):
-                out[..., a, b] = out[..., b, a] = self._times_carrier(self._second(a, b))
-        return out
+    def hess4(self) -> np.ndarray:
+        """The space-time Hessian d_u d_v psi, shape (..., 4, 4), symmetric."""
+        return self._field(self._second(slice(None))[_PAIR_OF])
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return self._times_carrier(sum(self._second(a, a) for a in range(3)))
+        return self._field(sum(self._second(_PAIR_OF.diagonal()[:3])))
 
-    @cached_property
+    @property
+    def grad(self) -> np.ndarray:
+        return self.grad4[..., :3]
+
+    @property
     def dt(self) -> np.ndarray:
-        return self._times_carrier(self._first(3))
+        return self.grad4[..., 3]
 
-    @cached_property
+    @property
+    def hess(self) -> np.ndarray:
+        """Spatial Hessian of psi, shape (..., 3, 3)."""
+        return self.hess4[..., :3, :3]
+
+    @property
     def dt_grad(self) -> np.ndarray:
         """d/dt of grad psi, shape (..., 3)."""
-        out = np.empty(self.shape + (3,), dtype=complex)
-        for a in range(3):
-            out[..., a] = self._times_carrier(self._second(a, 3))
-        return out
+        return self.hess4[..., :3, 3]
 
-    @cached_property
+    @property
     def d2t(self) -> np.ndarray:
-        return self._times_carrier(self._second(3, 3))
+        return self.hess4[..., 3, 3]
 
 
 def amplitude(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:

@@ -64,6 +64,11 @@ def generate_from_polynomial(
         )
     if any(p < 0 for exps in poly.coeffs for p in exps):
         raise SpecValidationError(f"negative exponent in {sorted(poly.coeffs)}")
+    # The stencils differentiate along k_x, k_y and k_z only: P is in (x, y, z).
+    if any(any(exps[3:]) for exps in poly.coeffs):
+        raise SpecValidationError(
+            f"power of s, not a polynomial in (x, y, z): {sorted(poly.coeffs)}"
+        )
     if poly.degree() > MAX_DEGREE:
         raise SpecValidationError(
             f"prefactor degree {poly.degree()} exceeds maximum {MAX_DEGREE}"

@@ -145,14 +145,14 @@ def sample(
     With lines_only, only on the box of nodes that holds every block where
     the prefactor P may vanish (`Snapshot.on_zero_box`; e^G never does), with
     the whole grid's exact peak |psi|: the field holds every line, and the
-    tracker's noise floor.  A P beyond the block bound gets the whole grid.
+    tracker's noise floor; a P beyond the block bound's degree 2 is refused
+    (`Snapshot.prefactor_bounds`).
     """
     snapshot = spec.at(consts, t)
     axes = [grid.axis_coords(a) for a in range(3)]
-    found = snapshot.on_zero_box(*axes) if lines_only else None
-    if found is None:
+    if not lines_only:
         return SampledField(grid, snapshot.on_grid(*axes), float(t))
-    box, values, peak = found
+    box, values, peak = snapshot.on_zero_box(*axes)
     return SampledField(grid, values, float(t), box=box, peak=peak)
 
 

@@ -598,7 +598,9 @@ def _event_root(spec, consts, seed, lo, hi, scale):
 
     X is measured in `scale`; rows are unit-free, psi / (g scale[0]) and
     omega / g^2 with g = |grad psi| at the seed.  Each step solves the exact
-    5 x 4 Jacobian by least squares, at minimum norm on a curve of roots.
+    5 x 4 Jacobian by least squares, at minimum norm on a curve of roots: its
+    rows are d psi / dX = `grad4` and, by the product rule on omega, d grad
+    psi / dX = `hess4[:3]`.
     """
     def at(x):
         v = spec.at(consts, float(x[3])).on(x[:3])
@@ -613,8 +615,8 @@ def _event_root(spec, consts, seed, lo, hi, scale):
     clipped = 0
     for _ in range(EVENT_MAX_ITERATIONS):
         re, im = values.grad.real, values.grad.imag
-        d_grad = np.column_stack([values.hess, values.dt_grad])  # d grad psi / dX
-        jac = np.vstack([np.r_[re, values.dt.real], np.r_[im, values.dt.imag],
+        d_grad = values.hess4[:3]  # d grad psi / dX
+        jac = np.vstack([values.grad4.real, values.grad4.imag,
                          (np.cross(d_grad.real.T, im) + np.cross(re, d_grad.imag.T)).T])
         jac *= rows[:, None] * scale
         step = np.linalg.lstsq(jac, rows * residual, rcond=None)[0]
@@ -640,10 +642,9 @@ def _classify(values):
     direction of grad Re psi and grad Im psi: a minimum of t is a creation,
     a maximum an annihilation, a saddle a reconnection.
     """
-    grad, dt = values.grad, complex(values.dt)
-    gradients = np.stack([np.r_[grad.real, dt.real], np.r_[grad.imag, dt.imag]], 1)
+    gradients = np.stack([values.grad4.real, values.grad4.imag], 1)
     l1, l2 = np.linalg.lstsq(gradients, np.eye(4)[3], rcond=None)[0]
-    plane = np.linalg.svd(np.stack([grad.real, grad.imag], 1))[0][:, 1:]
+    plane = np.linalg.svd(gradients[:3])[0][:, 1:]
     eig = np.linalg.eigvalsh(-plane.T @ (l1 * values.hess.real + l2 * values.hess.imag) @ plane)
     zero = EVENT_TOLERANCE * np.max(np.abs(eig))
     if zero == 0:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,20 @@ def test_contour_validation():
     pts = c.points()
     assert pts.shape == (65, 3)
     assert np.allclose(pts[0], pts[-1])
+
+
+@pytest.mark.parametrize("changed", [
+    {"center": (math.nan, 0.0, 0.0)}, {"center": (0.0, math.inf, 0.0)}, {"radius": math.inf},
+    {"normal": (math.inf, 0.0, 1.0)}, {"samples": 32.0},
+], ids=["nan-center", "inf-center", "inf-radius", "inf-normal", "float-samples"])
+def test_contour_refuses_non_finite_geometry_and_a_non_integer_sample_count(changed):
+    # Each is refused before any arithmetic, so no RuntimeWarning is raised
+    # and no NaN point or normal is formed.
+    circle = {"center": (0.0, 0.0, 0.0), "normal": (0.0, 0.0, 1.0), "radius": 1.0} | changed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecValidationError):
+            Contour(**circle)
 
 
 def test_winding_of_callable_fields():

@@ -167,24 +167,25 @@ def time_orders(poly, s_jet):
 def test_table_columns_match_the_differentiated_polynomials(spec):
     # Every column of the snapshot's table (P and G, time orders 0-2) along
     # every spatial index the product rules use, differentiated by exponent
-    # shift, against the compiled polynomials in (x, y, z, s) differentiated
-    # with Poly3.diff along x, y, z and s (by the chain rule at s(t)), plus
-    # G's phase, and summed term by term.
+    # shift in the table's two parts, against the compiled polynomials in
+    # (x, y, z, s) differentiated with Poly3.diff along x, y, z and s (by the
+    # chain rule at s(t)), plus G's phase, and summed term by term.
     points = grid_points(SMALL_GRID)
     prefactor, exponent = spec.polynomials(C)
     for t in (-0.7, 0.0, 0.45):
         field = spec.at(C, t).on(points)
+        parts = np.concatenate([field._part(0), field._part(1)])  # along _SPATIAL
         s_jet, phase = spec.clock(C, t)
         for f, full in ((_P, prefactor), (_G, exponent)):
             for order, poly_t in enumerate(time_orders(full, s_jet)):
                 if f == _G:
                     poly_t = poly_t + phase[order]
-                for idx in _SPATIAL:
+                for n, idx in enumerate(_SPATIAL):
                     poly = poly_t
                     for axis in idx:
                         poly = poly.diff(axis)
                     ref = poly.evaluate(points)
-                    got = field._d(f, idx + (3,) * order)
+                    got = parts[n, :, f + order].reshape(field.shape)
                     assert got.shape == ref.shape
                     peak = float(np.max(np.abs(ref)))
                     assert float(np.max(np.abs(got - ref))) <= 1e-14 * peak, (t, f, order, idx)
@@ -240,7 +241,7 @@ def test_prefactor_bounds_hold_on_every_block(spec):
 
 def test_prefactor_bounds_need_a_complete_expansion():
     # The table's derivatives reach second order: they bound a quadratic P
-    # exactly, and give no bound for a cubic one.
+    # exactly, and refuse a cubic one.
     x = np.linspace(-1.0, 1.0, 9)
     columns = np.zeros((2, 6), dtype=complex)
     columns[:, _P] = 1.0
@@ -249,7 +250,8 @@ def test_prefactor_bounds_need_a_complete_expansion():
     # +-1/2), h = 1/2, so |P(c)| = 1 + c_x c_y and rest = 1/4 + 1/4 + 1/4.
     assert np.allclose(lead[:, :, 0], [[1.25, 0.75], [0.75, 1.25]], rtol=0, atol=1e-15)
     assert np.allclose(rest, 0.75, rtol=0, atol=1e-15)
-    assert Snapshot(((0, 0, 0), (2, 1, 0)), columns).prefactor_bounds(x, x, x) is None
+    with pytest.raises(SpecValidationError, match="degree 3"):
+        Snapshot(((0, 0, 0), (2, 1, 0)), columns).prefactor_bounds(x, x, x)
 
 
 def _offset_grids(spec):
@@ -380,6 +382,37 @@ def test_amplitude_scalar_point_and_grid_shapes():
     assert np.shape(scalar) == ()
     block = vl.amplitude(spec, C, np.zeros((4, 5, 3)) + 0.3, 0.2)
     assert block.shape == (4, 5)
+    # Every derivative at a scalar point and on a (4, 5) block has the point
+    # set's shape and equals the matching rows of the flat batch; a scalar
+    # point's arithmetic may round differently, by an ulp or so.
+    tail = {"grad": (3,), "dt": (), "hess": (3, 3), "lap": (), "dt_grad": (3,), "d2t": (),
+            "grad4": (4,), "hess4": (4, 4)}
+    points = random_points(20, seed=17)
+    snapshot = vl.TrapRing(omega=0.9, R=1.2).at(C, 0.3)
+    flat = snapshot.on(points)
+    for shape, at in (((), points[7]), ((4, 5), points.reshape(4, 5, 3))):
+        field = snapshot.on(at)
+        for name, rows in tail.items():
+            got, want = getattr(field, name), getattr(flat, name).reshape((-1,) + rows)
+            want = want[7] if shape == () else want.reshape(shape + rows)
+            assert got.shape == shape + rows, name
+            peak = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 4e-16 * peak, (name, shape)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_space_time_hessian_is_symmetric_and_holds_the_blocks(spec):
+    # hess4 is formed on the ten pairs u <= v and mirrored; its blocks, and
+    # grad4's, are the spatial and time derivatives, bit for bit.
+    for t in (-0.7, 0.0, 0.45):
+        field = spec.at(C, t).on(random_points(50))
+        hess4, grad4 = field.hess4, field.grad4
+        assert hess4.shape == (50, 4, 4) and grad4.shape == (50, 4)
+        assert np.array_equal(hess4, np.swapaxes(hess4, -1, -2))
+        assert np.array_equal(hess4[:, :3, :3], field.hess)
+        assert np.array_equal(hess4[:, :3, 3], field.dt_grad)
+        assert np.array_equal(hess4[:, 3, 3], field.d2t)
+        assert np.array_equal(grad4, np.concatenate([field.grad, field.dt[:, None]], axis=1))
 
 
 @pytest.mark.parametrize("spec", [

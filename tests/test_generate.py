@@ -82,8 +82,8 @@ def test_generation_rejects_non_carrier():
 
 @pytest.mark.parametrize(
     "poly",
-    [Poly3({(3, 1, 1): 1.0}), Poly3({(-1, 0, 0): 1.0})],
-    ids=["degree-5", "negative-exponent"],
+    [Poly3({(3, 1, 1): 1.0}), Poly3({(-1, 0, 0): 1.0}), Poly3.coordinate(0) * Poly3.coordinate(3)],
+    ids=["degree-5", "negative-exponent", "power-of-s"],
 )
 def test_generation_rejects_unsupported_polynomial(poly):
     with pytest.raises(SpecValidationError):

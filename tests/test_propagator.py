@@ -366,13 +366,16 @@ def test_walls_and_peak_from_axis_rows_match_the_slabs(spec, grid):
 
 
 def test_walls_and_peak_of_a_prefactor_beyond_the_block_bound():
-    # P = 1 + x^2 y has no block bound: the peak comes from the whole grid.
+    # P = 1 + x^2 y has no block bound: the decay check and the zero box
+    # refuse it rather than fall back to the whole grid.
     columns = np.zeros((2, 6), dtype=complex)
     columns[:, 0] = 1.0
     snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
     axes = [ANISOTROPIC.axis_coords(a) for a in range(3)]
-    assert snapshot.on_zero_box(*axes) is None
-    assert snapshot.walls_and_peak(*axes) == _grid_walls_and_peak(snapshot.on_grid(*axes))
+    with pytest.raises(SpecValidationError, match="degree 3"):
+        snapshot.walls_and_peak(*axes)
+    with pytest.raises(SpecValidationError, match="degree 3"):
+        snapshot.on_zero_box(*axes)
 
 
 def test_require_decayed_at_the_limit():

@@ -596,9 +596,9 @@ def _on_box(grid, values, box):
 
 
 def _kept_blocks(snapshot, grid):
-    """The blocks of the grid where the snapshot's P may vanish, or None."""
-    bounds = snapshot.prefactor_bounds(*(grid.axis_coords(a) for a in range(3)))
-    return None if bounds is None else catalog._kept_blocks(*bounds)
+    """The blocks of the grid where the snapshot's P may vanish."""
+    axes = [grid.axis_coords(a) for a in range(3)]
+    return catalog._kept_blocks(*snapshot.prefactor_bounds(*axes))
 
 
 def _ring_in_a_grid_plane():
@@ -757,17 +757,16 @@ def test_a_bare_carrier_excludes_the_whole_grid(spec):
 
 
 def test_a_prefactor_beyond_the_bound_keeps_the_whole_grid():
-    # P = 1 + x^2 y has third-order Taylor terms that the bound lacks.
-    columns = np.zeros((2, 6), dtype=complex)
-    columns[:, 0] = 1.0
-    snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
+    # P = 1 + x^2 y has third-order Taylor terms that the bound lacks:
+    # sampling on the zero box refuses it, and the whole grid still
+    # evaluates it.
     grid = Grid3.centered(OFF, 2.0, 9)
-    assert _kept_blocks(snapshot, grid) is None
-    assert snapshot.on_zero_box(*(grid.axis_coords(a) for a in range(3))) is None
-    field = sample(CubicPrefactor(), C, grid, 0.0, lines_only=True)
-    assert field.box == (slice(None),) * 3
-    assert field.peak == np.abs(field.values).max()
-    assert np.array_equal(field.values, sample(CubicPrefactor(), C, grid, 0.0).values)
+    with pytest.raises(SpecValidationError, match="degree 3"):
+        sample(CubicPrefactor(), C, grid, 0.0, lines_only=True)
+    field = sample(CubicPrefactor(), C, grid, 0.0)
+    assert field.is_whole
+    x, y, _ = np.meshgrid(*(grid.axis_coords(a) for a in range(3)), indexing="ij")
+    assert np.allclose(field.values, x * x * y + 1.0, rtol=1e-15, atol=0.0)
 
 
 def test_a_zero_field_has_no_crossings_and_forms_no_face_codes(traced_peak):
