@@ -55,9 +55,10 @@ each exp(G) times one product rule over u: the gradient grad4, shape
     hess4 = d_u d_v psi = (P_uv + P_u G_v + P_v G_u + P (G_uv + G_u G_v)) exp(G),
 
 the latter formed on the ten pairs u <= v and mirrored.  A t index picks
-the time order of P and G.  The gradient, Hessian, first/second time
-derivatives and the time derivative of the gradient are views of them, and
-the Laplacian sums the three spatial diagonal quotients before exp(G).
+the time order of P and G.  The gradient, Hessian, second time derivative
+and the time derivative of the gradient are views of them; the first time
+derivative is grad4's t entry formed alone, and the Laplacian sums the three
+spatial diagonal quotients before exp(G), from their rows of the table.
 The spatial derivatives come from the table by
 exponent shift: all derivatives up to first order are one batched matrix
 product whatever the number of terms, the second-order ones one more.
@@ -65,7 +66,8 @@ product whatever the number of terms, the second-order ones one more.
 since G has no cross terms, exp(G) is one factor per axis, folded into that
 axis's monomial rows, so psi is one matrix product and no (points x terms)
 array is formed; `snapshot.on_grid_slabs` forms it one slab of x planes at a
-time, from one set of axis rows.  `snapshot.on_zero_box` forms that product
+time, from one set of axis rows, which a linear map per axis may act on
+first.  `snapshot.on_zero_box` forms that product
 only on the box of the blocks where a Taylor bound cannot prove P != 0, and
 finds the grid's exact peak |psi| from the same rows: |psi| <= (the bound of
 |P|) times the per-axis max of |exp(G)| on a block, so only the blocks whose
@@ -735,6 +737,8 @@ _P, _G = 0, 3
 #: part in one batch.
 _SPATIAL = ((), (0,), (1,), (2,), (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _PARTS = (slice(0, 4), slice(4, 10))
+#: The indices (x, x), (y, y) and (z, z) of `_SPATIAL`.
+_DIAGONAL = np.array([_SPATIAL.index((a, a)) for a in range(3)])
 #: The ten pairs u <= v of `FieldValues.hess4`, as (u's, v's): the spatial
 #: ones of the second part in order, then (x, t), (y, t), (z, t), (t, t).
 #: _PAIR_OF[u, v] is the position of (u, v) or (v, u) among them.
@@ -850,6 +854,17 @@ def _compiled(
     return tuple(rows), coeffs
 
 
+def _term_product(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The sum over the terms of x (x) y (x) z, for term rows of shape
+    (T, *batch, N_a) (`Snapshot._term_rows`): one matrix product per batch
+    index over the terms, of the (x, y) plane, shape (T, N_x N_y), and the
+    z rows.  Shape (*batch, N_x, N_y, N_z)."""
+    plane = x[..., :, None] * y[..., None, :]
+    shape = plane.shape[1:] + z.shape[-1:]
+    plane = plane.reshape(*plane.shape[:-2], -1)
+    return (np.moveaxis(plane, 0, -1) @ np.moveaxis(z, 0, -2)).reshape(shape)
+
+
 def _power_jets(s: TimeOrders, top: int) -> np.ndarray:
     """[s^n, d/dt s^n, d2/dt2 s^n] for n < top, shape (top, 3), by the
     product rule from s^0 = 1."""
@@ -890,26 +905,28 @@ class Snapshot:
         """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z)."""
         return self._psi_on(self._axis_rows((x, y, z)))
 
-    def on_grid_mapped(self, x, y, z, maps) -> np.ndarray:
-        """(M_x (x) M_y (x) M_z) psi on the grid of three 1-D axes, for the
-        N_a x N_a matrices maps = (M_x, M_y, M_z), shape (N_x, N_y, N_z).
-
-        psi is a sum over P's terms of products of axis rows (`_axis_rows`),
-        so each M_a acts on its own axis's rows, rows @ M_a.T, before
-        `on_grid`'s product: top (N_x^2 + N_y^2 + N_z^2) + T N_x N_y N_z
-        complex multiply-adds, where applying the M_a to psi's grid takes
-        (N_x + N_y + N_z) N_x N_y N_z.
-        """
-        rows = self._axis_rows((x, y, z))
-        return self._psi_on([r @ m.T for r, m in zip(rows, maps)])
-
-    def on_grid_slabs(self, x, y, z) -> Callable[[slice], np.ndarray]:
+    def on_grid_slabs(self, x, y, z, maps=None) -> Callable[[slice], np.ndarray]:
         """psi on slabs of x planes of the grid of three 1-D axes: a function
         of a slice s of the x axis that returns on_grid(x, y, z)[s].  The
         axis rows are formed once, and each slab is `on_grid`'s product on
-        the slab's x rows, so no whole-grid array is formed."""
-        x_rows, y_rows, z_rows = self._axis_rows((x, y, z))
-        return lambda s: self._psi_on([x_rows[:, s], y_rows, z_rows])
+        the slab's x rows, one matrix product per x plane, so no whole-grid
+        array is formed.  A plane's product is bit for bit that plane of the
+        whole grid's, and its N_y rows stay on one BLAS thread: at 96^3 a
+        slab's one product of 288 rows went to two threads and took
+        0.04-7 ms, its three planes' 0.06 ms (2 cores, OpenBLAS 0.3.31).
+
+        With maps = (M_x, M_y, M_z), N_a x N_a matrices, the slabs are those
+        of (M_x (x) M_y (x) M_z) psi instead: psi is a sum over P's terms of
+        products of axis rows (`_axis_rows`), so each M_a acts on its own
+        axis's rows, rows @ M_a.T, once: top (N_x^2 + N_y^2 + N_z^2) complex
+        multiply-adds, where applying the M_a to psi's grid takes
+        (N_x + N_y + N_z) N_x N_y N_z.
+        """
+        rows = self._axis_rows((x, y, z))
+        if maps is not None:
+            rows = [r @ m.T for r, m in zip(rows, maps)]
+        x_rows, y_rows, z_rows = self._term_rows(rows)
+        return lambda s: _term_product(x_rows[:, s, None], y_rows[:, None], z_rows)[:, 0]
 
     def _axis_rows(self, axes) -> list[np.ndarray]:
         """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).
@@ -938,17 +955,15 @@ class Snapshot:
 
     def _psi_on(self, rows) -> np.ndarray:
         """psi on the grid of the axis rows (`_axis_rows`), each of shape
-        (top, *batch, N_a): one matrix product per batch index over the terms
-        of P, the (x, y) monomial plane, shape (T, N_x N_y), with P's
-        coefficients times the z rows.  Shape (*batch, N_x, N_y, N_z)."""
+        (top, *batch, N_a), shape (*batch, N_x, N_y, N_z)."""
+        return _term_product(*self._term_rows(rows))
+
+    def _term_rows(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The x and y axis rows of each of P's terms, and its z rows times
+        its coefficient, each of shape (T, *batch, N_a)."""
         (ex, ey, ez), p = self._prefactor_terms
         x, y, z = rows
-        plane = x[ex, ..., :, None] * y[ey, ..., None, :]
-        shape = plane.shape[1:] + z.shape[-1:]
-        plane = plane.reshape(*plane.shape[:-2], -1)
-        z_rows = p.reshape(-1, *[1] * (z.ndim - 1)) * z[ez]
-        psi = np.moveaxis(plane, 0, -1) @ np.moveaxis(z_rows, 0, -2)
-        return psi.reshape(shape)
+        return x[ex], y[ey], p.reshape(-1, *[1] * (z.ndim - 1)) * z[ez]
 
     def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float]:
         """psi on the box of the grid of three 1-D axes where P may vanish,
@@ -1063,16 +1078,18 @@ class FieldValues:
         hess4 = d_u d_v psi = (P_uv + P_u G_v + P_v G_u + P (G_uv + G_u G_v)) exp(G),
 
     the space-time gradient, shape (..., 4), and Hessian, shape (..., 4, 4),
-    formed on the ten pairs u <= v (`_PAIRS`) and mirrored.  grad, dt, hess,
-    dt_grad and d2t are views of them; lap is the sum of the three spatial
-    diagonal quotients, times exp(G).
+    formed on the ten pairs u <= v (`_PAIRS`) and mirrored.  grad, hess,
+    dt_grad and d2t are views of them; dt is grad4's t entry formed alone,
+    and lap the sum of the three spatial diagonal quotients, times exp(G),
+    formed from their rows of the table alone, so `pde_residual` forms
+    neither grad4 nor hess4.
 
     Index 3 of u is t: a t index picks the time order of P and G, a spatial
     index differentiates the polynomial.  The table's first part of
-    `_SPATIAL`, up to first order, gives psi and grad4 and is held; hess4
-    and lap read the second part too.  Each part gives every table column at
-    once: one batch of monomial matrices, differentiated by exponent shift,
-    times the snapshot's coefficients.
+    `_SPATIAL`, up to first order, gives psi, dt and grad4 and is held;
+    hess4 reads the second part too, and lap its diagonal rows.  Each row of
+    the table gives every column at once: one batch of monomial matrices,
+    differentiated by exponent shift, times the snapshot's coefficients.
     """
 
     def __init__(self, snapshot: Snapshot, points: np.ndarray):
@@ -1088,13 +1105,20 @@ class FieldValues:
     def _part(self, k: int) -> np.ndarray:
         """All six columns differentiated along each index of part k of
         `_SPATIAL`, shape (indices, points, 6)."""
+        return self._rows(_PARTS[k])
+
+    def _rows(self, indices) -> np.ndarray:
+        """All six columns differentiated along each of the given indices of
+        `_SPATIAL` (a slice or an index array), shape (indices, points, 6):
+        one matrix product per index, so a row does not depend on which
+        others are formed with it."""
         _, _, rows, coeffs = self.snapshot.table
-        part, powers = _PARTS[k], self._powers
-        monomials = powers[rows[0, part]]
-        monomials *= powers[rows[1, part]]
-        monomials *= powers[rows[2, part]]
+        powers = self._powers
+        monomials = powers[rows[0, indices]]
+        monomials *= powers[rows[1, indices]]
+        monomials *= powers[rows[2, indices]]
         # Real monomials times interleaved (re, im) coefficient columns.
-        values = np.matmul(monomials.transpose(0, 2, 1), coeffs[part].view(float))
+        values = np.matmul(monomials.transpose(0, 2, 1), coeffs[indices].view(float))
         return values.view(complex)
 
     @cached_property
@@ -1147,15 +1171,22 @@ class FieldValues:
 
     @cached_property
     def lap(self) -> np.ndarray:
-        return self._field(sum(self._second(_PAIR_OF.diagonal()[:3])))
+        """The Laplacian: `_second`'s rule on the three spatial diagonal
+        pairs, from their rows of the table alone."""
+        first, diagonal = self._first_part, self._rows(_DIAGONAL)
+        p, pu, gu = first[0, :, _P], first[1:, :, _P], first[1:, :, _G]
+        quotients = diagonal[:, :, _P] + pu * gu + pu * gu + p * (diagonal[:, :, _G] + gu * gu)
+        return self._field(sum(quotients))
 
     @property
     def grad(self) -> np.ndarray:
         return self.grad4[..., :3]
 
-    @property
+    @cached_property
     def dt(self) -> np.ndarray:
-        return self.grad4[..., 3]
+        """d/dt of psi: grad4's t entry, without its spatial ones."""
+        first = self._first_part
+        return self._field(first[0, :, _P + 1] + first[0, :, _P] * first[0, :, _G + 1])
 
     @property
     def hess(self) -> np.ndarray:

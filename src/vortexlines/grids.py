@@ -1,12 +1,19 @@
-"""Rectilinear sampling grids and sampled complex fields, whole or formed
-slab by slab."""
+"""Rectilinear sampling grids and sampled complex fields, held or formed
+slab by slab.
+
+A whole-grid field finds its peak |psi|, and its max |psi| over each plane
+normal to each axis (three 1-D profiles), in the first pass over its slabs
+that checks them finite: a `SampledField` when it is made, a `SlabbedField`
+in the first pass that reads it, so neither pays a pass of its own.  The
+tracker codes only the box of nodes the profiles put at or above its noise
+floor."""
 
 from __future__ import annotations
 
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,7 +85,8 @@ class SampledField:
     `peak` is the max |psi| over the whole grid, the scale of the tracker's
     noise floor: a field on a smaller box (`sample(..., lines_only=True)`)
     must carry it, and a whole-grid field may leave it None, to be found in
-    the slab pass that checks its values finite.
+    the slab pass that checks its values finite, with the `profiles`; a field
+    given its peak has no profiles.
     """
 
     grid: Grid3
@@ -86,6 +94,9 @@ class SampledField:
     time: float
     box: tuple[slice, slice, slice] = (slice(None),) * 3
     peak: float | None = None
+    #: The max |psi| over each plane normal to x, y and z, or None.
+    profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -102,16 +113,11 @@ class SampledField:
         if self.peak is None:
             if shape != self.grid.dims:
                 raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
-            # The peak in the finiteness pass: a slab's max |psi| is finite
-            # only where every value is.
-            peak = 0.0
+            maxima = _no_maxima(shape)
             for s in parts:
-                top = float(np.abs(values[s]).max())
-                if not math.isfinite(top):
-                    _require_finite(values[s])
-                    raise SpecValidationError(f"peak |psi| must be finite, got {top!r}")
-                peak = max(peak, top)
-            object.__setattr__(self, "peak", peak)
+                _fold_maxima(maxima, s, values[s])
+            object.__setattr__(self, "peak", float(maxima[0].max()))
+            object.__setattr__(self, "profiles", _profiles(maxima))
         elif not (0.0 <= self.peak < math.inf):
             raise SpecValidationError(f"peak |psi| must be finite and >= 0, got {self.peak!r}")
         else:
@@ -121,9 +127,14 @@ class SampledField:
         object.__setattr__(self, "box", box)
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """The box's shape."""
+        return self.values.shape
+
+    @property
     def is_whole(self) -> bool:
         """Whether the box is the whole grid."""
-        return self.values.shape == self.grid.dims
+        return self.shape == self.grid.dims
 
     def slab(self, s: slice) -> np.ndarray:
         """The values on the x planes s of the box."""
@@ -156,24 +167,72 @@ def sample(
     return SampledField(grid, values, float(t), box=box, peak=peak)
 
 
-@dataclass(frozen=True)
 class SlabbedField:
     """Complex amplitudes on the whole grid at a fixed time, formed slab by
     slab where they are read rather than held: `slab(s)` returns the values
-    on the x planes s (a slice from `slabs`), so a pass over slabs holds one
-    slab at a time.  Each slab is refused if it is not finite, as a
-    `SampledField` refuses its values."""
-
-    grid: Grid3
-    form: Callable[[slice], np.ndarray]
-    time: float
+    on the x planes s (a slice of the x axis, as from `slabs`), so a pass
+    over slabs holds one slab at a time.  Until every x plane has been read
+    once, each slab read is refused if it is not finite, as a `SampledField`
+    refuses its values, and folds its max |psi| into the `profiles`; `peak`
+    and `profiles` read the grid in one pass of their own only if no pass
+    has.  `form` must give the same values for a plane at every read."""
 
     is_whole = True
 
+    def __init__(self, grid: Grid3, form: Callable[[slice], np.ndarray], time: float):
+        self.grid, self.form, self.time = grid, form, float(time)
+        self.shape = grid.dims
+        self.offset = np.zeros(3, dtype=np.intp)
+        self._maxima = _no_maxima(grid.dims)
+        self._unread = np.ones(grid.dims[0], dtype=bool)
+        self._profiles = None
+
     def slab(self, s: slice) -> np.ndarray:
         values = self.form(s)
-        _require_finite(values)
+        if self._profiles is None:
+            _fold_maxima(self._maxima, s, values)
+            self._unread[s] = False
+            if not self._unread.any():
+                self._profiles = _profiles(self._maxima)
         return values
+
+    @property
+    def profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The max |psi| over each plane normal to x, y and z."""
+        if self._profiles is None:
+            for s in slabs(self.grid.dims):
+                self.slab(s)
+        return self._profiles
+
+    @property
+    def peak(self) -> float:
+        """The max |psi| over the grid."""
+        return float(self.profiles[0].max())
+
+
+def _no_maxima(shape) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(shape[0]), np.zeros(shape[1:])
+
+
+def _fold_maxima(maxima, s: slice, values: np.ndarray):
+    """Fold values, psi on the x planes s, into maxima: the max |psi| over
+    each x plane, and over x at each (y, z) node.  The max |psi| is finite
+    only where every value is: values that are not are refused."""
+    amps = np.abs(values)
+    planes = amps.reshape(len(amps), -1).max(axis=1)
+    top = float(planes.max())
+    if not math.isfinite(top):
+        _require_finite(values)
+        raise SpecValidationError(f"peak |psi| must be finite, got {top!r}")
+    along_x, across = maxima
+    along_x[s] = planes
+    np.maximum(across, amps.max(axis=0), out=across)
+
+
+def _profiles(maxima) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The max |psi| over each plane normal to x, y and z, from `maxima`."""
+    along_x, across = maxima
+    return along_x, across.max(axis=1), across.max(axis=0)
 
 
 def _require_finite(values: np.ndarray):

@@ -14,12 +14,16 @@ eigendecomposition H_a = V diag(E) V^T as V diag(exp(-i E t / hbar)) V^T.
 Each U_a is applied along its axis by one matrix product:
 (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.
 `require_decayed(wall, peak)` refuses data that has not decayed at the box
-walls, which the periodic box would wrap round.  The L2 error also reads a
-`grids.SlabbedField`, formed slab by slab where it is read.  A field that is
-a sum of products of axis vectors X (x) Y (x) Z evolves without its grid:
+walls, which the periodic box would wrap round.  A field that is a sum of
+products of axis vectors X (x) Y (x) Z evolves without its grid:
 (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x) U_z Z (the
 separated representation: Beylkin & Mohlenkamp, PNAS 99:10246, 2002), so
-`axis_propagators` hands out the three U_a for that.  The evolution sees
+`axis_propagators` hands out the three U_a for that, and the evolved field
+is a `grids.SlabbedField`, formed slab by slab from the mapped axis rows
+where it is read (`Snapshot.on_grid_slabs`).  The L2 error reads either
+kind of field slab by slab, at most one slab of each at a time, and its
+first pass over a `SlabbedField` is the one that finds its peak and
+profiles.  The evolution sees
 only t0 data, dense or as axis samples, and the discrete H; never the time
 dependence of the analytic formulas, which is what makes the comparison
 meaningful.
@@ -132,10 +136,8 @@ def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedF
     na2 = nb2 = 0.0
     ba = 0j
     for s in parts:
-        sa, sb = a.slab(s), b.slab(s)
-        na2 += np.vdot(sa, sa).real
-        nb2 += np.vdot(sb, sb).real
-        ba += np.vdot(sb, sa)
+        aa, bb, overlap = _gram(a.slab(s), b.slab(s))
+        na2, nb2, ba = na2 + aa, nb2 + bb, ba + overlap
     if na2 == 0.0 or nb2 == 0.0:
         return 0.0 if na2 == nb2 else 1.0
     # Part by part: numpy divides a complex by a float through the float's
@@ -143,7 +145,18 @@ def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedF
     lam = complex(ba.real / nb2, ba.imag / nb2)
     r2 = 0.0
     for s in parts:
-        residual = lam * b.slab(s)
-        np.subtract(a.slab(s), residual, out=residual)
-        r2 += np.vdot(residual, residual).real
+        r2 += _residual2(a.slab(s), lam, b.slab(s))
     return math.sqrt(r2 / na2)
+
+
+def _gram(sa: np.ndarray, sb: np.ndarray) -> tuple[float, float, complex]:
+    """(<a, a>, <b, b>, <b, a>) on one slab.  A helper, so that no slab
+    outlives the step that reads it."""
+    return np.vdot(sa, sa).real, np.vdot(sb, sb).real, np.vdot(sb, sa)
+
+
+def _residual2(sa: np.ndarray, lam: complex, sb: np.ndarray) -> float:
+    """||a - lam b||^2 on one slab."""
+    residual = lam * sb
+    np.subtract(sa, residual, out=residual)
+    return np.vdot(residual, residual).real

@@ -34,7 +34,7 @@ from .constants import PhysicalConstants
 from .errors import (AmbiguousWindingError, BoundaryDecayError, DegenerateVortexError,
                      NotOnLineError, SpecValidationError, VortexCoreError)
 from .generate import generate_from_polynomial
-from .grids import Grid3, SampledField, sample_in_slabs
+from .grids import Grid3, SlabbedField, sample_in_slabs
 
 RESIDUAL_TOLERANCE = 1e-6
 CIRCULATION_TOLERANCE = 1e-4
@@ -401,8 +401,11 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     t0, t1 = config.time_range
     prop_config = propagator.PropagatorConfig(
         t1 - t0, spec.omega if spec.equation == "trap" else 0.0)
-    # One whole-grid field is held: the evolved one, which the L2 error and
-    # detection read.  t0's walls and peak come from its axis rows.
+    # No whole-grid field is held.  t0's walls and peak come from its axis
+    # rows.  psi(t0) is a sum of products of axis rows, and the evolution is
+    # U_x (x) U_y (x) U_z: each U_a acts on its axis's rows, and the evolved
+    # field is formed slab by slab where the L2 error and detection read it.
+    # The L2 error's first pass finds its peak and profiles for detection.
     snapshot = spec.at(consts, t0)
     axes = [grid.axis_coords(a) for a in range(3)]
     try:
@@ -410,10 +413,8 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     except BoundaryDecayError as exc:
         return [CheckResult("oracle", False, exc.boundary_amplitude,
                             propagator.BOUNDARY_DECAY, str(exc))]
-    # psi(t0) is a sum of products of axis rows, and the evolution is
-    # U_x (x) U_y (x) U_z: each U_a acts on its axis's rows, not on the grid.
-    psi = snapshot.on_grid_mapped(*axes, propagator.axis_propagators(grid, prop_config, consts))
-    evolved = SampledField(grid, psi, t1)
+    maps = propagator.axis_propagators(grid, prop_config, consts)
+    evolved = SlabbedField(grid, snapshot.on_grid_slabs(*axes, maps=maps), t1)
     err = propagator.l2_relative_error(sample_in_slabs(spec, consts, grid, t1), evolved)
     results = [CheckResult(
         "oracle", err < ORACLE_L2_TOLERANCE, err, ORACLE_L2_TOLERANCE,

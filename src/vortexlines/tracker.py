@@ -11,12 +11,17 @@ catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 (interval exclusion: Moore, Interval Analysis, 1966; Snyder, SIGGRAPH 1992),
 and each frame is sampled only on the smallest box that holds the others,
 with the whole grid's exact peak |psi| for the noise floor
-(`grids.sample(..., lines_only=True)`).  A numeric field's box is the whole
-grid, and its peak is found in the slab pass that checks its values finite
-(`grids.SampledField`).  Detection returns the pierced faces as one record
-array (`FACE_DTYPE`: axis, index, winding) in (axis, index) order.  Everything
-downstream runs on that array by face id: the zero of each face's bilinear
-corner model, one root of a real quadratic, seeds the crossings, which
+(`grids.sample(..., lines_only=True)`).  A numeric field, held or formed slab
+by slab, covers the whole grid, and finds its peak and its max |psi| profiles
+along each axis in the first slab pass that checks its values finite
+(`grids.SampledField`, `grids.SlabbedField`); detection reads it slab by slab
+and codes only its support box, the nodes within one node of those at or
+above the noise floor, where every candidate and every counted noise face
+lies.  Detection returns the pierced faces as one record array (`FACE_DTYPE`:
+axis, index, winding) in (axis, index) order, with psi at their corners.
+Everything downstream runs on those arrays by face id: the zero of each
+face's bilinear corner model, one root of a real quadratic, seeds the
+crossings, which
 are refined by one batched Newton iteration on the analytic field when a
 solution spec is available, each in its own face plane (a crossing whose
 Newton iteration fails keeps its seed); each face's two cells get integer
@@ -45,7 +50,7 @@ from .anatomy import min_norm_solve
 from .catalog import DEGENERACY_FLOOR, SolutionSpec, Snapshot
 from .constants import PhysicalConstants
 from .errors import SpecValidationError
-from .grids import Grid3, SampledField, sample, slabs
+from .grids import Grid3, SampledField, SlabbedField, sample, slabs
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,6 +95,8 @@ FACE_DTYPE = np.dtype(
 class DetectionResult:
     #: Pierced faces, a FACE_DTYPE record array in (axis, index) order.
     pierced: np.recarray
+    #: psi at each pierced face's corners (`_corners`), shape (4, faces).
+    corners: np.ndarray
     #: Candidate faces inside the detection box (both parts of psi change
     #: sign, a corner at or above the noise floor) that are not crossed but
     #: have an edge phase step near pi or a corner below DEGENERACY_FLOOR of
@@ -164,24 +171,34 @@ def _wrap(phase: np.ndarray) -> np.ndarray:
     return phase - TWO_PI * np.floor(phase / TWO_PI + 0.5)
 
 
-def _pairs(reduce, arr: np.ndarray, axis: int) -> np.ndarray:
-    """reduce(arr[i], arr[i + 1]) for each neighbour pair along `axis`."""
+def _pairs(reduce, arr: np.ndarray, axis: int, room=None) -> np.ndarray:
+    """reduce(arr[i], arr[i + 1]) for each neighbour pair along `axis`,
+    written to the front of the flat array `room` if one is given."""
     lo = [slice(None)] * arr.ndim
     hi = list(lo)
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-    return reduce(arr[tuple(lo)], arr[tuple(hi)])
+    lo, hi = arr[tuple(lo)], arr[tuple(hi)]
+    out = None if room is None else room[:lo.size].reshape(lo.shape)
+    return reduce(lo, hi, out=out)
 
 
-def _corners(values: np.ndarray, axis: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """psi at the corners i, i + e1, i + e2 and i + e1 + e2 of each face,
-    normal to axis[f] with lowest corner i = index[f], where (e1, e2) are the
-    unit steps along axis + 1 and axis + 2: shape (4, faces)."""
-    e1 = np.eye(3, dtype=np.intp)[(axis + 1) % 3]
-    e2 = np.eye(3, dtype=np.intp)[(axis + 2) % 3]
-    return np.stack([values[tuple((index + step).T)] for step in (0, e1, e2, e1 + e2)])
+#: The steps from a face's lowest corner i to its corners i, i + e1, i + e2
+#: and i + e1 + e2, for a face normal to each axis, where (e1, e2) are the
+#: unit steps along axis + 1 and axis + 2: shape (axis, corner, 3).
+_CORNER_STEPS = np.array([
+    [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)],
+    [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+])
 
 
-def detect_pierced_faces(field: SampledField) -> DetectionResult:
+def _corners(values: np.ndarray, axis, index: np.ndarray) -> np.ndarray:
+    """values at the corners of each face (`_CORNER_STEPS`), normal to
+    axis[f] with lowest corner index[f]: shape (4, faces)."""
+    return values[tuple((index[:, None] + _CORNER_STEPS[axis]).T)]
+
+
+def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
     """Find every cell face whose edge phases wind by a nonzero multiple of 2pi.
 
     A face can wind only if neither Re psi nor Im psi keeps one sign at all
@@ -189,30 +206,41 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     steps and zero winding.  A part counts as one-signed only where it
     exceeds DEGENERACY_FLOOR |psi| at every corner, so a zero within roundoff
     of a grid edge, whose wrapped steps roundoff decides, stays a candidate.
-    Masks over the field's box pick these candidates, and the phase winding
-    is computed on their gathered corners only.
+    Masks over the detection box pick these candidates, and the phase winding
+    is computed on their corners only, gathered from the slabs that hold
+    them (`_gather_corners`).
 
-    The faces are looked for inside the field's box of grid nodes, and
-    pierced faces keep their grid indices.  The noise floor is NOISE_FLOOR
-    times the whole grid's peak |psi|, the field's `peak`.  A field whose
-    peak is 0 is zero everywhere and has no crossings: with a floor of 0,
-    every face would be a candidate.
+    The noise floor is NOISE_FLOOR times the whole grid's peak |psi|, the
+    field's `peak`.  The faces are looked for inside the detection box
+    (`_support`), read slab by slab through `field.slab`, and pierced faces
+    keep their grid indices.  A field whose peak is 0 is zero everywhere and
+    has no crossings: with a floor of 0, every face would be a candidate.
     """
     if field.peak == 0.0:
-        return DetectionResult(np.empty(0, FACE_DTYPE).view(np.recarray))
-    values = field.values
+        return DetectionResult(np.empty(0, FACE_DTYPE).view(np.recarray), np.empty((4, 0), complex))
     floor = NOISE_FLOOR * field.peak
+    box = _support(field, floor)
+    shape = tuple(b.stop - b.start for b in box)
+    # Slabs of the field's whole planes: each formed slab holds at most
+    # grids.SLAB_POINTS points, as in every other pass over the field.
+    reads = slabs(shape[:1] + field.shape[1:])
+    # One block of three bytes a node: the node codes, then one axis's pair
+    # and face codes at a time (`_noise_beside` needs none), the pairs' room
+    # reused for the candidate mask.  The axis passes allocate nothing, and
+    # the heap does not shrink and grow again around each of them.
+    size = math.prod(shape)
+    work = np.empty(3 * size, np.uint8)
+    code = work[:size].reshape(shape)
     # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
     # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
     # over a face's corners, a sign bit survives only where that part keeps
     # its sign at all four, and bit 16 only where all four are below the
     # floor: a face of code 0 is a candidate, one of code 16 a noise face.
-    # Built slab by slab (`grids.slabs`), straight into the code array,
-    # noting whether any node is below the floor.
-    code = np.empty(values.shape, np.uint8)
+    # Built slab by slab, straight into the code array, noting whether any
+    # node is below the floor.
     noisy = False
-    for s in slabs(values.shape):
-        psi, out = values[s], code[s]
+    for s in reads:
+        psi, out = _read(field, box, s), code[s]
         amps = np.abs(psi)
         below = amps < floor
         noisy = noisy or bool(below.any())
@@ -226,15 +254,16 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     candidates = []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
-        face = _pairs(np.bitwise_and, _pairs(np.bitwise_and, code, a1), a2)
-        at = np.unravel_index(np.flatnonzero(face == 0), face.shape)
-        del face  # one axis's face codes at a time; `_noise_beside` needs none
+        pairs = _pairs(np.bitwise_and, code, a1, work[size:])
+        face = _pairs(np.bitwise_and, pairs, a2, work[2 * size:])
+        mask = np.equal(face, 0, out=work[size:size + face.size].view(bool).reshape(face.shape))
+        at = np.unravel_index(np.flatnonzero(mask), face.shape)
         faces = np.empty(len(at[0]), FACE_DTYPE)
         faces["axis"] = axis
         faces["index"] = np.stack(at, axis=1)
         candidates.append(faces)
     faces = np.concatenate(candidates).view(np.recarray)
-    corners = _corners(values, faces.axis, faces.index)
+    corners = _gather_corners(field, box, reads, faces)
     p00, p10, p01, p11 = np.angle(corners)
     # Wrapped edge steps: along e1 at the low and high e2 side, then along e2.
     steps = _wrap(np.stack([p10 - p00, p11 - p01, p01 - p00, p11 - p10]))
@@ -248,8 +277,45 @@ def detect_pierced_faces(field: SampledField) -> DetectionResult:
     pierced = faces[crossed]
     pierced["winding"] = np.rint(circulation[crossed] / TWO_PI)
     noise = _noise_beside(code, pierced) if noisy else 0
-    pierced["index"] += field.offset
-    return DetectionResult(pierced, int(np.count_nonzero(flagged & ~crossed)), noise)
+    pierced["index"] += field.offset + [b.start for b in box]
+    return DetectionResult(pierced, corners[:, crossed],
+                           int(np.count_nonzero(flagged & ~crossed)), noise)
+
+
+def _support(field, floor: float) -> tuple[slice, slice, slice]:
+    """The detection box, in the field's box: the bounding box of the nodes
+    where |psi| >= floor, from the field's max |psi| profiles, grown by one
+    node.  A candidate face, or a noise face in a cell with a pierced face,
+    has every corner within one node of a node at or above the floor, so
+    none lies outside it.  A field with no profiles (one sampled on its
+    zero box) is searched on its whole box."""
+    if field.profiles is None:
+        return tuple(slice(0, n) for n in field.shape)
+    box = []
+    for profile in field.profiles:
+        above = np.flatnonzero(profile >= floor)
+        box.append(slice(max(int(above[0]) - 1, 0), min(int(above[-1]) + 2, len(profile))))
+    return tuple(box)
+
+
+def _read(field, box, s: slice) -> np.ndarray:
+    """psi on the x planes s of the detection box."""
+    return field.slab(slice(box[0].start + s.start, box[0].start + s.stop))[:, box[1], box[2]]
+
+
+def _gather_corners(field, box, reads, faces: np.recarray) -> np.ndarray:
+    """psi at the corners of the faces of the detection box (`_corners`),
+    from the slabs `reads`: of each, only the planes from its first to its
+    last that hold a corner are read."""
+    x, y, z = (faces.index[:, None] + _CORNER_STEPS[faces.axis]).T
+    corners = np.empty(x.shape, complex)
+    for s in reads:
+        inside = (x >= s.start) & (x < s.stop)
+        if inside.any():
+            at = x[inside]
+            lo = int(at.min())
+            corners[inside] = _read(field, box, slice(lo, int(at.max()) + 1))[at - lo, y[inside], z[inside]]
+    return corners
 
 
 def _noise_beside(code: np.ndarray, pierced: np.recarray) -> int:
@@ -262,11 +328,20 @@ def _noise_beside(code: np.ndarray, pierced: np.recarray) -> int:
     count = 0
     for axis in range(3):
         faces = np.concatenate([cells, cells + np.eye(3, dtype=np.intp)[axis]])
-        faces = np.unique(np.ravel_multi_index(tuple(faces.T), code.shape))
+        faces = _distinct(np.ravel_multi_index(tuple(faces.T), code.shape))
         index = np.stack(np.unravel_index(faces, code.shape), axis=1)
         face_codes = np.bitwise_and.reduce(_corners(code, axis, index), axis=0)
         count += int(np.count_nonzero(face_codes == 16))
     return count
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending, by one sort:
+    np.unique's, without the numpy.ma import np.unique makes."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _face_cells(faces: np.recarray, dims) -> np.ndarray:
@@ -290,13 +365,14 @@ def cell_winding_balance(detection: DetectionResult, dims) -> int:
     # A crossing enters its face's own cell and leaves the cell below.
     flux = np.stack([-faces.winding, faces.winding], axis=1)
     inside = ids >= 0
-    _, cell = np.unique(ids[inside], return_inverse=True)
-    net = np.bincount(cell, weights=flux[inside])
+    cells = ids[inside]
+    net = np.bincount(np.searchsorted(_distinct(cells), cells), weights=flux[inside])
     return int(np.max(np.abs(net), initial=0))
 
 
-def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
-    """Zero of each face's bilinear corner model of psi, in world coords.
+def _bilinear_zeros(grid: Grid3, faces: np.recarray, corners: np.ndarray) -> np.ndarray:
+    """Zero of each face's bilinear corner model of psi, from psi at its
+    corners (`_corners`), in world coords.
 
     In the face's unit square the model is f = a + b p + c q + d p q, linear
     in q with coefficients A = a + b p and C = c + d p.  So f vanishes where
@@ -306,7 +382,7 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     """
     rows = np.arange(len(faces))
     a1, a2 = (faces.axis + 1) % 3, (faces.axis + 2) % 3
-    v00, v10, v01, v11 = _corners(field.values, faces.axis, faces.index - field.offset)
+    v00, v10, v01, v11 = corners
     a, b, c, d = v00, v10 - v00, v01 - v00, v11 - v10 - v01 + v00
     alpha = (b * d.conj()).imag
     beta = (a * d.conj() + b * c.conj()).imag
@@ -321,8 +397,8 @@ def _bilinear_zeros(field: SampledField, faces: np.recarray) -> np.ndarray:
     inside = (p >= 0.0) & (p <= 1.0) & (q >= 0.0) & (q <= 1.0)
     root = np.argmax(inside, axis=1)
     u = np.where(inside[rows, root][:, None], np.stack([p, q], axis=2)[rows, root], 0.5)
-    spacing = np.asarray(field.grid.spacing)
-    points = np.asarray(field.grid.origin) + spacing * faces.index
+    spacing = np.asarray(grid.spacing)
+    points = np.asarray(grid.origin) + spacing * faces.index
     points[rows, a1] += u[:, 0] * spacing[a1]
     points[rows, a2] += u[:, 1] * spacing[a2]
     return points
@@ -448,7 +524,7 @@ def _walk(start: int, side: int, ids: list, partner: list, visited: list):
 
 
 def extract_lines(
-    field: SampledField,
+    field: SampledField | SlabbedField,
     detection: DetectionResult | None = None,
     refiner=None,
 ) -> list[VortexPolyline]:
@@ -464,7 +540,7 @@ def extract_lines(
     faces = detection.pierced
     if not len(faces):
         return []
-    points = _bilinear_zeros(field, faces)
+    points = _bilinear_zeros(field.grid, faces, detection.corners)
     if refiner is not None:
         points = refiner(points, faces.axis)
     ids = _face_cells(faces, field.grid.dims)
@@ -570,7 +646,7 @@ def _paired(line, target) -> np.ndarray:
     an integer key: every counted node of line i landed, all on line j, and
     no node of another line landed on j."""
     width = np.max(target, initial=0) + 2
-    i, j = np.divmod(np.unique(line * width + target + 1), width)
+    i, j = np.divmod(_distinct(line * width + target + 1), width)
     alone = (np.bincount(i)[i] == 1) & (np.bincount(j)[j] == 1) & (j > 0)
     return np.stack([i, j - 1], axis=1)[alone]
 
@@ -767,7 +843,9 @@ def node_speeds(
             speeds.append((np.empty((0, 3)), np.array([])))
             continue
         nodes, landed, line, target = _landings(spec, consts, grid, prev, curr)
-        paired = np.isin(line, _paired(line, target)[:, 0])
+        paired = np.zeros(len(prev), dtype=bool)
+        paired[_paired(line, target)[:, 0]] = True
+        paired = paired[line]
         dt = curr[0].frame_time - prev[0].frame_time
         chords = np.linalg.norm(landed[paired] - nodes[paired], axis=1)
         speeds.append((nodes[paired], chords / dt))

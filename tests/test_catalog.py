@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
-from vortexlines.catalog import _G, _P, _SPATIAL, Snapshot, _amplitude_bounds, block_edges
+from vortexlines.catalog import (_G, _P, _PAIR_OF, _SPATIAL, FieldValues, Snapshot,
+                                 _amplitude_bounds, block_edges)
 from vortexlines.errors import NoPrefactorError, SpecValidationError
 from vortexlines.grids import Grid3, sample
 from vortexlines.polynomials import Poly3
@@ -413,6 +414,42 @@ def test_space_time_hessian_is_symmetric_and_holds_the_blocks(spec):
         assert np.array_equal(hess4[:, :3, 3], field.dt_grad)
         assert np.array_equal(hess4[:, 3, 3], field.d2t)
         assert np.array_equal(grad4, np.concatenate([field.grad, field.dt[:, None]], axis=1))
+
+
+def _full_dt(field):
+    """dt as grad4's t entry, the space-time gradient formed whole."""
+    return field.grad4[..., 3]
+
+
+def _full_lap(field):
+    """lap from `_second`'s rows, with (x, t) ... (t, t) appended to the
+    second part of the table."""
+    return field._field(sum(field._second(_PAIR_OF.diagonal()[:3])))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_residual_forms_only_what_it_reads_bit_for_bit(spec, monkeypatch):
+    # pde_residual reads dt without grad4's spatial entries and lap from
+    # the table's three spatial diagonal rows alone: both, and so every
+    # residual, are bit for bit the ones read off the full space-time forms.
+    # Only the magnetic equation reads grad, and so grad4, and only the
+    # Klein-Gordon one d2t, and so hess4.
+    pts = random_points(200, seed=5)
+    residuals = []
+    for t in (-0.7, 0.0, 0.45):
+        field = spec.at(C, t).on(pts)
+        assert np.array_equal(field.dt, _full_dt(spec.at(C, t).on(pts)))
+        assert np.array_equal(field.lap, _full_lap(spec.at(C, t).on(pts)))
+        with monkeypatch.context() as patch:
+            if spec.equation != "relativistic":
+                patch.setattr(FieldValues, "hess4", property(lambda v: pytest.fail("formed hess4")))
+            if spec.equation != "magnetic":
+                patch.setattr(FieldValues, "grad4", property(lambda v: pytest.fail("formed grad4")))
+            residuals.append(vl.catalog.pde_residual(spec, C, pts, t))
+    monkeypatch.setattr(FieldValues, "dt", property(_full_dt))
+    monkeypatch.setattr(FieldValues, "lap", property(_full_lap))
+    for t, residual in zip((-0.7, 0.0, 0.45), residuals):
+        assert np.array_equal(vl.catalog.pde_residual(spec, C, pts, t), residual)
 
 
 @pytest.mark.parametrize("spec", [

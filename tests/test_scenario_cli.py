@@ -23,7 +23,7 @@ import vortexlines as vl
 from vortexlines import anatomy, scenario, tracker
 from vortexlines.cli import main
 from vortexlines.errors import BoundaryDecayError, SpecValidationError
-from vortexlines.grids import Grid3, sample, sample_in_slabs, slabs
+from vortexlines.grids import Grid3, SampledField, sample, sample_in_slabs, slabs
 from vortexlines.presets import list_presets, preset
 from vortexlines.scenario import (
     ScenarioConfig, _periodicity, check_circulation, check_events, check_locus, check_node_speed,
@@ -361,10 +361,12 @@ def test_circulation_check_evaluates_each_contour_node_once(tmp_path, monkeypatc
     assert result.exit_status == 0 and result.checks[0].measured < 1e-12
 
 
-def test_oracle_holds_one_whole_grid_field(tmp_path, monkeypatch, traced_peak):
-    # oracle_ring's box at 64^3: the evolved field alone.  t0's walls and
-    # peak come from its axis rows and zero box, t1 is formed slab by slab in
-    # the L2 error, and every whole-grid pass runs in slabs.
+def test_oracle_holds_no_whole_grid_field(tmp_path, monkeypatch, traced_peak):
+    # oracle_ring's box at 64^3: no field is held whole.  t0's walls and peak
+    # come from its axis rows and zero box, the evolved field and t1 are
+    # formed slab by slab in the L2 error, and detection reads the evolved
+    # one's slabs on its support box: a slab per field, and one byte a node
+    # of codes.
     n = 64
     grid = Grid3(tuple(-24.0 + o for o in OFF), (48.0 / n,) * 3, (n,) * 3)
     config = dataclasses.replace(preset("oracle_ring"), grid=grid, n_frames=1,
@@ -379,7 +381,35 @@ def test_oracle_holds_one_whole_grid_field(tmp_path, monkeypatch, traced_peak):
     monkeypatch.setitem(scenario.CHECK_REGISTRY, "oracle", traced)
     result = run(config, tmp_path)
     assert result.exit_status == 0 and len(peaks) == 1
-    assert peaks[0] <= 16 * n**3 + 2e6
+    assert peaks[0] <= 4 * n**3 + 2e6
+
+
+def _held_evolved_check(config):
+    """check_oracle's results with the evolved field held whole, formed by
+    one product of t0's mapped axis rows, as the check formed it when it
+    held that field: its L2 error and line-check values are the reference."""
+    spec, consts, grid = config.spec, config.consts, config.grid
+    t0, t1 = config.time_range
+    omega = spec.omega if spec.equation == "trap" else 0.0
+    snapshot = spec.at(consts, t0)
+    maps = vl.propagator.axis_propagators(grid, vl.PropagatorConfig(t1 - t0, omega), consts)
+    rows = snapshot._axis_rows([grid.axis_coords(a) for a in range(3)])
+    held = snapshot._psi_on([r @ m.T for r, m in zip(rows, maps)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "SlabbedField", lambda grid, form, time: SampledField(grid, held, time))
+        return check_oracle(config, [], None, None)
+
+
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap"])
+def test_oracle_values_equal_the_held_field_check(name):
+    # The slabbed check's L2 error and line-check distance are bit for bit
+    # those of the check on the held evolved grid, on any BLAS thread count
+    # (the L2 error's last bits depend on it, the same for both).
+    config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    results = check_oracle(config, [], None, None)
+    reference = _held_evolved_check(config)
+    assert [r.passed for r in results] == [True, True]
+    assert [(r.measured, r.detail) for r in results] == [(r.measured, r.detail) for r in reference]
 
 
 def _oracle_trap():

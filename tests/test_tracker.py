@@ -104,10 +104,11 @@ def test_extract_builds_one_snapshot_and_refines_every_face_at_once(monkeypatch)
     spec, t = vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 1.0
     grid = Grid3.centered(OFF, 6.0, 24)
     field = sample(spec, C, grid, t)
-    faces = detect_pierced_faces(field).pierced
+    detection = detect_pierced_faces(field)
+    faces = detection.pierced
     assert set(faces.axis.tolist()) == {0, 1, 2}
     # Refining all faces with their own axes agrees with refining axis by axis.
-    seeds = tracker._bilinear_zeros(field, faces)
+    seeds = tracker._bilinear_zeros(grid, faces, detection.corners)
     refine = analytic_refiner(spec, C, spec.at(C, t))
     together = refine(seeds, faces.axis)
     apart = np.concatenate([refine(seeds[faces.axis == a], a) for a in range(3)])
@@ -468,9 +469,11 @@ def test_each_pierced_face_model_has_one_root_at_the_seed(fields):
     converged = 0
     for field in fields():
         grid = field.grid
-        faces = detect_pierced_faces(field).pierced
-        seeds = tracker._bilinear_zeros(field, faces)
+        detection = detect_pierced_faces(field)
+        faces = detection.pierced
+        seeds = tracker._bilinear_zeros(grid, faces, detection.corners)
         corners = tracker._corners(field.values, faces.axis, faces.index).T
+        assert np.array_equal(corners, detection.corners.T)
         for f, seed, v in zip(faces, seeds, corners):
             (root,) = _roots_in_square(*v)
             plane = [(f.axis + 1) % 3, (f.axis + 2) % 3]
@@ -500,13 +503,11 @@ def test_bilinear_seed_of_a_single_face(corners, zero):
     # Equal corners, and Re psi proportional to Im psi, leave the quadratic
     # identically zero: the face keeps its centre.  A planar model
     # (p - 0.3) + i (q - 0.6) has a linear quadratic with one root.
-    values = np.zeros((4, 4, 4), dtype=complex)
-    values[0, 0, 0], values[1, 0, 0], values[0, 1, 0], values[1, 1, 0] = corners
-    field = SampledField(Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4)), values, 0.0)
+    grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (4, 4, 4))
     faces = np.array([(2, (0, 0, 0), 1)], dtype=tracker.FACE_DTYPE).view(np.recarray)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (seed,) = tracker._bilinear_zeros(field, faces)
+        (seed,) = tracker._bilinear_zeros(grid, faces, np.array(corners)[:, None])
     assert seed == pytest.approx((*zero, 0.0), abs=1e-15)
 
 
