@@ -69,8 +69,10 @@ array is formed; `snapshot.on_grid_slabs` forms it one slab of x planes at a
 time, from one set of axis rows, which a linear map per axis may act on
 first.  `snapshot.on_zero_box` forms that product
 only on the box of the blocks where a Taylor bound cannot prove P != 0, and
-finds the grid's exact peak |psi| from the same rows: |psi| <= (the bound of
-|P|) times the per-axis max of |exp(G)| on a block, so only the blocks whose
+brackets the grid's peak |psi| from the same rows: |psi| <= (the bound of
+|P|) times the per-axis max of |exp(G)| on a block, so the peak lies between
+the box's own max and the larger of that and the largest bound outside the
+box.  The exact peak is searched for only on request: only the blocks whose
 bound beats the best value found so far are evaluated, by the same product
 batched over the blocks (interval branch-and-bound: Moore, Interval
 Analysis, 1966; Hansen, Global Optimization Using Interval Analysis, 1992).
@@ -89,12 +91,12 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
 from .constants import PhysicalConstants
-from .errors import NoPrefactorError, SpecValidationError
+from .errors import NON_FINITE, NoPrefactorError, SpecValidationError
 from .polynomials import Exponents, Poly3
 
 
@@ -761,8 +763,9 @@ BLOCK_CELLS = 4
 #: near-degenerate faces by the same fraction.
 DEGENERACY_FLOOR = 1e-9
 
-#: Blocks of the largest |psi| bounds that `Snapshot.on_zero_box` evaluates
-#: first, in one batch, before it knows which others the peak clears.
+#: Blocks of the largest |psi| bounds that the peak search of
+#: `Snapshot.on_zero_box` evaluates first, in one batch, before it knows
+#: which others the peak clears.
 PEAK_FIRST_BLOCKS = 8
 
 
@@ -965,19 +968,25 @@ class Snapshot:
         x, y, z = rows
         return x[ex], y[ey], p.reshape(-1, *[1] * (z.ndim - 1)) * z[ez]
 
-    def on_zero_box(self, x, y, z) -> tuple[tuple[slice, slice, slice], np.ndarray, float]:
+    def on_zero_box(
+        self, x, y, z,
+    ) -> tuple[tuple[slice, slice, slice], np.ndarray, float, Callable[[float], float]]:
         """psi on the box of the grid of three 1-D axes where P may vanish,
-        and the grid's peak |psi|: (box, psi on the box, peak).
+        with what brackets the grid's peak |psi|: (box, psi on the box, bound,
+        search).
 
         The box is the smallest one of grid nodes that holds every block
         (`block_edges`) that the bound cannot clear of zeros (`_zero_box`),
-        and psi is `on_grid`'s product on the box's axis rows.  The peak is
-        the exact max of |psi| over every node, found by interval
-        branch-and-bound (Moore, Interval Analysis, 1966; Hansen, Global
-        Optimization Using Interval Analysis, 1992) on the blocks' bounds
-        (`_amplitude_bounds`): from the max over the box, one batched product
-        evaluates the PEAK_FIRST_BLOCKS blocks of the largest bounds, and a
-        second one every other block whose bound still exceeds the max.
+        and psi is `on_grid`'s product on the box's axis rows.  bound is the
+        largest of the blocks' |psi| bounds (`_amplitude_bounds`) outside
+        the box, so with low the max |psi| over the box, the peak lies
+        between low and the larger of low and bound.  search(low) is the
+        exact peak, found by interval branch-and-bound (Moore, Interval
+        Analysis, 1966; Hansen, Global Optimization Using Interval Analysis,
+        1992) on those bounds: from low, one batched product evaluates the
+        PEAK_FIRST_BLOCKS blocks of the largest bounds, and a second one
+        every other block whose bound still exceeds the max.  A bound that
+        is not finite is refused.
         """
         axes = [np.asarray(c, dtype=float) for c in (x, y, z)]
         bounds = self.prefactor_bounds(*axes)
@@ -985,36 +994,53 @@ class Snapshot:
         edges = [block_edges(len(c)) for c in axes]
         box = _zero_box(_kept_blocks(*bounds), edges)
         values = self._psi_on([r[:, s] for r, s in zip(rows, box)])
-        peak = float(np.abs(values).max(initial=0.0))
         # Every node of a block inside the box is in values already.
         inside = [(e[:-1] >= s.start) & (e[1:] < s.stop) for e, s in zip(edges, box)]
         above = _amplitude_bounds(rows, edges, *bounds)
         above[np.ix_(*inside)] = 0.0
-        above = above.ravel()
+        bound = float(above.max())
+        if not math.isfinite(bound):
+            raise SpecValidationError(NON_FINITE)
+        return box, values, bound, partial(self._search_peak, rows, edges, above.ravel())
+
+    def _search_peak(self, rows, edges, above: np.ndarray, low: float) -> float:
+        """The max of low and |psi| over the blocks whose bounds (flat, as
+        from `_amplitude_bounds`) exceed it: `on_zero_box`'s search."""
         k = min(PEAK_FIRST_BLOCKS, len(above))
         first = np.argpartition(above, -k)[-k:]
-        peak = self._block_peak(rows, edges, first[above[first] > peak], peak)
-        above[first] = 0.0
-        peak = self._block_peak(rows, edges, np.flatnonzero(above > peak), peak)
-        return box, values, peak
+        peak = self._block_peak(rows, edges, first[above[first] > low], low)
+        rest = above > peak
+        rest[first] = False
+        return self._block_peak(rows, edges, np.flatnonzero(rest), peak)
 
     def walls_and_peak(self, x, y, z) -> tuple[float, float]:
         """The max |psi| on the six walls of the grid of three 1-D axes, and
-        the grid's peak |psi|: `on_zero_box`'s, with no grid formed.  Each
-        axis's two walls are one `_psi_on` matrix product over both its end
-        rows (over one row it would be a matrix-vector product, up to 7e-15
-        relative off the sampled grid's walls); these differ from the
-        sampled grid's by roundoff still.  A NaN on a wall makes it NaN."""
-        peak = self.on_zero_box(x, y, z)[2]
+        the grid's peak |psi|: `walls_and_bracket`'s wall and searched peak."""
+        wall, _, peak = self.walls_and_bracket(x, y, z)
+        return wall, peak()
+
+    def walls_and_bracket(self, x, y, z) -> tuple[float, float, Callable[[], float]]:
+        """The max |psi| on the six walls of the grid of three 1-D axes, the
+        max |psi| over `on_zero_box`'s box, at most the grid's peak |psi|,
+        and a function that returns that peak by `on_zero_box`'s search,
+        with no grid formed.  Each axis's two walls are one `_psi_on` matrix
+        product over both its end rows (over one row it would be a
+        matrix-vector product, up to 7e-15 relative off the sampled grid's
+        walls); these differ from the sampled grid's by roundoff still.  A
+        NaN on a wall makes it NaN."""
+        _, values, _, search = self.on_zero_box(x, y, z)
+        low = float(np.abs(values).max(initial=0.0))
         rows = self._axis_rows((x, y, z))
         ends = [[r[:, [0, -1]] if b == a else r for b, r in enumerate(rows)] for a in range(3)]
         wall = np.max([np.abs(self._psi_on(e)).max() for e in ends])
-        return float(wall), peak
+        return float(wall), low, partial(search, low)
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:
         """The max of peak and |psi| over the nodes of the given blocks (flat
         indices into the (B_x, B_y, B_z) blocks), from `_psi_on` on each
-        block's 5 nodes per axis (a short block repeats its last)."""
+        block's 5 nodes per axis (a short block repeats its last).  A |psi|
+        that is not finite is refused: Python's max would keep peak over a
+        NaN."""
         if not len(blocks):
             return peak
         at = np.unravel_index(blocks, [len(e) - 1 for e in edges])
@@ -1023,7 +1049,10 @@ class Snapshot:
             r[:, np.minimum(e[b, None] + span, e[b + 1, None])]  # (top, blocks, 5)
             for r, e, b in zip(rows, edges, at)
         ]
-        return max(peak, float(np.abs(self._psi_on(node_rows)).max()))
+        top = float(np.abs(self._psi_on(node_rows)).max())
+        if not math.isfinite(top):
+            raise SpecValidationError(NON_FINITE)
+        return max(peak, top)
 
     def prefactor_bounds(self, x, y, z) -> tuple[np.ndarray, np.ndarray]:
         """Taylor's lower bound of |P| on each block (`block_edges`) of the

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+#: The text a field, or a search over its nodes, is refused with where a
+#: value of psi is not finite.
+NON_FINITE = "sampled field contains non-finite values"
+
 
 class VortexLinesError(Exception):
     """Base class for all package-specific errors."""

@@ -6,20 +6,22 @@ normal to each axis (three 1-D profiles), in the first pass over its slabs
 that checks them finite: a `SampledField` when it is made, a `SlabbedField`
 in the first pass that reads it, so neither pays a pass of its own.  The
 tracker codes only the box of nodes the profiles put at or above its noise
-floor."""
+floor.  A `FormedField` is only checked finite in that pass.  A field
+sampled on its zero box carries a bound of |psi| outside the box instead,
+and searches for the peak only when it is read."""
 
 from __future__ import annotations
 
 import math
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import SolutionSpec
 from .constants import PhysicalConstants
-from .errors import GridMismatchError, SpecValidationError
+from .errors import NON_FINITE, GridMismatchError, SpecValidationError
 
 #: The most points one slab of a whole-grid pass holds: 2**15 complex values,
 #: 512 kB, stay in a core's L2 cache, so a pass over slabs holds no
@@ -76,55 +78,71 @@ class Grid3:
         )
 
 
-@dataclass(frozen=True)
 class SampledField:
     """Complex amplitudes on a box of a grid's nodes at a fixed time.
 
     `box`, three slices of grid nodes (unit step), is where the values are
     held, and values has the box's shape; the default box is the whole grid.
     `peak` is the max |psi| over the whole grid, the scale of the tracker's
-    noise floor: a field on a smaller box (`sample(..., lines_only=True)`)
-    must carry it, and a whole-grid field may leave it None, to be found in
-    the slab pass that checks its values finite, with the `profiles`; a field
-    given its peak has no profiles.
+    noise floor.  A whole-grid field may be given it, or finds it, with the
+    `profiles`, in the slab pass that checks its values finite.  A field on a
+    smaller box is given it, or is given `bound`, an upper bound of |psi| on
+    every grid node outside the box, and `search`, a function of the box's
+    own max |psi| that returns the peak (`sample(..., lines_only=True)`):
+    the peak then lies between that max and the larger of it and bound, and
+    is searched for on its first read only.  A field given its peak or a
+    bound has no profiles.
     """
 
-    grid: Grid3
-    values: np.ndarray
-    time: float
-    box: tuple[slice, slice, slice] = (slice(None),) * 3
-    peak: float | None = None
-    #: The max |psi| over each plane normal to x, y and z, or None.
-    profiles: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        box = tuple(self.box)
+    def __init__(
+        self, grid: Grid3, values, time: float, box=(slice(None),) * 3,
+        peak: float | None = None, *, bound: float | None = None,
+        search: Callable[[float], float] | None = None,
+    ):
+        values = np.asarray(values, dtype=complex)
+        box = tuple(box)
         if len(box) != 3 or not all(isinstance(s, slice) and s.step in (None, 1) for s in box):
-            raise SpecValidationError(f"box must be three slices of unit step, got {self.box}")
-        shape = tuple(len(range(*s.indices(n))) for s, n in zip(box, self.grid.dims))
+            raise SpecValidationError(f"box must be three slices of unit step, got {box}")
+        shape = tuple(len(range(*s.indices(n))) for s, n in zip(box, grid.dims))
         if values.shape != shape:
             raise SpecValidationError(
-                f"values shape {values.shape} does not match grid dims {self.grid.dims}"
-                + ("" if shape == self.grid.dims else f" on the box {shape}")
+                f"values shape {values.shape} does not match grid dims {grid.dims}"
+                + ("" if shape == grid.dims else f" on the box {shape}")
             )
-        parts = slabs(values.shape)
-        if self.peak is None:
-            if shape != self.grid.dims:
+        if (bound is None) != (search is None) or (peak is not None and bound is not None):
+            raise SpecValidationError("a field is given its peak |psi|, or a bound with a search")
+        self.grid, self.values, self.time, self.box = grid, values, time, box
+        #: An upper bound of |psi| on the grid's nodes outside the box, or None.
+        self.bound = bound
+        #: The max |psi| over each plane normal to x, y and z, or None.
+        self.profiles = None
+        self._peak, self._search = peak, search
+        parts = slabs(shape)
+        if peak is None and bound is None:
+            if shape != grid.dims:
                 raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
             maxima = _no_maxima(shape)
             for s in parts:
                 _fold_maxima(maxima, s, values[s])
-            object.__setattr__(self, "peak", float(maxima[0].max()))
-            object.__setattr__(self, "profiles", _profiles(maxima))
-        elif not (0.0 <= self.peak < math.inf):
-            raise SpecValidationError(f"peak |psi| must be finite and >= 0, got {self.peak!r}")
-        else:
-            for s in parts:
-                _require_finite(values[s])
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "box", box)
+            self._peak = float(maxima[0].max())
+            self.profiles = _profiles(maxima)
+            return
+        given = peak if bound is None else bound
+        if not (0.0 <= given < math.inf):
+            name = "peak" if bound is None else "bound"
+            raise SpecValidationError(f"{name} |psi| must be finite and >= 0, got {given!r}")
+        for s in parts:
+            _require_finite(values[s])
+
+    @property
+    def peak(self) -> float:
+        """The max |psi| over the whole grid; searched for on the first read
+        where the field has a bound."""
+        if self._peak is None:
+            low = max((float(np.abs(self.values[s]).max()) for s in slabs(self.shape)),
+                      default=0.0)
+            self._peak = self._search(low)
+        return self._peak
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -154,28 +172,29 @@ def sample(
     vectors (`Snapshot.on_grid`), never an array of all points.
 
     With lines_only, only on the box of nodes that holds every block where
-    the prefactor P may vanish (`Snapshot.on_zero_box`; e^G never does), with
-    the whole grid's exact peak |psi|: the field holds every line, and the
-    tracker's noise floor; a P beyond the block bound's degree 2 is refused
-    (`Snapshot.prefactor_bounds`).
+    the prefactor P may vanish (`Snapshot.on_zero_box`; e^G never does), so
+    the field holds every line; it bounds |psi| outside the box, and finds
+    the whole grid's exact peak |psi| only when it is read: the tracker's
+    noise floor needs it only where a node's |psi| lies between the floors
+    of the box's max and of the bound.  A P beyond the block bound's degree
+    2 is refused (`Snapshot.prefactor_bounds`).
     """
     snapshot = spec.at(consts, t)
     axes = [grid.axis_coords(a) for a in range(3)]
     if not lines_only:
         return SampledField(grid, snapshot.on_grid(*axes), float(t))
-    box, values, peak = snapshot.on_zero_box(*axes)
-    return SampledField(grid, values, float(t), box=box, peak=peak)
+    box, values, bound, search = snapshot.on_zero_box(*axes)
+    return SampledField(grid, values, float(t), box=box, bound=bound, search=search)
 
 
-class SlabbedField:
+class FormedField:
     """Complex amplitudes on the whole grid at a fixed time, formed slab by
     slab where they are read rather than held: `slab(s)` returns the values
     on the x planes s (a slice of the x axis, as from `slabs`), so a pass
     over slabs holds one slab at a time.  Until every x plane has been read
     once, each slab read is refused if it is not finite, as a `SampledField`
-    refuses its values, and folds its max |psi| into the `profiles`; `peak`
-    and `profiles` read the grid in one pass of their own only if no pass
-    has.  `form` must give the same values for a plane at every read."""
+    refuses its values.  `form` must give the same values for a plane at
+    every read."""
 
     is_whole = True
 
@@ -183,25 +202,47 @@ class SlabbedField:
         self.grid, self.form, self.time = grid, form, float(time)
         self.shape = grid.dims
         self.offset = np.zeros(3, dtype=np.intp)
-        self._maxima = _no_maxima(grid.dims)
         self._unread = np.ones(grid.dims[0], dtype=bool)
-        self._profiles = None
 
     def slab(self, s: slice) -> np.ndarray:
         values = self.form(s)
-        if self._profiles is None:
-            _fold_maxima(self._maxima, s, values)
+        if self._unread is not None:
+            self._first_read(s, values)
             self._unread[s] = False
             if not self._unread.any():
-                self._profiles = _profiles(self._maxima)
+                self._unread = None
         return values
+
+    def _first_read(self, s: slice, values: np.ndarray):
+        _require_finite(values)
+
+
+class SlabbedField(FormedField):
+    """A `FormedField` that finds its peak |psi| and max |psi| profiles in
+    the first pass that reads it, for the tracker: the first read of each x
+    plane folds its max |psi| into the `profiles`, which refuses it if it is
+    not finite; `peak` and `profiles` read the grid in one pass of their own
+    only if no pass has."""
+
+    #: A whole-grid field has no node outside its box to bound.
+    bound = None
+
+    def __init__(self, grid: Grid3, form: Callable[[slice], np.ndarray], time: float):
+        super().__init__(grid, form, time)
+        self._maxima = _no_maxima(grid.dims)
+        self._profiles = None
+
+    def _first_read(self, s: slice, values: np.ndarray):
+        _fold_maxima(self._maxima, s, values)
 
     @property
     def profiles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The max |psi| over each plane normal to x, y and z."""
         if self._profiles is None:
-            for s in slabs(self.grid.dims):
-                self.slab(s)
+            if self._unread is not None:
+                for s in slabs(self.grid.dims):
+                    self.slab(s)
+            self._profiles = _profiles(self._maxima)
         return self._profiles
 
     @property
@@ -241,16 +282,17 @@ def _require_finite(values: np.ndarray):
     if values.strides[-1] == values.itemsize:
         values = values.view(float)
     if not np.isfinite(values).all():
-        raise SpecValidationError("sampled field contains non-finite values")
+        raise SpecValidationError(NON_FINITE)
 
 
 def sample_in_slabs(
     spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float
-) -> SlabbedField:
+) -> FormedField:
     """`sample`'s whole-grid field formed slab by slab where it is read
-    (`Snapshot.on_grid_slabs`): each slab is that of `sample`'s values."""
+    (`Snapshot.on_grid_slabs`): each slab is that of `sample`'s values.  It
+    finds no peak or profiles, which only a detected field needs."""
     axes = [grid.axis_coords(a) for a in range(3)]
-    return SlabbedField(grid, spec.at(consts, t).on_grid_slabs(*axes), float(t))
+    return FormedField(grid, spec.at(consts, t).on_grid_slabs(*axes), float(t))
 
 
 def slabs(shape) -> list[slice]:
@@ -273,7 +315,7 @@ def require_whole_grid(field: SampledField):
         )
 
 
-def require_same_grid(a: SampledField | SlabbedField, b: SampledField | SlabbedField):
+def require_same_grid(a: SampledField | FormedField, b: SampledField | FormedField):
     require_whole_grid(a)
     require_whole_grid(b)
     if a.grid != b.grid:

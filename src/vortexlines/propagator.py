@@ -14,8 +14,9 @@ eigendecomposition H_a = V diag(E) V^T as V diag(exp(-i E t / hbar)) V^T.
 Each U_a is applied along its axis by one matrix product:
 (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.
 `require_decayed(wall, peak)` refuses data that has not decayed at the box
-walls, which the periodic box would wrap round.  A field that is a sum of
-products of axis vectors X (x) Y (x) Z evolves without its grid:
+walls, which the periodic box would wrap round; `require_decayed_above`
+decides from a lower bound of the peak where it can.  A field that is a sum
+of products of axis vectors X (x) Y (x) Z evolves without its grid:
 (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x) U_z Z (the
 separated representation: Beylkin & Mohlenkamp, PNAS 99:10246, 2002), so
 `axis_propagators` hands out the three U_a for that, and the evolved field
@@ -32,14 +33,14 @@ meaningful.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
 from .errors import BoundaryDecayError, SpecValidationError
-from .grids import (Grid3, SampledField, SlabbedField, require_same_grid, require_whole_grid,
-                    slabs)
+from .grids import FormedField, Grid3, SampledField, require_same_grid, require_whole_grid, slabs
 
 BOUNDARY_DECAY = 1e-12
 
@@ -74,6 +75,15 @@ def require_decayed(wall: float, peak: float):
             f"(limit {BOUNDARY_DECAY:g}); enlarge the box or window the data",
             boundary_amplitude=boundary,
         )
+
+
+def require_decayed_above(wall: float, low: float, peak: Callable[[], float]):
+    """`require_decayed(wall, peak())`, with low at most the peak |psi|: a
+    wall within BOUNDARY_DECAY of a positive low is within it of the peak,
+    so peak() is called only where it is not, and a refusal reports the
+    ratio to the peak."""
+    if not (low > 0.0 and wall / low <= BOUNDARY_DECAY):
+        require_decayed(wall, peak())
 
 
 def evolve(
@@ -120,7 +130,7 @@ def _axis_propagator(
     return (vectors * np.exp(-1j * energies * (config.duration / consts.hbar))) @ vectors.T
 
 
-def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedField) -> float:
+def l2_relative_error(a: SampledField | FormedField, b: SampledField | FormedField) -> float:
     """Relative L2 distance minimized over one global complex factor.
 
     min over lambda of ||a - lambda b|| / ||a||, attained at
@@ -128,7 +138,7 @@ def l2_relative_error(a: SampledField | SlabbedField, b: SampledField | SlabbedF
     complex constant.  The residual is formed directly rather than as
     sqrt(1 - overlap), which cancels to zero for errors below about 1e-8.
     Both passes run slab by slab (`grids.slabs`), so no whole-grid
-    temporary is made, and each pass forms the slabs of a `SlabbedField`
+    temporary is made, and each pass forms the slabs of a `FormedField`
     as it reads them.
     """
     require_same_grid(a, b)

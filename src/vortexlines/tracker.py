@@ -9,11 +9,14 @@ An analytic field is psi = P exp(G), and exp(G) never vanishes, so its lines
 are the zero set of the polynomial P: a Taylor bound on |P| over blocks of
 catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 (interval exclusion: Moore, Interval Analysis, 1966; Snyder, SIGGRAPH 1992),
-and each frame is sampled only on the smallest box that holds the others,
-with the whole grid's exact peak |psi| for the noise floor
-(`grids.sample(..., lines_only=True)`).  A numeric field, held or formed slab
-by slab, covers the whole grid, and finds its peak and its max |psi| profiles
-along each axis in the first slab pass that checks its values finite
+and each frame is sampled only on the smallest box that holds the others
+(`grids.sample(..., lines_only=True)`), with a bound of |psi| outside it:
+the whole grid's peak |psi|, the scale of the noise floor, lies between the
+box's max and the larger of that and the bound, and detection searches for
+it only where a node's |psi| lies between the floors of the two.  A
+numeric field, held or formed slab by slab, covers the whole grid, and
+finds its peak and its max |psi| profiles along each axis in the first slab
+pass that checks its values finite
 (`grids.SampledField`, `grids.SlabbedField`); detection reads it slab by slab
 and codes only its support box, the nodes within one node of those at or
 above the noise floor, where every candidate and every counted noise face
@@ -215,10 +218,20 @@ def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
     (`_support`), read slab by slab through `field.slab`, and pierced faces
     keep their grid indices.  A field whose peak is 0 is zero everywhere and
     has no crossings: with a floor of 0, every face would be a candidate.
+
+    A field with a `bound` of |psi| outside its box (`grids.sample(...,
+    lines_only=True)`) is coded on its whole box at the floor of the bound,
+    in the pass that finds the box's max |psi|, lo: the peak lies between lo
+    and the larger of lo and the bound, so where no node's |psi| lies
+    between the floors of lo and of the bound, every node has the code the
+    peak's floor gives it.  Only where one does is the exact peak read,
+    which searches for it, and the nodes coded again at its floor where
+    that gives another code.
     """
-    if field.peak == 0.0:
-        return DetectionResult(np.empty(0, FACE_DTYPE).view(np.recarray), np.empty((4, 0), complex))
-    floor = NOISE_FLOOR * field.peak
+    bound = field.bound
+    if bound is None and field.peak == 0.0:
+        return _no_crossings()
+    floor = NOISE_FLOOR * (field.peak if bound is None else bound)
     box = _support(field, floor)
     shape = tuple(b.stop - b.start for b in box)
     # Slabs of the field's whole planes: each formed slab holds at most
@@ -231,26 +244,16 @@ def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
     size = math.prod(shape)
     work = np.empty(3 * size, np.uint8)
     code = work[:size].reshape(shape)
-    # Bits per grid point: 1, 2 for Re psi above, below +-DEGENERACY_FLOOR
-    # |psi|, 4, 8 for Im psi, and 16 for |psi| below the noise floor.  ANDed
-    # over a face's corners, a sign bit survives only where that part keeps
-    # its sign at all four, and bit 16 only where all four are below the
-    # floor: a face of code 0 is a candidate, one of code 16 a noise face.
-    # Built slab by slab, straight into the code array, noting whether any
-    # node is below the floor.
-    noisy = False
-    for s in reads:
-        psi, out = _read(field, box, s), code[s]
-        amps = np.abs(psi)
-        below = amps < floor
-        noisy = noisy or bool(below.any())
-        np.multiply(below, np.uint8(16), out=out)
-        amps *= DEGENERACY_FLOOR
-        for bit, part in ((1, psi.real), (4, psi.imag)):
-            out |= (part > amps) * np.uint8(bit)
-        np.negative(amps, out=amps)
-        for bit, part in ((2, psi.real), (8, psi.imag)):
-            out |= (part < amps) * np.uint8(bit)
+    noisy, low, under, over = _code(field, box, reads, code, floor, bound is not None)
+    if bound is not None:
+        # No node's |psi| lies between under and over, so a floor in
+        # (under, over] codes every node as the bound's floor did; the
+        # peak's floor lies between those of low and max(low, bound).
+        peak = low if under < NOISE_FLOOR * low <= over else field.peak
+        if peak == 0.0:
+            return _no_crossings()
+        if not under < NOISE_FLOOR * peak <= over:
+            noisy = _code(field, box, reads, code, NOISE_FLOOR * peak)[0]
     candidates = []
     for axis in range(3):
         a1, a2 = (axis + 1) % 3, (axis + 2) % 3
@@ -280,6 +283,45 @@ def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
     pierced["index"] += field.offset + [b.start for b in box]
     return DetectionResult(pierced, corners[:, crossed],
                            int(np.count_nonzero(flagged & ~crossed)), noise)
+
+
+def _no_crossings() -> DetectionResult:
+    return DetectionResult(np.empty(0, FACE_DTYPE).view(np.recarray), np.empty((4, 0), complex))
+
+
+def _code(field, box, reads, code: np.ndarray, floor: float, bracket: bool = False):
+    """Code the nodes of the detection box, slab by slab, straight into the
+    code array (uint8, the box's shape): bits 1, 2 for Re psi above, below
+    +-DEGENERACY_FLOOR |psi|, 4, 8 for Im psi, and 16 for |psi| below the
+    noise floor.  ANDed over a face's corners, a sign bit survives only where
+    that part keeps its sign at all four, and bit 16 only where all four are
+    below the floor: a face of code 0 is a candidate, one of code 16 a noise
+    face.  Returns (noisy, low, under, over): whether any node is below the
+    floor and, with bracket, the max |psi|, the max |psi| below the floor
+    and the min |psi| at or above it (0, -inf and inf without)."""
+    noisy, low, under, over = False, 0.0, -math.inf, math.inf
+    for s in reads:
+        psi, out = _read(field, box, s), code[s]
+        amps = np.abs(psi)
+        below = amps < floor
+        if bracket:
+            low = max(low, float(amps.max()))
+            if below.any():
+                noisy = True
+                under = max(under, float(amps[below].max()))
+                over = min(over, float(amps[~below].min(initial=math.inf)))
+            else:
+                over = min(over, float(amps.min()))
+        else:
+            noisy = noisy or bool(below.any())
+        np.multiply(below, np.uint8(16), out=out)
+        amps *= DEGENERACY_FLOOR
+        for bit, part in ((1, psi.real), (4, psi.imag)):
+            out |= (part > amps) * np.uint8(bit)
+        np.negative(amps, out=amps)
+        for bit, part in ((2, psi.real), (8, psi.imag)):
+            out |= (part < amps) * np.uint8(bit)
+    return noisy, low, under, over
 
 
 def _support(field, floor: float) -> tuple[slice, slice, slice]:

@@ -312,6 +312,38 @@ def test_block_peak_is_the_max_over_the_blocks_nodes(spec):
             assert snapshot._block_peak(rows, edges, np.array([], dtype=int), 0.25) == 0.25
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_psi_in_a_searched_block_is_refused(bad):
+    # Python's max keeps its first argument over a NaN: a block whose rows
+    # hold one is refused, as a SampledField refuses its values, not passed
+    # over.  A bound outside the zero box that is not finite is refused too.
+    spec = vl.FreeLineVortex(chi=0.6, k=K)
+    n = 17
+    axes = [np.linspace(-8.0, 8.0, n) + 0.01 * a for a in range(3)]
+    edges = [block_edges(n)] * 3
+    snapshot = spec.at(C, 0.3)
+    rows = snapshot._axis_rows(axes)
+    rows[0][0, 6] = bad
+    # The blocks of x nodes 4-8 hold the planted node; the first block does not.
+    assert snapshot._block_peak(rows, edges, np.array([0]), 0.0) > 0.0
+    for blocks in (np.array([16]), np.arange(64)):
+        with pytest.raises(SpecValidationError, match="non-finite"), np.errstate(invalid="ignore"):
+            snapshot._block_peak(rows, edges, blocks, 0.0)
+    # Planted at the last x node, outside the zero box of the line.
+    box = snapshot.on_zero_box(*axes)[0]
+    assert box[0].stop < n
+
+    def planted(self, coords, _rows=Snapshot._axis_rows):
+        found = _rows(self, coords)
+        found[0][:, -1] = bad
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Snapshot, "_axis_rows", planted)
+        with pytest.raises(SpecValidationError, match="non-finite"), np.errstate(invalid="ignore"):
+            snapshot.on_zero_box(*axes)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_amplitude_bounds_hold_on_every_node(spec):
     # |psi| at every node of a block is at most the block's bound: the

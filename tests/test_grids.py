@@ -89,6 +89,35 @@ def test_sampled_field_on_a_box():
         SampledField(grid, np.ones((2, 5, 4), complex), 0.0, box=(slice(0, 4, 2),) * 3, peak=1.0)
 
 
+def test_a_box_field_given_a_bound_searches_for_its_peak_once():
+    # The search gets the box's own max |psi| and runs on the first read of
+    # the peak only; the bound must be finite and >= 0, and comes with a
+    # search, not with a peak.
+    grid = Grid3((0, 0, 0), (1, 1, 1), (6, 5, 4))
+    box = (slice(1, 4), slice(0, 5), slice(0, 4))
+    values = np.full((3, 5, 4), 0.5 + 0j)
+    values[2, 3, 1] = -3j
+    calls = []
+
+    def search(low):
+        calls.append(low)
+        return 7.0
+
+    field = SampledField(grid, values, 0.0, box=box, bound=7.0, search=search)
+    assert field.bound == 7.0 and field.profiles is None and calls == []
+    assert field.peak == field.peak == 7.0 and calls == [3.0]
+    empty = (slice(1, 1), slice(0, 5), slice(0, 4))
+    assert SampledField(grid, values[:0], 0.0, box=empty, bound=1.0, search=abs).peak == 0.0
+    for bad in ({"bound": np.inf, "search": search}, {"bound": -1.0, "search": search},
+                {"bound": np.nan, "search": search}, {"bound": 7.0},
+                {"bound": 7.0, "search": search, "peak": 7.0}):
+        with pytest.raises(SpecValidationError):
+            SampledField(grid, values, 0.0, box=box, **bad)
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        SampledField(grid, np.where(values == -3j, np.nan, values), 0.0, box=box, bound=7.0,
+                     search=search)
+
+
 def _box_field():
     """A field sampled on the box where its lines can be: part of the grid."""
     grid = Grid3.centered((0.013, 0.011, 0.017), 4.0, 16)
@@ -133,6 +162,30 @@ def test_slabbed_field_refuses_a_non_finite_slab():
 
     with pytest.raises(SpecValidationError, match="non-finite"):
         SlabbedField(grid, form, 0.0).slab(slice(0, 2))
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_a_formed_field_refuses_a_non_finite_slab_and_finds_no_maxima(monkeypatch, bad):
+    # The L2 error's reference field is checked finite in its first pass,
+    # in a middle slab too, but folds no max |psi| profiles.
+    grid = Grid3((0, 0, 0), (1, 1, 1), (8, 5, 6))
+    monkeypatch.setattr(grids, "SLAB_POINTS", 2 * 5 * 6)
+    values = np.ones(grid.dims, complex)
+    values[4, 2, 3] = bad
+    folded = []
+    monkeypatch.setattr(grids, "_fold_maxima", lambda *args: folded.append(args))
+    field = grids.FormedField(grid, lambda s: values[s].copy(), 0.0)
+    assert not hasattr(field, "peak") and not hasattr(field, "profiles")
+    field.slab(slice(0, 4))
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        field.slab(slice(4, 6))
+    assert folded == []
+    # Once every plane has been read, reads are not tested again.
+    values[4, 2, 3] = 1.0
+    for s in slabs(grid.dims):
+        field.slab(s)
+    values[4, 2, 3] = bad
+    assert not np.isfinite(field.slab(slice(4, 6))).all()
 
 
 def test_a_whole_grid_field_finds_its_peak_in_the_finiteness_pass(monkeypatch):

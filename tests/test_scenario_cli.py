@@ -401,12 +401,23 @@ def _held_evolved_check(config):
 
 
 @pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap"])
-def test_oracle_values_equal_the_held_field_check(name):
+def test_oracle_values_equal_the_held_field_check(name, monkeypatch):
     # The slabbed check's L2 error and line-check distance are bit for bit
     # those of the check on the held evolved grid, on any BLAS thread count
-    # (the L2 error's last bits depend on it, the same for both).
+    # (the L2 error's last bits depend on it, the same for both).  Only the
+    # evolved field, which detection reads, folds max |psi| profiles, once
+    # a slab in the L2 error's first pass: the reference psi(t1) folds none.
     config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    folded, fold = [], vl.grids._fold_maxima
+
+    def counted(maxima, s, values):
+        folded.append(s)
+        fold(maxima, s, values)
+
+    monkeypatch.setattr(vl.grids, "_fold_maxima", counted)
     results = check_oracle(config, [], None, None)
+    monkeypatch.undo()
+    assert folded == slabs(config.grid.dims)
     reference = _held_evolved_check(config)
     assert [r.passed for r in results] == [True, True]
     assert [(r.measured, r.detail) for r in results] == [(r.measured, r.detail) for r in reference]
@@ -506,6 +517,74 @@ def test_oracle_decay_check_at_the_limit_of_the_axis_rows_ratio(monkeypatch):
         "oracle", False, ratio, below,
         f"initial data at the box wall is {ratio:.3e} of the peak (limit {below:g}); "
         "enlarge the box or window the data")]
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_oracle_refuses_a_non_finite_reference_slab(monkeypatch, bad):
+    # psi(t1) for the L2 error folds no maxima, but its first pass still
+    # refuses a slab that is not finite, a middle one too.
+    config = _oracle_window()
+
+    def planted(spec, consts, grid, t):
+        form = sample_in_slabs(spec, consts, grid, t).form
+
+        def with_bad(s):
+            values = form(s)
+            if s.start <= 16 < s.stop:
+                values[16 - s.start, 3, 5] = bad
+            return values
+
+        return vl.grids.FormedField(grid, with_bad, t)
+
+    monkeypatch.setattr(scenario, "sample_in_slabs", planted)
+    monkeypatch.setattr(vl.grids, "SLAB_POINTS", 4 * 32 * 32)
+    assert len(slabs(config.grid.dims)) == 8
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        check_oracle(config, [], None, None)
+
+
+def _decay_outcome(check, *args):
+    """None where the decay check passes, else its ratio and text."""
+    try:
+        check(*args)
+    except BoundaryDecayError as exc:
+        return exc.boundary_amplitude, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap", "oracle_too_small"])
+def test_oracle_decay_check_from_the_box_max_equals_the_exact_peak_check(monkeypatch, name):
+    # The check decides from t0's zero box max |psi|, at most the peak, and
+    # reads the exact peak only where the walls are not within the limit of
+    # that max: the same pass or fail as against the exact peak, and on a
+    # failure the same ratio and text.  The presets pass without a search,
+    # and the box too small for its window fails; each passes at the limit
+    # of its exact ratio, and fails one float below it.
+    if name == "oracle_too_small":
+        grid = Grid3(tuple(-3.0 + o for o in OFF), (6.0 / 16,) * 3, (16,) * 3)
+        config = tiny_config(spec=vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), grid=grid,
+                             time_range=(0.0, 0.5), checks=("oracle",))
+    else:
+        config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    axes = [config.grid.axis_coords(a) for a in range(3)]
+    snapshot = config.spec.at(config.consts, config.time_range[0])
+    wall, low, peak = snapshot.walls_and_bracket(*axes)
+    exact = peak()
+    assert low <= exact and snapshot.walls_and_peak(*axes) == (wall, exact)
+    searched = []
+
+    def counted():
+        searched.append(True)
+        return peak()
+
+    decay = vl.propagator
+    for limit in (decay.BOUNDARY_DECAY, wall / exact, float(np.nextafter(wall / exact, 0.0))):
+        monkeypatch.setattr(decay, "BOUNDARY_DECAY", limit)
+        searched.clear()
+        found = _decay_outcome(decay.require_decayed_above, wall, low, counted)
+        assert found == _decay_outcome(decay.require_decayed, wall, exact)
+        assert (found is None) == (limit >= wall / exact)
+        assert bool(searched) == (not wall / low <= limit)
 
 
 @pytest.mark.parametrize("name, field", [

@@ -902,7 +902,7 @@ def test_box_sample_detects_as_the_whole_grid(cases):
 
 def test_sample_runs_the_certificate(monkeypatch):
     # A frame is timed from its sample to its extraction: the block bounds
-    # and the peak search run inside sample, once a frame.
+    # run inside sample, once a frame.
     calls, inside = [], []
 
     def counted_sample(*args, **kwargs):
