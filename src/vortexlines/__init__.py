@@ -42,7 +42,7 @@ from .anatomy import (
     w_vector,
     winding_number,
 )
-from .grids import Grid3, SampledField, sample
+from .grids import Grid3, SampledField, SlabbedField, sample
 from .tracker import (
     Event,
     EventLog,

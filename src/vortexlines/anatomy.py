@@ -44,15 +44,17 @@ class Contour:
             raise SpecValidationError("contour radius must be finite and > 0")
         if not isinstance(self.samples, numbers.Integral) or self.samples < 16 or self.samples % 2:
             raise SpecValidationError("contour samples must be an even integer >= 16")
-        if not np.isfinite(self.center).all():
+        center, n = (np.asarray(v, dtype=float) for v in (self.center, self.normal))
+        if center.shape != (3,) or n.shape != (3,):
+            raise SpecValidationError("contour center and normal must have 3 entries each")
+        if not np.isfinite(center).all():
             raise SpecValidationError("contour center must be finite")
-        n = np.asarray(self.normal, dtype=float)
         if not np.isfinite(n).all():
             raise SpecValidationError("contour normal must be finite")
         norm = np.linalg.norm(n)
         if not norm > 0:
             raise SpecValidationError("contour normal must be nonzero")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", tuple(float(c) for c in center))
         object.__setattr__(self, "normal", tuple(n / norm))
 
     def points(self, samples: int | None = None) -> np.ndarray:

@@ -905,7 +905,10 @@ class Snapshot:
         return FieldValues(self, _check_points(r))
 
     def on_grid(self, x, y, z) -> np.ndarray:
-        """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z)."""
+        """psi on the grid of three 1-D axes, shape (N_x, N_y, N_z), by one
+        matrix product.  The pipeline never holds this grid: it is the
+        reference that `on_grid_slabs`' slabs and `on_zero_box`'s box values
+        are tested against."""
         return self._psi_on(self._axis_rows((x, y, z)))
 
     def on_grid_slabs(self, x, y, z, maps=None) -> Callable[[slice], np.ndarray]:
@@ -1012,12 +1015,6 @@ class Snapshot:
         rest = above > peak
         rest[first] = False
         return self._block_peak(rows, edges, np.flatnonzero(rest), peak)
-
-    def walls_and_peak(self, x, y, z) -> tuple[float, float]:
-        """The max |psi| on the six walls of the grid of three 1-D axes, and
-        the grid's peak |psi|: `walls_and_bracket`'s wall and searched peak."""
-        wall, _, peak = self.walls_and_bracket(x, y, z)
-        return wall, peak()
 
     def walls_and_bracket(self, x, y, z) -> tuple[float, float, Callable[[], float]]:
         """The max |psi| on the six walls of the grid of three 1-D axes, the

@@ -1,14 +1,17 @@
-"""Rectilinear sampling grids and sampled complex fields, held or formed
-slab by slab.
+"""Rectilinear sampling grids and sampled complex fields, on a box of a
+grid's nodes or on the whole grid.
 
-A whole-grid field finds its peak |psi|, and its max |psi| over each plane
-normal to each axis (three 1-D profiles), in the first pass over its slabs
-that checks them finite: a `SampledField` when it is made, a `SlabbedField`
-in the first pass that reads it, so neither pays a pass of its own.  The
-tracker codes only the box of nodes the profiles put at or above its noise
-floor.  A `FormedField` is only checked finite in that pass.  A field
-sampled on its zero box carries a bound of |psi| outside the box instead,
-and searches for the peak only when it is read."""
+A whole-grid field is a `SlabbedField`: formed slab by slab from axis rows
+where it is read, or held, `SlabbedField(grid, values.__getitem__, t)`.  It
+finds its peak |psi|, and its max |psi| over each plane normal to each axis
+(three 1-D profiles), in the first pass over its slabs that checks them
+finite, so it pays no pass of its own; the tracker codes only the box of
+nodes the profiles put at or above its noise floor.  A `FormedField` is
+only checked finite in that pass.  A `SampledField` holds values on a box
+of the grid: `sample` gives an analytic field on its zero box, with a bound
+of |psi| outside the box and a search for the peak, which detection runs
+only where a node's |psi| lies between the noise floors of the box's max
+and of the bound."""
 
 from __future__ import annotations
 
@@ -83,16 +86,16 @@ class SampledField:
 
     `box`, three slices of grid nodes (unit step), is where the values are
     held, and values has the box's shape; the default box is the whole grid.
-    `peak` is the max |psi| over the whole grid, the scale of the tracker's
-    noise floor.  A whole-grid field may be given it, or finds it, with the
-    `profiles`, in the slab pass that checks its values finite.  A field on a
-    smaller box is given it, or is given `bound`, an upper bound of |psi| on
-    every grid node outside the box, and `search`, a function of the box's
-    own max |psi| that returns the peak (`sample(..., lines_only=True)`):
-    the peak then lies between that max and the larger of it and bound, and
-    is searched for on its first read only.  A field given its peak or a
-    bound has no profiles.
+    The tracker's noise floor scales with the whole grid's peak |psi|.  A
+    field is given that `peak`, or `bound`, an upper bound of |psi| on every
+    grid node outside the box, and `search`, a function of the box's own max
+    |psi| that returns the peak (`sample`): the peak lies between that max
+    and the larger of it and bound.  A field given a bound has peak None,
+    and no field on a box has profiles.
     """
+
+    #: A box field has no max |psi| profiles: detection codes its whole box.
+    profiles = None
 
     def __init__(
         self, grid: Grid3, values, time: float, box=(slice(None),) * 3,
@@ -109,50 +112,26 @@ class SampledField:
                 f"values shape {values.shape} does not match grid dims {grid.dims}"
                 + ("" if shape == grid.dims else f" on the box {shape}")
             )
-        if (bound is None) != (search is None) or (peak is not None and bound is not None):
+        if (peak is None) == (bound is None) or (bound is None) != (search is None):
             raise SpecValidationError("a field is given its peak |psi|, or a bound with a search")
-        self.grid, self.values, self.time, self.box = grid, values, time, box
-        #: An upper bound of |psi| on the grid's nodes outside the box, or None.
-        self.bound = bound
-        #: The max |psi| over each plane normal to x, y and z, or None.
-        self.profiles = None
-        self._peak, self._search = peak, search
-        parts = slabs(shape)
-        if peak is None and bound is None:
-            if shape != grid.dims:
-                raise SpecValidationError("a field on part of its grid needs the grid's peak |psi|")
-            maxima = _no_maxima(shape)
-            for s in parts:
-                _fold_maxima(maxima, s, values[s])
-            self._peak = float(maxima[0].max())
-            self.profiles = _profiles(maxima)
-            return
         given = peak if bound is None else bound
         if not (0.0 <= given < math.inf):
             name = "peak" if bound is None else "bound"
             raise SpecValidationError(f"{name} |psi| must be finite and >= 0, got {given!r}")
-        for s in parts:
+        for s in slabs(shape):
             _require_finite(values[s])
-
-    @property
-    def peak(self) -> float:
-        """The max |psi| over the whole grid; searched for on the first read
-        where the field has a bound."""
-        if self._peak is None:
-            low = max((float(np.abs(self.values[s]).max()) for s in slabs(self.shape)),
-                      default=0.0)
-            self._peak = self._search(low)
-        return self._peak
+        self.grid, self.values, self.time, self.box = grid, values, time, box
+        #: The max |psi| over the whole grid, or None.
+        self.peak = peak
+        #: An upper bound of |psi| on the grid's nodes outside the box, or None.
+        self.bound = bound
+        #: The whole grid's peak from the box's max |psi|, or None.
+        self.search = search
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """The box's shape."""
         return self.values.shape
-
-    @property
-    def is_whole(self) -> bool:
-        """Whether the box is the whole grid."""
-        return self.shape == self.grid.dims
 
     def slab(self, s: slice) -> np.ndarray:
         """The values on the x planes s of the box."""
@@ -164,26 +143,19 @@ class SampledField:
         return np.array([s.indices(n)[0] for s, n in zip(self.box, self.grid.dims)])
 
 
-def sample(
-    spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float,
-    *, lines_only: bool = False,
-) -> SampledField:
-    """Evaluate the analytic solution on the grid, from the grid's three axis
-    vectors (`Snapshot.on_grid`), never an array of all points.
-
-    With lines_only, only on the box of nodes that holds every block where
-    the prefactor P may vanish (`Snapshot.on_zero_box`; e^G never does), so
-    the field holds every line; it bounds |psi| outside the box, and finds
-    the whole grid's exact peak |psi| only when it is read: the tracker's
-    noise floor needs it only where a node's |psi| lies between the floors
-    of the box's max and of the bound.  A P beyond the block bound's degree
-    2 is refused (`Snapshot.prefactor_bounds`).
+def sample(spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float) -> SampledField:
+    """Evaluate the analytic solution on the box of the grid's nodes that
+    holds every block where the prefactor P may vanish
+    (`Snapshot.on_zero_box`; e^G never does), so the field holds every
+    line, from the box's axis vectors, never an array of all points.  It
+    bounds |psi| outside the box, and its `search` finds the whole grid's
+    exact peak |psi|, which the tracker's noise floor needs only where a
+    node's |psi| lies between the floors of the box's max and of the bound.
+    A P beyond the block bound's degree 2 is refused
+    (`Snapshot.prefactor_bounds`).
     """
-    snapshot = spec.at(consts, t)
     axes = [grid.axis_coords(a) for a in range(3)]
-    if not lines_only:
-        return SampledField(grid, snapshot.on_grid(*axes), float(t))
-    box, values, bound, search = snapshot.on_zero_box(*axes)
+    box, values, bound, search = spec.at(consts, t).on_zero_box(*axes)
     return SampledField(grid, values, float(t), box=box, bound=bound, search=search)
 
 
@@ -195,8 +167,6 @@ class FormedField:
     once, each slab read is refused if it is not finite, as a `SampledField`
     refuses its values.  `form` must give the same values for a plane at
     every read."""
-
-    is_whole = True
 
     def __init__(self, grid: Grid3, form: Callable[[slice], np.ndarray], time: float):
         self.grid, self.form, self.time = grid, form, float(time)
@@ -222,14 +192,16 @@ class SlabbedField(FormedField):
     the first pass that reads it, for the tracker: the first read of each x
     plane folds its max |psi| into the `profiles`, which refuses it if it is
     not finite; `peak` and `profiles` read the grid in one pass of their own
-    only if no pass has."""
+    only if no pass has.  A grid held in memory is one too,
+    `SlabbedField(grid, values.__getitem__, t)`: each slab is a view of
+    values' planes."""
 
     #: A whole-grid field has no node outside its box to bound.
     bound = None
 
     def __init__(self, grid: Grid3, form: Callable[[slice], np.ndarray], time: float):
         super().__init__(grid, form, time)
-        self._maxima = _no_maxima(grid.dims)
+        self._maxima = np.zeros(grid.dims[0]), np.zeros(grid.dims[1:])
         self._profiles = None
 
     def _first_read(self, s: slice, values: np.ndarray):
@@ -242,17 +214,14 @@ class SlabbedField(FormedField):
             if self._unread is not None:
                 for s in slabs(self.grid.dims):
                     self.slab(s)
-            self._profiles = _profiles(self._maxima)
+            along_x, across = self._maxima
+            self._profiles = along_x, across.max(axis=1), across.max(axis=0)
         return self._profiles
 
     @property
     def peak(self) -> float:
         """The max |psi| over the grid."""
         return float(self.profiles[0].max())
-
-
-def _no_maxima(shape) -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(shape[0]), np.zeros(shape[1:])
 
 
 def _fold_maxima(maxima, s: slice, values: np.ndarray):
@@ -270,12 +239,6 @@ def _fold_maxima(maxima, s: slice, values: np.ndarray):
     np.maximum(across, amps.max(axis=0), out=across)
 
 
-def _profiles(maxima) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The max |psi| over each plane normal to x, y and z, from `maxima`."""
-    along_x, across = maxima
-    return along_x, across.max(axis=1), across.max(axis=0)
-
-
 def _require_finite(values: np.ndarray):
     """Refuse complex values that are not all finite, both parts tested at
     once on the real view where the last axis is contiguous."""
@@ -288,9 +251,10 @@ def _require_finite(values: np.ndarray):
 def sample_in_slabs(
     spec: SolutionSpec, consts: PhysicalConstants, grid: Grid3, t: float
 ) -> FormedField:
-    """`sample`'s whole-grid field formed slab by slab where it is read
-    (`Snapshot.on_grid_slabs`): each slab is that of `sample`'s values.  It
-    finds no peak or profiles, which only a detected field needs."""
+    """The analytic solution on the whole grid, formed slab by slab where it
+    is read (`Snapshot.on_grid_slabs`): each slab is those planes of
+    `Snapshot.on_grid`'s one product.  It finds no peak or profiles, which
+    only a detected field needs."""
     axes = [grid.axis_coords(a) for a in range(3)]
     return FormedField(grid, spec.at(consts, t).on_grid_slabs(*axes), float(t))
 
@@ -306,18 +270,18 @@ def slabs(shape) -> list[slice]:
     return [slice(i, min(i + step, planes)) for i in range(0, planes, step)]
 
 
-def require_whole_grid(field: SampledField):
-    """Refuse a field that holds values on part of its grid only."""
-    if not field.is_whole:
+def require_whole_grid(field, kind: type = FormedField):
+    """Refuse a field that is not a `kind` of whole-grid field, such as a
+    `SampledField`, which holds values on a box of its grid only."""
+    if not isinstance(field, kind):
         raise SpecValidationError(
-            f"field holds values on a box of {field.values.shape} nodes of its "
-            f"{field.grid.dims} grid; this needs the whole grid"
+            f"{type(field).__name__} of {field.shape} nodes on a {field.grid.dims} grid; "
+            f"this needs the whole grid as a {kind.__name__}"
         )
 
 
-def require_same_grid(a: SampledField | FormedField, b: SampledField | FormedField):
+def require_same_grid(a: FormedField, b: FormedField):
     require_whole_grid(a)
     require_whole_grid(b)
     if a.grid != b.grid:
         raise GridMismatchError("sampled fields live on different grids")
-

@@ -15,7 +15,9 @@ Each U_a is applied along its axis by one matrix product:
 (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.
 `require_decayed(wall, peak)` refuses data that has not decayed at the box
 walls, which the periodic box would wrap round; `require_decayed_above`
-decides from a lower bound of the peak where it can.  A field that is a sum
+decides from a lower bound of the peak where it can.  Dense `evolve` reads
+a `grids.SlabbedField`'s grid whole, a read that finds its peak for that
+check, and holds the evolved grid as a `SlabbedField`.  A field that is a sum
 of products of axis vectors X (x) Y (x) Z evolves without its grid:
 (U_x (x) U_y (x) U_z)(X (x) Y (x) Z) = U_x X (x) U_y Y (x) U_z Z (the
 separated representation: Beylkin & Mohlenkamp, PNAS 99:10246, 2002), so
@@ -40,7 +42,7 @@ import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
 from .errors import BoundaryDecayError, SpecValidationError
-from .grids import FormedField, Grid3, SampledField, require_same_grid, require_whole_grid, slabs
+from .grids import FormedField, Grid3, SlabbedField, require_same_grid, require_whole_grid, slabs
 
 BOUNDARY_DECAY = 1e-12
 
@@ -87,20 +89,22 @@ def require_decayed_above(wall: float, low: float, peak: Callable[[], float]):
 
 
 def evolve(
-    initial: SampledField,
+    initial: SlabbedField,
     config: PropagatorConfig,
     consts: PhysicalConstants = NATURAL_UNITS,
-) -> SampledField:
-    """Advance the field by `config.duration` under the discrete Hamiltonian."""
-    require_whole_grid(initial)
-    psi = initial.values
+) -> SlabbedField:
+    """Advance the field by `config.duration` under the discrete Hamiltonian,
+    from its grid read whole: the evolved grid is held."""
+    require_whole_grid(initial, SlabbedField)
+    psi = initial.slab(slice(None))
     faces = (psi[[0, -1]], psi[:, [0, -1]], psi[..., [0, -1]])
     require_decayed(max(float(np.abs(f).max()) for f in faces), initial.peak)
     if config.duration == 0:
         return initial
     u_x, u_y, u_z = axis_propagators(initial.grid, config, consts)
     psi = (u_x @ psi.reshape(len(psi), -1)).reshape(psi.shape)
-    return SampledField(initial.grid, np.matmul(u_y, psi) @ u_z.T, initial.time + config.duration)
+    evolved = np.matmul(u_y, psi) @ u_z.T
+    return SlabbedField(initial.grid, evolved.__getitem__, initial.time + config.duration)
 
 
 def axis_propagators(
@@ -130,7 +134,7 @@ def _axis_propagator(
     return (vectors * np.exp(-1j * energies * (config.duration / consts.hbar))) @ vectors.T
 
 
-def l2_relative_error(a: SampledField | FormedField, b: SampledField | FormedField) -> float:
+def l2_relative_error(a: FormedField, b: FormedField) -> float:
     """Relative L2 distance minimized over one global complex factor.
 
     min over lambda of ||a - lambda b|| / ||a||, attained at

@@ -10,14 +10,13 @@ are the zero set of the polynomial P: a Taylor bound on |P| over blocks of
 catalog.BLOCK_CELLS cells per axis excludes the blocks where P cannot vanish
 (interval exclusion: Moore, Interval Analysis, 1966; Snyder, SIGGRAPH 1992),
 and each frame is sampled only on the smallest box that holds the others
-(`grids.sample(..., lines_only=True)`), with a bound of |psi| outside it:
-the whole grid's peak |psi|, the scale of the noise floor, lies between the
-box's max and the larger of that and the bound, and detection searches for
-it only where a node's |psi| lies between the floors of the two.  A
-numeric field, held or formed slab by slab, covers the whole grid, and
+(`grids.sample`), with a bound of |psi| outside it: the whole grid's peak
+|psi|, the scale of the noise floor, lies between the box's max and the
+larger of that and the bound, and detection searches for it only where a
+node's |psi| lies between the floors of the two.  A numeric field, held or
+formed slab by slab, covers the whole grid (`grids.SlabbedField`), and
 finds its peak and its max |psi| profiles along each axis in the first slab
-pass that checks its values finite
-(`grids.SampledField`, `grids.SlabbedField`); detection reads it slab by slab
+pass that checks its values finite; detection reads it slab by slab
 and codes only its support box, the nodes within one node of those at or
 above the noise floor, where every candidate and every counted noise face
 lies.  Detection returns the pierced faces as one record array (`FACE_DTYPE`:
@@ -219,14 +218,13 @@ def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
     keep their grid indices.  A field whose peak is 0 is zero everywhere and
     has no crossings: with a floor of 0, every face would be a candidate.
 
-    A field with a `bound` of |psi| outside its box (`grids.sample(...,
-    lines_only=True)`) is coded on its whole box at the floor of the bound,
-    in the pass that finds the box's max |psi|, lo: the peak lies between lo
-    and the larger of lo and the bound, so where no node's |psi| lies
-    between the floors of lo and of the bound, every node has the code the
-    peak's floor gives it.  Only where one does is the exact peak read,
-    which searches for it, and the nodes coded again at its floor where
-    that gives another code.
+    A field with a `bound` of |psi| outside its box (`grids.sample`) is
+    coded on its whole box at the floor of the bound, in the pass that finds
+    the box's max |psi|, lo: the peak lies between lo and the larger of lo
+    and the bound, so where no node's |psi| lies between the floors of lo
+    and of the bound, every node has the code the peak's floor gives it.
+    Only where one does is the exact peak searched for, `field.search(lo)`,
+    and the nodes coded again at its floor where that gives another code.
     """
     bound = field.bound
     if bound is None and field.peak == 0.0:
@@ -249,7 +247,7 @@ def detect_pierced_faces(field: SampledField | SlabbedField) -> DetectionResult:
         # No node's |psi| lies between under and over, so a floor in
         # (under, over] codes every node as the bound's floor did; the
         # peak's floor lies between those of low and max(low, bound).
-        peak = low if under < NOISE_FLOOR * low <= over else field.peak
+        peak = low if under < NOISE_FLOOR * low <= over else field.search(low)
         if peak == 0.0:
             return _no_crossings()
         if not under < NOISE_FLOOR * peak <= over:
@@ -329,8 +327,8 @@ def _support(field, floor: float) -> tuple[slice, slice, slice]:
     where |psi| >= floor, from the field's max |psi| profiles, grown by one
     node.  A candidate face, or a noise face in a cell with a pierced face,
     has every corner within one node of a node at or above the floor, so
-    none lies outside it.  A field with no profiles (one sampled on its
-    zero box) is searched on its whole box."""
+    none lies outside it.  A field with no profiles (a box field, such as
+    one sampled on its zero box) is searched on its whole box."""
     if field.profiles is None:
         return tuple(slice(0, n) for n in field.shape)
     box = []
@@ -508,7 +506,7 @@ def analytic_refiner(spec: SolutionSpec, consts: PhysicalConstants, snapshot: Sn
 def _extract_frame(spec, consts, grid, t) -> tuple[list[VortexPolyline], DetectionResult]:
     """Sample the exact field at time t on its zero box, detect there and
     extract with Newton refinement, which builds one more snapshot."""
-    field = sample(spec, consts, grid, t, lines_only=True)
+    field = sample(spec, consts, grid, t)
     detection = detect_pierced_faces(field)
     refiner = analytic_refiner(spec, consts, spec.at(consts, t))
     return extract_lines(field, detection, refiner=refiner), detection
@@ -777,10 +775,8 @@ def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
     """One event per distinct root, in time order, from (frame pair i, line)
     candidates, the lines of frame pair i that do not pair.  A solve starts
     at the pair's middle time from the line's centroid moved there by its
-    mean node velocity u = -J^+ dpsi/dt, and if that fails from the centroid
-    itself, unless the two are within a cell diagonal: a line seen in one
-    frame can sit halfway between two events, but next to an event its nodes
-    move too fast to extrapolate.  Roots are one event when they have the
+    mean node velocity u = -J^+ dpsi/dt: a line seen in one frame can sit
+    halfway between two events.  Roots are one event when they have the
     same kind, t* within the solver tolerance, and positions within a cell
     diagonal once the offset along the Jacobian's null direction (a curve of
     roots) is removed.
@@ -796,8 +792,6 @@ def _events_at_roots(spec, consts, grid, times, candidates) -> list[Event]:
         velocity = min_norm_solve(values.grad, -values.dt).mean(axis=0)
         moved = line.centroid + velocity * (t_mid - line.frame_time)
         root = _event_root(spec, consts, np.append(moved, t_mid), lo, hi, scale)
-        if root is None and np.linalg.norm(moved - line.centroid) > diag:
-            root = _event_root(spec, consts, np.append(line.centroid, t_mid), lo, hi, scale)
         classified = root and _classify(root[1])
         if not classified:
             continue

@@ -38,7 +38,10 @@ def test_contour_validation():
 @pytest.mark.parametrize("changed", [
     {"center": (math.nan, 0.0, 0.0)}, {"center": (0.0, math.inf, 0.0)}, {"radius": math.inf},
     {"normal": (math.inf, 0.0, 1.0)}, {"samples": 32.0},
-], ids=["nan-center", "inf-center", "inf-radius", "inf-normal", "float-samples"])
+    # A 2-vector would pass every finiteness test and fail later in numpy.
+    {"center": (0.0, 0.0)}, {"normal": (0.0, 1.0)},
+], ids=["nan-center", "inf-center", "inf-radius", "inf-normal", "float-samples",
+        "2-vector-center", "2-vector-normal"])
 def test_contour_refuses_non_finite_geometry_and_a_non_integer_sample_count(changed):
     # Each is refused before any arithmetic, so no RuntimeWarning is raised
     # and no NaN point or normal is formed.

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import on_grid
 
 import vortexlines as vl
 from vortexlines.catalog import (_G, _P, _PAIR_OF, _SPATIAL, FieldValues, Snapshot,
@@ -267,15 +268,17 @@ def _offset_grids(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_zero_box_sample_has_the_grid_peak(spec):
-    # The peak is the grid's max |psi| itself, not a bound: within 4 ulps
-    # of the whole-grid sample's, whose gemm has another shape.  The box
-    # values are the whole-grid values there, up to the same rounding.
+    # The search from the box's max finds the grid's max |psi| itself, not
+    # a bound: within 4 ulps of the whole grid's, whose gemm has another
+    # shape.  The box values are the whole-grid values there, up to the same
+    # rounding.
     for grid in _offset_grids(spec):
         for t in (-0.4, 0.0, 0.5):
-            whole = sample(spec, C, grid, t).values
-            field = sample(spec, C, grid, t, lines_only=True)
+            whole = on_grid(spec, C, grid, t)
+            field = sample(spec, C, grid, t)
             peak = np.abs(whole).max()
-            assert abs(field.peak - peak) <= 4 * np.spacing(peak), (grid.dims, t)
+            found = field.search(np.abs(field.values).max(initial=0.0))
+            assert abs(found - peak) <= 4 * np.spacing(peak), (grid.dims, t)
             assert np.all(np.abs(field.values - whole[field.box]) <= 1e-15 * peak)
 
 
@@ -362,12 +365,12 @@ def test_amplitude_bounds_hold_on_every_node(spec):
 
 
 def test_grid_sample_equals_pointwise_amplitude():
-    # sample() evaluates on the three axis vectors; amplitude() on the array
+    # on_grid evaluates on the three axis vectors; amplitude() on the array
     # of all grid points.  An offset, anisotropic grid catches a swapped axis.
     grid = Grid3((-2.1, -1.7, -2.6), (0.55, 0.49, 0.61), (6, 7, 9))
     for spec in ALL_SPECS:
         for t in (-0.7, 0.0, 0.45):
-            sampled = sample(spec, C, grid, t).values
+            sampled = on_grid(spec, C, grid, t)
             pointwise = vl.amplitude(spec, C, grid_points(grid), t)
             peak = float(np.max(np.abs(pointwise)))
             assert float(np.max(np.abs(sampled - pointwise))) <= 1e-13 * peak, (spec, t)

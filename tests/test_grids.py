@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import held, on_grid
 
 import vortexlines as vl
 from vortexlines.errors import GridMismatchError, SpecValidationError
@@ -56,18 +57,20 @@ def test_grid_rejects_axes_that_are_not_three_integers(origin, spacing, dims):
 def test_sampled_field_validation():
     grid = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
     with pytest.raises(SpecValidationError):
-        SampledField(grid, np.zeros((4, 4, 5), dtype=complex), 0.0)
+        SampledField(grid, np.zeros((4, 4, 5), dtype=complex), 0.0, peak=1.0)
     bad = np.zeros((4, 4, 4), dtype=complex)
     bad[0, 0, 0] = np.nan
-    with pytest.raises(SpecValidationError):
-        SampledField(grid, bad, 0.0)
+    with pytest.raises(SpecValidationError, match="non-finite"):
+        SampledField(grid, bad, 0.0, peak=1.0)
+    # A box field, the whole grid's box too, is given the grid's peak.
+    with pytest.raises(SpecValidationError, match="peak"):
+        SampledField(grid, np.zeros((4, 4, 4), dtype=complex), 0.0)
 
 
 def test_require_same_grid():
     g1 = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
     g2 = Grid3((0.1, 0, 0), (1, 1, 1), (4, 4, 4))
-    f1 = SampledField(g1, np.zeros(g1.dims, complex), 0.0)
-    f2 = SampledField(g2, np.zeros(g2.dims, complex), 0.0)
+    f1, f2 = held(g1, np.zeros(g1.dims)), held(g2, np.zeros(g2.dims))
     require_same_grid(f1, f1)
     with pytest.raises(GridMismatchError):
         require_same_grid(f1, f2)
@@ -77,8 +80,8 @@ def test_sampled_field_on_a_box():
     grid = Grid3((0, 0, 0), (1, 1, 1), (6, 5, 4))
     box = (slice(1, 4), slice(0, 5), slice(2, 2))
     field = SampledField(grid, np.ones((3, 5, 0), complex), 0.0, box=box, peak=2.0)
-    assert not field.is_whole and field.offset.tolist() == [1, 0, 2]
-    assert SampledField(grid, np.ones(grid.dims, complex), 0.0).is_whole
+    assert field.offset.tolist() == [1, 0, 2] and field.shape == (3, 5, 0)
+    assert (field.peak, field.bound, field.search, field.profiles) == (2.0, None, None, None)
     with pytest.raises(SpecValidationError):  # values not of the box's shape
         SampledField(grid, np.ones(grid.dims, complex), 0.0, box=box, peak=2.0)
     with pytest.raises(SpecValidationError):  # a box without the grid's peak
@@ -89,10 +92,10 @@ def test_sampled_field_on_a_box():
         SampledField(grid, np.ones((2, 5, 4), complex), 0.0, box=(slice(0, 4, 2),) * 3, peak=1.0)
 
 
-def test_a_box_field_given_a_bound_searches_for_its_peak_once():
-    # The search gets the box's own max |psi| and runs on the first read of
-    # the peak only; the bound must be finite and >= 0, and comes with a
-    # search, not with a peak.
+def test_a_box_field_given_a_bound_keeps_its_search():
+    # The field only holds the search, which detection calls with the box's
+    # own max |psi|: its peak is None.  The bound must be finite and >= 0,
+    # and comes with a search, not with a peak.
     grid = Grid3((0, 0, 0), (1, 1, 1), (6, 5, 4))
     box = (slice(1, 4), slice(0, 5), slice(0, 4))
     values = np.full((3, 5, 4), 0.5 + 0j)
@@ -104,12 +107,12 @@ def test_a_box_field_given_a_bound_searches_for_its_peak_once():
         return 7.0
 
     field = SampledField(grid, values, 0.0, box=box, bound=7.0, search=search)
-    assert field.bound == 7.0 and field.profiles is None and calls == []
-    assert field.peak == field.peak == 7.0 and calls == [3.0]
+    assert (field.peak, field.bound, field.search, field.profiles) == (None, 7.0, search, None)
+    assert calls == []
     empty = (slice(1, 1), slice(0, 5), slice(0, 4))
-    assert SampledField(grid, values[:0], 0.0, box=empty, bound=1.0, search=abs).peak == 0.0
+    assert SampledField(grid, values[:0], 0.0, box=empty, bound=1.0, search=abs).shape == (0, 5, 4)
     for bad in ({"bound": np.inf, "search": search}, {"bound": -1.0, "search": search},
-                {"bound": np.nan, "search": search}, {"bound": 7.0},
+                {"bound": np.nan, "search": search}, {"bound": 7.0}, {"search": search},
                 {"bound": 7.0, "search": search, "peak": 7.0}):
         with pytest.raises(SpecValidationError):
             SampledField(grid, values, 0.0, box=box, **bad)
@@ -121,16 +124,20 @@ def test_a_box_field_given_a_bound_searches_for_its_peak_once():
 def _box_field():
     """A field sampled on the box where its lines can be: part of the grid."""
     grid = Grid3.centered((0.013, 0.011, 0.017), 4.0, 16)
-    field = sample(vl.FreeLineVortex(chi=0.6), C, grid, 0.0, lines_only=True)
-    assert not field.is_whole
+    field = sample(vl.FreeLineVortex(chi=0.6), C, grid, 0.0)
+    assert field.shape != grid.dims
     return field
 
 
 def test_require_same_grid_refuses_a_box_field():
     field = _box_field()
-    whole = sample(vl.FreeLineVortex(chi=0.6), C, field.grid, 0.0)
-    for a, b in ((field, whole), (whole, field), (field, field)):
-        with pytest.raises(SpecValidationError):
+    grid = field.grid
+    whole = held(grid, on_grid(vl.FreeLineVortex(chi=0.6), C, grid, 0.0))
+    require_same_grid(whole, whole)
+    # On the whole grid's box too, a SampledField is a box field.
+    full = SampledField(grid, whole.slab(slice(None)), 0.0, peak=whole.peak)
+    for a, b in ((field, whole), (whole, field), (field, field), (full, whole)):
+        with pytest.raises(SpecValidationError, match="whole grid"):
             require_same_grid(a, b)
 
 
@@ -153,7 +160,7 @@ def test_slabs_cover_the_first_axis_in_order(shape):
 def test_slabbed_field_refuses_a_non_finite_slab():
     grid = Grid3.centered((0.0, 0.0, 0.0), 4.0, 8)
     field = sample_in_slabs(vl.GaussianPacket(l=1.0), C, grid, 0.0)
-    assert field.is_whole and field.slab(slice(0, 2)).shape == (2, 8, 8)
+    assert field.shape == grid.dims and field.slab(slice(0, 2)).shape == (2, 8, 8)
 
     def form(s):
         values = field.slab(s)
@@ -190,11 +197,17 @@ def test_a_formed_field_refuses_a_non_finite_slab_and_finds_no_maxima(monkeypatc
 
 def test_a_whole_grid_field_finds_its_peak_in_the_finiteness_pass(monkeypatch):
     grid = Grid3.centered((0.013, 0.011, 0.017), 4.0, (20, 24, 28))
-    values = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.25).values
+    values = on_grid(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.25)
     for slab in (24 * 28, 3 * 24 * 28, 10**9):
         monkeypatch.setattr(grids, "SLAB_POINTS", slab)
-        for held in (values, np.asfortranarray(values)):
-            assert SampledField(grid, held, 0.25).peak == np.abs(values).max()
+        for layout in (values, np.asfortranarray(values)):
+            field = held(grid, layout, 0.25)
+            for s in slabs(grid.dims):
+                assert np.shares_memory(field.slab(s), layout)
+            assert field.peak == np.abs(values).max()
+            for axis, profile in enumerate(field.profiles):
+                others = tuple(b for b in range(3) if b != axis)
+                assert np.array_equal(profile, np.abs(values).max(axis=others))
     # A box field keeps the peak it is given.
     box = (slice(2, 9), slice(None), slice(None))
     assert SampledField(grid, values[box], 0.25, box=box, peak=7.0).peak == 7.0
@@ -212,17 +225,17 @@ def test_a_non_finite_value_in_a_middle_slab_is_refused(monkeypatch, bad):
     values[4, 2, 3] = bad
     assert len(slabs(grid.dims)) == 4
     with pytest.raises(SpecValidationError, match="non-finite"):
-        SampledField(grid, values, 0.0)
+        held(grid, values).peak
     # A box field is tested on the real view of its values where it can be,
     # and on the complex values of another layout.
     box = (slice(2, 7), slice(None), slice(None))
-    for held in (values[box], np.asfortranarray(values[box])):
+    for layout in (values[box], np.asfortranarray(values[box])):
         with pytest.raises(SpecValidationError, match="non-finite"):
-            SampledField(grid, held, 0.0, box=box, peak=1.0)
+            SampledField(grid, layout, 0.0, box=box, peak=1.0)
 
 
 def test_a_whole_grid_field_whose_peak_overflows_is_refused():
     grid = Grid3((0, 0, 0), (1, 1, 1), (4, 4, 4))
     values = np.full(grid.dims, complex(1.5e308, 1.5e308))
     with pytest.raises(SpecValidationError, match="peak"):
-        SampledField(grid, values, 0.0)
+        held(grid, values).peak

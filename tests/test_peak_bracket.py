@@ -1,14 +1,14 @@
 """Detection on a field sampled on its zero box, with its peak |psi| only
 bracketed, equals detection of the same box given its exact peak.
 
-`grids.sample(..., lines_only=True)` gives the box's values, a bound of
-|psi| on every node outside the box, and a search for the exact peak.  The
-peak lies between the box's max |psi|, lo, and the larger of lo and the
-bound, hi: `tracker.detect_pierced_faces` codes the box at the floor of hi,
-and reads the exact peak, which runs the search, only where a node's |psi|
-lies between the floors of lo and hi.  The pierced faces, their corners and
-the ambiguous and noise counts must be the same bytes as with the exact
-floor, and the search must run exactly where such a node exists.
+`grids.sample` gives the box's values, a bound of |psi| on every node
+outside the box, and a search for the exact peak.  The peak lies between
+the box's max |psi|, lo, and the larger of lo and the bound, hi:
+`tracker.detect_pierced_faces` codes the box at the floor of hi, and runs
+the search only where a node's |psi| lies between the floors of lo and hi.
+The pierced faces, their corners and the ambiguous and noise counts must be
+the same bytes as with the exact floor, and the search must run exactly
+where such a node exists.
 """
 
 import numpy as np
@@ -106,9 +106,10 @@ def _frames(name):
 def test_tracked_frames_detect_as_at_the_exact_peak(name):
     config, times = _frames(name)
     for t in times:
-        field = sample(config.spec, config.consts, config.grid, float(t), lines_only=True)
+        field = sample(config.spec, config.consts, config.grid, float(t))
         found = _detected(field)
-        exact = SampledField(config.grid, field.values, float(t), box=field.box, peak=field.peak)
+        peak = field.search(np.abs(field.values).max(initial=0.0))
+        exact = SampledField(config.grid, field.values, float(t), box=field.box, peak=peak)
         assert found == _detected(exact), t
 
 

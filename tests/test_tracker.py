@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import held, on_grid, whole
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -74,14 +75,12 @@ class CubicPrefactor(catalog._PlaneWaveCarrier):
 def test_detection_finds_axis_aligned_vortex():
     spec = vl.FreeLineVortex(chi=0.6)
     grid = Grid3.centered(OFF, 2.0, 9)
-    det = detect_pierced_faces(sample(spec, C, grid, 0.0))
+    det = detect_pierced_faces(whole(spec, C, grid, 0.0))
     assert det.ambiguous_count == 0
     assert all(f.axis == 2 and f.winding == 1 for f in det.pierced)
     # One pierced face per z-plane of the grid.
     assert len(det.pierced) == grid.dims[2]
-    anti = detect_pierced_faces(
-        sample(vl.FreeLineVortex(chi=-0.6), C, grid, 0.0)
-    )
+    anti = detect_pierced_faces(whole(vl.FreeLineVortex(chi=-0.6), C, grid, 0.0))
     assert all(f.winding == -1 for f in anti.pierced)
 
 
@@ -103,8 +102,7 @@ def test_extract_builds_one_snapshot_and_refines_every_face_at_once(monkeypatch)
     # A tilted line pierces faces normal to all three axes.
     spec, t = vl.MagneticLine(B=1.0, a=0.8, varphi=0.5), 1.0
     grid = Grid3.centered(OFF, 6.0, 24)
-    field = sample(spec, C, grid, t)
-    detection = detect_pierced_faces(field)
+    detection = detect_pierced_faces(whole(spec, C, grid, t))
     faces = detection.pierced
     assert set(faces.axis.tolist()) == {0, 1, 2}
     # Refining all faces with their own axes agrees with refining axis by axis.
@@ -409,7 +407,8 @@ def _bilinear_zero_reference(values, grid, axis, index):
 ])
 def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
     grid = Grid3.centered(OFF, side, 24)
-    field = sample(spec, C, grid, t)
+    values = on_grid(spec, C, grid, t)
+    field = held(grid, values, t)
     det = detect_pierced_faces(field)
     # An identity refiner receives all the seeds at once, in face order.
     seeds = []
@@ -420,7 +419,7 @@ def test_bilinear_seeds_match_the_per_face_reference(spec, side, t):
 
     extract_lines(field, det, refiner=keep)
     reference = [
-        _bilinear_zero_reference(field.values, grid, int(f.axis), tuple(f.index))
+        _bilinear_zero_reference(values, grid, int(f.axis), tuple(f.index))
         for f in det.pierced
     ]
     # Cramer's rule and LU round differently: allow 64 ulps of the box side.
@@ -451,12 +450,12 @@ def _seeded_fields():
     for spec in ALL_SPECS:
         grid = Grid3.centered(OFF, 4.0 * spec.length_scale(C), 16)
         for t in (-0.4, 0.0, 0.5):
-            yield sample(spec, C, grid, t)
+            yield whole(spec, C, grid, t)
 
 
 @pytest.mark.parametrize("fields", [
     pytest.param(_seeded_fields, id="families"),
-    *(pytest.param(lambda name=name: [SampledField(
+    *(pytest.param(lambda name=name: [held(
         Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (96,) * 3), _evolved_oracle_field(name), 0.0)],
         id=name) for name in ("oracle_ring", "oracle_pair")),
 ])
@@ -468,11 +467,11 @@ def test_each_pierced_face_model_has_one_root_at_the_seed(fields):
     # stalls on an edge of the square, off the zero.
     converged = 0
     for field in fields():
-        grid = field.grid
+        grid, values = field.grid, field.slab(slice(None))
         detection = detect_pierced_faces(field)
         faces = detection.pierced
         seeds = tracker._bilinear_zeros(grid, faces, detection.corners)
-        corners = tracker._corners(field.values, faces.axis, faces.index).T
+        corners = tracker._corners(values, faces.axis, faces.index).T
         assert np.array_equal(corners, detection.corners.T)
         for f, seed, v in zip(faces, seeds, corners):
             (root,) = _roots_in_square(*v)
@@ -482,8 +481,7 @@ def test_each_pierced_face_model_has_one_root_at_the_seed(fields):
             zero = node.copy()
             zero[plane] += np.asarray(root) * step
             assert np.allclose(seed, zero, rtol=0.0, atol=1e-12 * grid.cell_diagonal)
-            reference = _bilinear_zero_reference(field.values, grid, int(f.axis),
-                                                 tuple(f.index))
+            reference = _bilinear_zero_reference(values, grid, int(f.axis), tuple(f.index))
             p, q = (reference - node)[plane] / step
             model = (v[0] * (1 - p) * (1 - q) + v[1] * p * (1 - q)
                      + v[2] * (1 - p) * q + v[3] * p * q)
@@ -588,7 +586,7 @@ def _family_cases():
 def _families_on_offset_grids():
     """The family cases sampled, each with the box where its P may vanish."""
     for spec, grid, t in _family_cases():
-        yield sample(spec, C, grid, t).values, sample(spec, C, grid, t, lines_only=True).box
+        yield on_grid(spec, C, grid, t), sample(spec, C, grid, t).box
 
 
 def _on_box(grid, values, box):
@@ -606,13 +604,13 @@ def _ring_in_a_grid_plane():
     """A ring whose zero line lies in the grid plane z = -0.4 up to roundoff:
     Im psi has roundoff size and random sign at the nodes of that plane."""
     grid = Grid3.centered((0.0, 0.0, 0.0), 4.0, 16)
-    return sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.1).values
+    return on_grid(vl.FreeRingCylinder(R=1.0, a=0.5), C, grid, 0.1)
 
 
 def _off_center_field(spec, side, t):
     """spec sampled at time t on a 20 x 13 x 11 grid of the given side,
     offset from the origin."""
-    return sample(spec, C, Grid3.centered(OFF, side, (20, 13, 11)), t).values
+    return on_grid(spec, C, Grid3.centered(OFF, side, (20, 13, 11)), t)
 
 
 def _noisy_gaussian():
@@ -630,7 +628,8 @@ def _evolved_oracle_field(name):
     config = vl.preset(name)
     t0, t1 = config.time_range
     prop = vl.propagator.PropagatorConfig(duration=t1 - t0)
-    return vl.propagator.evolve(sample(config.spec, C, config.grid, t0), prop, C).values
+    evolved = vl.propagator.evolve(whole(config.spec, C, config.grid, t0), prop, C)
+    return evolved.slab(slice(None))
 
 
 @pytest.mark.parametrize("fields", [
@@ -653,8 +652,8 @@ def test_detection_matches_the_dense_reference(fields):
     for values, box in fields():
         grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
         pierced, ambiguous, noise = _dense_reference(values)
-        whole = SampledField(grid, values, 0.0)
-        for field in [whole] if box is None else [whole, _on_box(grid, values, box)]:
+        entire = held(grid, values)
+        for field in [entire] if box is None else [entire, _on_box(grid, values, box)]:
             det = detect_pierced_faces(field)
             assert det.pierced.tobytes() == pierced.tobytes()
             assert (det.ambiguous_count, det.noise_count) == (ambiguous, noise)
@@ -672,7 +671,7 @@ def test_noise_count_ignores_roundoff_away_from_the_lines(name, count):
     )
     grid = Grid3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), values.shape)
     for field in (values, noisy):
-        assert detect_pierced_faces(SampledField(grid, field, 0.0)).noise_count == count
+        assert detect_pierced_faces(held(grid, field)).noise_count == count
 
 
 def _blocks_holding(face, dims) -> list[tuple[int, int, int]]:
@@ -707,7 +706,7 @@ def test_every_pierced_face_lies_in_a_kept_block(cases):
     found = 0
     for spec, grid, t in cases():
         kept = _kept_blocks(spec.at(C, t), grid)
-        for face in detect_pierced_faces(sample(spec, C, grid, t)).pierced:
+        for face in detect_pierced_faces(whole(spec, C, grid, t)).pierced:
             assert any(kept[block] for block in _blocks_holding(face, grid.dims)), (spec, t)
             found += 1
     assert found
@@ -735,14 +734,13 @@ def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
     found = 0
     for spec, side, t in SHORT_AXES_SPECS:
         grid = Grid3.centered(OFF, side, dims)
-        field = sample(spec, C, grid, t)
-        whole = detect_pierced_faces(field)
-        box = sample(spec, C, grid, t, lines_only=True).box
-        boxed = detect_pierced_faces(_on_box(grid, field.values, box))
-        assert boxed.pierced.tobytes() == whole.pierced.tobytes()
+        values = on_grid(spec, C, grid, t)
+        entire = detect_pierced_faces(held(grid, values, t))
+        boxed = detect_pierced_faces(_on_box(grid, values, sample(spec, C, grid, t).box))
+        assert boxed.pierced.tobytes() == entire.pierced.tobytes()
         assert (boxed.ambiguous_count, boxed.noise_count) == (
-            whole.ambiguous_count, whole.noise_count)
-        found += len(whole.pierced)
+            entire.ambiguous_count, entire.noise_count)
+        found += len(entire.pierced)
     assert found
 
 
@@ -750,24 +748,23 @@ def test_box_detection_matches_the_whole_grid_on_short_axes(dims):
                          ids=lambda s: type(s).__name__)
 def test_a_bare_carrier_excludes_the_whole_grid(spec):
     grid = Grid3.centered(OFF, 4.0, 16)
-    box = sample(spec, C, grid, 0.3, lines_only=True).box
+    box = sample(spec, C, grid, 0.3).box
     assert box == (slice(0, 0),) * 3
-    det = detect_pierced_faces(_on_box(grid, sample(spec, C, grid, 0.3).values, box))
+    det = detect_pierced_faces(_on_box(grid, on_grid(spec, C, grid, 0.3), box))
     assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
     assert extract(spec, C, grid, 0.3) == []
 
 
 def test_a_prefactor_beyond_the_bound_keeps_the_whole_grid():
     # P = 1 + x^2 y has third-order Taylor terms that the bound lacks:
-    # sampling on the zero box refuses it, and the whole grid still
-    # evaluates it.
+    # sampling on the zero box refuses it, and the whole grid's one product
+    # still evaluates it.
     grid = Grid3.centered(OFF, 2.0, 9)
     with pytest.raises(SpecValidationError, match="degree 3"):
-        sample(CubicPrefactor(), C, grid, 0.0, lines_only=True)
-    field = sample(CubicPrefactor(), C, grid, 0.0)
-    assert field.is_whole
+        sample(CubicPrefactor(), C, grid, 0.0)
     x, y, _ = np.meshgrid(*(grid.axis_coords(a) for a in range(3)), indexing="ij")
-    assert np.allclose(field.values, x * x * y + 1.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(on_grid(CubicPrefactor(), C, grid, 0.0), x * x * y + 1.0, rtol=1e-15,
+                       atol=0.0)
 
 
 def test_a_zero_field_has_no_crossings_and_forms_no_face_codes(traced_peak):
@@ -775,8 +772,8 @@ def test_a_zero_field_has_no_crossings_and_forms_no_face_codes(traced_peak):
     # candidate, as no node is below the floor.  A field of 1e-300 has the
     # same result from the full detection.
     grid = Grid3.centered(OFF, 4.0, 64)
-    zero = SampledField(grid, np.zeros(grid.dims, complex), 0.0)
-    tiny = SampledField(grid, np.full(grid.dims, 1e-300 + 0j), 0.0)
+    zero = held(grid, np.zeros(grid.dims))
+    tiny = held(grid, np.full(grid.dims, 1e-300 + 0j))
     assert zero.peak == 0.0
     det, peak = traced_peak(detect_pierced_faces, zero)
     assert peak <= 1e4
@@ -805,16 +802,33 @@ def test_track_runs_every_stage_once_per_frame(monkeypatch):
         assert calls == {name: 5 for name in stages}
 
 
+def test_an_event_solve_starts_once_per_line_that_does_not_pair(monkeypatch):
+    # Each solve starts from the line's centroid moved to the frame pair's
+    # middle time, and from nowhere else: fig5 at 8 frames has no events,
+    # and each of its 16 lines that do not pair starts one solve.
+    config = vl.preset("fig5")
+    starts, root = [], tracker._event_root
+
+    def counted(*args):
+        starts.append(args[2])
+        return root(*args)
+
+    monkeypatch.setattr(tracker, "_event_root", counted)
+    frames, log = track(config.spec, config.consts, config.grid, *config.time_range, 8)
+    assert len(frames) == 9 and log.events == []
+    assert len(starts) == 16
+
+
 def test_box_detection_takes_the_noise_floor_from_the_whole_grid():
     # A spike outside the box lifts the noise floor above every node inside
     # it: no face there is a candidate, as over the whole grid.
     spec, grid = vl.FreeLineVortex(chi=0.6), Grid3.centered(OFF, 2.0, 16)
-    values = sample(spec, C, grid, 0.0).values.copy()
-    box = sample(spec, C, grid, 0.0, lines_only=True).box
+    values = on_grid(spec, C, grid, 0.0)
+    box = sample(spec, C, grid, 0.0).box
     assert box[0].stop < grid.dims[0]
     assert len(detect_pierced_faces(_on_box(grid, values, box)).pierced)
     values[-1, -1, -1] = 1e12
-    for field in (SampledField(grid, values, 0.0), _on_box(grid, values, box)):
+    for field in (held(grid, values), _on_box(grid, values, box)):
         det = detect_pierced_faces(field)
         assert (len(det.pierced), det.ambiguous_count, det.noise_count) == (0, 0, 0)
 
@@ -826,7 +840,7 @@ def _evolved_trap_ring():
     sides, dims = (19.0, 20.0, 21.0), (20, 24, 28)
     grid = Grid3(tuple(-0.5 * side + o for side, o in zip(sides, OFF)),
                  tuple(side / n for side, n in zip(sides, dims)), dims)
-    field = sample(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
+    field = whole(vl.TrapRing(omega=1.0, R=1.0), C, grid, 0.0)
     return vl.propagator.evolve(field, vl.propagator.PropagatorConfig(duration=0.5, omega=1.0))
 
 
@@ -838,8 +852,7 @@ def test_detection_in_slabs_equals_one_slab(monkeypatch):
     plane = evolved.grid.dims[1] * evolved.grid.dims[2]
     empty = SampledField(evolved.grid, np.zeros((0, 24, 28), complex), 0.0,
                          box=(slice(3, 3), slice(None), slice(None)), peak=1.0)
-    boxed = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, Grid3.centered(OFF, 4.0, 32), 0.1,
-                   lines_only=True)
+    boxed = sample(vl.FreeRingCylinder(R=1.0, a=0.5), C, Grid3.centered(OFF, 4.0, 32), 0.1)
     results = collections.defaultdict(list)
     for slab in (1, 3 * plane, 10**9):
         monkeypatch.setattr(grids, "SLAB_POINTS", slab)
@@ -858,9 +871,10 @@ def test_detection_holds_one_byte_per_node_of_codes(traced_peak):
     # temporary they are built from, one byte a node each, and at 64^3 the
     # candidate faces in 0.4 MB more.
     grid = Grid3(tuple(-24.0 + o for o in OFF), (0.75,) * 3, (64,) * 3)
-    field = sample(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, grid, 0.0)
+    field = whole(vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), C, grid, 0.0)
+    assert field.peak > 0.0  # its fold pass, outside the trace
     detection, peak = traced_peak(detect_pierced_faces, field)
-    assert len(detection.pierced) and peak <= 3 * field.values.size + 4e5
+    assert len(detection.pierced) and peak <= 3 * math.prod(grid.dims) + 4e5
 
 
 def _short_axes_cases():
@@ -882,17 +896,17 @@ def test_box_sample_detects_as_the_whole_grid(cases):
     # block bounds, is bit-identical to detection in that box of the
     # whole-grid sample; refined lines agree to 1e-12 cell diagonals.
     for spec, grid, t in cases():
-        field = sample(spec, C, grid, t, lines_only=True)
-        whole = sample(spec, C, grid, t).values
-        assert field.peak == pytest.approx(np.abs(whole).max(), rel=1e-15, abs=0)
+        field, values = sample(spec, C, grid, t), on_grid(spec, C, grid, t)
+        peak = field.search(np.abs(field.values).max(initial=0.0))
+        assert peak == pytest.approx(np.abs(values).max(), rel=1e-15, abs=0)
         boxed, reference = detect_pierced_faces(field), detect_pierced_faces(
-            _on_box(grid, whole, field.box))
+            _on_box(grid, values, field.box))
         assert boxed.pierced.tobytes() == reference.pierced.tobytes()
         assert (boxed.ambiguous_count, boxed.noise_count) == (
             reference.ambiguous_count, reference.noise_count)
         refine = analytic_refiner(spec, C, spec.at(C, t))
         lines = extract_lines(field, boxed, refine)
-        expected = extract_lines(_on_box(grid, whole, field.box), reference, refine)
+        expected = extract_lines(_on_box(grid, values, field.box), reference, refine)
         assert [len(line.points) for line in lines] == [len(line.points) for line in expected]
         for line, other in zip(lines, expected):
             assert np.max(np.abs(line.points - other.points)) <= 1e-12 * grid.cell_diagonal

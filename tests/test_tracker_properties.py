@@ -17,11 +17,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import whole
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vortexlines as vl
-from vortexlines.grids import Grid3, sample
+from vortexlines.grids import Grid3
 from vortexlines.scenario import check_events
 from vortexlines.tracker import (
     analytic_refiner,
@@ -56,7 +57,7 @@ def test_extraction_conserves_winding_and_uses_every_face(case, n, offset):
     spec, side, t = case
     spacing = side / (n - 1)
     grid = Grid3.centered(np.asarray(offset) * spacing, side, n)
-    field = sample(spec, C, grid, t)
+    field = whole(spec, C, grid, t)
     detection = detect_pierced_faces(field)
     if detection.noise_count:
         return
@@ -96,7 +97,7 @@ def test_refinement_lands_on_a_zero_or_keeps_its_seed(case, n, offset):
         pairs.append((seeds.copy(), refined))
         return refined
 
-    extract_lines(sample(spec, C, grid, t), refiner=record)
+    extract_lines(whole(spec, C, grid, t), refiner=record)
     scale = spec.length_scale(C)
     for seeds, refined in pairs:
         field = spec.at(C, t).on(refined)
