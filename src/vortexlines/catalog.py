@@ -5,11 +5,12 @@ exp(G) whose exponent is a quadratic with diagonal quadratic part,
 
     G(r, t) = sum_a m_a(t) x_a^2 + b(t).r + c(t) + phi(t).
 
-Bare carriers are the families with P = 1.  Each family is a tagged spec (one
-dataclass); families on the same carrier share a base class, which holds the
-carrier's clock s(t), one scalar function of time, its phase phi(t), and its
-coordinate map: image coordinates and an image time (coords, tau),
-polynomials in r and s.  Less phi, G follows one rule (`SolutionSpec.carrier`):
+Each family is a tagged spec (one dataclass) that states only its parameters,
+its image and its laws; families on the same carrier share a base class,
+which holds the carrier's clock s(t), one scalar function of time, its
+phase phi(t), and its coordinate map: image coordinates and an image time
+(coords, tau), polynomials in r and s.  Less phi, G follows one rule
+(`SolutionSpec.carrier`):
 
     G = window + i k.coords - i omega_k tau   at the carrier's (coords, tau),
 
@@ -36,11 +37,17 @@ image time, since the generator's z phase -i hbar kz^2 / (2 e B) is
 constant, and the map holds only for prefactors linear in z.
 
 A family gives P only as its `image` polynomial of the moving map
-coordinates coords - v tau and the map time tau.  The lens map of the
-Gaussian takes the plane wave to the Gaussian packet, so each Gaussian family
-equals its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0; TrapRing
-is the trap image of the cylinder ring FreeRingCylinder(R, a=R) displaced by
-R along x, and MagneticLine the cyclotron image of a straight line.
+coordinates coords - v tau and the map time tau; a bare carrier is a family
+that states no image, so P = 1 (`is_bare`).  The lens map of the Gaussian
+takes the plane wave to the Gaussian packet, so each Gaussian family equals
+its plane-wave counterpart times exp(-r^2 / 2 l^2) at t = 0; twins on another
+carrier share their free image (the windowed ring and pair, the Klein-Gordon
+line).  TrapRing is the trap image of the cylinder ring FreeRingCylinder(R,
+a=R) displaced by R along x, and MagneticLine the cyclotron image of a
+straight line.  A family's `length_scale` follows from its parameters: a
+ring's R, else a pair's or an offset line's |a|, else the carrier's own
+`carrier_scale` (1 / |k| or 1, l, sqrt(2 hbar / |e B|), sqrt(hbar / m omega));
+FreeTwoLines alone states its own, the separation of its lines.
 
 Each spec is compiled once into a table over the (x, y, z) terms of P and G
 and the powers of s.  `spec.at(consts, t)` contracts it with the power jets
@@ -81,8 +88,16 @@ certifies each family against its governing equation using those analytic
 derivatives only.
 
 A family with a closed-form law of motion states it: the ring's circle
-(`ring`), the node speed, the annihilation time and the period, each None
-on the families without one.
+(`ring`), the node speed, the annihilation time, the reconnection time and
+the period, each None on the families without one.  Both symmetric pairs,
+free and windowed, touch at -+t* with
+
+    t* = m a^2 / (hbar sin^2 varphi sqrt(1 - 2 a^2 / (l^2 sin^2 varphi))),
+
+l = inf for the free pair: a birth and an annihilation for the antiparallel
+pair, two reconnections for a crossing one, and no event where
+2 a^2 >= l^2 sin^2 varphi.  These events are critical points of the zero
+set (Nye & Berry, Proc. R. Soc. A 336:165, 1974).
 """
 
 from __future__ import annotations
@@ -158,7 +173,6 @@ class SolutionSpec:
     """Base class for the tagged union of analytic families: psi = P * exp(G)."""
 
     equation = "free"  # one of free / trap / magnetic / relativistic
-    is_bare = False    # bare carriers have the prefactor P = 1
 
     def __post_init__(self):
         """Every parameter must be finite (a `WaveVector` checks its own); R, l
@@ -205,6 +219,11 @@ class SolutionSpec:
         coords - v tau and the image time tau; 1 for a bare carrier."""
         return _ONE
 
+    @property
+    def is_bare(self) -> bool:
+        """A bare carrier is a family that states no image: P = 1."""
+        return type(self).image is SolutionSpec.image
+
     def polynomials(self, consts: PhysicalConstants) -> tuple[Poly3, Poly3]:
         """P and G less its phase, in (x, y, z, s): P is the image under the
         carrier's coordinate map."""
@@ -217,7 +236,17 @@ class SolutionSpec:
         return np.zeros(3)
 
     def length_scale(self, consts: PhysicalConstants) -> float:
-        return 1.0
+        """A ring's radius R, else a pair's or an offset line's |a|, else the
+        carrier's own `carrier_scale`."""
+        for role in ("R", "a"):  # R > 0, so |R| = R
+            if hasattr(self, role):
+                return abs(getattr(self, role))
+        return self.carrier_scale(consts)
+
+    def carrier_scale(self, consts: PhysicalConstants) -> float:
+        """The carrier's own length: its wavelength, width or ground-state
+        size."""
+        raise NotImplementedError
 
     # The paper's closed-form laws of motion, on the families that have one.
 
@@ -232,6 +261,10 @@ class SolutionSpec:
 
     def annihilation_time(self, consts: PhysicalConstants) -> float | None:
         """t_a of the lines born at -t_a that annihilate at +t_a."""
+        return None
+
+    def reconnection_time(self, consts: PhysicalConstants) -> float | None:
+        """t_r of the lines that reconnect at -t_r and again at +t_r."""
         return None
 
     def period(self, consts: PhysicalConstants) -> float | None:
@@ -263,7 +296,8 @@ class _PlaneWaveCarrier(SolutionSpec):
     def classical_velocity(self, consts):
         return consts.hbar * self.k.as_array() / consts.mass
 
-    def length_scale(self, consts):
+    def carrier_scale(self, consts):
+        """1 / |k|, or 1 at k = 0."""
         return 1.0 / self.k.norm if self.k.norm > 0 else 1.0
 
 
@@ -305,14 +339,13 @@ class _GaussianCarrier(_PlaneWaveCarrier):
     def window(self, consts):
         return (-0.5 / self.l**2) * _S * sum(x * x for x in _R)
 
-    def length_scale(self, consts):
+    def carrier_scale(self, consts):
         return self.l
 
 
 @dataclass(frozen=True)
 class FreePlaneWave(_PlaneWaveCarrier):
     k: WaveVector = ZERO_K
-    is_bare = True
 
 
 @dataclass(frozen=True)
@@ -336,9 +369,6 @@ class FreeRingCylinder(_PlaneWaveCarrier):
         quantum = (2j * consts.hbar / consts.mass) * tau
         return x * x + y * y - self.R**2 + (1j * self.a) * z + quantum
 
-    def length_scale(self, consts):
-        return self.R
-
     def ring(self, consts, t):
         """Im P = 0 at the height z = -2 hbar t / (m a) above v t, and Re P = 0
         on the radius R there."""
@@ -360,9 +390,6 @@ class FreeRingSphere(_PlaneWaveCarrier):
         x, y, z = coords
         quantum = (3j * consts.hbar / consts.mass) * tau
         return x * x + y * y + z * z - self.R**2 + (1j * self.a) * z + quantum
-
-    def length_scale(self, consts):
-        return self.R
 
     def ring(self, consts, t):
         """Im P = 0 at the height z = -3 hbar t / (m a) above v t, and Re P = 0
@@ -443,22 +470,32 @@ class FreeTwoLinesSymmetric(_PlaneWaveCarrier):
         w_lower = c * x - s * y + 1j * (z - self.a)
         return w_upper * w_lower + (-2j * consts.hbar * s * s / consts.mass) * tau
 
-    def length_scale(self, consts):
-        return abs(self.a)
+    def _event_time(self, consts) -> float | None:
+        """t* = m a^2 / (hbar sin^2 varphi sqrt(1 - 2 a^2 / (l^2 sin^2 varphi))),
+        with l = inf on the plane-wave carrier: at -+t* the two lines touch
+        at x = z = 0, where P and its x and z derivatives vanish.  None where
+        2 a^2 >= l^2 sin^2 varphi: the lines never touch."""
+        s2 = math.sin(self.varphi) ** 2
+        root = 1.0 - 2.0 * self.a**2 / (getattr(self, "l", math.inf) ** 2 * s2)
+        return consts.mass * self.a**2 / (consts.hbar * s2 * math.sqrt(root)) if root > 0 else None
 
     def annihilation_time(self, consts):
-        """The antiparallel pair (|sin varphi| = 1) is born at -t_a and
-        collides at +t_a; other crossing angles reconnect instead."""
-        if abs(math.sin(self.varphi)) > 1.0 - 1e-9:
-            return consts.mass * self.a**2 / consts.hbar
-        return None
+        """The antiparallel pair (|sin varphi| = 1) is born at -t* and
+        collides at +t*."""
+        return self._event_time(consts) if abs(math.sin(self.varphi)) > 1.0 - 1e-9 else None
+
+    def reconnection_time(self, consts):
+        """A crossing pair (sin varphi cos varphi != 0) swaps partners at -t*
+        and back at +t*: the zero set depends on varphi only through
+        sin^2 varphi, so pi - varphi mirrors x and -varphi mirrors y."""
+        crossing = abs(math.sin(self.varphi) * math.cos(self.varphi)) > 1e-9
+        return self._event_time(consts) if crossing else None
 
 
 @dataclass(frozen=True)
 class GaussianPacket(_GaussianCarrier):
     l: float
     k: WaveVector = ZERO_K
-    is_bare = True
 
 
 @dataclass(frozen=True)
@@ -509,6 +546,10 @@ class _MagneticCarrier(SolutionSpec):
         y_img = -0.5j * (_S - 1.0) * x + 0.5 * (_S + 1.0) * y
         return [x_img, y_img, z], (1j / consts.cyclotron_frequency(self.B)) * (_S - 1.0)
 
+    def carrier_scale(self, consts):
+        """The magnetic length sqrt(2 hbar / |e B|)."""
+        return math.sqrt(2.0 * consts.hbar / abs(consts.charge * self.B))
+
     def period(self, consts):
         """One cyclotron period 2 pi / w_c, the clock's."""
         return 2.0 * math.pi / consts.cyclotron_frequency(self.B)
@@ -518,10 +559,6 @@ class _MagneticCarrier(SolutionSpec):
 class MagneticGenerator(_MagneticCarrier):
     B: float
     k: WaveVector = ZERO_K
-    is_bare = True
-
-    def length_scale(self, consts):
-        return math.sqrt(2.0 * consts.hbar / abs(consts.charge * self.B))
 
 
 @dataclass(frozen=True)
@@ -541,9 +578,6 @@ class MagneticLine(_MagneticCarrier):
         x, y, z = coords
         s, c = math.sin(self.varphi), math.cos(self.varphi)
         return y - self.a + 1j * ((-s) * x + c * z)
-
-    def length_scale(self, consts):
-        return abs(self.a)
 
     def parametric_locus(self, consts, t: float, x: np.ndarray) -> np.ndarray:
         """Points (x, y(x), z(x)) on the precessing straight vortex line.
@@ -579,6 +613,10 @@ class _TrapCarrier(SolutionSpec):
     def window(self, consts):
         return (-consts.mass * self.omega / (2.0 * consts.hbar)) * sum(x * x for x in _R)
 
+    def carrier_scale(self, consts):
+        """The oscillator length sqrt(hbar / m omega)."""
+        return math.sqrt(consts.hbar / (consts.mass * self.omega))
+
     def period(self, consts):
         """One trap period 2 pi / omega, the clock's."""
         return 2.0 * math.pi / self.omega
@@ -588,10 +626,6 @@ class _TrapCarrier(SolutionSpec):
 class TrapGenerator(_TrapCarrier):
     omega: float
     k: WaveVector = ZERO_K
-    is_bare = True
-
-    def length_scale(self, consts):
-        return math.sqrt(consts.hbar / (consts.mass * self.omega))
 
 
 @dataclass(frozen=True)
@@ -606,14 +640,10 @@ class TrapRing(_TrapCarrier):
         x, y, z = coords
         return FreeRingCylinder(self.R, self.R).image(consts, [x - self.R, y, z], tau)
 
-    def length_scale(self, consts):
-        return self.R
-
 
 @dataclass(frozen=True)
 class RelPlaneWave(_KleinGordonCarrier):
     k: WaveVector = ZERO_K
-    is_bare = True
 
 
 @dataclass(frozen=True)
@@ -621,8 +651,7 @@ class RelLineVortex(_KleinGordonCarrier):
     chi: float = math.pi / 4
     k: WaveVector = ZERO_K
 
-    def image(self, consts, coords, tau):
-        return FreeLineVortex(self.chi, self.k).image(consts, coords, tau)
+    image = FreeLineVortex.image
 
 
 @dataclass(frozen=True)
@@ -645,9 +674,6 @@ class RelRingCylinder(_KleinGordonCarrier):
         rate = 1j * abs(self.a) * self.axial_drift_speed(consts)
         return x * x + y * y - self.R**2 + (1j * self.a) * z + rate * tau
 
-    def length_scale(self, consts):
-        return self.R
-
 
 @dataclass(frozen=True)
 class WindowedRingCylinder(_GaussianCarrier):
@@ -663,11 +689,7 @@ class WindowedRingCylinder(_GaussianCarrier):
     l: float
     k: WaveVector = ZERO_K
 
-    def image(self, consts, coords, tau):
-        return FreeRingCylinder(self.R, self.a, self.k).image(consts, coords, tau)
-
-    def length_scale(self, consts):
-        return self.R
+    image = FreeRingCylinder.image
 
 
 @dataclass(frozen=True)
@@ -680,12 +702,10 @@ class WindowedTwoLinesSymmetric(_GaussianCarrier):
     l: float
     k: WaveVector = ZERO_K
 
-    def image(self, consts, coords, tau):
-        pair = FreeTwoLinesSymmetric(self.a, self.varphi, self.k)
-        return pair.image(consts, coords, tau)
-
-    def length_scale(self, consts):
-        return abs(self.a)
+    image = FreeTwoLinesSymmetric.image
+    _event_time = FreeTwoLinesSymmetric._event_time
+    annihilation_time = FreeTwoLinesSymmetric.annihilation_time
+    reconnection_time = FreeTwoLinesSymmetric.reconnection_time
 
 
 FAMILIES = (

@@ -21,7 +21,6 @@ from .catalog import (
     FreeLineVortex,
     FreePlaneWave,
     FreeRingCylinder,
-    FreeTwoLinesSymmetric,
     MagneticLine,
     RelRingCylinder,
     SolutionSpec,
@@ -306,7 +305,11 @@ def _off_circle(points, center, radius) -> np.ndarray:
 
 def check_locus(config, frames, log, times) -> list[CheckResult]:
     """The lines against the family's locus law, and, where the family has
-    a period, the lines at the window's start against those one period on."""
+    a period, the lines at the window's start against those one period on.
+    A ring family's frames are held to its circle where the law's radius
+    exceeds the tolerance; such a frame without lines, or a frame with lines
+    where the law has no ring (a NaN radius), fails the check with NaN and
+    names its time."""
     spec, consts, grid = config.spec, config.consts, config.grid
     diag = grid.cell_diagonal
     period = spec.period(consts)
@@ -347,7 +350,11 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
         for t in map(float, times):
             center, radius = spec.ring(consts, t)
             pts = points_at(t)
-            if radius > tolerance and pts is not None:
+            if (pts is None and radius > tolerance) or (pts is not None and math.isnan(radius)):
+                return [CheckResult("locus", False, math.nan, tolerance,
+                                    f"the law's radius at t={t:.6g} is {radius:.4g}, but "
+                                    f"{'no' if pts is None else 'some'} lines were found")]
+            if radius > tolerance:
                 offsets.append(float(np.max(_off_circle(pts, center, radius))))
         worst = float(np.max(offsets)) if offsets else math.nan
         law = f"the ring's circle over {len(offsets)} frames"
@@ -366,26 +373,32 @@ def check_locus(config, frames, log, times) -> list[CheckResult]:
 
 
 def check_events(config, frames, log, times) -> list[CheckResult]:
-    """Exactly one creation at -t_a and one annihilation at +t_a, each at the
-    law's time, where the family has one; reconnections and nothing else
-    for a crossing pair; no events otherwise."""
-    spec = config.spec
-    t_a = spec.annihilation_time(config.consts)
+    """The events that the family's laws place strictly inside the window,
+    t0 < t < t1; `track` finds none at a window end.  Where the family has
+    an annihilation time t_a: exactly one creation at -t_a and one
+    annihilation at +t_a, each at the law's time, or none of a kind whose
+    time lies outside.  Where it has a reconnection time t_r inside:
+    reconnections and nothing else.  No events otherwise."""
+    spec, consts = config.spec, config.consts
+    t0, t1 = config.time_range
+    t_a = spec.annihilation_time(consts)
     if t_a is not None:
         results = []
         tolerance = 1e-9 * t_a
         for kind, expected in (("creation", -t_a), ("annihilation", t_a)):
             found = log.of_kind(kind)
+            if not t0 < expected < t1:
+                results.append(CheckResult(
+                    "events", not found, float(len(found)), 0.0,
+                    f"no {kind}: the law's t={expected:+.6g} lies outside the window"))
+                continue
             measured = min((abs(e.t - expected) for e in found), default=math.nan)
             results.append(CheckResult(
                 "events", len(found) == 1 and measured <= tolerance, measured, tolerance,
                 f"exactly one {kind}, at the law's t={expected:+.6g}"))
         return results
-    if isinstance(spec, FreeTwoLinesSymmetric) and abs(
-        math.sin(spec.varphi) * math.cos(spec.varphi)
-    ) > 1e-9:
-        # The zero set depends on varphi only through sin^2: pi - varphi
-        # mirrors x and -varphi mirrors y, so every crossing angle reconnects.
+    t_r = spec.reconnection_time(consts)
+    if t_r is not None and (t0 < -t_r < t1 or t0 < t_r < t1):
         n_recon = len(log.of_kind("reconnection"))
         spurious = len(log.events) - n_recon
         return [CheckResult(

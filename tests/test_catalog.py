@@ -407,6 +407,42 @@ def test_windowed_family_is_plane_wave_times_window_at_t0(windowed, plane_wave):
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+#: hbar, m and e away from 1, so that a misplaced constant in a scale shows.
+C3 = vl.PhysicalConstants(hbar=1.3, mass=0.7, charge=1.9)
+
+
+@pytest.mark.parametrize("spec, scale", [
+    (vl.FreePlaneWave(k=K), 1.0 / K.norm),
+    (vl.FreePlaneWave(), 1.0),
+    (vl.FreeLineVortex(chi=0.6, k=K), 1.0 / K.norm),
+    (vl.FreeRingCylinder(R=2.0, a=-0.7, k=K), 2.0),
+    (vl.FreeRingSphere(R=3.0, a=1.0), 3.0),
+    (vl.FreeTwoLines(w1=(1.0, 0.5j, 1j), r1=(0.3, 0.0, 0.0), w2=(0.2, 1.0, -1j),
+                     r2=(-0.3, 0.1, 0.0)), math.hypot(0.6, 0.1)),
+    (vl.FreeTwoLinesSymmetric(a=-0.4, varphi=0.7, k=K), 0.4),
+    (vl.GaussianPacket(l=1.5, k=K), 1.5),
+    (vl.GaussianLineVortex(l=1.5, x0=0.4), 1.5),
+    (vl.MagneticGenerator(B=-1.3), math.sqrt(2.0 * 1.3 / (1.9 * 1.3))),
+    (vl.MagneticLine(B=1.3, a=-0.8, varphi=0.5), 0.8),
+    (vl.TrapGenerator(omega=0.9), math.sqrt(1.3 / (0.7 * 0.9))),
+    (vl.TrapRing(omega=0.9, R=1.2), 1.2),
+    (vl.RelPlaneWave(k=K), 1.0 / K.norm),
+    (vl.RelLineVortex(chi=0.6), 1.0),
+    (vl.RelRingCylinder(R=2.0, a=0.7, k=K), 2.0),
+    (vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), 1.0),
+    (vl.WindowedTwoLinesSymmetric(a=-1.0, varphi=0.7, l=3.0), 1.0),
+], ids=lambda v: type(v).__name__ if isinstance(v, vl.SolutionSpec) else None)
+def test_length_scale_is_the_ring_radius_else_the_offset_else_the_carriers(spec, scale):
+    assert spec.length_scale(C3) == pytest.approx(scale, rel=1e-15)
+
+
+def test_the_bare_carriers_are_the_families_without_an_image():
+    bare = {type(spec).__name__ for spec in ALL_SPECS if spec.is_bare}
+    assert bare == {"FreePlaneWave", "GaussianPacket", "MagneticGenerator", "TrapGenerator",
+                    "RelPlaneWave"}
+    assert len(ALL_SPECS) == len(vl.catalog.FAMILIES)
+
+
 def test_prefactor_of_bare_carrier_raises():
     with pytest.raises(NoPrefactorError):
         vl.prefactor(vl.FreePlaneWave(k=K), C, 0.0)
@@ -509,6 +545,9 @@ def test_laws_hold_only_where_the_family_has_one():
     # Only the antiparallel pair annihilates; a crossing pair reconnects.
     assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=-math.pi / 2).annihilation_time(C) == 1.0
     assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=math.pi / 4).annihilation_time(C) is None
+    assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=math.pi / 4).reconnection_time(C) == (
+        pytest.approx(2.0))
+    assert vl.FreeTwoLinesSymmetric(a=1.0, varphi=-math.pi / 2).reconnection_time(C) is None
     # Closed-form node speeds hold at k = 0 only.
     assert vl.FreeRingCylinder(R=2.0, a=-0.5).node_speed(C) == 4.0
     assert vl.GaussianLineVortex(l=2.0, x0=-0.4).node_speed(C) == pytest.approx(0.1)
@@ -517,8 +556,9 @@ def test_laws_hold_only_where_the_family_has_one():
     assert vl.MagneticLine(B=4.0, a=0.8, varphi=0.5).period(C) == pytest.approx(
         2.0 * math.pi / C.cyclotron_frequency(4.0))
     for spec in (vl.FreeLineVortex(), vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5)):
-        laws = (spec.ring(C, 0.0), spec.node_speed(C), spec.annihilation_time(C), spec.period(C))
-        assert laws == (None,) * 4
+        laws = (spec.ring(C, 0.0), spec.node_speed(C), spec.annihilation_time(C),
+                spec.reconnection_time(C), spec.period(C))
+        assert laws == (None,) * 5
 
 
 def test_zero_set_special_values():

@@ -674,6 +674,63 @@ def test_events_gate_the_root_time_against_the_law():
     assert all(r.measured == pytest.approx(1e-6 * t_a, rel=1e-3) for r in results)
 
 
+@pytest.mark.parametrize("name, spec, window, n_frames", [
+    ("fig1", None, (-0.53125, 0.46875), 16),
+    ("fig1", None, (-2.03125, 0.46875), 16),
+    ("pair_annihilation", None, (-0.53125, 0.46875), 16),
+    ("fig3", None, (-0.25, 0.25), 16),
+    ("fig3", vl.WindowedTwoLinesSymmetric(a=0.4, varphi=math.pi / 4, l=4.0), None, None),
+], ids=["fig1-ring-alive", "fig1-creation-only", "pair-alive", "fig3-before-switch",
+        "windowed-crossing-pair"])
+def test_events_expect_only_the_law_events_inside_the_window(name, spec, window, n_frames):
+    base = preset(name)
+    config = dataclasses.replace(
+        base, spec=spec or base.spec, time_range=window or base.time_range,
+        n_frames=n_frames or base.n_frames, checks=("events",))
+    frames, log, times = _tracked(config)
+    results = check_events(config, frames, log, times)
+    assert all(r.passed for r in results), results
+
+
+def test_events_refuse_a_law_event_logged_outside_the_window():
+    # fig1 over (-2.03125, 0.46875) sees its creation at -1; the same log
+    # judged over (-0.53125, 0.46875), where no law event lies, fails.
+    config = dataclasses.replace(preset("fig1"), time_range=(-2.03125, 0.46875), n_frames=16,
+                                 checks=("events",))
+    frames, log, times = _tracked(config)
+    assert [e.kind for e in log.events] == ["creation"]
+    narrow = dataclasses.replace(config, time_range=(-0.53125, 0.46875))
+    creation, annihilation = check_events(narrow, frames, log, times)
+    assert not creation.passed and creation.measured == 1.0 and creation.tolerance == 0.0
+    assert annihilation.passed and annihilation.measured == 0.0
+    assert "outside the window" in creation.detail
+
+
+def test_events_refuse_a_reconnection_where_the_law_places_none():
+    # fig3's reconnections at -+0.32 judged over (-0.25, 0.25).
+    config = preset("fig3")
+    frames, log, times = _tracked(config)
+    narrow = dataclasses.replace(config, time_range=(-0.25, 0.25))
+    (result,) = check_events(narrow, frames, log, times)
+    assert not result.passed and result.measured == 2.0
+
+
+def test_ring_locus_fails_on_a_frame_without_the_laws_ring():
+    # Frame 32 of fig1, t = -0.03125, where the law's radius is 2.999.
+    config = dataclasses.replace(preset("fig1"), checks=("locus",))
+    frames, _, times = _tracked(config)
+    (result,) = check_locus(config, frames, None, times)
+    assert result.passed
+    emptied = frames[:32] + [[]] + frames[33:]
+    (result,) = check_locus(config, emptied, None, times)
+    assert not result.passed and math.isnan(result.measured)
+    assert "t=-0.03125" in result.detail
+    # Lines where the law has no ring fail too: frame 0, t = -2.03125.
+    (result,) = check_locus(config, [frames[32]] + frames[1:], None, times)
+    assert not result.passed and math.isnan(result.measured)
+    assert "t=-2.03125" in result.detail
+
+
 def test_oracle_on_data_at_the_box_wall_fails_without_aborting_the_run(tmp_path, capsys):
     # A window ten times wider than fig2's box leaves the ring at full height
     # at the box walls, which the periodic propagator refuses: the oracle

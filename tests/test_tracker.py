@@ -324,6 +324,46 @@ def test_track_reconnection_roots_follow_the_law(varphi):
         assert event.t_lo <= event.t <= event.t_hi
 
 
+#: hbar and m away from 1: the pair's events scale with m / hbar.
+C_UNITS = vl.PhysicalConstants(hbar=1.3, mass=0.7)
+
+
+@pytest.mark.parametrize("consts", [C, C_UNITS], ids=["natural", "hbar=1.3,m=0.7"])
+@pytest.mark.parametrize("spec, kind", [
+    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 4), "reconnection"),
+    (vl.WindowedTwoLinesSymmetric(a=0.4, varphi=math.pi / 4, l=4.0), "reconnection"),
+    (vl.FreeTwoLinesSymmetric(a=0.4, varphi=math.pi / 3), "reconnection"),
+    (vl.WindowedTwoLinesSymmetric(a=0.4, varphi=math.pi / 3, l=1.5), "reconnection"),
+    (vl.FreeTwoLinesSymmetric(a=0.5, varphi=0.6), "reconnection"),
+    (vl.WindowedTwoLinesSymmetric(a=0.5, varphi=0.6, l=2.0), "reconnection"),
+    (vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=4.0), "annihilation"),
+    (vl.WindowedTwoLinesSymmetric(a=0.8, varphi=math.pi / 2, l=4.0), "annihilation"),
+])
+def test_track_pair_roots_equal_the_pair_laws(spec, kind, consts):
+    # t* = m a^2 / (hbar sin^2 varphi sqrt(1 - 2 a^2 / (l^2 sin^2 varphi))),
+    # l = inf on the plane wave: the lines touch at x = z = 0 at -+t*.
+    law = getattr(spec, f"{kind}_time")(consts)
+    scale = consts.mass / consts.hbar
+    grid = Grid3.centered(OFF, 8.0 * spec.a, 48)
+    _, log = track(spec, consts, grid, -1.53125 * scale, 1.46875 * scale, 16)
+    kinds = ["creation", "annihilation"] if kind == "annihilation" else [kind] * 2
+    assert [e.kind for e in log.events] == kinds
+    for event, sign in zip(log.events, (-1, 1)):
+        assert abs(event.t - sign * law) <= 1e-12 * law
+
+
+@pytest.mark.parametrize("consts", [C, C_UNITS], ids=["natural", "hbar=1.3,m=0.7"])
+@pytest.mark.parametrize("spec", [
+    vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=1.2),
+    vl.WindowedTwoLinesSymmetric(a=0.5, varphi=0.6, l=0.6),
+])
+def test_a_pair_too_wide_for_its_window_never_touches(spec, consts):
+    # 2 a^2 >= l^2 sin^2 varphi: the law has no time, and no event occurs.
+    assert spec.annihilation_time(consts) is None and spec.reconnection_time(consts) is None
+    _, log = track(spec, consts, Grid3.centered(OFF, 8.0 * spec.a, 48), -5.03, 4.97, 16)
+    assert not log.events
+
+
 def test_track_steady_parallel_pair_logs_nothing():
     spec = vl.FreeTwoLinesSymmetric(a=0.4, varphi=0.0)
     grid = Grid3.centered(OFF, 3.0, 24)
