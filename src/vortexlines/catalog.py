@@ -674,6 +674,12 @@ class RelRingCylinder(_KleinGordonCarrier):
         rate = 1j * abs(self.a) * self.axial_drift_speed(consts)
         return x * x + y * y - self.R**2 + (1j * self.a) * z + rate * tau
 
+    def ring(self, consts, t):
+        """Im P = 0 at the height z = -sign(a) v_d t above v t, v_d the axial
+        drift speed, and Re P = 0 on the radius R there."""
+        z = -math.copysign(self.axial_drift_speed(consts), self.a) * t
+        return self.classical_velocity(consts) * t + (0.0, 0.0, z), self.R
+
 
 @dataclass(frozen=True)
 class WindowedRingCylinder(_GaussianCarrier):
@@ -947,12 +953,22 @@ class Snapshot:
         axis's rows, rows @ M_a.T, once: top (N_x^2 + N_y^2 + N_z^2) complex
         multiply-adds, where applying the M_a to psi's grid takes
         (N_x + N_y + N_z) N_x N_y N_z.
+
+        The function carries those term rows as its `rows`, (x, y, z), each
+        of shape (T, N_a), with psi = sum_k x_k (x) y_k (x) z_k: a
+        `grids.FormedField` keeps them, so inner products of two such fields
+        need no grid (`propagator.l2_relative_error`).
         """
         rows = self._axis_rows((x, y, z))
         if maps is not None:
             rows = [r @ m.T for r, m in zip(rows, maps)]
         x_rows, y_rows, z_rows = self._term_rows(rows)
-        return lambda s: _term_product(x_rows[:, s, None], y_rows[:, None], z_rows)[:, 0]
+
+        def form(s):
+            return _term_product(x_rows[:, s, None], y_rows[:, None], z_rows)[:, 0]
+
+        form.rows = x_rows, y_rows, z_rows
+        return form
 
     def _axis_rows(self, axes) -> list[np.ndarray]:
         """Per axis a, x_a ** j exp(g_a(x_a)) in row j, shape (top, N_a).
@@ -1040,16 +1056,20 @@ class Snapshot:
         """The max |psi| on the six walls of the grid of three 1-D axes, the
         max |psi| over `on_zero_box`'s box, at most the grid's peak |psi|,
         and a function that returns that peak by `on_zero_box`'s search,
-        with no grid formed.  Each axis's two walls are one `_psi_on` matrix
-        product over both its end rows (over one row it would be a
-        matrix-vector product, up to 7e-15 relative off the sampled grid's
-        walls); these differ from the sampled grid's by roundoff still.  A
-        NaN on a wall makes it NaN."""
+        with no grid formed.  Each wall is one (N, T) @ (T, N) product of
+        its plane's term rows (`_term_rows`), the wall's coordinate folded
+        into the rows of one other axis, so the x walls are `on_grid_slabs`'
+        own planes; they differ from the sampled grid's by roundoff.  One
+        product of both end rows of an axis, 2 N rows, can stall on two BLAS
+        threads: 8-20 ms where the six planes take 0.2-0.5 ms (2 cores,
+        OpenBLAS 0.3.31).  A NaN on a wall makes it NaN."""
         _, values, _, search = self.on_zero_box(x, y, z)
         low = float(np.abs(values).max(initial=0.0))
-        rows = self._axis_rows((x, y, z))
-        ends = [[r[:, [0, -1]] if b == a else r for b, r in enumerate(rows)] for a in range(3)]
-        wall = np.max([np.abs(self._psi_on(e)).max() for e in ends])
+        xr, yr, zr = self._term_rows(self._axis_rows((x, y, z)))
+        wall = np.max([
+            np.abs((fixed[:, i, None] * left).T @ right).max()
+            for fixed, left, right in ((xr, yr, zr), (yr, xr, zr), (zr, xr, yr)) for i in (0, -1)
+        ])
         return float(wall), low, partial(search, low)
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:

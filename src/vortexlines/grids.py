@@ -166,10 +166,15 @@ class FormedField:
     over slabs holds one slab at a time.  Until every x plane has been read
     once, each slab read is refused if it is not finite, as a `SampledField`
     refuses its values.  `form` must give the same values for a plane at
-    every read."""
+    every read.
+
+    A field formed by `Snapshot.on_grid_slabs` keeps that form's term rows
+    as `rows`, (x, y, z), each of shape (T, N_a), with psi = sum_k x_k (x)
+    y_k (x) z_k; any other form, such as a held grid's, gives None."""
 
     def __init__(self, grid: Grid3, form: Callable[[slice], np.ndarray], time: float):
         self.grid, self.form, self.time = grid, form, float(time)
+        self.rows = getattr(form, "rows", None)
         self.shape = grid.dims
         self.offset = np.zeros(3, dtype=np.intp)
         self._unread = np.ones(grid.dims[0], dtype=bool)

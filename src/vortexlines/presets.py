@@ -165,7 +165,7 @@ def _build_presets() -> dict[str, tuple[str, ScenarioConfig]]:
             grid=_centered_grid(6.0, 48),
             time_range=(0.011, 0.211),
             n_frames=4,
-            checks=("residual", "circulation", "node_speed"),
+            checks=("residual", "circulation", "locus", "node_speed"),
         ),
     )
     presets["oracle_ring"] = (

@@ -26,7 +26,10 @@ is a `grids.SlabbedField`, formed slab by slab from the mapped axis rows
 where it is read (`Snapshot.on_grid_slabs`).  The L2 error reads either
 kind of field slab by slab, at most one slab of each at a time, and its
 first pass over a `SlabbedField` is the one that finds its peak and
-profiles.  The evolution sees
+profiles.  Two fields formed from axis rows are read once: the phase
+comes from inner products of their rows (Hadamard products of the axes'
+Gram matrices), and the residual from the same pass; a held grid is read
+twice.  The evolution sees
 only t0 data, dense or as axis samples, and the discrete H; never the time
 dependence of the analytic formulas, which is what makes the comparison
 meaningful.
@@ -141,32 +144,73 @@ def l2_relative_error(a: FormedField, b: FormedField) -> float:
     lambda = <b, a> / <b, b>; zero when the fields differ only by an overall
     complex constant.  The residual is formed directly rather than as
     sqrt(1 - overlap), which cancels to zero for errors below about 1e-8.
-    Both passes run slab by slab (`grids.slabs`), so no whole-grid
-    temporary is made, and each pass forms the slabs of a `FormedField`
-    as it reads them.
+
+    Where both fields carry term rows (`FormedField.rows`), lambda0 =
+    <b, a> / <b, b> comes from them with no grid formed (`_row_overlap`);
+    otherwise lambda0 = 0.  One pass sums ||a||^2, ||b||^2, <b, d> and
+    ||d||^2 for d = a - lambda0 b, and the minimum is
+    r^2 = ||d||^2 - |<b, d>|^2 / ||b||^2, since min over lambda of
+    ||a - lambda b|| is min over mu of ||d - mu b||.  Where lambda0 did not
+    come from rows, or r^2 <= 1e-8 ||d||^2, where that difference has lost
+    more than half its digits, a second pass forms the residual directly
+    at lambda = lambda0 + <b, d> / <b, b> (`_residual2`): a held grid gets
+    the value of two passes, bit for bit.  Each pass runs slab by slab
+    (`grids.slabs`), so no whole-grid temporary is made, and forms the
+    slabs of a `FormedField` as it reads them.
     """
     require_same_grid(a, b)
     parts = slabs(a.grid.dims)
-    na2 = nb2 = 0.0
-    ba = 0j
+    lam0 = _row_phase(a, b)
+    direct = lam0 is None
+    lam0 = 0j if direct else lam0
+    na2 = nb2 = d2 = 0.0
+    bd = 0j
     for s in parts:
-        aa, bb, overlap = _gram(a.slab(s), b.slab(s))
-        na2, nb2, ba = na2 + aa, nb2 + bb, ba + overlap
+        aa, bb, overlap, dd = _sums(a.slab(s), lam0, b.slab(s))
+        na2, nb2, bd, d2 = na2 + aa, nb2 + bb, bd + overlap, d2 + dd
     if na2 == 0.0 or nb2 == 0.0:
         return 0.0 if na2 == nb2 else 1.0
-    # Part by part: numpy divides a complex by a float through the float's
-    # reciprocal, so <b, b> / |b|^2 need not come out exactly 1.
-    lam = complex(ba.real / nb2, ba.imag / nb2)
-    r2 = 0.0
-    for s in parts:
-        r2 += _residual2(a.slab(s), lam, b.slab(s))
+    r2 = d2 - (bd.real**2 + bd.imag**2) / nb2
+    if direct or not r2 > 1e-8 * d2:
+        # Part by part: numpy divides a complex by a float through the
+        # float's reciprocal, so <b, b> / |b|^2 need not come out exactly 1.
+        lam = complex(lam0.real + bd.real / nb2, lam0.imag + bd.imag / nb2)
+        r2 = 0.0
+        for s in parts:
+            r2 += _residual2(a.slab(s), lam, b.slab(s))
     return math.sqrt(r2 / na2)
 
 
-def _gram(sa: np.ndarray, sb: np.ndarray) -> tuple[float, float, complex]:
-    """(<a, a>, <b, b>, <b, a>) on one slab.  A helper, so that no slab
-    outlives the step that reads it."""
-    return np.vdot(sa, sa).real, np.vdot(sb, sb).real, np.vdot(sb, sa)
+def _row_phase(a: FormedField, b: FormedField) -> complex | None:
+    """<b, a> / <b, b> from the fields' term rows, or None where either has
+    none or the ratio is not finite."""
+    if a.rows is None or b.rows is None:
+        return None
+    ba, bb = _row_overlap(b.rows, a.rows), _row_overlap(b.rows, b.rows).real
+    if not 0.0 < bb < math.inf:
+        return None
+    lam = complex(ba.real / bb, ba.imag / bb)
+    return lam if math.isfinite(lam.real) and math.isfinite(lam.imag) else None
+
+
+def _row_overlap(b, a) -> complex:
+    """<b, a> of the fields of term rows b and a: the sum over the pairs of
+    terms (k, j) of the product over the axes of (B_a^H A_a)_kj (Kolda &
+    Bader, SIAM Rev. 51:455, 2009), T_a T_b (N_x + N_y + N_z)
+    multiply-adds."""
+    gx, gy, gz = (bi.conj() @ ai.T for bi, ai in zip(b, a))
+    return complex((gx * gy * gz).sum())
+
+
+def _sums(sa: np.ndarray, lam0: complex, sb: np.ndarray) -> tuple[float, float, complex, float]:
+    """(<a, a>, <b, b>, <b, d>, <d, d>) on one slab, d = a - lam0 b.  A
+    helper, so that no slab outlives the step that reads it."""
+    aa, bb = np.vdot(sa, sa).real, np.vdot(sb, sb).real
+    if lam0 == 0:
+        return aa, bb, np.vdot(sb, sa), aa
+    d = lam0 * sb
+    np.subtract(sa, d, out=d)
+    return aa, bb, np.vdot(sb, d), np.vdot(d, d).real
 
 
 def _residual2(sa: np.ndarray, lam: complex, sb: np.ndarray) -> float:

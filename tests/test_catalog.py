@@ -526,7 +526,8 @@ def test_residual_forms_only_what_it_reads_bit_for_bit(spec, monkeypatch):
 @pytest.mark.parametrize("spec", [
     vl.FreeRingCylinder(R=2.0, a=0.7), vl.FreeRingCylinder(R=2.0, a=-0.7, k=(0.3, -0.2, 0.4)),
     vl.FreeRingSphere(R=3.0, a=1.0), vl.FreeRingSphere(R=3.0, a=-1.3, k=(0.2, 0.0, -0.5)),
-], ids=["cylinder", "cylinder-k", "sphere", "sphere-k"])
+    vl.RelRingCylinder(R=2.0, a=-0.7), vl.preset("relativistic").spec,
+], ids=["cylinder", "cylinder-k", "sphere", "sphere-k", "relativistic", "relativistic-k"])
 def test_ring_law_is_the_zero_set(spec):
     # Every point of the law's circle is a zero of psi, at any time and k.
     angles = np.linspace(0.0, 2.0 * math.pi, 7)

@@ -360,6 +360,124 @@ def test_separated_evolution_equals_dense_evolve(spec, config):
     assert np.max(np.abs(separated - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
+#: The oracle check's two evolutions, free and in the trap.
+CONFIGS = [PropagatorConfig(duration=0.5), PropagatorConfig(duration=0.5, omega=1.0)]
+
+
+def _row_fields(spec, t0=0.25, configs=(None, *CONFIGS)):
+    """psi(t0) on ANISOTROPIC formed from its axis rows, unmapped (None) and
+    mapped through each config's propagators: fields that carry term rows."""
+    snapshot = spec.at(C, t0)
+    axes = [ANISOTROPIC.axis_coords(a) for a in range(3)]
+    return [
+        grids.FormedField(ANISOTROPIC, snapshot.on_grid_slabs(
+            *axes, maps=c and axis_propagators(ANISOTROPIC, c)), t0)
+        for c in configs
+    ]
+
+
+def _without_rows(field):
+    """field's slabs from a form that carries no term rows, which the L2
+    error reads twice, as it reads a held grid."""
+    return grids.FormedField(field.grid, lambda s: field.form(s), field.time)
+
+
+def _counted_second_passes(monkeypatch):
+    """The slabs that the L2 error's second pass reads."""
+    passes, residual2 = [], propagator._residual2
+
+    def counted(*args):
+        passes.append(True)
+        return residual2(*args)
+
+    monkeypatch.setattr(propagator, "_residual2", counted)
+    return passes
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_row_overlaps_equal_the_slab_sums(spec):
+    # <b, a> from two fields' term rows is the sum of the slabs' vdots within
+    # 1e-14, for psi(t0) and its free and trapped evolutions in every pair.
+    fields = _row_fields(spec)
+    for b in fields:
+        for a in fields:
+            slab_sum = sum(np.vdot(b.slab(s), a.slab(s)) for s in grids.slabs(ANISOTROPIC.dims))
+            overlap = propagator._row_overlap(b.rows, a.rows)
+            assert abs(overlap - slab_sum) <= 1e-14 * abs(slab_sum)
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_one_pass_l2_error_equals_two_passes(spec):
+    # Against psi(t0 + 0.5), the L2 error of psi(t0) and of its evolutions,
+    # read once with the phase from the rows, is the value of two passes
+    # within 1e-16, or within an ulp of an error above 0.5.
+    reference = grids.sample_in_slabs(spec, C, ANISOTROPIC, 0.75)
+    for field in _row_fields(spec):
+        one = l2_relative_error(reference, field)
+        two = l2_relative_error(_without_rows(reference), _without_rows(field))
+        assert abs(one - two) <= max(1e-16, math.ulp(two))
+
+
+@pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
+def test_one_pass_l2_error_of_a_field_and_its_multiple(spec, monkeypatch):
+    # psi against (0.7 - 1.9j) psi, both from rows: the phase from the rows
+    # is far from 1, and one pass finds the error at roundoff.
+    eye = [np.eye(n) for n in ANISOTROPIC.dims]
+    field, = _row_fields(spec, configs=(None,))
+    scaled = grids.FormedField(ANISOTROPIC, spec.at(C, 0.25).on_grid_slabs(
+        *(ANISOTROPIC.axis_coords(a) for a in range(3)),
+        maps=(eye[0], eye[1], (0.7 - 1.9j) * eye[2])), 0.25)
+    passes = _counted_second_passes(monkeypatch)
+    assert l2_relative_error(field, scaled) < 1e-12
+    assert l2_relative_error(scaled, field) < 1e-12
+    assert not passes
+
+
+def _oracle_fields(name):
+    """The oracle check's two fields on preset `name`: psi(t1) and psi(t0)
+    evolved, each formed from its axis rows."""
+    config = vl.preset(name)
+    spec, grid, (t0, t1) = config.spec, config.grid, config.time_range
+    axes = [grid.axis_coords(a) for a in range(3)]
+    maps = axis_propagators(grid, PropagatorConfig(t1 - t0), config.consts)
+    evolved = SlabbedField(grid, spec.at(config.consts, t0).on_grid_slabs(*axes, maps=maps), t1)
+    return grids.sample_in_slabs(spec, config.consts, grid, t1), evolved
+
+
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair"])
+def test_a_perturbed_row_phase_runs_the_second_pass(monkeypatch, name):
+    # With the rows' <b, a> off by 1e-6, ||d||^2 - |<b, d>|^2 / ||b||^2
+    # cancels below 1e-8 ||d||^2, and the second pass forms the residual at
+    # the corrected phase: the value of two passes, to the roundoff of the
+    # residual's last bits (1e-5 and 4e-6 relative, against 2e-3 and 4e-6
+    # for the unperturbed one pass), not the one pass's cancelled one.
+    a, b = _oracle_fields(name)
+    two = l2_relative_error(_without_rows(a), _without_rows(b))
+    overlap = propagator._row_overlap
+    monkeypatch.setattr(propagator, "_row_overlap",
+                        lambda y, x: overlap(y, x) * (1.0 if x is y else 1.0 + 1e-6))
+    passes = _counted_second_passes(monkeypatch)
+    assert l2_relative_error(a, b) == pytest.approx(two, rel=1e-4)
+    assert len(passes) == len(grids.slabs(a.grid.dims))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(-math.inf, 1.0)])
+@pytest.mark.parametrize("both", [False, True], ids=["overlap", "norm"])
+def test_a_non_finite_row_phase_falls_back_to_two_passes(monkeypatch, bad, both):
+    # A phase from the rows that is not finite, from <b, a> or from <b, b>,
+    # is not used: the error is the two passes' value, bit for bit.
+    a = grids.sample_in_slabs(ORACLE_FAMILIES[0], C, ANISOTROPIC, 0.75)
+    for b in _row_fields(ORACLE_FAMILIES[0]):
+        two = l2_relative_error(_without_rows(a), _without_rows(b))
+        overlap = propagator._row_overlap
+        monkeypatch.setattr(propagator, "_row_overlap",
+                            lambda y, x: complex(bad) if both or x is not y else overlap(y, x))
+        passes = _counted_second_passes(monkeypatch)
+        assert l2_relative_error(a, b) == two
+        assert passes
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("slab", SLAB_SIZES)
 @pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
 def test_decay_check_in_slabs_equals_the_sampled_grids(monkeypatch, spec, slab):

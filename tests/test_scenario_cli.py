@@ -403,11 +403,13 @@ def _held_evolved_check(config):
 
 @pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap"])
 def test_oracle_values_equal_the_held_field_check(name, monkeypatch):
-    # The slabbed check's L2 error and line-check distance are bit for bit
-    # those of the check on the held evolved grid, on any BLAS thread count
-    # (the L2 error's last bits depend on it, the same for both).  Only the
-    # evolved field, which detection reads, folds max |psi| profiles, once
-    # a slab in the L2 error's first pass: the reference psi(t1) folds none.
+    # The slabbed check's line-check distance is bit for bit that of the
+    # check on the held evolved grid, on any BLAS thread count.  Its L2
+    # error takes the phase from both fields' axis rows in one pass, where
+    # the held grid has none and takes two: the two agree to 1e-16 (they
+    # differ by 1e-19 to 1e-18).  Only the evolved field, which detection
+    # reads, folds max |psi| profiles, once a slab in the L2 error's only
+    # pass: the reference psi(t1) folds none.
     config = _oracle_trap() if name == "oracle_trap" else preset(name)
     folded, fold = [], vl.grids._fold_maxima
 
@@ -421,7 +423,43 @@ def test_oracle_values_equal_the_held_field_check(name, monkeypatch):
     assert folded == slabs(config.grid.dims)
     reference = _held_evolved_check(config)
     assert [r.passed for r in results] == [True, True]
-    assert [(r.measured, r.detail) for r in results] == [(r.measured, r.detail) for r in reference]
+    assert [r.detail for r in results] == [r.detail for r in reference]
+    assert results[0].measured == pytest.approx(reference[0].measured, rel=0.0, abs=1e-16)
+    assert results[1].measured == reference[1].measured
+
+
+@pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap"])
+def test_oracle_reads_each_field_once_for_the_l2_error(name, monkeypatch):
+    # Both of the L2 error's fields carry their axis rows, so it takes the
+    # phase from them and reads each field once, in one pass that runs no
+    # second: the check forms each x plane of psi(t1) once, and the L2
+    # error reads each x plane of the evolved field once.
+    config = _oracle_trap() if name == "oracle_trap" else preset(name)
+    reads, slab = [], vl.grids.FormedField.slab
+
+    def counted(field, s):
+        reads.append((type(field), s))
+        return slab(field, s)
+
+    in_l2, l2 = [], vl.propagator.l2_relative_error
+
+    def spied(a, b):
+        start = len(reads)
+        err = l2(a, b)
+        in_l2.extend(reads[start:])
+        return err
+
+    def refuse(*args):
+        raise AssertionError("the L2 error's second pass ran")
+
+    monkeypatch.setattr(vl.grids.FormedField, "slab", counted)
+    monkeypatch.setattr(vl.propagator, "l2_relative_error", spied)
+    monkeypatch.setattr(vl.propagator, "_residual2", refuse)
+    results = check_oracle(config, [], None, None)
+    assert [r.passed for r in results] == [True, True]
+    parts = slabs(config.grid.dims)
+    assert [s for kind, s in reads if kind is vl.grids.FormedField] == parts
+    assert [s for kind, s in in_l2 if kind is vl.grids.SlabbedField] == parts
 
 
 def _oracle_trap():
