@@ -224,6 +224,15 @@ class SolutionSpec:
         """A bare carrier is a family that states no image: P = 1."""
         return type(self).image is SolutionSpec.image
 
+    @property
+    def generator(self) -> "SolutionSpec":
+        """The bare family on this family's carrier base, with this family's
+        k (`ZERO_K` where it has none) and l, B or omega: the carrier that
+        P(-i d/dk) takes to this family."""
+        base = type(self).__bases__[0]
+        bare = next(f for f in FAMILIES if f.__bases__[0] is base and f.image is SolutionSpec.image)
+        return bare(**{f.name: getattr(self, f.name) for f in fields(bare)})
+
     def polynomials(self, consts: PhysicalConstants) -> tuple[Poly3, Poly3]:
         """P and G less its phase, in (x, y, z, s): P is the image under the
         carrier's coordinate map."""

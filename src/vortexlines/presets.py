@@ -144,7 +144,7 @@ def _build_presets() -> dict[str, tuple[str, ScenarioConfig]]:
         ),
     )
     presets["generation"] = (
-        "Numeric k-differentiation of carriers vs the closed-form catalog",
+        "Line vortex generated from its bare carrier by numeric k-differentiation",
         ScenarioConfig(
             spec=FreeLineVortex(chi=math.pi / 4, k=WaveVector(0.3, -0.2, 0.4)),
             consts=consts,

@@ -17,26 +17,32 @@ from .errors import SpecValidationError
 from .grids import Grid3
 from .tracker import Event, EventLog, VortexPolyline
 
-_COMPLEX_VECTOR_FIELDS = {"w1", "w2"}
-_REAL_VECTOR_FIELDS = {"r1", "r2"}
-
 #: SVG snapshots look along y, onto the (x, z) plane, 480 pixels square.
 SVG_VIEW_AXIS = 1
 SVG_SIZE = 480
 
 
+def _encode(value):
+    """A `WaveVector` or a tuple as a list, a complex number as [re, im]."""
+    if isinstance(value, WaveVector):
+        value = (value.kx, value.ky, value.kz)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
+def _decode(value):
+    """A list of [re, im] pairs as complex numbers; the family checks the rest."""
+    if isinstance(value, list) and all(
+            isinstance(v, list) and len(v) == 2 for v in value):
+        return tuple(complex(re, im) for re, im in value)
+    return value
+
+
 def spec_to_dict(spec: SolutionSpec) -> dict:
     out = {"family": type(spec).__name__}
     for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, WaveVector):
-            out[f.name] = [value.kx, value.ky, value.kz]
-        elif f.name in _COMPLEX_VECTOR_FIELDS:
-            out[f.name] = [[c.real, c.imag] for c in value]
-        elif f.name in _REAL_VECTOR_FIELDS:
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
+        out[f.name] = _encode(getattr(spec, f.name))
     return out
 
 
@@ -52,19 +58,9 @@ def spec_from_dict(data: dict) -> SolutionSpec:
         raise SpecValidationError(
             f"unknown fields for {family}: {sorted(unknown)}"
         )
-    kwargs = {}
-    for name, value in data.items():
-        if name == "k":
-            kwargs[name] = WaveVector.of(value)
-        elif name in _COMPLEX_VECTOR_FIELDS:
-            kwargs[name] = tuple(complex(re, im) for re, im in value)
-        elif name in _REAL_VECTOR_FIELDS:
-            kwargs[name] = tuple(float(v) for v in value)
-        else:
-            kwargs[name] = value
     try:
-        return cls(**kwargs)
-    except TypeError as exc:
+        return cls(**{name: _decode(value) for name, value in data.items()})
+    except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"{family}: {exc}") from None
 
 

@@ -4,19 +4,26 @@ import numpy as np
 import pytest
 
 import vortexlines as vl
+from vortexlines import scenario
 from vortexlines.errors import SpecValidationError
 from vortexlines.generate import K_STEP_FACTOR, _stencil, fd_weights, generate_from_polynomial
+from vortexlines.grids import Grid3
 from vortexlines.polynomials import Poly3
 
 C = vl.NATURAL_UNITS
 K = vl.WaveVector(0.3, -0.2, 0.4)
 
-# (vortex solution, bare carrier it derives from) for every carrier family.
+# (vortex solution, bare carrier it derives from) for every non-bare family.
 PAIRS = [
     (vl.FreeLineVortex(chi=0.6, k=K), vl.FreePlaneWave(k=K)),
     (vl.FreeRingCylinder(R=1.3, a=0.8, k=K), vl.FreePlaneWave(k=K)),
     (vl.FreeRingSphere(R=1.5, a=0.7, k=K), vl.FreePlaneWave(k=K)),
     (vl.FreeTwoLinesSymmetric(a=0.8, varphi=0.7, k=K), vl.FreePlaneWave(k=K)),
+    (
+        vl.FreeTwoLines(w1=(1.0, 0.5j, 1j), r1=(0.3, 0.0, 0.0),
+                        w2=(0.2, 1.0, -1j), r2=(-0.3, 0.1, 0.0), k=K),
+        vl.FreePlaneWave(k=K),
+    ),
     (vl.GaussianLineVortex(l=1.5, x0=0.4, k=K), vl.GaussianPacket(l=1.5, k=K)),
     (
         vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5, k=K),
@@ -26,6 +33,10 @@ PAIRS = [
     (vl.TrapRing(omega=0.9, R=1.2), vl.TrapGenerator(omega=0.9)),
     (vl.RelLineVortex(chi=0.6, k=K), vl.RelPlaneWave(k=K)),
     (vl.RelRingCylinder(R=1.3, a=0.8, k=K), vl.RelPlaneWave(k=K)),
+    (
+        vl.WindowedTwoLinesSymmetric(a=0.8, varphi=0.7, l=2.5, k=K),
+        vl.GaussianPacket(l=2.5, k=K),
+    ),
 ]
 
 
@@ -59,6 +70,32 @@ def test_generated_solution_matches_closed_form(target, carrier):
         gen = generate_from_polynomial(carrier, poly, C, pts, t)
         scale = float(np.max(np.abs(ref)))
         assert float(np.max(np.abs(gen - ref))) / scale < 1e-5
+
+
+@pytest.mark.parametrize(
+    "target,carrier", PAIRS, ids=lambda v: type(v).__name__
+)
+def test_generator_is_the_bare_family_on_the_same_carrier(target, carrier):
+    # Its k is the family's, or ZERO_K where the family has none.
+    assert target.generator == carrier
+    assert carrier.generator == carrier
+
+
+@pytest.mark.parametrize(
+    "target,carrier", PAIRS, ids=lambda v: type(v).__name__
+)
+def test_generation_check_generates_each_family_from_its_generator(monkeypatch, target, carrier):
+    config = scenario.ScenarioConfig(
+        spec=target, consts=C, grid=Grid3.centered((0.0, 0.0, 0.0), 3.0, 16),
+        time_range=(-0.5, 0.5), n_frames=1, checks=("generation",))
+    (result,) = scenario.check_generation(config, None, None, None)
+    assert result.passed, result.measured
+    assert repr(carrier) in result.detail
+    # A relative error of 1e-4 in the generated field fails the check.
+    monkeypatch.setattr(scenario, "generate_from_polynomial",
+                        lambda *args: generate_from_polynomial(*args) * (1.0 + 1e-4))
+    (result,) = scenario.check_generation(config, None, None, None)
+    assert not result.passed and result.measured == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_generation_with_explicit_polynomial():

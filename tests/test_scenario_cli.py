@@ -803,6 +803,23 @@ def test_validate_refuses_oracle_on_a_carrier_without_a_window(tmp_path, capsys)
     assert "window" in capsys.readouterr().out
 
 
+def test_validate_refuses_generation_on_a_bare_carrier(tmp_path, capsys):
+    # A bare carrier has no prefactor to generate: validate names the family,
+    # and run refuses the config before any frame is tracked.
+    config = tiny_config(spec=vl.FreePlaneWave(k=vl.WaveVector(0.3, -0.2, 0.4)),
+                         checks=("residual", "generation"))
+    assert any("generation" in p and "FreePlaneWave" in p for p in validate(config))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert "FreePlaneWave" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "generation" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def _probe_frame(name):
     """A preset and its tracked frame at the time `check_circulation` probes."""
     config = preset(name)
@@ -1076,11 +1093,12 @@ def test_residual_fails_on_a_nan_at_any_time(monkeypatch):
 
 
 def test_generation_fails_on_a_nan_at_any_point(monkeypatch):
+    # One call per time: a NaN at the first point of the fourth time must
+    # make the measured value NaN.
     monkeypatch.setattr(scenario, "generate_from_polynomial",
-                        _nan_at_call(scenario.generate_from_polynomial, 4))
-    line, ring = scenario.check_generation(preset("generation"), None, None, None)
-    assert not line.passed and math.isnan(line.measured)
-    assert ring.passed
+                        _nan_at_call(scenario.generate_from_polynomial, 3))
+    (result,) = scenario.check_generation(preset("generation"), None, None, None)
+    assert not result.passed and math.isnan(result.measured)
 
 
 def test_magnetic_locus_fails_on_a_nan_at_any_phase(monkeypatch):

@@ -60,6 +60,13 @@ def test_spec_from_dict_rejects_bad_input():
         spec_from_dict({"family": "NoSuchFamily"})
     with pytest.raises(SpecValidationError):
         spec_from_dict({"family": "TrapRing", "omega": 1.0, "R": 1.0, "bogus": 3})
+    # A vector of the wrong length is refused as the family's, not as a bare
+    # unpacking error.
+    for data in ({"family": "FreePlaneWave", "k": [1.0, 2.0]},
+                 {"family": "FreeTwoLines", "w1": [[1.0, 0.0]], "r1": [0.0, 0.0, 0.0],
+                  "w2": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "r2": [0.0, 0.0, 0.0]}):
+        with pytest.raises(SpecValidationError, match=data["family"]):
+            spec_from_dict(data)
 
 
 def test_consts_and_grid_round_trip():
