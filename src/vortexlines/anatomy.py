@@ -2,7 +2,8 @@
 
 All operations accept either a catalog solution spec or a bare callable
 `field(points) -> complex array` (for constructed test fields); only the
-projective content of the wave function enters any result.
+projective content of the wave function enters any result, with the vector
+potential of the family's carrier where it states one.
 """
 
 from __future__ import annotations
@@ -99,20 +100,10 @@ def _field_of(spec_or_field, consts, t):
 
 
 def _default_potential(spec_or_field, consts, vector_potential):
-    if vector_potential is not None:
-        return vector_potential
-    if isinstance(spec_or_field, SolutionSpec) and spec_or_field.equation == "magnetic":
-        half_B = 0.5 * spec_or_field.B
-
-        def symmetric_gauge(points):
-            points = np.asarray(points, dtype=float)
-            out = np.zeros(points.shape)
-            out[..., 0] = -half_B * points[..., 1]
-            out[..., 1] = half_B * points[..., 0]
-            return out
-
-        return symmetric_gauge
-    return None
+    """The given A, else the family's own where it states one."""
+    if vector_potential is None and getattr(spec_or_field, "vector_potential", None) is not None:
+        return lambda points: spec_or_field.vector_potential(consts, points)
+    return vector_potential
 
 
 def flow_velocity(
@@ -323,7 +314,7 @@ def line_velocity_from_laplacian(
     spec: SolutionSpec, consts: PhysicalConstants, point_on_line, t: float
 ) -> np.ndarray:
     """Cross-check of line_velocity with dpsi/dt eliminated via the equation
-    of motion on the line (where psi = 0, so potential terms drop out)."""
+    of motion on the line: psi = 0 there, so only the Laplacian and A.w stay."""
     if spec.equation == "relativistic":
         raise SpecValidationError(
             "Laplacian form of the line velocity applies to first-order-in-time equations"
@@ -332,9 +323,7 @@ def line_velocity_from_laplacian(
     field = spec.at(consts, t).on(point)
     data = _vortex_data(spec, consts, field)
     dpsi_dt = 1j * consts.hbar / (2.0 * consts.mass) * complex(field.lap)
-    if spec.equation == "magnetic":
-        w = np.asarray(data.w)
-        eB = consts.charge * spec.B
-        angular = point[0] * w[1] - point[1] * w[0]
-        dpsi_dt += -(eB / (2.0 * consts.mass)) * angular
+    if spec.vector_potential is not None:
+        a_dot_w = np.sum(spec.vector_potential(consts, point) * field.grad)
+        dpsi_dt += -(consts.charge / consts.mass) * a_dot_w
     return min_norm_solve(np.asarray([data.w]), np.array([-dpsi_dt]))[0]

@@ -83,9 +83,11 @@ box.  The exact peak is searched for only on request: only the blocks whose
 bound beats the best value found so far are evaluated, by the same product
 batched over the blocks (interval branch-and-bound: Moore, Interval
 Analysis, 1966; Hansen, Global Optimization Using Interval Analysis, 1992).
-`amplitude` and `gradient` are one-line views of `on`, and `pde_residual`
-certifies each family against its governing equation using those analytic
-derivatives only.
+`walls_and_peak` runs that search over every block.  `amplitude` and
+`gradient` are one-line views of `on`, and `pde_residual` certifies each
+family against its governing equation using those analytic derivatives
+only, with the potentials its carrier states: the trap's V and the magnetic
+field's symmetric gauge A.
 
 A family with a closed-form law of motion states it: the ring's circle
 (`ring`), the node speed, the annihilation time, the reconnection time and
@@ -173,6 +175,9 @@ class SolutionSpec:
     """Base class for the tagged union of analytic families: psi = P * exp(G)."""
 
     equation = "free"  # one of free / trap / magnetic / relativistic
+    # potential(consts, points) -> V and vector_potential(consts, points) ->
+    # A, each over points of shape (..., 3), where the equation has them.
+    potential = vector_potential = None
 
     def __post_init__(self):
         """Every parameter must be finite (a `WaveVector` checks its own); R, l
@@ -563,6 +568,12 @@ class _MagneticCarrier(SolutionSpec):
         """One cyclotron period 2 pi / w_c, the clock's."""
         return 2.0 * math.pi / consts.cyclotron_frequency(self.B)
 
+    def vector_potential(self, consts, points):
+        """The symmetric gauge A = (B/2)(-y, x, 0) that the carrier solves."""
+        x, y, _ = np.moveaxis(points, -1, 0)
+        half_B = 0.5 * self.B
+        return np.stack([-half_B * y, half_B * x, np.zeros_like(x)], axis=-1)
+
 
 @dataclass(frozen=True)
 class MagneticGenerator(_MagneticCarrier):
@@ -629,6 +640,11 @@ class _TrapCarrier(SolutionSpec):
     def period(self, consts):
         """One trap period 2 pi / omega, the clock's."""
         return 2.0 * math.pi / self.omega
+
+    def potential(self, consts, points):
+        """V = m omega^2 r^2 / 2."""
+        x, y, z = np.moveaxis(points, -1, 0)
+        return 0.5 * consts.mass * self.omega**2 * (x * x + y * y + z * z)
 
 
 @dataclass(frozen=True)
@@ -1036,10 +1052,7 @@ class Snapshot:
         every other block whose bound still exceeds the max.  A bound that
         is not finite is refused.
         """
-        axes = [np.asarray(c, dtype=float) for c in (x, y, z)]
-        bounds = self.prefactor_bounds(*axes)
-        rows = self._axis_rows(axes)
-        edges = [block_edges(len(c)) for c in axes]
+        rows, edges, bounds = self._blocks(x, y, z)
         box = _zero_box(_kept_blocks(*bounds), edges)
         values = self._psi_on([r[:, s] for r, s in zip(rows, box)])
         # Every node of a block inside the box is in values already.
@@ -1047,9 +1060,15 @@ class Snapshot:
         above = _amplitude_bounds(rows, edges, *bounds)
         above[np.ix_(*inside)] = 0.0
         bound = float(above.max())
-        if not math.isfinite(bound):
-            raise SpecValidationError(NON_FINITE)
+        _require(math.isfinite(bound), NON_FINITE)
         return box, values, bound, partial(self._search_peak, rows, edges, above.ravel())
+
+    def _blocks(self, x, y, z):
+        """The axis rows and block edges of the grid of three 1-D axes, and
+        P's bounds on each block (`prefactor_bounds`)."""
+        axes = [np.asarray(c, dtype=float) for c in (x, y, z)]
+        bounds = self.prefactor_bounds(*axes)
+        return self._axis_rows(axes), [block_edges(len(c)) for c in axes], bounds
 
     def _search_peak(self, rows, edges, above: np.ndarray, low: float) -> float:
         """The max of low and |psi| over the blocks whose bounds (flat, as
@@ -1061,25 +1080,25 @@ class Snapshot:
         rest[first] = False
         return self._block_peak(rows, edges, np.flatnonzero(rest), peak)
 
-    def walls_and_bracket(self, x, y, z) -> tuple[float, float, Callable[[], float]]:
-        """The max |psi| on the six walls of the grid of three 1-D axes, the
-        max |psi| over `on_zero_box`'s box, at most the grid's peak |psi|,
-        and a function that returns that peak by `on_zero_box`'s search,
-        with no grid formed.  Each wall is one (N, T) @ (T, N) product of
-        its plane's term rows (`_term_rows`), the wall's coordinate folded
-        into the rows of one other axis, so the x walls are `on_grid_slabs`'
-        own planes; they differ from the sampled grid's by roundoff.  One
-        product of both end rows of an axis, 2 N rows, can stall on two BLAS
-        threads: 8-20 ms where the six planes take 0.2-0.5 ms (2 cores,
-        OpenBLAS 0.3.31).  A NaN on a wall makes it NaN."""
-        _, values, _, search = self.on_zero_box(x, y, z)
-        low = float(np.abs(values).max(initial=0.0))
-        xr, yr, zr = self._term_rows(self._axis_rows((x, y, z)))
+    def walls_and_peak(self, x, y, z) -> tuple[float, float]:
+        """The max |psi| on the six walls of the grid of three 1-D axes, and
+        its peak |psi| by `on_zero_box`'s search over every block's bound,
+        with no grid formed; a bound that is not finite is refused.  Each
+        wall is one (N, T) @ (T, N) product of its plane's term rows
+        (`_term_rows`), the wall's coordinate folded into the rows of one
+        other axis: one product of both end rows of an axis stalled on two
+        BLAS threads (8-20 ms against 0.2-0.5 ms; 2 cores, OpenBLAS 0.3.31).
+        The walls differ from the sampled grid's by roundoff, and a NaN on a
+        wall makes it NaN."""
+        rows, edges, bounds = self._blocks(x, y, z)
+        above = _amplitude_bounds(rows, edges, *bounds).ravel()
+        _require(math.isfinite(float(above.max())), NON_FINITE)
+        xr, yr, zr = self._term_rows(rows)
         wall = np.max([
             np.abs((fixed[:, i, None] * left).T @ right).max()
             for fixed, left, right in ((xr, yr, zr), (yr, xr, zr), (zr, xr, yr)) for i in (0, -1)
         ])
-        return float(wall), low, partial(search, low)
+        return float(wall), self._search_peak(rows, edges, above, 0.0)
 
     def _block_peak(self, rows, edges, blocks, peak: float) -> float:
         """The max of peak and |psi| over the nodes of the given blocks (flat
@@ -1300,14 +1319,9 @@ def prefactor(spec: SolutionSpec, consts: PhysicalConstants, t: float) -> Poly3:
     return Poly3({e: c for e, c in zip(snapshot.terms, snapshot.columns[:, _P].tolist()) if c})
 
 
-def _trap_potential(spec, consts, x, y, z):
-    return 0.5 * consts.mass * spec.omega**2 * (x * x + y * y + z * z)
-
-
 def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> np.ndarray:
     """Normalized residual of the governing equation, from analytic derivatives."""
     field = spec.at(consts, t).on(r)
-    x, y, z = np.moveaxis(field.points, -1, 0)
     hbar, mass = consts.hbar, consts.mass
     if spec.equation == "relativistic":
         c2 = consts.light_speed**2
@@ -1321,18 +1335,12 @@ def pde_residual(spec: SolutionSpec, consts: PhysicalConstants, r, t: float) -> 
             1j * hbar * field.dt,
             hbar**2 / (2.0 * mass) * field.lap,
         ]
-        if spec.equation == "trap":
-            terms.append(-_trap_potential(spec, consts, x, y, z) * field.psi)
-        elif spec.equation == "magnetic":
-            grad = field.grad
-            eB = consts.charge * spec.B
-            angular = x * grad[..., 1] - y * grad[..., 0]
-            # The generating function satisfies the symmetric-gauge equation
-            # with angular coefficient -i*hbar*e*B/(2m).
-            terms.append((1j * hbar * eB / (2.0 * mass)) * angular)
-            terms.append(
-                -(eB**2 / (8.0 * mass)) * (x * x + y * y) * field.psi
-            )
+        if spec.potential is not None:
+            terms.append(-spec.potential(consts, field.points) * field.psi)
+        if spec.vector_potential is not None:
+            a, e = spec.vector_potential(consts, field.points), consts.charge
+            terms.append((1j * hbar * e / mass) * np.sum(a * field.grad, axis=-1))
+            terms.append(-(e * e / (2.0 * mass)) * np.sum(a * a, axis=-1) * field.psi)
     total = sum(terms)
     scale = np.maximum.reduce([np.abs(term) for term in terms])
     residual = np.zeros_like(scale)

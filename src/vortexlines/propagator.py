@@ -14,8 +14,7 @@ eigendecomposition H_a = V diag(E) V^T as V diag(exp(-i E t / hbar)) V^T.
 Each U_a is applied along its axis by one matrix product:
 (N_x + N_y + N_z) N_x N_y N_z complex multiply-adds per call.
 `require_decayed(wall, peak)` refuses data that has not decayed at the box
-walls, which the periodic box would wrap round; `require_decayed_above`
-decides from a lower bound of the peak where it can.  Dense `evolve` reads
+walls, which the periodic box would wrap round.  Dense `evolve` reads
 a `grids.SlabbedField`'s grid whole, a read that finds its peak for that
 check, and holds the evolved grid as a `SlabbedField`.  A field that is a sum
 of products of axis vectors X (x) Y (x) Z evolves without its grid:
@@ -38,7 +37,6 @@ meaningful.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +78,6 @@ def require_decayed(wall: float, peak: float):
             f"(limit {BOUNDARY_DECAY:g}); enlarge the box or window the data",
             boundary_amplitude=boundary,
         )
-
-
-def require_decayed_above(wall: float, low: float, peak: Callable[[], float]):
-    """`require_decayed(wall, peak())`, with low at most the peak |psi|: a
-    wall within BOUNDARY_DECAY of a positive low is within it of the peak,
-    so peak() is called only where it is not, and a refusal reports the
-    ratio to the peak."""
-    if not (low > 0.0 and wall / low <= BOUNDARY_DECAY):
-        require_decayed(wall, peak())
 
 
 def evolve(

@@ -111,7 +111,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             f"checks: generation is unavailable for {type(config.spec).__name__}, "
             "a bare carrier with no prefactor to generate"
         )
-    if "oracle" in config.checks and config.spec.equation not in ("free", "trap"):
+    if "oracle" in config.checks and (config.spec.equation == "relativistic"
+                                      or config.spec.vector_potential is not None):
         problems.append(
             f"checks: oracle is unavailable for the {config.spec.equation} equation"
         )
@@ -408,18 +409,17 @@ def check_oracle(config, frames, log, times) -> list[CheckResult]:
     spec, consts, grid = config.spec, config.consts, config.grid
     t0, t1 = config.time_range
     prop_config = propagator.PropagatorConfig(
-        t1 - t0, spec.omega if spec.equation == "trap" else 0.0)
-    # No whole-grid field is held.  t0's walls, and its zero box's max |psi|,
-    # at most its peak, come from its axis rows; the peak is searched for
-    # only if the walls are not within the limit of that max.  psi(t0) is a
-    # sum of products of axis rows, and the evolution is U_x (x) U_y (x) U_z:
-    # each U_a acts on its axis's rows, and the evolved field is formed slab
-    # by slab where the L2 error and detection read it.  The L2 error's
-    # first pass finds its peak and profiles for detection.
+        t1 - t0, spec.omega if spec.potential is not None else 0.0)
+    # No whole-grid field is held.  t0's walls and peak come from its axis
+    # rows, the peak by the block search.  psi(t0) is a sum of products of
+    # axis rows, and the evolution is U_x (x) U_y (x) U_z: each U_a acts on
+    # its axis's rows, and the evolved field is formed slab by slab where the
+    # L2 error and detection read it.  The L2 error's first pass finds its
+    # peak and profiles for detection.
     snapshot = spec.at(consts, t0)
     axes = [grid.axis_coords(a) for a in range(3)]
     try:
-        propagator.require_decayed_above(*snapshot.walls_and_bracket(*axes))
+        propagator.require_decayed(*snapshot.walls_and_peak(*axes))
     except BoundaryDecayError as exc:
         return [CheckResult("oracle", False, exc.boundary_amplitude,
                             propagator.BOUNDARY_DECAY, str(exc))]

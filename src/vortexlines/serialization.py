@@ -119,8 +119,8 @@ def write_polylines_csv(path, frames: list[list[VortexPolyline]], times) -> None
             for j, line in enumerate(lines):
                 for n, p in enumerate(line.points):
                     fh.write(
-                        f"{i},{t!r},{j},{int(line.closed)},{line.winding},"
-                        f"{n},{p[0]!r},{p[1]!r},{p[2]!r}\n"
+                        f"{i},{float(t)!r},{j},{int(line.closed)},{line.winding},"
+                        f"{n},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n"
                     )
 
 

@@ -738,6 +738,8 @@ def _event_root(spec, consts, seed, lo, hi, scale):
         step = np.linalg.lstsq(jac, rows * residual, rcond=None)[0]
         x = x - step * scale
         if np.max(np.abs(step)) <= EVENT_TOLERANCE:
+            if not np.max(np.abs(rows * residual)) <= EVENT_TOLERANCE:
+                values, residual = at(x)  # judge the root returned
             done = np.max(np.abs(rows * residual)) <= EVENT_TOLERANCE
             return (x, values, jac) if done else None
         inside = np.clip(x, lo, hi)

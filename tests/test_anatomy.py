@@ -279,3 +279,30 @@ def test_line_velocity_from_laplacian_rejects_relativistic():
     spec = vl.RelLineVortex(chi=0.6)
     with pytest.raises(SpecValidationError):
         vl.line_velocity_from_laplacian(spec, C, (0.0, 0.0, 0.0), 0.0)
+
+
+def test_a_wrong_potential_fails_the_residual_and_the_line_velocities(monkeypatch):
+    # The residual and the Laplacian line velocity read the potentials that
+    # the carriers state: the gauge with its sign flipped fails fig4's
+    # residual and parts the two line velocities, and the trap's V scaled by
+    # 1.01 fails fig5's residual.
+    fig4, fig5 = vl.preset("fig4"), vl.preset("fig5")
+    t = 0.4
+    point = fig4.spec.parametric_locus(C, t, np.array([0.6]))[0]
+
+    def routes():
+        return [route(fig4.spec, C, point, t)
+                for route in (vl.line_velocity, vl.line_velocity_from_laplacian)]
+
+    for config in (fig4, fig5):
+        assert vl.scenario.check_residual(config, [], None, None)[0].passed
+    assert np.allclose(*routes(), rtol=1e-9, atol=1e-12)
+    gauge = vl.catalog._MagneticCarrier.vector_potential
+    monkeypatch.setattr(vl.catalog._MagneticCarrier, "vector_potential",
+                        lambda self, consts, points: -gauge(self, consts, points))
+    assert not vl.scenario.check_residual(fig4, [], None, None)[0].passed
+    assert not np.allclose(*routes(), rtol=1e-3)
+    potential = vl.catalog._TrapCarrier.potential
+    monkeypatch.setattr(vl.catalog._TrapCarrier, "potential",
+                        lambda self, consts, points: 1.01 * potential(self, consts, points))
+    assert not vl.scenario.check_residual(fig5, [], None, None)[0].passed

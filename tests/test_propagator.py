@@ -501,15 +501,15 @@ def _grid_walls_and_peak(values):
                          ids=["anisotropic", "16", "40"])
 @pytest.mark.parametrize("spec", ORACLE_FAMILIES, ids=lambda spec: type(spec).__name__)
 def test_walls_and_peak_from_axis_rows_match_the_slabs(spec, grid):
-    # The oracle check reads psi(t0)'s walls from its axis rows, both end
-    # rows of an axis in one product, and its peak from P's block bounds:
+    # The oracle check reads psi(t0)'s walls from its axis rows, one product
+    # per wall plane, and its peak by the block search on P's block bounds:
     # not bit for bit the sampled grid's, but within roundoff of it.
     axes = [grid.axis_coords(a) for a in range(3)]
     for t in (0.0, 0.25, 0.5):
-        wall, _, peak = spec.at(C, t).walls_and_bracket(*axes)
+        wall, peak = spec.at(C, t).walls_and_peak(*axes)
         dense_wall, dense_peak = _grid_walls_and_peak(on_grid(spec, C, grid, t))
         assert wall == pytest.approx(dense_wall, rel=1e-15, abs=0.0)
-        assert peak() == pytest.approx(dense_peak, rel=1e-15, abs=0.0)
+        assert peak == pytest.approx(dense_peak, rel=1e-15, abs=0.0)
 
 
 def test_walls_and_peak_of_a_prefactor_beyond_the_block_bound():
@@ -520,7 +520,7 @@ def test_walls_and_peak_of_a_prefactor_beyond_the_block_bound():
     snapshot = vl.catalog.Snapshot(((0, 0, 0), (2, 1, 0)), columns)
     axes = [ANISOTROPIC.axis_coords(a) for a in range(3)]
     with pytest.raises(SpecValidationError, match="degree 3"):
-        snapshot.walls_and_bracket(*axes)
+        snapshot.walls_and_peak(*axes)
     with pytest.raises(SpecValidationError, match="degree 3"):
         snapshot.on_zero_box(*axes)
 

@@ -546,8 +546,8 @@ def test_oracle_decay_check_at_the_limit_of_the_axis_rows_ratio(monkeypatch):
     config = _oracle_window()
     expected = _as_tuples(check_oracle(config, [], None, None))
     axes = [config.grid.axis_coords(a) for a in range(3)]
-    wall, _, peak = config.spec.at(config.consts, 0.0).walls_and_bracket(*axes)
-    ratio = wall / peak()
+    wall, peak = config.spec.at(config.consts, 0.0).walls_and_peak(*axes)
+    ratio = wall / peak
     monkeypatch.setattr(vl.propagator, "BOUNDARY_DECAY", ratio)
     assert _as_tuples(check_oracle(config, [], None, None)) == expected
     below = float(np.nextafter(ratio, 0.0))
@@ -593,12 +593,10 @@ def _decay_outcome(check, *args):
 
 @pytest.mark.parametrize("name", ["oracle_ring", "oracle_pair", "oracle_trap", "oracle_too_small"])
 def test_oracle_decay_check_from_the_box_max_equals_the_exact_peak_check(monkeypatch, name):
-    # The check decides from t0's zero box max |psi|, at most the peak, and
-    # reads the exact peak only where the walls are not within the limit of
-    # that max: the same pass or fail as against the exact peak, and on a
-    # failure the same ratio and text.  The presets pass without a search,
-    # and the box too small for its window fails; each passes at the limit
-    # of its exact ratio, and fails one float below it.
+    # The check reads t0's exact peak from the block search, bit for bit the
+    # held grid's max |psi|.  The presets pass and the box too small for its
+    # window fails; each passes at the limit of its ratio, and fails one
+    # float below it with that ratio and the decay rule's text.
     if name == "oracle_too_small":
         grid = Grid3(tuple(-3.0 + o for o in OFF), (6.0 / 16,) * 3, (16,) * 3)
         config = tiny_config(spec=vl.WindowedRingCylinder(R=1.0, a=0.5, l=2.5), grid=grid,
@@ -606,24 +604,19 @@ def test_oracle_decay_check_from_the_box_max_equals_the_exact_peak_check(monkeyp
     else:
         config = _oracle_trap() if name == "oracle_trap" else preset(name)
     axes = [config.grid.axis_coords(a) for a in range(3)]
-    snapshot = config.spec.at(config.consts, config.time_range[0])
-    wall, low, peak = snapshot.walls_and_bracket(*axes)
-    exact = peak()
-    assert low <= exact
-    searched = []
-
-    def counted():
-        searched.append(True)
-        return peak()
-
-    decay = vl.propagator
-    for limit in (decay.BOUNDARY_DECAY, wall / exact, float(np.nextafter(wall / exact, 0.0))):
-        monkeypatch.setattr(decay, "BOUNDARY_DECAY", limit)
-        searched.clear()
-        found = _decay_outcome(decay.require_decayed_above, wall, low, counted)
-        assert found == _decay_outcome(decay.require_decayed, wall, exact)
-        assert (found is None) == (limit >= wall / exact)
-        assert bool(searched) == (not wall / low <= limit)
+    t0 = config.time_range[0]
+    wall, peak = config.spec.at(config.consts, t0).walls_and_peak(*axes)
+    assert peak == np.abs(on_grid(config.spec, config.consts, config.grid, t0)).max()
+    decay, ratio = vl.propagator, wall / peak
+    passed = _decay_outcome(decay.require_decayed, wall, peak) is None
+    assert passed == (name != "oracle_too_small")
+    monkeypatch.setattr(decay, "BOUNDARY_DECAY", ratio)
+    assert _decay_outcome(decay.require_decayed, wall, peak) is None
+    below = float(np.nextafter(ratio, 0.0))
+    monkeypatch.setattr(decay, "BOUNDARY_DECAY", below)
+    assert _decay_outcome(decay.require_decayed, wall, peak) == (
+        ratio, f"initial data at the box wall is {ratio:.3e} of the peak (limit {below:g}); "
+        "enlarge the box or window the data")
 
 
 @pytest.mark.parametrize("name, field", [

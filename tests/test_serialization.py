@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -99,11 +100,16 @@ def test_polyline_writers(tmp_path):
     assert records[2]["winding"] == -1
     assert len(records[0]["points"]) == 3 * 12
 
-    csv = tmp_path / "lines.csv"
-    write_polylines_csv(csv, frames, times)
-    rows = csv.read_text().splitlines()
-    assert rows[0] == "frame,t,line_id,closed,winding,point_index,x,y,z"
-    assert len(rows) == 1 + 12 + 12 + 2
+    # Times as `scenario.run` passes them, numpy floats like the points.
+    path = tmp_path / "lines.csv"
+    write_polylines_csv(path, frames, np.asarray(times))
+    header, *rows = csv.reader(path.read_text().splitlines())
+    assert header == ["frame", "t", "line_id", "closed", "winding", "point_index", "x", "y", "z"]
+    assert len(rows) == 12 + 12 + 2
+    for row in rows:
+        i, t, j, closed, winding, n, *point = row
+        assert float(t) == times[int(i)] and int(closed) in (0, 1) and int(winding) in (-1, 1)
+        assert [float(v) for v in point] == frames[int(i)][int(j)].points[int(n)].tolist()
 
 
 def test_event_log_serialization(tmp_path):

@@ -352,6 +352,20 @@ def test_track_pair_roots_equal_the_pair_laws(spec, kind, consts):
         assert abs(event.t - sign * law) <= 1e-12 * law
 
 
+@pytest.mark.parametrize("n", [32, 36])
+def test_windowed_pair_events_on_coarse_grids(n):
+    # On these grids the last Newton step of the creation's solve falls
+    # below the tolerance after a residual just above it (a step of 9.2e-11
+    # after 1.02e-10 at 32^3): the root is judged by the residual where the
+    # step lands, and both events are logged at the law's -+t*.
+    spec = vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=3.0)
+    law = spec.annihilation_time(C)
+    _, log = track(spec, C, Grid3.centered(OFF, 8.0, n), -1.814, 1.760, 16)
+    assert [e.kind for e in log.events] == ["creation", "annihilation"]
+    for event, sign in zip(log.events, (-1, 1)):
+        assert abs(event.t - sign * law) <= 1e-12 * law
+
+
 @pytest.mark.parametrize("consts", [C, C_UNITS], ids=["natural", "hbar=1.3,m=0.7"])
 @pytest.mark.parametrize("spec", [
     vl.WindowedTwoLinesSymmetric(a=1.0, varphi=math.pi / 2, l=1.2),
